@@ -35,7 +35,7 @@ from .eigen import (
     solve_nonlinear_eigen,
     verify_kernel,
 )
-from .fbi import fbi_field
+from .fbi import GridTooCoarseError, fbi_field
 from .gevrey import (
     FitRejectedError,
     OrderTooHighError,
@@ -591,6 +591,11 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return dispatch(config)
+    except GridTooCoarseError as exc:
+        # The requested frequency ladder is out of range for the grid.
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except (InconclusiveError, FitRejectedError, OrderTooHighError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return INCONCLUSIVE_EXIT

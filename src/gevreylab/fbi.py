@@ -23,12 +23,23 @@ The decay of |F u(x, xi)| in xi at fixed base point x, measured along a
 frequency ladder, is the classifier signal: order-s regularity shows up
 as exp(-c xi^(1/s)) at the right window exponent.
 
-Truncated inversion and the low/high frequency splitting are quadratures
-of the same integrand over |xi| <= R.  On a shared uniform grid the x'
-integral is a discrete convolution in (z - x'), which brings the cost of
-a full line evaluation down from cubic to quadratic; the pointwise and
-convolution paths agree to quadrature accuracy and both are exercised in
-the tests.
+Truncated inversion and the low/high frequency splitting integrate the
+transform over |xi| <= lam.  Because alpha_g is the Jacobian of the
+contour map, the integrand is an exact xi-derivative,
+
+    exp(i w xi - <xi>^g w^2) alpha_g(w, xi)
+        = (1 / (i w)) d/dxi exp(i w xi - <xi>^g w^2),
+
+so the frequency integral is closed form: both operations are the
+convolution of u with the low-pass kernel
+
+    K_lam(w) = (1/2pi) integral_{|xi|<=lam} exp(i w xi - <xi>^g w^2) alpha_g dxi
+             = sin(lam w) / (pi w) * exp(-<lam>^g w^2),     K_lam(0) = lam/pi,
+
+which holds for complex w as well, so tube evaluation needs nothing else.
+On the sample grid the x' integral is the sum h * sum_j u(x_j) K_lam(z - x_j):
+a discrete convolution along a line Im z = const, and one matrix-vector
+product at a set of isolated points.
 """
 
 from __future__ import annotations
@@ -196,59 +207,53 @@ def fbi_field(
     freqs,
     gamma: float,
     *,
-    direction=None,
     check_support: bool = True,
 ) -> FbiField:
     """Evaluate the transform on a grid of base points and frequencies.
 
+    One dimensional only; the pointwise ``fbi`` covers higher dimensions.
+
     Parameters
     ----------
     u : SampledFunction
-    base_points : array_like, shape (m,) or (m, ndim)
+    base_points : array_like, shape (m,)
         Real or complex base points.
     freqs : array_like, shape (k,)
         Positive frequency magnitudes (the classifier ladder).
     gamma : float
         Window exponent in [0, 1].
-    direction : array_like, shape (ndim,), optional
-        Unit frequency direction for ndim > 1; defaults to the first axis.
     """
     gamma = _check_gamma(gamma)
+    if u.ndim != 1:
+        raise ValueError("the transform field is implemented for 1d samples")
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or np.any(freqs <= 0):
         raise ValueError("frequency ladder must be a 1d array of positive reals")
     if check_support:
         _require_supported(u)
 
-    if u.ndim == 1:
-        zs = np.atleast_1d(np.asarray(base_points, dtype=complex))
-        if freqs.size == 0:
-            return FbiField(zs, freqs, gamma, np.empty((len(zs), 0), dtype=complex))
-        _require_resolved(u.spacing, freqs.max())
-        values = _field_1d_chunked(u, zs, freqs, gamma)
-        return FbiField(zs, freqs, gamma, values)
-
-    if direction is None:
-        direction = np.zeros(u.ndim)
-        direction[0] = 1.0
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    pts = np.atleast_2d(np.asarray(base_points, dtype=complex))
-    values = np.empty((len(pts), len(freqs)), dtype=complex)
-    for i, z in enumerate(pts):
-        for j, r in enumerate(freqs):
-            values[i, j] = fbi(u, z, r * direction, gamma, check_support=False)
-    return FbiField(pts, freqs, gamma, values)
+    zs = np.atleast_1d(np.asarray(base_points, dtype=complex))
+    if freqs.size == 0:
+        return FbiField(zs, freqs, gamma, np.empty((len(zs), 0), dtype=complex))
+    _require_resolved(u.spacing, freqs.max())
+    values = _field_1d_chunked(u, zs, freqs, gamma)
+    return FbiField(zs, freqs, gamma, values)
 
 
-def _xi_grid(radius: float, dxi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric trapezoid grid on [-radius, radius] with target step dxi."""
-    n = max(int(np.ceil(2.0 * radius / dxi)) + 1, 9)
-    xis = np.linspace(-radius, radius, n)
-    weights = np.full(n, xis[1] - xis[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return xis, weights
+def _lowpass_kernel(w, lam: float, gamma: float) -> np.ndarray:
+    """Closed-form K_lam(w) = (1/2pi) int_{|xi|<=lam} exp(i w xi - <xi>^g w^2) alpha dxi.
+
+    Equals sin(lam w) / (pi w) * exp(-<lam>^g w^2); ``np.sinc`` supplies
+    the value lam/pi at w = 0.  w may be complex (tube evaluation).
+    """
+    br = np.sqrt(1.0 + lam * lam)
+    return lam / np.pi * np.sinc(lam * w / np.pi) * np.exp(-(br**gamma) * w * w)
+
+
+def _lowpass_at(u: SampledFunction, zs: np.ndarray, lam: float, gamma: float) -> np.ndarray:
+    """Low-frequency part h * sum_j u(x_j) K_lam(z - x_j) at the points zs."""
+    w = zs[:, None] - u.coords(0)[None, :]
+    return _lowpass_kernel(w, lam, gamma) @ u.values * u.spacing[0]
 
 
 def invert_partial(
@@ -257,7 +262,6 @@ def invert_partial(
     gamma: float,
     radius: float,
     *,
-    dxi: float = 0.125,
     check_support: bool = True,
 ) -> complex:
     """Frequency-truncated inversion at one point.
@@ -272,11 +276,9 @@ def invert_partial(
         raise ValueError("truncated inversion is implemented for 1d samples")
     if check_support:
         _require_supported(u)
-    xis, weights = _xi_grid(radius, dxi)
     _require_resolved(u.spacing, radius)
     zs = np.atleast_1d(np.asarray(x, dtype=complex))
-    field = _field_1d_chunked(u, zs, xis, gamma)
-    vals = field @ weights / (2.0 * np.pi)
+    vals = _lowpass_at(u, zs, radius, gamma)
     return complex(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
 
 
@@ -285,56 +287,19 @@ def inversion_profile(
     xs,
     gamma: float,
     radii,
-    *,
-    dxi: float = 0.125,
 ) -> np.ndarray:
     """Truncated inversions at several points for a whole radius ladder.
 
-    Returns an array of shape (len(radii), len(xs)).  The transform values
-    are computed once on the finest frequency grid and partial trapezoid
-    sums give every radius, so the ladder costs the same as its largest
-    entry.  Radii must be positive multiples of the grid that the largest
-    radius induces; dyadic ladders satisfy this by construction.
+    Returns an array of shape (len(radii), len(xs)); row i equals
+    ``invert_partial(u, xs, gamma, radii[i])``.  Any positive radii work.
     """
     gamma = _check_gamma(gamma)
     if u.ndim != 1:
         raise ValueError("truncated inversion is implemented for 1d samples")
     radii = np.asarray(radii, dtype=float)
-    rmax = float(radii.max())
-    xis, _ = _xi_grid(rmax, dxi)
-    _require_resolved(u.spacing, rmax)
-    step = xis[1] - xis[0]
+    _require_resolved(u.spacing, float(radii.max()))
     zs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    field = _field_1d_chunked(u, zs, xis, gamma)
-
-    out = np.empty((len(radii), len(zs)), dtype=complex)
-    center = (len(xis) - 1) // 2
-    for i, r in enumerate(radii):
-        half = int(round(r / step))
-        if abs(half * step - r) > 1e-9 * max(r, 1.0):
-            raise ValueError("radius ladder must align with the frequency grid")
-        sl = slice(center - half, center + half + 1)
-        w = np.full(2 * half + 1, step)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        out[i] = field[:, sl] @ w / (2.0 * np.pi)
-    return out
-
-
-def _lowpass_kernel(w: np.ndarray, lam: float, gamma: float, dxi: float) -> np.ndarray:
-    """Kernel K_lam(w) = (1/2pi) int_{|xi|<=lam} exp(i w xi - <xi>^g w^2) alpha dxi.
-
-    The low-frequency part of u on a uniform grid is the discrete
-    convolution of the samples with this kernel evaluated on the
-    difference grid; w may be complex (tube evaluation).
-    """
-    xis, weights = _xi_grid(lam, dxi)
-    br = np.sqrt(1.0 + xis * xis)
-    W = w[:, None]
-    dot = W * xis[None, :]
-    expo = 1j * dot - br[None, :] ** gamma * W * W
-    alpha = 1.0 + 1j * gamma * br[None, :] ** (gamma - 2.0) * dot
-    return (np.exp(expo) * alpha) @ weights / (2.0 * np.pi)
+    return np.array([_lowpass_at(u, zs, r, gamma) for r in radii])
 
 
 def lowpass_profile(
@@ -343,12 +308,11 @@ def lowpass_profile(
     gamma: float,
     *,
     height: float = 0.0,
-    dxi: float = 0.2,
 ) -> SampledFunction:
     """Low-frequency part g_lam evaluated along the line Im z = height.
 
     Returns samples on the same real grid as ``u``.  g_lam is entire in z,
-    so evaluation off the real axis is the same quadrature with a complex
+    so evaluation off the real axis is the same convolution with a complex
     offset; boundedness of the result on tubes of width lam^(-1/2) is the
     quantitative content of the splitting.
     """
@@ -363,7 +327,7 @@ def lowpass_profile(
     n = len(x)
     w0 = (x[0] + 1j * height) - x[-1]
     w = w0 + np.arange(2 * n - 1) * h
-    kernel = _lowpass_kernel(w, lam, gamma, dxi)
+    kernel = _lowpass_kernel(w, lam, gamma)
     vals = h * np.convolve(u.values[::-1], kernel, mode="valid")[:n]
     return SampledFunction(u.origin, u.spacing, vals)
 
@@ -406,7 +370,6 @@ def decompose(
     tube_height: float = 0.0,
     *,
     n_heights: int = 5,
-    dxi: float = 0.2,
 ) -> Decomposition:
     """Split samples into low and high frequency parts at cut ``lam``.
 
@@ -421,7 +384,7 @@ def decompose(
     if tube_height == 0.0:
         n_heights = 1
     heights = np.linspace(0.0, tube_height, n_heights)
-    rows = [lowpass_profile(u, lam, gamma, height=y, dxi=dxi).values for y in heights]
+    rows = [lowpass_profile(u, lam, gamma, height=y).values for y in heights]
     if n_heights == 1:
         # Axis-only split: the low part lives on the input grid.
         low = SampledFunction(u.origin, u.spacing, rows[0])

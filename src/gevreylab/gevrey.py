@@ -23,6 +23,7 @@ functions do not exist.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -231,10 +232,16 @@ def fd_weights(order: int, npts: int) -> np.ndarray:
 
     Solves the Taylor moment system in rational arithmetic, so the only
     floating error in a stencil application is the final rounding of the
-    weights.  ``npts`` must be odd and exceed ``order``.
+    weights.  ``npts`` must be odd and exceed ``order``.  The solve is
+    cached per (order, npts); each call returns a fresh array.
     """
     if npts % 2 != 1 or npts <= order:
         raise ValueError("need an odd stencil wider than the derivative order")
+    return np.array(_fd_weights_exact(order, npts))
+
+
+@functools.lru_cache(maxsize=None)
+def _fd_weights_exact(order: int, npts: int) -> tuple[float, ...]:
     m = (npts - 1) // 2
     nodes = list(range(-m, m + 1))
     # Moment matrix rows: sum_j w_j node_j^i = order! * delta(i, order).
@@ -259,7 +266,7 @@ def fd_weights(order: int, npts: int) -> np.ndarray:
                 factor = mat[row][col]
                 mat[row] = [a - factor * b for a, b in zip(mat[row], mat[col])]
                 rhs[row] = rhs[row] - factor * rhs[col]
-    return np.array([float(v) for v in rhs])
+    return tuple(float(v) for v in rhs)
 
 
 _STRIDES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)

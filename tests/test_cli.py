@@ -51,6 +51,11 @@ class TestUsageErrors:
         code, _ = run(tmp_path, "transform", "--config", str(cfg))
         assert code == 64
 
+    @pytest.mark.parametrize("command", ["transform", "classify"])
+    def test_unresolvable_frequency_ladder_returns_64(self, tmp_path, command):
+        code, _ = run(tmp_path, command, "--freq-ladder", "1e6,2e6")
+        assert code == 64
+
     def test_malformed_config_line_returns_64(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("order 2\n")

@@ -21,6 +21,7 @@ from gevreylab import (
     prune_decay_floor,
     sample,
 )
+from gevreylab.fbi import _lowpass_kernel
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -187,6 +188,11 @@ class TestField:
         with pytest.raises(ValueError, match="positive"):
             fbi_field(bump2, [0.0], [-1.0, 2.0], 0.5)
 
+    def test_one_dimensional_only(self):
+        f = SampledFunction((0.0, 0.0), (0.1, 0.1), np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="1d"):
+            fbi_field(f, [[0.0, 0.0]], [1.0], 0.5)
+
     def test_tube_growth_bound(self, bump2):
         # One (C, delta) fitted on the real axis plus a linear-in-|Im z|
         # exchange term must dominate the entire (height, frequency)
@@ -236,9 +242,36 @@ class TestInversion:
         assert np.all(np.diff(errs) <= 1e-12)
         assert errs[-1] <= 1e-3
 
-    def test_radius_must_align_with_frequency_grid(self, smooth_gaussian):
-        with pytest.raises(ValueError, match="align"):
-            inversion_profile(smooth_gaussian, [0.0], 0.5, [13.3, 100.0])
+    def test_non_dyadic_ladder_matches_pointwise(self, smooth_gaussian):
+        xs = np.array([-0.4, 0.0, 0.3, 1.1])
+        radii = [13.3, 100.0]
+        got = inversion_profile(smooth_gaussian, xs, 0.5, radii)
+        for row, r in zip(got, radii):
+            want = invert_partial(smooth_gaussian, xs, 0.5, r)
+            assert np.allclose(row, want, rtol=0.0, atol=1e-14)
+
+
+class TestLowpassKernel:
+    @staticmethod
+    def reference(w, lam, gamma, n=200001):
+        # Trapezoid rule for the defining frequency integral; the
+        # integrand is smooth, so the error is O(dxi^2).
+        xis = np.linspace(-lam, lam, n)
+        br = np.sqrt(1.0 + xis * xis)
+        vals = np.exp(1j * w * xis - br**gamma * w * w)
+        vals = vals * (1.0 + 1j * gamma * br ** (gamma - 2.0) * w * xis)
+        trap = (xis[1] - xis[0]) * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+        return trap / (2.0 * np.pi)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("w", [0.0, 0.013, -0.2, 0.7, 0.05 + 0.04j, -0.3 - 0.08j])
+    def test_matches_frequency_quadrature(self, gamma, w):
+        lam = 25.0
+        got = _lowpass_kernel(np.array([w]), lam, gamma)[0]
+        want = self.reference(w, lam, gamma)
+        assert abs(got - want) <= 1e-8 * lam
+        if w == 0.0:
+            assert got == pytest.approx(lam / np.pi, rel=1e-15)
 
 
 class TestSplitting:

@@ -19,6 +19,7 @@ from gevreylab import (
     make_gevrey_bump,
     prune_decay_floor,
 )
+from gevreylab.gevrey import _fd_weights_exact
 
 LADDER = tuple(np.geomspace(16.0, 1024.0, 24))
 
@@ -213,6 +214,14 @@ class TestStencils:
     def test_rejects_short_stencils(self):
         with pytest.raises(ValueError, match="wider"):
             fd_weights(5, 5)
+
+    def test_cached_weights_are_fresh_and_exact(self):
+        first = fd_weights(6, 15)
+        first[:] = 99.0
+        again = fd_weights(6, 15)
+        assert again is not first
+        uncached = np.array(_fd_weights_exact.__wrapped__(6, 15))
+        assert again.tobytes() == uncached.tobytes()
 
 
 class TestDerivativeEstimator:
