@@ -1,18 +1,16 @@
 """Command-line orchestration for the laboratory pipelines.
 
-Subcommands map one-to-one onto library workflows:
+Two tables declare the command line.  ``_PIPELINES`` holds one row per
+subcommand: its handler, its help line, the description embedded in its
+JSON reports, and every key it reads.  ``_FLAGS`` holds one row per
+key: the parser of its value and its help line.  A subcommand takes
+exactly the keys its pipeline reads as flags, plus ``--config``: a plain
+key=value file of the same keys, which explicit flags override.
 
-  transform       magnitude ladder of the windowed transform of a bump
-  classify        Gevrey order of a generated bump, two estimators
-  eigen           profile-equation pencil solve for one (p, q)
-  counterexample  kernel family residuals, growth ladder, exponent
-  inequalities    weighted-norm ratio sweeps over a tau ladder
-  demo            exponent table across several (p, q) pairs
-
-Configuration comes from flags, optionally layered over a plain-text
-key=value file (flags win).  Exit codes: 0 success, 2 inconclusive
-numerics (rejected fit, derivative order out of range, non-linear
-growth ladder), 1 other failures, 64 usage errors.
+Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
+order out of range, non-linear growth ladder, no eigenpair for p < q),
+1 other failures, 64 usage errors (among them a flag or config key the
+pipeline does not read).
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,39 +75,6 @@ _DEFAULT_TAUS = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 _DEFAULT_NS = (100, 1000, 10000, 100000, 1000000)
 _DEFAULT_PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
 
-# One-line description of each pipeline, embedded in every JSON report
-# so a report file is self-describing about what produced it.
-_PIPELINES = {
-    "transform": (
-        "windowed transform T_gamma u(x0, xi) over a frequency ladder; "
-        "magnitudes fitted to C exp(-delta xi^r)"
-    ),
-    "classify": (
-        "Gevrey order two ways: 1/r from the transform-decay fit "
-        "C exp(-delta xi^r), and the slope of log sup|f^(k)| against "
-        "k log k near the probe point"
-    ),
-    "eigen": (
-        "staggered-grid pencil (-f'' + x^(2(q-1)) f) = z x^(2(p-1)) f, "
-        "shift-invert iteration cross-checked on two spacings"
-    ),
-    "counterexample": (
-        "kernel family exp(i lam t2) exp(lam^(p/q) w t1) f(lam^(1/q) x); "
-        "residual checked by separable reduction and by 3d differences, "
-        "growth exponent s*(N) extrapolated against 1/log N"
-    ),
-    "inequalities": (
-        "ratio ||f||_(2,tau)^2 / ||A_tau f||_(0,tau)^2 over a probe "
-        "family; pointwise bound |tau|^(p/q)(|x|^(p-1)+|x|^(q-1)) <= "
-        "C w(x, tau); scaling bound lam^(2/m)||f||^2 <= "
-        "C (||f'||^2 + lam^2 int x^(2(m-1)) |f|^2)"
-    ),
-    "demo": (
-        "per (p, q): pencil solve, kernel family, ladder extrapolation "
-        "of the growth exponent s*(N) toward the q/p threshold"
-    ),
-}
-
 
 class UsageError(ValueError):
     """Malformed flag value or config-file entry."""
@@ -150,19 +116,29 @@ def _pairs_value(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(_pair(tok) for tok in tokens)
 
 
-_FIELD_PARSERS = {
-    "p": int,
-    "q": int,
-    "gamma": float,
-    "order": float,
-    "tau_ladder": _floats_csv,
-    "freq_ladder": _floats_csv,
-    "n_ladder": _ints_csv,
-    "grid_x": float,
-    "grid_h": float,
-    "out": str,
-    "seed": int,
-    "pairs": _pairs_value,
+class _Flag(NamedTuple):
+    parse: Callable[[str], object]
+    help: str
+    # "+": one or more words after the flag, each parsed to a tuple and
+    # the tuples joined; a config file gives the words on one line.
+    nargs: str | None = None
+
+
+#: Keyed by RunConfig field; the flag spells "_" as "-", config files
+#: accept either spelling.
+_FLAGS = {
+    "p": _Flag(int, "lower exponent parameter (default 1)"),
+    "q": _Flag(int, "upper exponent parameter (default 2)"),
+    "gamma": _Flag(float, "window exponent in [0, 1] (default 1/order)"),
+    "order": _Flag(float, "Gevrey order of the generated bump (default 2)"),
+    "tau_ladder": _Flag(_floats_csv, "dual-frequency magnitudes T1,T2,..., each >= 1"),
+    "freq_ladder": _Flag(_floats_csv, "transform frequency ladder F1,F2,..."),
+    "n_ladder": _Flag(_ints_csv, "growth ladder orders N1,N2,..., two or more distinct"),
+    "grid_x": _Flag(float, "override the profile grid half-width"),
+    "grid_h": _Flag(float, "override the profile grid spacing"),
+    "seed": _Flag(int, "probe-family seed (default 42)"),
+    "pairs": _Flag(_pairs_value, "pairs P,Q (default 1,2 1,3 2,3 3,4)", "+"),
+    "out": _Flag(str, "output directory (default .)"),
 }
 
 
@@ -194,12 +170,15 @@ class RunConfig:
         if self.order < 1.0:
             raise UsageError("Gevrey order must be >= 1")
         for name, ladder in (
-            ("tau-ladder", self.tau_ladder),
             ("freq-ladder", self.freq_ladder),
             ("n-ladder", self.n_ladder),
         ):
             if any(v <= 0 for v in ladder):
                 raise UsageError(f"{name} entries must be positive")
+        if any(v < 1 for v in self.tau_ladder):  # the estimates need |tau| >= 1
+            raise UsageError("tau-ladder entries must be >= 1")
+        if len(set(self.n_ladder)) < 2:  # two rows pin the nuisance constants
+            raise UsageError("n-ladder needs at least two distinct orders")
         if self.grid_x is not None and self.grid_x <= 0:
             raise UsageError("grid half-width must be positive")
         if self.grid_h is not None and self.grid_h <= 0:
@@ -226,11 +205,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _converted(key: str, text: str):
-    parser = _FIELD_PARSERS.get(key)
-    if parser is None:
-        raise UsageError(f"unknown config key {key!r}")
     try:
-        return parser(text)
+        return _FLAGS[key].parse(text)
     except UsageError:
         raise
     except (TypeError, ValueError) as exc:
@@ -239,69 +215,19 @@ def _converted(key: str, text: str):
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, config-file entries, then explicit flags."""
+    reads = _PIPELINES[args.command].flags
     merged: dict = {"command": args.command}
-    if getattr(args, "config", None):
+    if args.config:
         for key, text in _read_config_file(args.config).items():
+            if key not in reads:
+                raise UsageError(f"{args.command} does not read config key "
+                                 f"{key!r}; it reads {', '.join(reads)}")
             merged[key] = _converted(key, text)
-    for key in _FIELD_PARSERS:
-        value = getattr(args, key, None)
+    for key in reads:
+        value = getattr(args, key)
         if value is not None:
-            if key == "pairs":
-                value = tuple(value)
-            merged[key] = value
+            merged[key] = sum(value, ()) if _FLAGS[key].nargs else value
     return RunConfig(**merged)
-
-
-class _Parser(argparse.ArgumentParser):
-    # BSD-style usage exit so scripted callers can tell bad invocations
-    # from genuine pipeline failures.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(USAGE_EXIT)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="gevreylab", description=__doc__.splitlines()[0])
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="FILE",
-                        help="key=value file; explicit flags override it")
-    shared.add_argument("--p", type=int, help="lower exponent parameter")
-    shared.add_argument("--q", type=int, help="upper exponent parameter")
-    shared.add_argument("--gamma", type=float,
-                        help="window exponent in [0, 1] (default 1/order)")
-    shared.add_argument("--order", type=float,
-                        help="Gevrey order of the generated bump (default 2)")
-    shared.add_argument("--tau-ladder", dest="tau_ladder", type=_floats_csv,
-                        metavar="T1,T2,...", help="dual-frequency magnitudes")
-    shared.add_argument("--freq-ladder", dest="freq_ladder", type=_floats_csv,
-                        metavar="F1,F2,...", help="transform frequency ladder")
-    shared.add_argument("--n-ladder", dest="n_ladder", type=_ints_csv,
-                        metavar="N1,N2,...", help="growth ladder orders")
-    shared.add_argument("--grid-x", dest="grid_x", type=float,
-                        help="override the profile grid half-width")
-    shared.add_argument("--grid-h", dest="grid_h", type=float,
-                        help="override the profile grid spacing")
-    shared.add_argument("--out", help="output directory (default .)")
-    shared.add_argument("--seed", type=int, help="probe-family seed (default 42)")
-
-    sub = parser.add_subparsers(dest="command", metavar="command",
-                                parser_class=_Parser, required=True)
-    sub.add_parser("transform", parents=[shared],
-                   help="transform magnitude ladder and stretched fit")
-    sub.add_parser("classify", parents=[shared],
-                   help="Gevrey order of a generated bump")
-    sub.add_parser("eigen", parents=[shared],
-                   help="profile-equation eigenpairs for one (p, q)")
-    sub.add_parser("counterexample", parents=[shared],
-                   help="kernel family checks and growth exponent")
-    sub.add_parser("inequalities", parents=[shared],
-                   help="weighted-norm inequality sweeps")
-    demo = sub.add_parser("demo", parents=[shared],
-                          help="exponent table across (p, q) pairs")
-    demo.add_argument("--pairs", nargs="+", type=_pair, metavar="P,Q",
-                      help="pairs like 1,2 2,3 (default 1,2 1,3 2,3 3,4)")
-    return parser
 
 
 def _default_gamma(order: float) -> float:
@@ -337,7 +263,7 @@ def _cmd_transform(config: RunConfig, out: Path) -> int:
     fit = fit_stretched_exponential(kept_f, kept_m)
     write_json(
         {
-            "pipeline": _PIPELINES["transform"],
+            "pipeline": _PIPELINES["transform"].description,
             "order": order,
             "gamma": gamma,
             "base_point": x0,
@@ -374,7 +300,7 @@ def _cmd_classify(config: RunConfig, out: Path) -> int:
         deriv_text = "unavailable (derivative growth: noise floor)"
     write_json(
         {
-            "pipeline": _PIPELINES["classify"],
+            "pipeline": _PIPELINES["classify"].description,
             "target_order": order,
             "gamma": gamma,
             "base_point": x0,
@@ -395,26 +321,33 @@ def _cmd_classify(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_eigen(config: RunConfig, out: Path) -> int:
+def _profiles(config: RunConfig, out: Path, command: str):
+    """Eigenpairs for (p, q), after reporting an empty p = q search."""
     params = OperatorParams(config.p, config.q)
     found = solve_nonlinear_eigen(params, _grid_override(config, params))
     if not found:
         write_json(
             {
-                "pipeline": _PIPELINES["eigen"],
+                "pipeline": _PIPELINES[command].description,
                 "p": params.p,
                 "q": params.q,
                 "count": 0,
                 "note": "no stable decaying profiles at these parameters",
             },
-            out / "eigen.json",
+            out / f"{command}.json",
         )
         print(f"no admissible eigenpairs for p={params.p}, q={params.q}")
+    return params, found
+
+
+def _cmd_eigen(config: RunConfig, out: Path) -> int:
+    params, found = _profiles(config, out, "eigen")
+    if not found:
         return 0
     pair = found[0]
     eigenpair_to_csv(pair, out / "eigenpair.csv")
     summary = eigenpair_summary(pair, params)
-    summary["pipeline"] = _PIPELINES["eigen"]
+    summary["pipeline"] = _PIPELINES["eigen"].description
     summary["count"] = len(found)
     summary["all_z"] = [p.z for p in found]
     write_json(summary, out / "eigen.json")
@@ -425,20 +358,8 @@ def _cmd_eigen(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_counterexample(config: RunConfig, out: Path) -> int:
-    params = OperatorParams(config.p, config.q)
-    found = solve_nonlinear_eigen(params, _grid_override(config, params))
+    params, found = _profiles(config, out, "counterexample")
     if not found:
-        write_json(
-            {
-                "pipeline": _PIPELINES["counterexample"],
-                "p": params.p,
-                "q": params.q,
-                "count": 0,
-                "note": "no stable decaying profiles at these parameters",
-            },
-            out / "counterexample.json",
-        )
-        print(f"no admissible eigenpairs for p={params.p}, q={params.q}")
         return 0
     pair = found[0]
     residuals = {f"{lam:g}": verify_kernel(pair, lam, params)
@@ -451,7 +372,7 @@ def _cmd_counterexample(config: RunConfig, out: Path) -> int:
     )
     write_json(
         {
-            "pipeline": _PIPELINES["counterexample"],
+            "pipeline": _PIPELINES["counterexample"].description,
             "p": params.p,
             "q": params.q,
             "z": pair.z,
@@ -516,7 +437,7 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
     weight_sups = [row[1] for row in weight_rows]
     write_json(
         {
-            "pipeline": _PIPELINES["inequalities"],
+            "pipeline": _PIPELINES["inequalities"].description,
             "p": params.p,
             "q": params.q,
             "apriori_spread": max(flat) / min(flat),
@@ -563,36 +484,105 @@ def _cmd_demo(config: RunConfig, out: Path) -> int:
     return 0
 
 
-_COMMANDS = {
-    "transform": _cmd_transform,
-    "classify": _cmd_classify,
-    "eigen": _cmd_eigen,
-    "counterexample": _cmd_counterexample,
-    "inequalities": _cmd_inequalities,
-    "demo": _cmd_demo,
+class _Pipeline(NamedTuple):
+    run: Callable[[RunConfig, Path], int]
+    help: str
+    # Embedded in every JSON report so a report file is self-describing
+    # about what produced it.
+    description: str
+    flags: tuple[str, ...]  # every key it reads, flags and config file alike
+
+
+_PIPELINES = {
+    "transform": _Pipeline(
+        _cmd_transform,
+        "transform magnitude ladder and stretched fit",
+        "windowed transform T_gamma u(x0, xi) over a frequency ladder; "
+        "magnitudes fitted to C exp(-delta xi^r)",
+        ("order", "gamma", "freq_ladder", "out"),
+    ),
+    "classify": _Pipeline(
+        _cmd_classify,
+        "Gevrey order of a generated bump",
+        "Gevrey order two ways: 1/r from the transform-decay fit "
+        "C exp(-delta xi^r), and the slope of log sup|f^(k)| against "
+        "k log k near the probe point",
+        ("order", "gamma", "freq_ladder", "out"),
+    ),
+    "eigen": _Pipeline(
+        _cmd_eigen,
+        "profile-equation eigenpairs for one (p, q)",
+        "staggered-grid pencil (-f'' + x^(2(q-1)) f) = z x^(2(p-1)) f, "
+        "shift-invert iteration cross-checked on two spacings",
+        ("p", "q", "grid_x", "grid_h", "out"),
+    ),
+    "counterexample": _Pipeline(
+        _cmd_counterexample,
+        "kernel family checks and growth exponent",
+        "kernel family exp(i lam t2) exp(lam^(p/q) w t1) f(lam^(1/q) x); "
+        "residual checked by separable reduction and by 3d differences, "
+        "growth exponent s*(N) extrapolated against 1/log N",
+        ("p", "q", "grid_x", "grid_h", "n_ladder", "out"),
+    ),
+    "inequalities": _Pipeline(
+        _cmd_inequalities,
+        "weighted-norm inequality sweeps",
+        "ratio ||f||_(2,tau)^2 / ||A_tau f||_(0,tau)^2 over a probe "
+        "family; pointwise bound |tau|^(p/q)(|x|^(p-1)+|x|^(q-1)) <= "
+        "C w(x, tau); scaling bound lam^(2/m)||f||^2 <= "
+        "C (||f'||^2 + lam^2 int x^(2(m-1)) |f|^2)",
+        ("p", "q", "tau_ladder", "seed", "out"),
+    ),
+    "demo": _Pipeline(
+        _cmd_demo,
+        "exponent table across (p, q) pairs",
+        "per (p, q): pencil solve, kernel family, ladder extrapolation "
+        "of the growth exponent s*(N) toward the q/p threshold",
+        ("pairs", "n_ladder", "out"),
+    ),
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    # BSD-style usage exit so scripted callers can tell bad invocations
+    # from genuine pipeline failures.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise SystemExit(USAGE_EXIT)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="gevreylab", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                parser_class=_Parser, required=True)
+    for command, pipeline in _PIPELINES.items():
+        # No abbreviations: demo would otherwise take --p for --pairs.
+        cmd = sub.add_parser(command, help=pipeline.help, allow_abbrev=False,
+                             description=pipeline.description)
+        cmd.add_argument("--config", metavar="FILE",
+                         help="key=value file; explicit flags override it")
+        for key in pipeline.flags:
+            flag = _FLAGS[key]
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=flag.parse,
+                             help=flag.help, nargs=flag.nargs)
+    return parser
 
 
 def dispatch(config: RunConfig) -> int:
     """Run the configured pipeline, writing reports under config.out."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[config.command](config, out)
+    return _PIPELINES[config.command].run(config, out)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-    except UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        return dispatch(config)
-    except GridTooCoarseError as exc:
-        # The requested frequency ladder is out of range for the grid.
+        return dispatch(config_from_args(args))
+    except (UsageError, GridTooCoarseError) as exc:
+        # GridTooCoarseError: the frequency ladder is out of range for the grid.
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -36,7 +36,9 @@ for cross-validation in reference_eigenvalues.
 
 For p = q no Schwartz solution exists (the equation collapses to a
 constant-coefficient one) and the solver correctly returns an empty
-list: the filters reject every box mode.
+list.  For p < q profiles always exist, so a search in which the
+filters reject every mode is a grid failure and raises
+InconclusiveError.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ class DegenerateOriginError(ValueError):
 
 
 class InconclusiveError(RuntimeError):
-    """The exponent regression did not resolve a stable intercept."""
+    """The numerics ran but resolved nothing: no stable exponent intercept,
+    or no eigenpair of a p < q pencil that passed the filters."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,9 @@ def solve_nonlinear_eigen(
     coarse eigenvalue matches within ``stability_tol`` relative, and
     (c) the eigenfunction decays at the grid edge (Schwartz tail, which
     box modes and continuum artifacts fail).  An empty list is a valid
-    outcome: for p = q there is nothing to find.
+    outcome only for p = q, where there is nothing to find; for p < q
+    an empty search raises InconclusiveError with the number of modes
+    each filter rejected.
     """
     if params.p == params.q:
         # The profile equation collapses to -f'' = (z - 1) x^(2(q-1)) f,
@@ -197,20 +202,24 @@ def solve_nonlinear_eigen(
     h = fine_grid.spacing
 
     pairs: list[Eigenpair] = []
+    rejected = {"drift": 0, "tail": 0, "residual": 0}
     edge = max(4, int(0.05 * len(x)))
     for idx, z in enumerate(fine_vals):
         z = float(z)
         drift = float(np.min(np.abs(coarse_vals - z)) / max(abs(z), 1.0))
         if drift > stability_tol:
+            rejected["drift"] += 1
             continue
         vals = fine_vecs[:, idx]
         vals = vals / np.sqrt(h * np.sum(vals**2))
         top = np.max(np.abs(vals))
         tail = max(np.max(np.abs(vals[:edge])), np.max(np.abs(vals[-edge:])))
         if tail > 1e-6 * top:
+            rejected["tail"] += 1
             continue
         res = _profile_residual(x, h, vals, z, params)
         if res > residual_tol:
+            rejected["residual"] += 1
             continue
         if vals[np.argmax(np.abs(vals))] < 0:
             vals = -vals
@@ -232,6 +241,13 @@ def solve_nonlinear_eigen(
         )
         if len(pairs) == count:
             break
+    if not pairs:
+        tally = ", ".join(f"{n} by {name}" for name, n in rejected.items())
+        raise InconclusiveError(
+            f"no mode of the ({params.p}, {params.q}) pencil passed the filters "
+            f"({len(fine_vals)} rejected: {tally}) at grid half-width "
+            f"{grid.half_width:g}, spacing {grid.spacing:g}; refine or widen the grid"
+        )
     return pairs
 
 

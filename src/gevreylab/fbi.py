@@ -274,6 +274,8 @@ def invert_partial(
     gamma = _check_gamma(gamma)
     if u.ndim != 1:
         raise ValueError("truncated inversion is implemented for 1d samples")
+    if radius <= 0:
+        raise ValueError("inversion radius must be positive")
     if check_support:
         _require_supported(u)
     _require_resolved(u.spacing, radius)
@@ -291,12 +293,15 @@ def inversion_profile(
     """Truncated inversions at several points for a whole radius ladder.
 
     Returns an array of shape (len(radii), len(xs)); row i equals
-    ``invert_partial(u, xs, gamma, radii[i])``.  Any positive radii work.
+    ``invert_partial(u, xs, gamma, radii[i])``.  Any positive radii work;
+    a radius <= 0 raises ValueError.
     """
     gamma = _check_gamma(gamma)
     if u.ndim != 1:
         raise ValueError("truncated inversion is implemented for 1d samples")
     radii = np.asarray(radii, dtype=float)
+    if np.any(radii <= 0):
+        raise ValueError("inversion radius must be positive")
     _require_resolved(u.spacing, float(radii.max()))
     zs = np.atleast_1d(np.asarray(xs, dtype=complex))
     return np.array([_lowpass_at(u, zs, r, gamma) for r in radii])

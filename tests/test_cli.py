@@ -1,10 +1,17 @@
 """End-to-end CLI runs: exit codes, config layering, report determinism."""
 
+import importlib.util
 import json
+import re
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
-from gevreylab.cli import main
+from gevreylab.cli import _PIPELINES, build_parser, config_from_args, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(tmp_path, *argv):
@@ -61,6 +68,94 @@ class TestUsageErrors:
         cfg.write_text("order 2\n")
         code, _ = run(tmp_path, "transform", "--config", str(cfg))
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "--seed", "9"],
+            ["classify", "--p", "2"],
+            ["eigen", "--order", "7"],
+            ["counterexample", "--seed", "1"],
+            ["inequalities", "--gamma", "0.5"],
+            ["demo", "--grid-x", "3"],
+            ["demo", "--p", "2,3"],  # not taken as an abbreviation of --pairs
+        ],
+    )
+    def test_flag_the_pipeline_does_not_read_exits_64(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 64
+
+    def test_config_key_the_pipeline_does_not_read_returns_64(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=3\n")
+        code, out = run(tmp_path, "transform", "--config", str(cfg))
+        assert code == 64
+        assert "does not read config key 'p'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("demo", "--n-ladder", "7"),
+            ("counterexample", "--n-ladder", "5,5"),
+            ("inequalities", "--tau-ladder", "1,0.5"),
+        ],
+    )
+    def test_invalid_ladder_returns_64(self, tmp_path, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 64
+        assert not out.exists()
+
+
+class TestParser:
+    """Every command line the project documents or benchmarks still parses."""
+
+    @staticmethod
+    def check(argv):
+        config = config_from_args(build_parser().parse_args(argv))
+        assert config.command == argv[0]
+
+    def test_benchmark_command_lines_parse(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_jobs", ROOT / "perfbench" / "jobs.py"
+        )
+        jobs = importlib.util.module_from_spec(spec)
+        # Its dataclasses resolve annotations through sys.modules.
+        monkeypatch.setitem(sys.modules, spec.name, jobs)
+        spec.loader.exec_module(jobs)
+        argvs = {
+            job.args
+            for name in jobs.WORKLOADS
+            for seed in range(3)
+            for job in jobs.workload_jobs(name, seed)
+            if job.kind not in jobs.LIBRARY_KINDS
+        }
+        assert {argv[0] for argv in argvs} == set(_PIPELINES)
+        for argv in sorted(argvs):
+            self.check([*argv, "--out", "reports"])
+
+    def test_readme_command_lines_parse(self):
+        blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+        lines = [
+            line for block in blocks for line in block.splitlines()
+            if line.startswith("gevreylab ")
+        ]
+        assert {shlex.split(line)[1] for line in lines} == set(_PIPELINES)
+        for line in lines:
+            self.check(shlex.split(line)[1:])
+
+    def test_readme_flag_table_matches_pipelines(self):
+        rows = re.findall(r"^\| (`[a-z]+`(?:, `[a-z]+`)*) \| (.*) \|$",
+                          (ROOT / "README.md").read_text(), re.M)
+        documented = {
+            name: {flag.replace("-", "_") for flag in re.findall(r"--([a-z-]+)", flags)}
+            for names, flags in rows
+            for name in re.findall(r"`([a-z]+)`", names)
+        }
+        assert documented == {
+            name: set(pipeline.flags) - {"out"} for name, pipeline in _PIPELINES.items()
+        }
 
 
 class TestConfigLayering:
@@ -158,6 +253,12 @@ class TestEigen:
         assert "note" in report
         assert not (out / "eigenpair.csv").exists()
 
+    def test_empty_search_below_threshold_is_inconclusive(self, tmp_path, capsys):
+        code, out = run(tmp_path, "eigen", "--p", "1", "--q", "2", "--grid-h", "10")
+        assert code == 2
+        assert "8 by drift" in capsys.readouterr().err
+        assert not (out / "eigen.json").exists()
+
 
 class TestCounterexample:
     def test_full_pipeline(self, tmp_path):
@@ -173,6 +274,12 @@ class TestCounterexample:
         lines = (out / "growth.csv").read_text().splitlines()
         assert lines[0] == "N,lambda,log_lhs,log_sup,s_star"
         assert len(lines) == 6
+
+    def test_empty_search_below_threshold_is_inconclusive(self, tmp_path, capsys):
+        code, out = run(tmp_path, "counterexample", "--p", "1", "--q", "2", "--grid-x", "3")
+        assert code == 2
+        assert "by drift" in capsys.readouterr().err
+        assert not (out / "counterexample.json").exists()
 
 
 class TestInequalities:

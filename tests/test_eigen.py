@@ -108,6 +108,12 @@ class TestSolve:
     def test_equal_exponents_have_no_profiles(self):
         assert solve_nonlinear_eigen(OperatorParams(2, 2)) == []
 
+    def test_unresolved_grid_below_threshold_is_inconclusive(self):
+        # Profiles exist for p < q, so an empty search blames the grid;
+        # spacing 10 leaves every mode drifting between h and h/2.
+        with pytest.raises(InconclusiveError, match="8 by drift, 0 by tail, 0 by residual"):
+            solve_nonlinear_eigen(P12, GridSpec(1000.0, 10.0))
+
     def test_oracle_cross_check(self, solve):
         # Independent dense flipped-pencil oracle, cheapest pair: the
         # confining exponent 6 keeps the dense window small.

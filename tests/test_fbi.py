@@ -242,6 +242,19 @@ class TestInversion:
         assert np.all(np.diff(errs) <= 1e-12)
         assert errs[-1] <= 1e-3
 
+    @pytest.mark.parametrize("radius", [0.0, -100.0])
+    @pytest.mark.parametrize(
+        "invert",
+        [
+            lambda u, r: invert_partial(u, 0.5, 0.5, r),
+            lambda u, r: inversion_profile(u, [0.5], 0.5, [100.0, r]),
+        ],
+        ids=["invert_partial", "inversion_profile"],
+    )
+    def test_non_positive_radius_rejected(self, bump2, invert, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            invert(bump2, radius)
+
     def test_non_dyadic_ladder_matches_pointwise(self, smooth_gaussian):
         xs = np.array([-0.4, 0.0, 0.3, 1.1])
         radii = [13.3, 100.0]
