@@ -10,7 +10,7 @@ key=value file of the same keys, which explicit flags override.
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
 order out of range, non-linear growth ladder, no eigenpair for p < q),
 1 other failures, 64 usage errors (among them a flag or config key the
-pipeline does not read).
+pipeline does not read, and a grid override too coarse to solve on).
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .reports import (
     emit_report,
     field_to_csv,
     fit_to_dict,
+    grid_summary,
     growth_to_csv,
     write_json,
 )
@@ -77,42 +78,47 @@ _DEFAULT_PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
 
 
 class UsageError(ValueError):
-    """Malformed flag value or config-file entry."""
+    """Malformed config-file entry, or flag values no pipeline can run with."""
 
 
+# The value parsers raise ArgumentTypeError, whose message argparse
+# prints as is; for any other error it prints "invalid <function> value".
 def _floats_csv(text: str) -> tuple[float, ...]:
     try:
         vals = tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from exc
     if not vals:
-        raise UsageError("ladder must not be empty")
+        raise argparse.ArgumentTypeError("ladder must not be empty")
     return vals
 
 def _ints_csv(text: str) -> tuple[int, ...]:
     try:
         vals = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from exc
     if not vals:
-        raise UsageError("ladder must not be empty")
+        raise argparse.ArgumentTypeError("ladder must not be empty")
     return vals
 
 
 def _pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"expected a pair like 1,2 — got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a pair like 1,2 — got {text!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise UsageError(f"expected a pair of integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected a pair of integers, got {text!r}") from exc
 
 
 def _pairs_value(text: str) -> tuple[tuple[int, int], ...]:
     tokens = text.replace(";", " ").split()
     if not tokens:
-        raise UsageError("pairs must not be empty")
+        raise argparse.ArgumentTypeError("pairs must not be empty")
     return tuple(_pair(tok) for tok in tokens)
 
 
@@ -207,8 +213,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _converted(key: str, text: str):
     try:
         return _FLAGS[key].parse(text)
-    except UsageError:
-        raise
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"bad value for {key}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad value for {key}: {text!r}") from exc
 
@@ -241,14 +247,15 @@ def _probe_point(order: float) -> float:
     return 0.0 if order == 1.0 else 1.0
 
 
-def _grid_override(config: RunConfig, params: OperatorParams) -> GridSpec | None:
-    if config.grid_x is None and config.grid_h is None:
-        return None
+def _grid(config: RunConfig, params: OperatorParams) -> GridSpec:
+    """The default grid, with the --grid-x and --grid-h overrides applied."""
     base = default_grid(params)
-    return GridSpec(
-        half_width=config.grid_x if config.grid_x is not None else base.half_width,
-        spacing=config.grid_h if config.grid_h is not None else base.spacing,
-    )
+    half = config.grid_x if config.grid_x is not None else base.half_width
+    spacing = config.grid_h if config.grid_h is not None else base.spacing
+    try:
+        return GridSpec(half, spacing)
+    except ValueError as exc:
+        raise UsageError(f"grid half-width {half:g}, spacing {spacing:g}: {exc}") from exc
 
 
 def _cmd_transform(config: RunConfig, out: Path) -> int:
@@ -322,9 +329,11 @@ def _cmd_classify(config: RunConfig, out: Path) -> int:
 
 
 def _profiles(config: RunConfig, out: Path, command: str):
-    """Eigenpairs for (p, q), after reporting an empty p = q search."""
+    """Eigenpairs for (p, q) and the grid they were solved on, after
+    reporting an empty p = q search."""
     params = OperatorParams(config.p, config.q)
-    found = solve_nonlinear_eigen(params, _grid_override(config, params))
+    grid = _grid(config, params)
+    found = solve_nonlinear_eigen(params, grid)
     if not found:
         write_json(
             {
@@ -337,11 +346,11 @@ def _profiles(config: RunConfig, out: Path, command: str):
             out / f"{command}.json",
         )
         print(f"no admissible eigenpairs for p={params.p}, q={params.q}")
-    return params, found
+    return params, grid, found
 
 
 def _cmd_eigen(config: RunConfig, out: Path) -> int:
-    params, found = _profiles(config, out, "eigen")
+    params, grid, found = _profiles(config, out, "eigen")
     if not found:
         return 0
     pair = found[0]
@@ -350,6 +359,7 @@ def _cmd_eigen(config: RunConfig, out: Path) -> int:
     summary["pipeline"] = _PIPELINES["eigen"].description
     summary["count"] = len(found)
     summary["all_z"] = [p.z for p in found]
+    summary["grid"] = grid_summary(grid)
     write_json(summary, out / "eigen.json")
     print(f"z = {pair.z:.9f}, residual {pair.residual:.2e}, "
           f"{len(found)} pair(s) kept")
@@ -358,7 +368,7 @@ def _cmd_eigen(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_counterexample(config: RunConfig, out: Path) -> int:
-    params, found = _profiles(config, out, "counterexample")
+    params, grid, found = _profiles(config, out, "counterexample")
     if not found:
         return 0
     pair = found[0]
@@ -377,6 +387,7 @@ def _cmd_counterexample(config: RunConfig, out: Path) -> int:
             "q": params.q,
             "z": pair.z,
             "probe_order": k,
+            "grid": grid_summary(grid),
             "kernel_residuals": residuals,
             "s0_estimate": s0,
             "expected": params.optimal_order,
@@ -544,11 +555,14 @@ _PIPELINES = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def report(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+
     # BSD-style usage exit so scripted callers can tell bad invocations
     # from genuine pipeline failures.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        self.report(message)
         raise SystemExit(USAGE_EXIT)
 
 
@@ -560,6 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
         # No abbreviations: demo would otherwise take --p for --pairs.
         cmd = sub.add_parser(command, help=pipeline.help, allow_abbrev=False,
                              description=pipeline.description)
+        # main reports a usage error found after parsing with this usage line.
+        cmd.set_defaults(subparser=cmd)
         cmd.add_argument("--config", metavar="FILE",
                          help="key=value file; explicit flags override it")
         for key in pipeline.flags:
@@ -583,8 +599,7 @@ def main(argv=None) -> int:
         return dispatch(config_from_args(args))
     except (UsageError, GridTooCoarseError) as exc:
         # GridTooCoarseError: the frequency ladder is out of range for the grid.
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        args.subparser.report(str(exc))
         return USAGE_EXIT
     except (InconclusiveError, FitRejectedError, OrderTooHighError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)

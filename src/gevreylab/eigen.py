@@ -25,14 +25,19 @@ individual rows at order 1/log N but not the extrapolated intercept.)
 
 Discretization: the profile equation is the generalized symmetric
 pencil (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f.  The mass weight
-x^(2(p-1)) vanishes at x = 0 for p > 1, so the grid is staggered,
-x_j = (j + 1/2) h - X, keeping every node weight positive, and the
-pencil is solved by shift-invert Lanczos at sigma = 0.  Spurious pencil
-modes are removed by three filters: equation residual, eigenvalue drift
-between spacings h and h/2, and Schwartz tail decay on the grid.  An
-independent oracle (dense solve of the flipped pencil B v = mu A v,
-mu = 1/z, on two coarser grids with Richardson extrapolation) exists
-for cross-validation in reference_eigenvalues.
+x^(2(p-1)) vanishes at x = 0 for p > 1, so the grid is staggered: an
+even number n of nodes x_j = (j + 1/2 - n/2) h, exactly symmetric about
+the origin and never on it, keeping every node weight positive.  The
+pencil is solved by shift-invert Lanczos at sigma = 0.  The default
+extent is the Agmon distance at which the highest requested mode has
+decayed by e^-40 past its turning point, with that mode's eigenvalue
+estimated by Bohr-Sommerfeld quantization (a closed-form Beta-function
+action).  Spurious pencil modes are removed by three filters: equation
+residual, eigenvalue drift between spacings h and h/2, and Schwartz tail
+decay on the grid.  An independent oracle (Sturm bisection of the
+symmetric tridiagonal matrix M^(-1/2) S M^(-1/2) on its own window, at
+two spacings with Richardson extrapolation) exists for cross-validation
+in reference_eigenvalues.
 
 For p = q no Schwartz solution exists (the equation collapses to a
 constant-coefficient one) and the solver correctly returns an empty
@@ -49,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import beta
 from scipy.sparse.linalg import eigsh
 
 from .operators import ConsistencyError, OperatorParams, apply_L
@@ -82,9 +88,19 @@ class GridSpec:
         if self.half_width / self.spacing < 8:
             raise ValueError("grid too small for a second-order solve")
 
+    @property
+    def size(self) -> int:
+        """Node count, even so that the nodes straddle x = 0 symmetrically."""
+        return 2 * int(round(self.half_width / self.spacing))
+
     def nodes(self) -> np.ndarray:
-        n = int(round(2.0 * self.half_width / self.spacing))
-        return (np.arange(n) + 0.5) * self.spacing - self.half_width
+        # Centred on n h / 2 rather than on half_width, so the nodes are
+        # exactly antisymmetric even when 2 X / h is not an integer.
+        return (np.arange(self.size) + 0.5 - self.size / 2) * self.spacing
+
+    def refined(self) -> "GridSpec":
+        """The same window at half the spacing (the solver's fine grid)."""
+        return GridSpec(self.half_width, self.spacing / 2.0)
 
 
 @dataclass(frozen=True)
@@ -115,17 +131,50 @@ class GrowthRow:
     s_star: float
 
 
-def default_grid(params: OperatorParams, spacing: float = 2e-3) -> GridSpec:
-    """Truncation rule: extend until the confining term exceeds 1e6.
+#: Decay, in units of e-folds past the turning point, that the default
+#: grid resolves for the highest requested mode: e^-40 ~ 4e-18 lies far
+#: below both the 1e-14 profile truncation and the 1e-6 tail filter.
+_AGMON_DECAY = 40.0
 
-    The potential x^(2(q-1)) reaches 1e6 at X = 10^(3/(q-1)); beyond
-    that point solutions have decayed far below measurement relevance.
-    For q = 1 the potential is flat and no Schwartz solution exists
-    anyway; a fixed window documents the (empty) search honestly.
+
+def _modes_requested(count: int) -> int:
+    """Modes the pencil solve asks for, a margin above those it keeps."""
+    return max(count + 4, 8)
+
+
+def default_grid(params: OperatorParams, spacing: float = 2e-3, *,
+                 count: int = 4) -> GridSpec:
+    """Agmon extent: the highest mode requested for ``count`` pairs has
+    decayed by e^-40.
+
+    Write a = 2(q-1), b = 2(p-1) and c = a - b.  A mode of eigenvalue z
+    turns at x_t = z^(1/c) and decays past it like exp(-A(x)) with the
+    Agmon distance A(x) = int_(x_t)^x sqrt(y^a - z y^b) dy.  The highest
+    mode that solve_nonlinear_eigen requests for ``count`` pairs, n, is
+    placed by Bohr-Sommerfeld quantization
+
+        2 int_0^(x_t) sqrt(z y^b - y^a) dy = (n + 1/2) pi,
+
+    whose left side is 2 x_t^q B(p/c, 3/2) / c in closed form.  In units
+    u = y / x_t the distance is x_t^q int_1^U u^(b/2) sqrt(u^c - 1) du,
+    and the half-width is x_t U for the smallest U at which that reaches
+    40.  Bernoulli's inequality bounds the integrand below by
+    sqrt(c (u - 1)), which brackets U for a fixed-node sum.
+
+    For p = q there is no Schwartz solution (the solver returns early);
+    a fixed window documents the empty search honestly.
     """
-    if params.q == 1:
+    if params.p == params.q:
         return GridSpec(30.0, spacing)
-    return GridSpec(10.0 ** (3.0 / (params.q - 1)), spacing)
+    c = 2 * (params.q - params.p)
+    top = _modes_requested(count) - 1
+    turn_q = (top + 0.5) * math.pi * c / (2.0 * beta(params.p / c, 1.5))
+    target = _AGMON_DECAY / turn_q
+    u = 1.0 + np.linspace(0.0, (1.5 * target / math.sqrt(c)) ** (2.0 / 3.0), 4097)
+    rate = u ** (params.p - 1) * np.sqrt(u**c - 1.0)
+    dist = np.concatenate(([0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(u))))
+    reach = float(u[np.searchsorted(dist, target)])
+    return GridSpec(float(turn_q ** (1.0 / params.q) * reach), spacing)
 
 
 def _profile_residual(x: np.ndarray, h: float, vals: np.ndarray, z: float,
@@ -194,10 +243,10 @@ def solve_nonlinear_eigen(
         # Returning the documented empty result directly spares the
         # iteration from grinding against that cluster.
         return []
-    grid = grid or default_grid(params)
-    want = max(count + 4, 8)
+    grid = grid or default_grid(params, count=count)
+    want = _modes_requested(count)
     _, coarse_vals, _ = _pencil_solve(params, grid, want)
-    fine_grid = GridSpec(grid.half_width, grid.spacing / 2.0)
+    fine_grid = grid.refined()
     x, fine_vals, fine_vecs = _pencil_solve(params, fine_grid, want)
     h = fine_grid.spacing
 
@@ -258,39 +307,41 @@ def reference_eigenvalues(
     spacing: float = 8e-3,
     potential_floor: float = 1e4,
 ) -> np.ndarray:
-    """Independent oracle: dense flipped-pencil solve, Richardson refined.
+    """Independent oracle: tridiagonal bisection, Richardson refined.
 
-    The pencil is flipped to B v = mu A v with mu = 1/z, which is well
-    posed even where the mass weight nearly vanishes, and solved densely
-    at two spacings (h, h/2); the returned values are the h^2 Richardson
-    extrapolations.  Truncation here uses a smaller window than the
-    main solver (the confining term only needs to dominate, not reach
-    1e6) so the dense solve stays affordable; this is a deliberately
-    different code path from the sparse shift-invert route.
+    The pencil S f = z M f, with S = -D^2 + x^(2(q-1)) tridiagonal and
+    M = diag x^(2(p-1)) positive on the staggered nodes, has the same
+    eigenvalues as the symmetric tridiagonal T = M^(-1/2) S M^(-1/2).
+    Its lowest values are found by Sturm bisection at two spacings
+    (h, h/2) and combined by h^2 Richardson extrapolation.  The window
+    is the oracle's own: the confining term only needs to reach
+    ``potential_floor``, not the solver's Agmon extent, and neither
+    shift-invert nor ARPACK is involved.
+
+    For p > 1 the mass weight nearly vanishes at the innermost nodes,
+    so T has entries near 8 / h^4 there.  T is scaled diagonally
+    dominant, and bisection resolves its small eigenvalues to high
+    relative accuracy (Barlow and Demmel 1990), but only if it is asked
+    to: LAPACK's default tolerance eps * ||T|| is absolute, and against
+    that norm it leaves relative errors from 1e-6 at (2, 3) to order one
+    at (3, 4).  The explicit absolute tolerance 1e-12 keeps every
+    returned value to about 1e-12 relative.
     """
     if params.q == 1:
         raise ValueError("no discrete spectrum exists for q = 1")
     half = potential_floor ** (1.0 / (2 * (params.q - 1)))
 
-    def dense(h: float) -> np.ndarray:
-        n = int(round(2.0 * half / h))
-        x = (np.arange(n) + 0.5) * h - half
-        stiff = np.zeros((n, n))
-        idx = np.arange(n)
-        stiff[idx, idx] = 2.0 / h**2 + x ** (2 * (params.q - 1))
-        stiff[idx[:-1], idx[:-1] + 1] = -1.0 / h**2
-        stiff[idx[:-1] + 1, idx[:-1]] = -1.0 / h**2
-        mass = np.diag(x ** (2 * (params.p - 1)))
-        mus = eigh(
-            mass, stiff, eigvals_only=True, subset_by_index=[n - count, n - 1]
-        )
-        mus = mus[mus > 0]
-        return np.sort(1.0 / mus)
+    def lowest(h: float) -> np.ndarray:
+        x = GridSpec(half, h).nodes()
+        scale = np.abs(x) ** -(params.p - 1)  # M^(-1/2)
+        diag = (2.0 / h**2 + x ** (2 * (params.q - 1))) * scale**2
+        off = -scale[:-1] * scale[1:] / h**2
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, count - 1), tol=1e-12)
 
-    coarse = dense(spacing)
-    fine = dense(spacing / 2.0)
-    m = min(len(coarse), len(fine), count)
-    return (4.0 * fine[:m] - coarse[:m]) / 3.0
+    coarse = lowest(spacing)
+    fine = lowest(spacing / 2.0)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def residual_norm(pair: Eigenpair, params: OperatorParams) -> float:

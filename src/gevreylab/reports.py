@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .eigen import Eigenpair, GrowthRow
+from .eigen import Eigenpair, GridSpec, GrowthRow
 from .fbi import FbiField
 from .gevrey import FitResult
 from .operators import OperatorParams
@@ -75,6 +75,15 @@ def eigenpair_summary(pair: Eigenpair, params: OperatorParams) -> dict:
         "z": pair.z,
         "residual": pair.residual,
         "grid_stability": pair.grid_stability,
+    }
+
+
+def grid_summary(grid: GridSpec) -> dict:
+    """The grid a pencil was solved on; the fine grid halves its spacing."""
+    return {
+        "half_width": grid.half_width,
+        "spacing": grid.spacing,
+        "fine_nodes": grid.refined().size,
     }
 
 

@@ -1,8 +1,7 @@
 """Shared fixtures: cached eigen solves, bump cache, probe family.
 
-The profile solves are the expensive part of the suite (the (1, 2) pair
-runs on a two-million-node grid), so they are computed once per session
-and handed out through a callable fixture.  Wall time per pair is
+The profile solves are among the expensive parts of the suite, so they
+are computed once per session and handed out through a callable fixture.  Wall time per pair is
 recorded because two of the end-to-end checks assert runtime budgets.
 """
 

@@ -64,14 +64,14 @@ def test_criterion_01_threshold_exponent_recovery(solve):
 
 def test_criterion_02_eigenvalue_oracle_agreement(solve):
     # Quadratic confinement has a closed-form ground value of 1; the
-    # quartic cases are checked against an independent dense solver
-    # with Richardson extrapolation.  Budget: 30 s per pair.
+    # quartic cases are checked against an independent tridiagonal
+    # bisection oracle with Richardson extrapolation.  Budget: 30 s per pair.
     checks = [("(1,2) closed form", abs(solve(1, 2)[0].z - 1.0), SOLVE_SECONDS[(1, 2)])]
     for p, q in ((1, 3), (2, 3)):
         t0 = time.perf_counter()
         oracle = reference_eigenvalues(OperatorParams(p, q))[0]
         took = SOLVE_SECONDS[(p, q)] + time.perf_counter() - t0
-        checks.append((f"({p},{q}) dense oracle", abs(solve(p, q)[0].z - oracle) / oracle, took))
+        checks.append((f"({p},{q}) oracle", abs(solve(p, q)[0].z - oracle) / oracle, took))
     ok = all(err <= 1e-6 and took < 30.0 for _, err, took in checks)
     _report(2, ok, "; ".join(f"{n} err {e:.2e} [{t:.1f}s]" for n, e, t in checks))
 

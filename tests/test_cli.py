@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gevreylab import OperatorParams, default_grid
 from gevreylab.cli import _PIPELINES, build_parser, config_from_args, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,6 +86,41 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eigen", "--p", "2", "--q", "3", "--grid-h", "500"),
+            ("eigen", "--p", "1", "--q", "2", "--grid-h", "10"),
+            ("counterexample", "--grid-x", "0.01"),
+        ],
+    )
+    def test_grid_the_spec_rejects_returns_64(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 64
+        assert "grid too small" in capsys.readouterr().err
+        assert list(out.glob("*")) == []  # no report written
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("transform", "--freq-ladder", "a,b"), "expected comma-separated numbers"),
+            (("demo", "--n-ladder", "10,x"), "expected comma-separated integers"),
+            (("demo", "--pairs", "1,2,3"), "expected a pair like 1,2"),
+        ],
+    )
+    def test_malformed_value_names_the_expected_format(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 64
+        assert message in capsys.readouterr().err
+
+    def test_usage_error_after_parsing_shows_the_pipeline_usage(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "transform", "--freq-ladder", "1e6")
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gevreylab transform [-h]")
+        assert "--freq-ladder" in err
 
     def test_config_key_the_pipeline_does_not_read_returns_64(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -245,6 +281,14 @@ class TestEigen:
         ).read_bytes()
         assert (out1 / "eigen.json").read_bytes() == (out2 / "eigen.json").read_bytes()
 
+    def test_report_records_the_solved_grid(self, tmp_path):
+        code, out = run(tmp_path, "eigen", "--p", "1", "--q", "2",
+                        "--grid-x", "7", "--grid-h", "0.003")
+        assert code == 0
+        report = json.loads((out / "eigen.json").read_text())
+        # 2 * round(7 / 0.0015) nodes on the fine grid.
+        assert report["grid"] == {"half_width": 7.0, "spacing": 0.003, "fine_nodes": 9334}
+
     def test_equal_exponents_reports_empty_search(self, tmp_path):
         code, out = run(tmp_path, "eigen", "--p", "2", "--q", "2")
         assert code == 0
@@ -254,7 +298,8 @@ class TestEigen:
         assert not (out / "eigenpair.csv").exists()
 
     def test_empty_search_below_threshold_is_inconclusive(self, tmp_path, capsys):
-        code, out = run(tmp_path, "eigen", "--p", "1", "--q", "2", "--grid-h", "10")
+        code, out = run(tmp_path, "eigen", "--p", "1", "--q", "2",
+                        "--grid-x", "1000", "--grid-h", "10")
         assert code == 2
         assert "8 by drift" in capsys.readouterr().err
         assert not (out / "eigen.json").exists()
@@ -268,6 +313,9 @@ class TestCounterexample:
         assert report["s0_estimate"] == pytest.approx(1.502124695749911, abs=1e-6)
         assert report["abs_delta"] < 0.02
         assert report["probe_order"] in (0, 1)
+        grid = default_grid(OperatorParams(2, 3))
+        assert report["grid"] == {"half_width": grid.half_width, "spacing": grid.spacing,
+                                  "fine_nodes": grid.refined().size}
         res = report["kernel_residuals"]
         assert set(res) == {"10", "100"}
         assert res["100"] / res["10"] == pytest.approx(10.0 ** (2.0 / 3.0), rel=1e-9)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from gevreylab import (
     ConsistencyError,
@@ -26,6 +27,7 @@ from gevreylab import (
 P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
 P34 = OperatorParams(3, 4)
+PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
 
 
 def hermite_ground_pair(h: float = 1e-4, half: float = 8.0) -> Eigenpair:
@@ -51,13 +53,43 @@ class TestGrids:
         assert np.min(np.abs(x)) == pytest.approx(0.25)
         assert np.allclose(x, -x[::-1])
 
-    def test_default_extent_tracks_confinement(self):
-        # Extent where the confining term reaches 1e6: 10^(3/(q-1)).
-        assert default_grid(P12).half_width == pytest.approx(1000.0)
-        assert default_grid(OperatorParams(1, 3)).half_width == pytest.approx(
-            10.0**1.5
-        )
-        assert default_grid(OperatorParams(1, 1)).half_width == pytest.approx(30.0)
+    def test_nodes_centred_for_any_half_width(self):
+        # 2 X / h = 4666.67 is not an integer; the nodes still pair off
+        # exactly about the origin and never land on it.
+        x = GridSpec(7.0, 0.003).nodes()
+        assert len(x) % 2 == 0
+        assert np.array_equal(x, -x[::-1])
+        assert np.min(np.abs(x)) == pytest.approx(0.0015)
+        assert np.allclose(np.diff(x), 0.003)
+
+    def test_even_profile_on_off_multiple_grid(self):
+        # An off-centre grid tilts the even ground state, so that its
+        # odd derivative at the origin no longer vanishes.
+        pair = solve_nonlinear_eigen(P12, GridSpec(7.0, 0.003), count=1)[0]
+        with pytest.raises(DegenerateOriginError):
+            growth_table(pair, P12, 1, (10, 100))
+
+    def test_default_extent_resolves_requested_modes(self, solve):
+        # Agmon extent: every kept mode dies out inside the grid, where
+        # its stored profile is cut at 1e-14 of peak, and doubling the
+        # extent moves no eigenvalue by more than 1e-10 relative.
+        for p, q in PAIRS:
+            params = OperatorParams(p, q)
+            grid = default_grid(params)
+            pairs = solve(p, q)
+            assert len(pairs) == 4
+            assert all(pair.f.support_radius < grid.half_width for pair in pairs)
+            wide = solve_nonlinear_eigen(params, GridSpec(2.0 * grid.half_width, grid.spacing))
+            z = np.array([pair.z for pair in pairs])
+            z_wide = np.array([pair.z for pair in wide])
+            assert np.all(np.abs(z - z_wide) <= 1e-10 * z_wide), (p, q)
+        assert default_grid(OperatorParams(2, 2)).half_width == 30.0
+
+    def test_default_extent_grows_with_count(self):
+        # More requested pairs push the highest turning point outward.
+        assert default_grid(P12, count=10).half_width > default_grid(P12).half_width
+        pairs = solve_nonlinear_eigen(P12, count=10)
+        assert np.allclose([p.z for p in pairs], np.arange(1.0, 20.0, 2.0), atol=1e-4)
 
 
 class TestResidual:
@@ -115,12 +147,32 @@ class TestSolve:
             solve_nonlinear_eigen(P12, GridSpec(1000.0, 10.0))
 
     def test_oracle_cross_check(self, solve):
-        # Independent dense flipped-pencil oracle, cheapest pair: the
-        # confining exponent 6 keeps the dense window small.
+        # Independent tridiagonal-bisection oracle on its own window.
         got = [p.z for p in solve(3, 4)][:3]
         oracle = reference_eigenvalues(P34)
         rel = np.abs(np.array(got) - oracle[: len(got)]) / oracle[: len(got)]
         assert np.all(rel <= 5e-7)
+
+    @pytest.mark.parametrize("pq", [(1, 3), (2, 3), (3, 4)])
+    def test_oracle_matches_dense_generalized_solve(self, pq):
+        # The same discretisation solved densely as the flipped pencil
+        # M v = mu S v, mu = 1/z, then Richardson-combined the same way.
+        params = OperatorParams(*pq)
+        spacing, floor, count = 0.05, 1e4, 3
+        half = floor ** (1.0 / (2 * (params.q - 1)))
+
+        def dense(h):
+            x = GridSpec(half, h).nodes()
+            n = len(x)
+            stiff = (np.diag(2.0 / h**2 + x ** (2 * (params.q - 1)))
+                     - (np.eye(n, k=1) + np.eye(n, k=-1)) / h**2)
+            mass = np.diag(x ** (2 * (params.p - 1)))
+            mus = eigh(mass, stiff, eigvals_only=True, subset_by_index=[n - count, n - 1])
+            return np.sort(1.0 / mus)
+
+        want = (4.0 * dense(spacing / 2.0) - dense(spacing)) / 3.0
+        got = reference_eigenvalues(params, count, spacing=spacing, potential_floor=floor)
+        assert np.all(np.abs(got - want) <= 1e-10 * want)
 
     def test_oracle_rejects_flat_potential(self):
         with pytest.raises(ValueError, match="q = 1"):
