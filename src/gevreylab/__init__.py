@@ -38,7 +38,6 @@ from .fbi import (
     decompose,
     fbi,
     fbi_field,
-    invert_partial,
     inversion_profile,
     jacobian_alpha,
     lowpass_profile,
@@ -74,7 +73,7 @@ from .operators import (
     weight_w,
 )
 from .reports import emit_report
-from .sampling import SampledFunction, from_csv, sample, to_csv
+from .sampling import SampledFunction, sample
 
 __version__ = "0.1.0"
 
@@ -114,12 +113,10 @@ __all__ = [
     "fbi_field",
     "fd_weights",
     "fit_stretched_exponential",
-    "from_csv",
     "gevrey_quotients",
     "growth_table",
     "htau_norm",
     "invert_A_tau",
-    "invert_partial",
     "inversion_profile",
     "jacobian_alpha",
     "lowpass_profile",
@@ -132,7 +129,6 @@ __all__ = [
     "scaling_constant",
     "select_k",
     "solve_nonlinear_eigen",
-    "to_csv",
     "trim_invalid",
     "verify_kernel",
     "weight_w",

@@ -181,6 +181,8 @@ class RunConfig:
         ):
             if any(v <= 0 for v in ladder):
                 raise UsageError(f"{name} entries must be positive")
+        if any(b <= a for a, b in zip(self.freq_ladder, self.freq_ladder[1:])):
+            raise UsageError("freq-ladder must be strictly increasing")
         if any(v < 1 for v in self.tau_ladder):  # the estimates need |tau| >= 1
             raise UsageError("tau-ladder entries must be >= 1")
         if len(set(self.n_ladder)) < 2:  # two rows pin the nuisance constants
@@ -191,6 +193,8 @@ class RunConfig:
             raise UsageError("grid spacing must be positive")
         if any(not (1 <= a <= b) for a, b in self.pairs):
             raise UsageError("each pair must satisfy 1 <= p <= q")
+        if self.seed < 0:
+            raise UsageError("seed must be non-negative")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -586,10 +590,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(config: RunConfig) -> int:
-    """Run the configured pipeline, writing reports under config.out."""
+    """Run the configured pipeline, writing reports under config.out.
+
+    A directory this call creates is removed again if the pipeline fails
+    before writing into it.
+    """
     out = Path(config.out)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    return _PIPELINES[config.command].run(config, out)
+    try:
+        return _PIPELINES[config.command].run(config, out)
+    except BaseException:
+        for d in created:
+            if not any(d.iterdir()):
+                d.rmdir()
+        raise
 
 
 def main(argv=None) -> int:

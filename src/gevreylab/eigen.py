@@ -221,15 +221,12 @@ def solve_nonlinear_eigen(
     params: OperatorParams,
     grid: GridSpec | None = None,
     count: int = 4,
-    *,
-    residual_tol: float = 1e-6,
-    stability_tol: float = 1e-5,
 ) -> list[Eigenpair]:
     """Real eigenpairs of the profile equation, ordered by |z|.
 
     Solves the pencil at spacings h and h/2 and keeps a fine-grid pair
-    only when (a) its equation residual is below ``residual_tol``, (b) a
-    coarse eigenvalue matches within ``stability_tol`` relative, and
+    only when (a) its equation residual is below 1e-6 relative, (b) a
+    coarse eigenvalue matches within 1e-5 relative, and
     (c) the eigenfunction decays at the grid edge (Schwartz tail, which
     box modes and continuum artifacts fail).  An empty list is a valid
     outcome only for p = q, where there is nothing to find; for p < q
@@ -256,7 +253,7 @@ def solve_nonlinear_eigen(
     for idx, z in enumerate(fine_vals):
         z = float(z)
         drift = float(np.min(np.abs(coarse_vals - z)) / max(abs(z), 1.0))
-        if drift > stability_tol:
+        if drift > 1e-5:
             rejected["drift"] += 1
             continue
         vals = fine_vecs[:, idx]
@@ -267,7 +264,7 @@ def solve_nonlinear_eigen(
             rejected["tail"] += 1
             continue
         res = _profile_residual(x, h, vals, z, params)
-        if res > residual_tol:
+        if res > 1e-6:
             rejected["residual"] += 1
             continue
         if vals[np.argmax(np.abs(vals))] < 0:
@@ -411,7 +408,6 @@ def verify_kernel(
     lam: float,
     params: OperatorParams,
     *,
-    n_base: int = 41,
     refine_check: bool = True,
 ) -> float:
     """Relative residual of the kernel identity for F_lam.
@@ -419,9 +415,10 @@ def verify_kernel(
     Path (i), returned: the family is separable, so applying the full
     operator reduces exactly to lam^(2/q) times the profile residual.
     Path (ii), asserted: direct second differences of F_lam on a coarse
-    3D box must shrink like h^2 under refinement toward the path (i)
-    value; failure raises ConsistencyError.  The t2 axis is sampled
-    finely enough to resolve the exp(i lam t2) oscillation.
+    3D box (41 points per axis) must shrink like h^2 under refinement
+    toward the path (i) value; failure raises ConsistencyError.  The t2
+    axis is sampled finely enough to resolve the exp(i lam t2)
+    oscillation.
     """
     path_i = lam ** (2.0 / params.q) * residual_norm(pair, params)
     if not refine_check:
@@ -446,6 +443,7 @@ def verify_kernel(
     # period of exp(i lam t2)) and then doubled along with the rest;
     # recomputing it per level would freeze the t2 error and break the
     # h^2 contraction this check relies on.
+    n_base = 41
     n_t2_base = max(n_base, 2 * int(np.ceil(lam / 0.25)) + 1)
     coarse = path_ii(n_base, n_t2_base)
     fine = path_ii(2 * n_base - 1, 2 * n_t2_base - 1)

@@ -1,21 +1,19 @@
 """Parameterized FBI transform, truncated inversion, and frequency splitting.
 
-The transform used throughout is
+The transform acts on samples of one variable:
 
-    F u(z, xi) = integral  u(x') exp(i (z - x') . xi - <xi>^g (z - x')^2)
+    F u(z, xi) = integral  u(x') exp(i (z - x') xi - <xi>^g (z - x')^2)
                            * alpha_g(z - x', xi)  dx'
 
-with the Japanese bracket <xi> = (1 + |xi|^2)^(1/2), a window exponent
+with the Japanese bracket <xi> = (1 + xi^2)^(1/2), a window exponent
 g in [0, 1], and the holomorphic density
 
-    alpha_g(w, xi) = det(I + i g <xi>^(g-2) w xi^T)
-                   = 1 + i g <xi>^(g-2) (w . xi),
+    alpha_g(w, xi) = 1 + i g <xi>^(g-2) w xi,
 
-which is the Jacobian determinant of the contour map
-xi -> xi + i g ... appearing in the inversion formula; the closed form is
-the rank-one determinant identity and is cross-checked against a finite
-difference Jacobian in the tests.  Note (z - x')^2 means the holomorphic
-square sum((z_j - x_j')^2), not |z - x'|^2, so F is entire in z.
+which is the xi-derivative of the contour map xi -> xi + i w <xi>^g
+appearing in the inversion formula; the tests cross-check it against a
+finite-difference derivative.  Note (z - x')^2 is the holomorphic square,
+not |z - x'|^2, so F is entire in z.
 
 At g = 0 the window is a plain Gaussian and alpha = 1 (the classical
 transform); g = 1 gives the parabolic scaling adapted to Gevrey order 1.
@@ -66,45 +64,34 @@ def _check_gamma(gamma: float) -> float:
 
 
 def bracket(xi) -> np.ndarray:
-    """Japanese bracket (1 + |xi|^2)^(1/2) for a vector frequency."""
+    """Japanese bracket (1 + xi^2)^(1/2), elementwise."""
     xi = np.asarray(xi, dtype=float)
-    return np.sqrt(1.0 + np.sum(xi * xi, axis=-1 if xi.ndim else None))
+    return np.sqrt(1.0 + xi * xi)
+
+
+def _scalar(value, dtype) -> complex | float:
+    """A scalar, or the entry of a length-one sequence, as ``dtype``."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.size != 1:
+        raise ValueError("base point and frequency must be scalars "
+                         "(vectors of length ndim = 1)")
+    return dtype(arr.item())
 
 
 def jacobian_alpha(x, xi, gamma: float) -> complex:
-    """Holomorphic density alpha_g as a rank-one determinant.
+    """Holomorphic density alpha_g(x, xi) = 1 + i g <xi>^(g-2) x xi.
 
-    Parameters
-    ----------
-    x, xi : array_like, shape (n,)
-        Offset vector and frequency vector.
-    gamma : float
-        Window exponent in [0, 1].
-
-    Returns
-    -------
-    complex
-        ``1 + i * gamma * <xi>**(gamma - 2) * (x . xi)``.
+    ``x`` (complex allowed) and ``xi`` are scalars or length-one
+    sequences; ``gamma`` is the window exponent in [0, 1].
     """
     gamma = _check_gamma(gamma)
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if x.shape != xi.shape:
-        raise ValueError("offset and frequency must have the same shape")
-    br = float(bracket(xi))
-    return complex(1.0 + 1j * gamma * br ** (gamma - 2.0) * np.sum(x * xi))
+    x, xi = _scalar(x, complex), _scalar(xi, float)
+    return 1.0 + 1j * gamma * float(bracket(xi)) ** (gamma - 2.0) * (x * xi)
 
 
-def _max_frequency(spacing) -> float:
-    """Largest |xi_j| the grid resolves at the required sampling rate."""
-    h = max(spacing)
-    return 2.0 * np.pi / (_SAMPLES_PER_PERIOD * h)
-
-
-def _require_resolved(spacing, xi) -> None:
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    limit = _max_frequency(spacing)
-    top = float(np.max(np.abs(xi)))
+def _require_resolved(u: SampledFunction, top: float) -> None:
+    """Raise GridTooCoarseError when frequency ``top`` outruns the sampling."""
+    limit = 2.0 * np.pi / (_SAMPLES_PER_PERIOD * u.spacing[0])
     if top > limit:
         raise GridTooCoarseError(
             f"frequency {top:.6g} exceeds the grid limit {limit:.6g}; "
@@ -112,8 +99,8 @@ def _require_resolved(spacing, xi) -> None:
         )
 
 
-def _require_supported(u: SampledFunction, rel_tol: float = 1e-8) -> None:
-    if not u.is_compactly_supported(rel_tol):
+def _require_supported(u: SampledFunction) -> None:
+    if not u.is_compactly_supported(1e-8):
         raise ValueError(
             "samples do not decay at the grid boundary; the quadrature "
             "would truncate essential mass"
@@ -123,40 +110,38 @@ def _require_supported(u: SampledFunction, rel_tol: float = 1e-8) -> None:
 def fbi(u: SampledFunction, z, xi, gamma: float, *, check_support: bool = True) -> complex:
     """Transform of ``u`` at one base point and one frequency.
 
+    This pointwise sum is the reference that ``fbi_field`` is tested
+    against.
+
     Parameters
     ----------
     u : SampledFunction
-        Samples in dimension 1 to 3, decaying at the grid boundary.
-    z : array_like, shape (n,) or scalar for n = 1
+        One dimensional samples, decaying at the grid boundary.
+    z : complex
         Base point; may be complex (evaluation on a tube).
-    xi : array_like, shape (n,) or scalar for n = 1
-        Real frequency vector.
+    xi : float
+        Real frequency.
     gamma : float
         Window exponent in [0, 1].
 
     Raises
     ------
     GridTooCoarseError
-        If |xi_j| oscillates faster than the grid sampling supports.
+        If xi oscillates faster than the grid sampling supports.
     """
     gamma = _check_gamma(gamma)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if z.shape != (u.ndim,) or xi.shape != (u.ndim,):
-        raise ValueError("base point and frequency must be vectors of length ndim")
-    _require_resolved(u.spacing, xi)
+    if u.ndim != 1:
+        raise ValueError("the transform is implemented for 1d samples")
+    z, xi = _scalar(z, complex), _scalar(xi, float)
+    _require_resolved(u, abs(xi))
     if check_support:
         _require_supported(u)
-
     br = float(bracket(xi))
-    # Broadcast per-axis offsets; phase and squared offset are separable sums.
-    offsets = [z[ax] - g for ax, g in enumerate(u.grids())]
-    phase = sum(off * xi[ax] for ax, off in enumerate(offsets))
-    sq = sum(off * off for off in offsets)
-    dot = phase  # (z - x') . xi, reused inside alpha
-    integrand = u.values * np.exp(1j * phase - br**gamma * sq)
+    off = z - u.coords(0)
+    dot = off * xi  # (z - x') xi, reused inside alpha
+    integrand = u.values * np.exp(1j * dot - br**gamma * off * off)
     integrand = integrand * (1.0 + 1j * gamma * br ** (gamma - 2.0) * dot)
-    return complex(np.sum(integrand) * u.cell_volume)
+    return complex(np.sum(integrand) * u.spacing[0])
 
 
 def _field_1d(u: SampledFunction, zs: np.ndarray, xis: np.ndarray, gamma: float) -> np.ndarray:
@@ -164,10 +149,10 @@ def _field_1d(u: SampledFunction, zs: np.ndarray, xis: np.ndarray, gamma: float)
 
     Returns an array of shape (len(zs), len(xis)).  One fused broadcast
     keeps the hot loop in vectorized numpy; memory is len(zs) * len(xis)
-    * len(grid) complex entries, so callers chunk the frequency axis.
+    * len(grid) complex entries, so fbi_field chunks the frequency axis.
     """
     x = u.coords(0)
-    br = np.sqrt(1.0 + xis * xis)
+    br = bracket(xis)
     off = zs[:, None, None] - x[None, None, :]          # (m, 1, n)
     xi_b = xis[None, :, None]                           # (1, k, 1)
     br_b = br[None, :, None]
@@ -176,16 +161,6 @@ def _field_1d(u: SampledFunction, zs: np.ndarray, xis: np.ndarray, gamma: float)
     alpha = 1.0 + 1j * gamma * br_b ** (gamma - 2.0) * dot
     vals = np.einsum("mkn,n->mk", np.exp(expo) * alpha, u.values)
     return vals * u.spacing[0]
-
-
-def _field_1d_chunked(
-    u: SampledFunction, zs: np.ndarray, xis: np.ndarray, gamma: float, chunk: int = 64
-) -> np.ndarray:
-    out = np.empty((len(zs), len(xis)), dtype=complex)
-    for start in range(0, len(xis), chunk):
-        sl = slice(start, min(start + chunk, len(xis)))
-        out[:, sl] = _field_1d(u, zs, xis[sl], gamma)
-    return out
 
 
 @dataclass(frozen=True)
@@ -206,12 +181,8 @@ def fbi_field(
     base_points,
     freqs,
     gamma: float,
-    *,
-    check_support: bool = True,
 ) -> FbiField:
     """Evaluate the transform on a grid of base points and frequencies.
-
-    One dimensional only; the pointwise ``fbi`` covers higher dimensions.
 
     Parameters
     ----------
@@ -229,14 +200,13 @@ def fbi_field(
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or np.any(freqs <= 0):
         raise ValueError("frequency ladder must be a 1d array of positive reals")
-    if check_support:
-        _require_supported(u)
+    _require_supported(u)
 
     zs = np.atleast_1d(np.asarray(base_points, dtype=complex))
-    if freqs.size == 0:
-        return FbiField(zs, freqs, gamma, np.empty((len(zs), 0), dtype=complex))
-    _require_resolved(u.spacing, freqs.max())
-    values = _field_1d_chunked(u, zs, freqs, gamma)
+    _require_resolved(u, freqs.max(initial=0.0))
+    values = np.empty((len(zs), len(freqs)), dtype=complex)
+    for start in range(0, len(freqs), 64):  # 64 frequencies per broadcast
+        values[:, start:start + 64] = _field_1d(u, zs, freqs[start:start + 64], gamma)
     return FbiField(zs, freqs, gamma, values)
 
 
@@ -246,8 +216,7 @@ def _lowpass_kernel(w, lam: float, gamma: float) -> np.ndarray:
     Equals sin(lam w) / (pi w) * exp(-<lam>^g w^2); ``np.sinc`` supplies
     the value lam/pi at w = 0.  w may be complex (tube evaluation).
     """
-    br = np.sqrt(1.0 + lam * lam)
-    return lam / np.pi * np.sinc(lam * w / np.pi) * np.exp(-(br**gamma) * w * w)
+    return lam / np.pi * np.sinc(lam * w / np.pi) * np.exp(-(bracket(lam) ** gamma) * w * w)
 
 
 def _lowpass_at(u: SampledFunction, zs: np.ndarray, lam: float, gamma: float) -> np.ndarray:
@@ -256,45 +225,20 @@ def _lowpass_at(u: SampledFunction, zs: np.ndarray, lam: float, gamma: float) ->
     return _lowpass_kernel(w, lam, gamma) @ u.values * u.spacing[0]
 
 
-def invert_partial(
-    u: SampledFunction,
-    x,
-    gamma: float,
-    radius: float,
-    *,
-    check_support: bool = True,
-) -> complex:
-    """Frequency-truncated inversion at one point.
-
-    Computes (1/2pi) * integral over |xi| <= radius of F u(x, xi) d xi.
-    As radius grows this converges to u(x) wherever u is smooth; the
-    truncation error is the classifier's notion of high-frequency content.
-    One dimensional only.
-    """
-    gamma = _check_gamma(gamma)
-    if u.ndim != 1:
-        raise ValueError("truncated inversion is implemented for 1d samples")
-    if radius <= 0:
-        raise ValueError("inversion radius must be positive")
-    if check_support:
-        _require_supported(u)
-    _require_resolved(u.spacing, radius)
-    zs = np.atleast_1d(np.asarray(x, dtype=complex))
-    vals = _lowpass_at(u, zs, radius, gamma)
-    return complex(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
-
-
 def inversion_profile(
     u: SampledFunction,
     xs,
     gamma: float,
     radii,
 ) -> np.ndarray:
-    """Truncated inversions at several points for a whole radius ladder.
+    """Frequency-truncated inversions at several points for a radius ladder.
 
-    Returns an array of shape (len(radii), len(xs)); row i equals
-    ``invert_partial(u, xs, gamma, radii[i])``.  Any positive radii work;
-    a radius <= 0 raises ValueError.
+    Row i holds (1/2pi) * integral over |xi| <= radii[i] of F u(x, xi) d xi
+    at each x in ``xs``, so the result has shape (len(radii), len(xs)).
+    As the radius grows this converges to u(x) wherever u is smooth; the
+    truncation error is the classifier's notion of high-frequency
+    content.  Any positive radii work; a radius <= 0 raises ValueError,
+    and so do samples that do not decay at the grid boundary.
     """
     gamma = _check_gamma(gamma)
     if u.ndim != 1:
@@ -302,7 +246,8 @@ def inversion_profile(
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ValueError("inversion radius must be positive")
-    _require_resolved(u.spacing, float(radii.max()))
+    _require_supported(u)
+    _require_resolved(u, radii.max())
     zs = np.atleast_1d(np.asarray(xs, dtype=complex))
     return np.array([_lowpass_at(u, zs, r, gamma) for r in radii])
 
@@ -326,7 +271,7 @@ def lowpass_profile(
         raise ValueError("frequency splitting is implemented for 1d samples")
     if lam <= 0:
         raise ValueError("frequency cut must be positive")
-    _require_resolved(u.spacing, lam)
+    _require_resolved(u, lam)
     x = u.coords(0)
     h = u.spacing[0]
     n = len(x)
@@ -373,24 +318,21 @@ def decompose(
     lam: float,
     gamma: float,
     tube_height: float = 0.0,
-    *,
-    n_heights: int = 5,
 ) -> Decomposition:
     """Split samples into low and high frequency parts at cut ``lam``.
 
-    The low part is evaluated on ``n_heights`` lines Im z = const from 0
-    up to ``tube_height``; the split u = low + high is exact on the real
-    axis by construction, so only the real-axis row enters ``high``.
+    The low part is evaluated on five lines Im z = const from 0 up to
+    ``tube_height`` (one line when it is 0); the split u = low + high is
+    exact on the real axis by construction, so only the real-axis row
+    enters ``high``.
     """
     if lam < 1.0:
         raise ValueError("frequency cut must be at least 1")
     if tube_height < 0.0:
         raise ValueError("tube height must be nonnegative")
-    if tube_height == 0.0:
-        n_heights = 1
-    heights = np.linspace(0.0, tube_height, n_heights)
+    heights = np.linspace(0.0, tube_height, 5 if tube_height > 0.0 else 1)
     rows = [lowpass_profile(u, lam, gamma, height=y).values for y in heights]
-    if n_heights == 1:
+    if len(heights) == 1:
         # Axis-only split: the low part lives on the input grid.
         low = SampledFunction(u.origin, u.spacing, rows[0])
     else:

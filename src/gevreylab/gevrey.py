@@ -74,7 +74,6 @@ def make_gevrey_bump(
     a: float = -1.0,
     b: float = 1.0,
     n: int = 4096,
-    pad: float = 0.5,
 ) -> SampledFunction:
     """Generate an order-s test function supported in [a, b].
 
@@ -85,14 +84,14 @@ def make_gevrey_bump(
     analytic behavior lives in the interior, since nontrivial analytic
     functions cannot be compactly supported.
 
-    Samples are returned on [a - pad, b + pad] so quadratures see the
+    Samples are returned on [a - 1/2, b + 1/2] so quadratures see the
     function decay inside the grid.
     """
     if s < 1.0:
         raise ValueError("Gevrey order must be at least 1")
     if not b > a:
         raise ValueError("support interval must satisfy b > a")
-    x = np.linspace(a - pad, b + pad, n)
+    x = np.linspace(a - 0.5, b + 0.5, n)
     mid = 0.5 * (a + b)
     vals = np.zeros(n)
     if s == 1.0:
@@ -183,7 +182,7 @@ def fit_stretched_exponential(xs, ys) -> FitResult:
     return FitResult(C=C, delta=float(np.exp(logd)), r=float(r), residual_rms=rms, n_points=n)
 
 
-def prune_decay_floor(freqs, mags, floor: float = _DECAY_FLOOR):
+def prune_decay_floor(freqs, mags):
     """Longest ladder prefix above the relative quadrature floor.
 
     Finite-precision quadrature bottoms out near peak * 1e-12; points
@@ -192,7 +191,7 @@ def prune_decay_floor(freqs, mags, floor: float = _DECAY_FLOOR):
     """
     freqs = np.asarray(freqs, dtype=float)
     mags = np.asarray(mags, dtype=float)
-    cut = mags.max() * floor
+    cut = mags.max() * _DECAY_FLOOR
     keep = len(mags)
     for i, m in enumerate(mags):
         if m <= cut:
@@ -300,19 +299,41 @@ def _stencil_sup(values: np.ndarray, h: float, order: int, stride: int, center_m
     return sup, floor
 
 
+def _reliable_sup(values: np.ndarray, h: float, order: int, center_mask=None):
+    """Sup of |f^(order)| at the smallest stride m that agrees with 2m
+    within 10 percent, both above four times their roundoff floor; 0.0
+    when every stride sits below that floor, None when no pair agrees."""
+    per_stride = {}
+    for m in _STRIDES:
+        got = _stencil_sup(values, h, order, m, center_mask)
+        if got is not None:
+            per_stride[m] = got
+    if not per_stride:
+        return None
+    if all(s <= 4.0 * f for s, f in per_stride.values()):
+        return 0.0
+    for m in sorted(per_stride):
+        if 2 * m not in per_stride:
+            continue
+        s1, f1 = per_stride[m]
+        s2, f2 = per_stride[2 * m]
+        if s1 <= 4.0 * f1 or s2 <= 4.0 * f2:
+            continue
+        if abs(s1 - s2) / max(s1, s2) < 0.1:
+            return s1
+    return None
+
+
 def estimate_order_derivatives(
     u: SampledFunction,
     x0: float,
     max_order: int = 12,
-    *,
-    window: float = 0.5,
-    min_reliable: int = 5,
 ) -> GevreyOrder:
     """Gevrey order from the growth of derivative sup norms near x0.
 
     For each order k up to max_order the k-th derivative is estimated by
     exact central stencils at a ladder of grid strides, taking the sup
-    over stencil centers within ``window`` of ``x0``.  A value counts as
+    over stencil centers within 1/2 of ``x0``.  A value counts as
     reliable when two strides an octave apart agree within 10 percent,
     and as zero when it sits below four times the stencil roundoff
     floor.  The order is the k log k coefficient of a log-linear
@@ -321,8 +342,8 @@ def estimate_order_derivatives(
     Raises
     ------
     OrderTooHighError
-        When fewer than ``min_reliable`` orders are reliable and the top
-        orders are not identically zero.
+        When fewer than five orders are reliable and the top orders are
+        not identically zero.
     """
     if u.ndim != 1:
         raise ValueError("derivative growth estimation expects 1d samples")
@@ -331,34 +352,19 @@ def estimate_order_derivatives(
     orders = list(range(1, max_order + 1))
     values = np.asarray(u.values, dtype=float)
     h = u.spacing[0]
-    center_mask = np.abs(u.coords(0) - float(x0)) <= window
+    center_mask = np.abs(u.coords(0) - float(x0)) <= 0.5
     if not np.any(center_mask):
         raise ValueError("probe point lies outside the sampled grid")
     sups: dict[int, float] = {}
     zero_orders: set[int] = set()
     for k in orders:
-        per_stride = {}
-        for m in _STRIDES:
-            got = _stencil_sup(values, h, k, m, center_mask)
-            if got is not None:
-                per_stride[m] = got
-        if not per_stride:
-            continue
-        if all(s <= 4.0 * f for s, f in per_stride.values()):
+        sup = _reliable_sup(values, h, k, center_mask)
+        if sup == 0.0:
             zero_orders.add(k)
-            continue
-        for m in sorted(per_stride):
-            if 2 * m not in per_stride:
-                continue
-            s1, f1 = per_stride[m]
-            s2, f2 = per_stride[2 * m]
-            if s1 <= 4.0 * f1 or s2 <= 4.0 * f2:
-                continue
-            if abs(s1 - s2) / max(s1, s2) < 0.1:
-                sups[k] = s1
-                break
+        elif sup is not None:
+            sups[k] = sup
 
-    if len(sups) < min_reliable:
+    if len(sups) < 5:
         # Polynomial signature: the top orders vanish identically and no
         # reliable nonzero order sits above the first vanishing one.
         top_zero = (
@@ -374,8 +380,7 @@ def estimate_order_derivatives(
                 degenerate=True,
             )
         raise OrderTooHighError(
-            f"only {len(sups)} derivative orders were reliable; "
-            f"need {min_reliable}"
+            f"only {len(sups)} derivative orders were reliable; need 5"
         )
 
     ks = np.array(sorted(sups), dtype=float)
@@ -391,25 +396,15 @@ def gevrey_quotients(u: SampledFunction, s: float, orders=range(1, 13)) -> dict[
 
     For a function of Gevrey order exactly s0, these stay bounded when
     s >= s0 and diverge when s < s0; their growth pattern is the raw
-    signature behind the derivative-growth estimator.
+    signature behind the derivative-growth estimator.  The sups follow
+    that estimator's reliability rule over the whole grid; an order
+    without a reliable sup is left out, and a vanishing one gives 0.
     """
     values = np.asarray(u.values, dtype=float)
     h = u.spacing[0]
     out: dict[int, float] = {}
     for k in orders:
-        best = None
-        for m in _STRIDES:
-            got = _stencil_sup(values, h, k, m)
-            if got is None:
-                continue
-            sup1, floor1 = got
-            nxt = _stencil_sup(values, h, k, 2 * m)
-            if nxt is None:
-                continue
-            sup2, _ = nxt
-            if sup1 > 4.0 * floor1 and abs(sup1 - sup2) / max(sup1, sup2) < 0.1:
-                best = sup1
-                break
-        if best is not None:
-            out[k] = float((best / k ** (s * k)) ** (1.0 / (k + 1)))
+        sup = _reliable_sup(values, h, k)
+        if sup is not None:
+            out[k] = float((sup / k ** (s * k)) ** (1.0 / (k + 1)))
     return out

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solveh_banded
+from scipy.linalg import solveh_banded
 
 from .sampling import SampledFunction
 
@@ -279,17 +279,14 @@ def invert_A_tau(
     return SampledFunction(g.origin, g.spacing, sol)
 
 
-def probe_family(
-    count: int = 100,
-    seed: int = 42,
-    half_width: float = 3.0,
-    n: int = 4001,
-) -> list[SampledFunction]:
-    """Reproducible family of Gaussian probes for constant calibration.
+def probe_family(seed: int = 42) -> list[SampledFunction]:
+    """Reproducible family of 100 Gaussian probes for constant calibration.
 
     Centers are uniform in [-1/2, 1/2], widths uniform in [0.05, 0.5];
-    the grid is wide enough that every probe is negligible at the ends.
+    the 4001-node grid on [-3, 3] is wide enough that every probe is
+    negligible at the ends.
     """
+    count, half_width, n = 100, 3.0, 4001
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.5, 0.5, size=count)
     widths = rng.uniform(0.05, 0.5, size=count)
@@ -324,26 +321,21 @@ def check_apriori(
 
 
 def check_weight_inequality(
-    params: OperatorParams,
-    tau_ladder,
-    support_radius: float = 1.0,
-    *,
-    n_x: int = 401,
-    n_angles: int = 16,
+    params: OperatorParams, tau_ladder, support_radius: float = 1.0
 ) -> float:
     """Sup of |tau|^(p/q) (|x|^(p-1) + |x|^(q-1)) / w(x, tau).
 
-    Sampled over x in [-support_radius, support_radius], tau magnitudes
-    from the ladder, and a quarter circle of tau directions (w is even
-    in each component).  Uniform boundedness over |tau| >= 1 is the
-    pointwise weight inequality the norms depend on.
+    Sampled at 401 points x in [-support_radius, support_radius], tau
+    magnitudes from the ladder, and 16 tau directions on a quarter
+    circle (w is even in each component).  Uniform boundedness over
+    |tau| >= 1 is the pointwise weight inequality the norms depend on.
     """
     if support_radius > 1.0:
         raise ValueError("the inequality is claimed on the unit cutoff region")
-    x = np.linspace(-support_radius, support_radius, n_x)
+    x = np.linspace(-support_radius, support_radius, 401)
     # x^0 == 1 by convention, including at x = 0.
     numerator_x = np.abs(x) ** (params.p - 1) + np.abs(x) ** (params.q - 1)
-    angles = np.linspace(0.0, np.pi / 2.0, n_angles)
+    angles = np.linspace(0.0, np.pi / 2.0, 16)
     sup = 0.0
     for mag in tau_ladder:
         if mag < 1.0:
@@ -370,24 +362,6 @@ def _scaling_terms(f: SampledFunction, m: int) -> tuple[float, float, float]:
 _scaling_constants: dict[int, float] = {}
 
 
-def _ground_energy(m: int) -> float:
-    """Ground eigenvalue of -d^2/dy^2 + y^(2(m-1)) on the line.
-
-    m = 1 has the constant potential 1, m = 2 the harmonic one; both
-    ground energies are exactly 1.  Higher m falls back to a Dirichlet
-    tridiagonal solve on a box wide enough that the truncation error
-    sits far below the O(h^2) discretization error.
-    """
-    if m in (1, 2):
-        return 1.0
-    half, n = 8.0, 16001
-    y = np.linspace(-half, half, n)
-    h = y[1] - y[0]
-    diag = 2.0 / h**2 + y ** (2 * (m - 1))
-    off = np.full(n - 1, -1.0 / h**2)
-    return float(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0][0])
-
-
 def scaling_constant(m: int) -> float:
     """Constant for the scaling inequality, fixed once per order m.
 
@@ -402,11 +376,17 @@ def scaling_constant(m: int) -> float:
     headroom over the sharp constant so the discrete quadratures of
     the check cannot tip a saturated case over; for m = 1 the gradient
     term only ever helps and the sharp constant is discretely safe.
+
+    The ground energy is exactly 1 for m = 1 (constant potential) and
+    m = 2 (harmonic); higher m takes it from the eigenvalue oracle.
     """
     if m < 1:
         raise ValueError("scaling order m must be a positive integer")
     if m not in _scaling_constants:
-        sharp = 1.0 / _ground_energy(m)
+        from .eigen import reference_eigenvalues  # eigen imports this module
+
+        ground = 1.0 if m <= 2 else reference_eigenvalues(OperatorParams(1, m), 1)[0]
+        sharp = 1.0 / float(ground)
         _scaling_constants[m] = sharp if m == 1 else 1.001 * sharp
     return _scaling_constants[m]
 

@@ -51,8 +51,8 @@ def write_json(data: Mapping, path) -> None:
 def field_to_csv(field: FbiField, path) -> None:
     """Transform field rows: base point, frequency, re, im, abs."""
     rows = []
-    for i, z in enumerate(np.atleast_1d(field.base_points)):
-        base = complex(np.atleast_1d(z).ravel()[0]) if np.ndim(z) else complex(z)
+    for i, z in enumerate(field.base_points):
+        base = complex(z)
         label = repr(base.real) if base.imag == 0.0 else repr(base)
         for j, xi in enumerate(field.freqs):
             val = field.values[i, j]

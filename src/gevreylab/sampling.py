@@ -1,4 +1,4 @@
-"""Uniform-grid sampled functions and their CSV round trip.
+"""Uniform-grid sampled functions.
 
 Everything downstream (transforms, norms, eigensolvers) consumes the same
 container: complex or real values on a uniform rectangular grid, described
@@ -10,14 +10,10 @@ divided by c.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-
-_AXIS_NAMES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -61,21 +57,10 @@ class SampledFunction:
     def ndim(self) -> int:
         return self.values.ndim
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
     def coords(self, axis: int = 0) -> np.ndarray:
         """Sample coordinates along one axis."""
         n = self.values.shape[axis]
         return self.origin[axis] + self.spacing[axis] * np.arange(n)
-
-    def grids(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays broadcastable against ``values``."""
-        return tuple(
-            self.coords(ax).reshape([-1 if a == ax else 1 for a in range(self.ndim)])
-            for ax in range(self.ndim)
-        )
 
     def rescaled(self, factor: float) -> "SampledFunction":
         """Samples of x -> f(factor * x): same values, grid shrunk by factor."""
@@ -137,67 +122,3 @@ def sample(
         support_radius=support_radius,
     )
 
-
-def to_csv(f: SampledFunction, path_or_buf) -> None:
-    """Write samples as rows of coordinates plus re/im columns.
-
-    Rows are emitted in C order of the value array, so the file is a
-    deterministic function of the grid and values.
-    """
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    buf = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(_AXIS_NAMES[: f.ndim]) + ["re", "im"])
-        axes = [f.coords(ax) for ax in range(f.ndim)]
-        flat = f.values.reshape(-1)
-        for lin, val in enumerate(flat):
-            idx = np.unravel_index(lin, f.values.shape)
-            row = [repr(float(axes[a][i])) for a, i in enumerate(idx)]
-            cval = complex(val)
-            row += [repr(cval.real), repr(cval.imag)]
-            writer.writerow(row)
-    finally:
-        if own:
-            buf.close()
-
-
-def from_csv(path_or_buf) -> SampledFunction:
-    """Rebuild a SampledFunction written by :func:`to_csv`.
-
-    The grid is inferred from the coordinate columns and must be uniform.
-    """
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    buf = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
-        rows = list(csv.reader(buf))
-    finally:
-        if own:
-            buf.close()
-    header, data = rows[0], rows[1:]
-    ndim = len(header) - 2
-    if ndim not in (1, 2, 3) or header[ndim:] != ["re", "im"]:
-        raise ValueError("unrecognized sampled-function CSV header")
-    cols = np.array([[float(v) for v in row] for row in data])
-    coords = [np.unique(cols[:, a]) for a in range(ndim)]
-    shape = tuple(len(c) for c in coords)
-    if int(np.prod(shape)) != len(data):
-        raise ValueError("CSV rows do not form a full rectangular grid")
-    origin, spacing = [], []
-    for c in coords:
-        steps = np.diff(c)
-        if steps.size == 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("CSV coordinates are not a uniform grid")
-        origin.append(float(c[0]))
-        spacing.append(float(steps[0]))
-    values = (cols[:, ndim] + 1j * cols[:, ndim + 1]).reshape(shape)
-    if np.all(values.imag == 0.0):
-        values = values.real
-    return SampledFunction(tuple(origin), tuple(spacing), values)
-
-
-def csv_text(f: SampledFunction) -> str:
-    """CSV serialization as a string, for hashing and tests."""
-    buf = io.StringIO()
-    to_csv(f, buf)
-    return buf.getvalue()

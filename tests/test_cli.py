@@ -136,12 +136,36 @@ class TestUsageErrors:
             ("demo", "--n-ladder", "7"),
             ("counterexample", "--n-ladder", "5,5"),
             ("inequalities", "--tau-ladder", "1,0.5"),
+            ("transform", "--freq-ladder", "64,48,32,24,16,12,8"),
+            ("classify", "--freq-ladder", "16,32,32,64,128,256,512"),
         ],
     )
     def test_invalid_ladder_returns_64(self, tmp_path, argv):
         code, out = run(tmp_path, *argv)
         assert code == 64
         assert not out.exists()
+
+    def test_negative_seed_returns_64(self, tmp_path, capsys):
+        code, out = run(tmp_path, "inequalities", "--seed", "-1")
+        assert code == 64
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eigen", "--p", "2", "--q", "3", "--grid-h", "500"),
+            ("transform", "--freq-ladder", "1e6"),
+        ],
+    )
+    def test_usage_error_in_the_pipeline_leaves_no_directory(self, tmp_path, argv):
+        nested = tmp_path / "a" / "b"
+        assert main([*argv, "--out", str(nested)]) == 64
+        assert not (tmp_path / "a").exists()
+        # A directory that existed before the run stays.
+        nested.mkdir(parents=True)
+        assert main([*argv, "--out", str(nested)]) == 64
+        assert nested.is_dir()
 
 
 class TestParser:

@@ -13,7 +13,6 @@ from gevreylab import (
     fbi,
     fbi_field,
     fit_stretched_exponential,
-    invert_partial,
     inversion_profile,
     jacobian_alpha,
     lowpass_profile,
@@ -30,7 +29,6 @@ EPS = float(np.finfo(float).eps)
 
 def test_bracket_values():
     assert bracket([0.0]) == pytest.approx(1.0)
-    assert bracket([3.0, 4.0]) == pytest.approx(np.sqrt(26.0))
     assert bracket(2.0) == pytest.approx(np.sqrt(5.0))
 
 
@@ -39,17 +37,13 @@ class TestDensityFactor:
         assert jacobian_alpha([0.7], [31.0], 0.0) == 1.0 + 0.0j
 
     def test_zero_offset_is_identity(self):
-        assert jacobian_alpha([0.0, 0.0], [5.0, -2.0], 0.8) == 1.0 + 0.0j
+        assert jacobian_alpha([0.0], [5.0], 0.8) == 1.0 + 0.0j
 
     def test_unit_point_value(self):
         # Derivative of the contour map xi -> xi + i x <xi>^g at
         # x = xi = g = 1 is 1 + i/sqrt(2).
         got = jacobian_alpha([1.0], [1.0], 1.0)
         assert got == pytest.approx(1.0 + 1j / np.sqrt(2.0), abs=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="same shape"):
-            jacobian_alpha([1.0, 2.0], [1.0], 0.5)
 
     def test_exponent_range(self):
         with pytest.raises(ValueError, match="window exponent"):
@@ -76,7 +70,7 @@ class TestDensityFactor:
     def test_distance_to_identity_bound(self, x, xi, gamma):
         # |alpha - 1| <= g |x| <xi>^(g-1) holds exactly: the imaginary
         # part is g <xi>^(g-2) x xi and |xi| <= <xi>.
-        br = float(bracket([xi]))
+        br = float(bracket(xi))
         diff = abs(jacobian_alpha([x], [xi], gamma) - 1.0)
         assert diff <= gamma * abs(x) * br ** (gamma - 1.0) * (1.0 + 1e-12)
 
@@ -106,6 +100,11 @@ class TestTransform:
         limit = 2.0 * np.pi / (8.0 * bump2.spacing[0])
         with pytest.raises(GridTooCoarseError):
             fbi(bump2, 0.0, 2.0 * limit, 0.5)
+
+    def test_one_dimensional_only(self):
+        f = SampledFunction((0.0, 0.0), (0.1, 0.1), np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="1d"):
+            fbi(f, 0.0, 1.0, 0.5)
 
     def test_unsupported_samples_rejected(self):
         f = SampledFunction((0.0,), (0.1,), np.ones(64))
@@ -215,17 +214,23 @@ class TestField:
 class TestInversion:
     def test_zero_input(self, bump2):
         z = SampledFunction(bump2.origin, bump2.spacing, np.zeros_like(bump2.values))
-        assert invert_partial(z, 0.0, 1.0, 50.0) == 0.0
+        assert np.all(inversion_profile(z, [0.0], 1.0, [50.0]) == 0.0)
 
     def test_one_dimensional_only(self):
         f = SampledFunction((0.0, 0.0), (0.1, 0.1), np.zeros((8, 8)))
         with pytest.raises(ValueError, match="1d"):
-            invert_partial(f, [0.0, 0.0], 1.0, 10.0)
+            inversion_profile(f, [0.0], 1.0, [10.0])
+
+    def test_unsupported_samples_rejected(self):
+        f = SampledFunction((0.0,), (0.1,), np.ones(64))
+        with pytest.raises(ValueError, match="decay at the grid boundary"):
+            inversion_profile(f, [3.0], 0.5, [1.0])
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_gaussian_recovered_at_large_radius(self, smooth_gaussian, gamma):
-        got = invert_partial(smooth_gaussian, 0.0, gamma, 200.0)
-        assert abs(got - 1.0) <= 1e-3
+        got = inversion_profile(smooth_gaussian, [0.0], gamma, [200.0])
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - 1.0) <= 1e-3
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_monotone_convergence_on_dyadic_ladder(self, gamma):
@@ -246,21 +251,22 @@ class TestInversion:
     @pytest.mark.parametrize(
         "invert",
         [
-            lambda u, r: invert_partial(u, 0.5, 0.5, r),
+            lambda u, r: inversion_profile(u, [0.5], 0.5, [r]),
             lambda u, r: inversion_profile(u, [0.5], 0.5, [100.0, r]),
         ],
-        ids=["invert_partial", "inversion_profile"],
+        ids=["one_radius", "inversion_profile"],
     )
     def test_non_positive_radius_rejected(self, bump2, invert, radius):
         with pytest.raises(ValueError, match="radius must be positive"):
             invert(bump2, radius)
 
     def test_non_dyadic_ladder_matches_pointwise(self, smooth_gaussian):
+        # Each ladder row equals that radius's own one-radius call.
         xs = np.array([-0.4, 0.0, 0.3, 1.1])
         radii = [13.3, 100.0]
         got = inversion_profile(smooth_gaussian, xs, 0.5, radii)
         for row, r in zip(got, radii):
-            want = invert_partial(smooth_gaussian, xs, 0.5, r)
+            want = inversion_profile(smooth_gaussian, xs, 0.5, [r])[0]
             assert np.allclose(row, want, rtol=0.0, atol=1e-14)
 
 

@@ -405,6 +405,13 @@ class TestScalingInequality:
         with pytest.raises(ValueError, match="positive"):
             check_scaling_inequality(gauss(101), -1.0, 2)
 
+    def test_quartic_constant_matches_the_literature_ground_energy(self):
+        # Lowest eigenvalue of -d^2/dy^2 + y^4: 1.06036209048418 (Hioe
+        # and Montroll 1975); the constant carries 0.1 percent headroom.
+        from gevreylab.operators import scaling_constant
+
+        assert 1.001 / scaling_constant(3) == pytest.approx(1.0603620904841829, rel=1e-10)
+
     def test_gaussian_satisfies_bound(self):
         f = gauss(4001, 6.0)
         for lam in (1.0, 10.0, 100.0):
@@ -413,7 +420,7 @@ class TestScalingInequality:
 
     @pytest.mark.parametrize(
         "m,frozen",
-        [(1, 0.29632453316611246), (2, 0.39099733790025937), (3, 0.430441427924248)],
+        [(1, 0.29632453316611246), (2, 0.39099733790025937), (3, 0.4304414759037226)],
     )
     def test_scaled_family_ratio_is_cut_invariant(self, m, frozen):
         # Evaluating the inequality on g(lam^(1/m) x) at cut lam must

@@ -1,14 +1,9 @@
-"""Grid container semantics and the CSV round trip."""
-
-import io
+"""Grid container semantics."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from gevreylab import SampledFunction, from_csv, sample, to_csv
-from gevreylab.sampling import csv_text
+from gevreylab import SampledFunction, sample
 
 
 def line(vals, origin=0.0, h=0.5, **kw):
@@ -32,16 +27,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="1, 2, or 3"):
             SampledFunction((0.0,) * 4, (1.0,) * 4, np.zeros((2, 2, 2, 2)))
 
-    def test_coords_and_cell_volume(self):
+    def test_coords(self):
         f = SampledFunction((1.0, -2.0), (0.5, 0.25), np.zeros((3, 5)))
         assert np.allclose(f.coords(0), [1.0, 1.5, 2.0])
         assert np.allclose(f.coords(1), [-2.0, -1.75, -1.5, -1.25, -1.0])
-        assert f.cell_volume == pytest.approx(0.125)
-
-    def test_grids_broadcast_shape(self):
-        f = SampledFunction((0.0, 0.0), (1.0, 1.0), np.zeros((3, 4)))
-        gx, gy = f.grids()
-        assert gx.shape == (3, 1) and gy.shape == (1, 4)
 
 
 def test_rescaled_represents_dilated_argument():
@@ -72,73 +61,3 @@ def test_sample_matches_direct_evaluation():
     assert f.values[2, 4] == pytest.approx(1.0 + 20.0)
     assert f.spacing == (0.5, 0.5)
 
-
-class TestCsvRoundTrip:
-    def test_real_1d_exact(self, tmp_path):
-        f = line([0.25, -1.5, 3.0, 0.0], origin=-1.0, h=0.5)
-        path = tmp_path / "f.csv"
-        to_csv(f, path)
-        g = from_csv(path)
-        assert g.origin == f.origin and g.spacing == f.spacing
-        assert np.array_equal(g.values, f.values)
-        assert not np.iscomplexobj(g.values)
-
-    def test_complex_1d_exact(self):
-        f = line(np.array([1 + 2j, -0.5j, 3.0, 0.125 - 4j]))
-        buf = io.StringIO(csv_text(f))
-        g = from_csv(buf)
-        assert np.array_equal(g.values, f.values)
-
-    def test_2d_round_trip(self):
-        rng = np.random.default_rng(0)
-        f = SampledFunction((0.0, -1.0), (0.5, 0.25), rng.normal(size=(4, 6)))
-        g = from_csv(io.StringIO(csv_text(f)))
-        assert np.array_equal(g.values, f.values)
-        assert g.origin == f.origin and g.spacing == f.spacing
-
-    def test_3d_round_trip(self):
-        rng = np.random.default_rng(1)
-        f = SampledFunction(
-            (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), rng.normal(size=(3, 4, 5))
-        )
-        g = from_csv(io.StringIO(csv_text(f)))
-        assert np.array_equal(g.values, f.values)
-
-    def test_header_line(self):
-        text = csv_text(line([1.0, 2.0]))
-        assert text.splitlines()[0] == "x,re,im"
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            from_csv(io.StringIO("a,b,c,d,e\n0,0,0,0,0\n"))
-
-    def test_ragged_grid_rejected(self):
-        f = SampledFunction((0.0, 0.0), (1.0, 1.0), np.ones((2, 2)))
-        lines = csv_text(f).splitlines()
-        del lines[2]
-        with pytest.raises(ValueError, match="rectangular"):
-            from_csv(io.StringIO("\n".join(lines) + "\n"))
-
-    def test_nonuniform_grid_rejected(self):
-        text = "x,re,im\n0.0,1.0,0.0\n1.0,1.0,0.0\n3.0,1.0,0.0\n"
-        with pytest.raises(ValueError, match="uniform"):
-            from_csv(io.StringIO(text))
-
-    @given(
-        st.lists(
-            st.floats(
-                min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
-            ),
-            min_size=2,
-            max_size=40,
-        )
-    )
-    def test_round_trip_is_exact_for_any_finite_values(self, vals):
-        f = line(vals, origin=-1.25, h=0.125)
-        g = from_csv(io.StringIO(csv_text(f)))
-        # repr serialization is shortest-round-trip, so equality is exact.
-        assert np.array_equal(g.values, np.asarray(vals))
-
-    def test_serialization_is_deterministic(self):
-        f = line([0.1, 0.2, 0.3])
-        assert csv_text(f) == csv_text(f)
