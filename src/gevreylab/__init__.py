@@ -51,7 +51,6 @@ from .gevrey import (
     estimate_order_fbi,
     fd_weights,
     fit_stretched_exponential,
-    gevrey_quotients,
     make_gevrey_bump,
     prune_decay_floor,
 )
@@ -59,17 +58,15 @@ from .operators import (
     ConsistencyError,
     DualFrequency,
     OperatorParams,
-    WeightConfig,
     apply_A_tau,
     apply_L,
+    apriori_norms,
     check_apriori,
     check_scaling_inequality,
     check_weight_inequality,
     htau_norm,
-    invert_A_tau,
     probe_family,
     scaling_constant,
-    trim_invalid,
     weight_w,
 )
 from .reports import emit_report
@@ -95,9 +92,9 @@ __all__ = [
     "OrderTooHighError",
     "ResampleError",
     "SampledFunction",
-    "WeightConfig",
     "apply_A_tau",
     "apply_L",
+    "apriori_norms",
     "bracket",
     "build_counterexample",
     "check_apriori",
@@ -113,10 +110,8 @@ __all__ = [
     "fbi_field",
     "fd_weights",
     "fit_stretched_exponential",
-    "gevrey_quotients",
     "growth_table",
     "htau_norm",
-    "invert_A_tau",
     "inversion_profile",
     "jacobian_alpha",
     "lowpass_profile",
@@ -129,7 +124,6 @@ __all__ = [
     "scaling_constant",
     "select_k",
     "solve_nonlinear_eigen",
-    "trim_invalid",
     "verify_kernel",
     "weight_w",
 ]

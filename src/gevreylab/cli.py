@@ -10,7 +10,8 @@ key=value file of the same keys, which explicit flags override.
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
 order out of range, non-linear growth ladder, no eigenpair for p < q),
 1 other failures, 64 usage errors (among them a flag or config key the
-pipeline does not read, and a grid override too coarse to solve on).
+pipeline does not read, a non-finite value, an n-ladder of fewer than
+three distinct orders, and a grid override too coarse to solve on).
 """
 
 from __future__ import annotations
@@ -47,15 +48,12 @@ from .gevrey import (
 from .operators import (
     DualFrequency,
     OperatorParams,
-    WeightConfig,
-    apply_A_tau,
+    apriori_norms,
     check_apriori,
     check_scaling_inequality,
     check_weight_inequality,
-    htau_norm,
     probe_family,
     scaling_constant,
-    trim_invalid,
 )
 from .reports import (
     eigenpair_summary,
@@ -139,7 +137,7 @@ _FLAGS = {
     "order": _Flag(float, "Gevrey order of the generated bump (default 2)"),
     "tau_ladder": _Flag(_floats_csv, "dual-frequency magnitudes T1,T2,..., each >= 1"),
     "freq_ladder": _Flag(_floats_csv, "transform frequency ladder F1,F2,..."),
-    "n_ladder": _Flag(_ints_csv, "growth ladder orders N1,N2,..., two or more distinct"),
+    "n_ladder": _Flag(_ints_csv, "growth ladder orders N1,N2,..., three or more distinct"),
     "grid_x": _Flag(float, "override the profile grid half-width"),
     "grid_h": _Flag(float, "override the profile grid spacing"),
     "seed": _Flag(int, "probe-family seed (default 42)"),
@@ -169,6 +167,10 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _PIPELINES:
             raise UsageError(f"unknown command {self.command!r}")
+        numbers = (self.gamma, self.order, *self.tau_ladder, *self.freq_ladder,
+                   self.grid_x, self.grid_h)
+        if not all(v is None or math.isfinite(v) for v in numbers):
+            raise UsageError("every number must be finite, not inf or nan")
         if not (1 <= self.p <= self.q):
             raise UsageError("need integers 1 <= p <= q")
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
@@ -185,8 +187,9 @@ class RunConfig:
             raise UsageError("freq-ladder must be strictly increasing")
         if any(v < 1 for v in self.tau_ladder):  # the estimates need |tau| >= 1
             raise UsageError("tau-ladder entries must be >= 1")
-        if len(set(self.n_ladder)) < 2:  # two rows pin the nuisance constants
-            raise UsageError("n-ladder needs at least two distinct orders")
+        # Two rows pin the nuisance constants; a third tests the line.
+        if len(set(self.n_ladder)) < 3:
+            raise UsageError("n-ladder needs at least three distinct orders")
         if self.grid_x is not None and self.grid_x <= 0:
             raise UsageError("grid half-width must be positive")
         if self.grid_h is not None and self.grid_h <= 0:
@@ -411,20 +414,12 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
 
     apriori_rows = []
     for rho in (0.0, 0.05, -0.05):
-        weights = WeightConfig(rho=rho)
         for mag in config.tau_ladder:
             tau = DualFrequency(0.0, float(mag))
-            best_ratio, best_probe = 0.0, probes[0]
-            for g in probes:
-                ratio = check_apriori(g, tau, params, weights)
-                if ratio > best_ratio:
-                    best_ratio, best_probe = ratio, g
-            num = htau_norm(best_probe, 2, tau, params, weights)
-            den = htau_norm(
-                trim_invalid(apply_A_tau(best_probe, tau, params)),
-                0, tau, params, weights,
-            )
-            apriori_rows.append([rho, tau.tau1, tau.tau2, best_ratio, num, den])
+            ratios = [check_apriori(g, tau, params, rho) for g in probes]
+            best = int(np.argmax(ratios))  # the first probe that attains the max
+            num, den = apriori_norms(probes[best], tau, params, rho)
+            apriori_rows.append([rho, tau.tau1, tau.tau2, ratios[best], num, den])
     emit_report(
         apriori_rows,
         ["rho", "tau1", "tau2", "max_ratio", "h2_norm", "image_norm"],

@@ -83,8 +83,8 @@ class GridSpec:
     spacing: float
 
     def __post_init__(self):
-        if self.half_width <= 0 or self.spacing <= 0:
-            raise ValueError("grid extent and spacing must be positive")
+        if not (0 < self.half_width < math.inf and 0 < self.spacing < math.inf):
+            raise ValueError("grid extent and spacing must be positive and finite")
         if self.half_width / self.spacing < 8:
             raise ValueError("grid too small for a second-order solve")
 
@@ -135,6 +135,8 @@ class GrowthRow:
 #: grid resolves for the highest requested mode: e^-40 ~ 4e-18 lies far
 #: below both the 1e-14 profile truncation and the 1e-6 tail filter.
 _AGMON_DECAY = 40.0
+#: Coarse spacing of the default grid; the solver also uses half of it.
+_DEFAULT_SPACING = 2e-3
 
 
 def _modes_requested(count: int) -> int:
@@ -142,10 +144,9 @@ def _modes_requested(count: int) -> int:
     return max(count + 4, 8)
 
 
-def default_grid(params: OperatorParams, spacing: float = 2e-3, *,
-                 count: int = 4) -> GridSpec:
-    """Agmon extent: the highest mode requested for ``count`` pairs has
-    decayed by e^-40.
+def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
+    """Spacing 2e-3 and the Agmon extent: the highest mode requested for
+    ``count`` pairs has decayed by e^-40.
 
     Write a = 2(q-1), b = 2(p-1) and c = a - b.  A mode of eigenvalue z
     turns at x_t = z^(1/c) and decays past it like exp(-A(x)) with the
@@ -165,7 +166,7 @@ def default_grid(params: OperatorParams, spacing: float = 2e-3, *,
     a fixed window documents the empty search honestly.
     """
     if params.p == params.q:
-        return GridSpec(30.0, spacing)
+        return GridSpec(30.0, _DEFAULT_SPACING)
     c = 2 * (params.q - params.p)
     top = _modes_requested(count) - 1
     turn_q = (top + 0.5) * math.pi * c / (2.0 * beta(params.p / c, 1.5))
@@ -174,7 +175,7 @@ def default_grid(params: OperatorParams, spacing: float = 2e-3, *,
     rate = u ** (params.p - 1) * np.sqrt(u**c - 1.0)
     dist = np.concatenate(([0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(u))))
     reach = float(u[np.searchsorted(dist, target)])
-    return GridSpec(float(turn_q ** (1.0 / params.q) * reach), spacing)
+    return GridSpec(float(turn_q ** (1.0 / params.q) * reach), _DEFAULT_SPACING)
 
 
 def _profile_residual(x: np.ndarray, h: float, vals: np.ndarray, z: float,
@@ -541,24 +542,31 @@ def growth_table(
     return rows
 
 
+#: Rms budget of the 1/log N line, and the tolerated miss of an expected s0.
+_S0_TOL = 0.02
+
+
 def estimate_optimal_exponent(
     pair: Eigenpair,
     params: OperatorParams,
     N_ladder=(10**2, 10**3, 10**4, 10**5, 10**6),
     *,
-    max_residual: float = 0.02,
     expected: float | None = None,
-    tol: float = 0.02,
 ) -> float:
     """Extrapolated growth exponent: the limit of s*(N) as N -> infinity.
 
     Regresses s* against 1/log(N+1) and returns the intercept.  The
     finite-N corrections are O(1/log N) by construction, so the
     intercept is insensitive to the fitted nuisance constants, which
-    only tilt the slope.  A poor linear fit raises InconclusiveError;
-    if ``expected`` is supplied, disagreement beyond ``tol`` raises
+    only tilt the slope.  A ladder of fewer than three distinct orders
+    (a line through two rows fits exactly, so linearity goes unchecked)
+    or a fit with rms above 0.02 raises InconclusiveError; if
+    ``expected`` is supplied, disagreement beyond 0.02 raises
     ConsistencyError (used by the CLI to self-check against theory).
     """
+    if len({int(N) for N in N_ladder}) < 3:
+        raise InconclusiveError("the growth ladder needs at least three distinct "
+                                "orders; a line through two rows fits exactly")
     k = select_k(pair)
     rows = growth_table(pair, params, k, N_ladder)
     xs = np.array([1.0 / math.log(r.N + 1.0) for r in rows])
@@ -567,13 +575,13 @@ def estimate_optimal_exponent(
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     fitted = design @ coef
     rms = float(np.sqrt(np.mean((ys - fitted) ** 2)))
-    if rms > max_residual:
+    if rms > _S0_TOL:
         raise InconclusiveError(
             f"growth ladder is not linear in 1/log N (rms {rms:.3g}); "
             "widen the ladder or check the eigenpair"
         )
     s0 = float(coef[0])
-    if expected is not None and abs(s0 - expected) > tol:
+    if expected is not None and abs(s0 - expected) > _S0_TOL:
         raise ConsistencyError(
             f"extrapolated exponent {s0:.4f} disagrees with the expected "
             f"threshold {expected:.4f}"

@@ -302,10 +302,6 @@ class Decomposition:
     low: SampledFunction
     high: SampledFunction
 
-    def low_on_axis(self) -> np.ndarray:
-        vals = self.low.values
-        return vals[0] if vals.ndim == 2 else vals
-
     def high_sup(self) -> float:
         return float(np.max(np.abs(self.high.values)))
 

@@ -69,45 +69,36 @@ class GevreyOrder:
     degenerate: bool = False
 
 
-def make_gevrey_bump(
-    s: float,
-    a: float = -1.0,
-    b: float = 1.0,
-    n: int = 4096,
-) -> SampledFunction:
-    """Generate an order-s test function supported in [a, b].
+def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
+    """Generate an order-s test function supported in [-1, 1].
 
-    For s > 1 this is exp(-(x-a)^(-1/(s-1))) * exp(-(b-x)^(-1/(s-1))) on
-    (a, b) and zero outside: flat to infinite order at both endpoints,
+    For s > 1 this is exp(-(1+x)^(-1/(s-1))) * exp(-(1-x)^(-1/(s-1))) on
+    (-1, 1) and zero outside: flat to infinite order at both endpoints,
     Gevrey of order exactly s there, and in no better class.  For s = 1
-    it is a Gaussian of width (b - a)/8 truncated outside [a, b]; its
+    it is a Gaussian of width 1/4 truncated outside [-1, 1]; its
     analytic behavior lives in the interior, since nontrivial analytic
     functions cannot be compactly supported.
 
-    Samples are returned on [a - 1/2, b + 1/2] so quadratures see the
-    function decay inside the grid.
+    The n samples lie on [-3/2, 3/2], so quadratures see the function
+    decay inside the grid.
     """
     if s < 1.0:
         raise ValueError("Gevrey order must be at least 1")
-    if not b > a:
-        raise ValueError("support interval must satisfy b > a")
-    x = np.linspace(a - 0.5, b + 0.5, n)
-    mid = 0.5 * (a + b)
+    x = np.linspace(-1.5, 1.5, n)
     vals = np.zeros(n)
     if s == 1.0:
-        sigma = (b - a) / 8.0
-        inside = (x >= a) & (x <= b)
-        vals[inside] = np.exp(-((x[inside] - mid) ** 2) / (2.0 * sigma**2))
+        inside = np.abs(x) <= 1.0
+        vals[inside] = np.exp(-(x[inside] ** 2) / (2.0 * 0.25**2))
     else:
         theta = 1.0 / (s - 1.0)
-        inside = (x > a) & (x < b)
+        inside = np.abs(x) < 1.0
         xi_ = x[inside]
-        vals[inside] = np.exp(-((xi_ - a) ** -theta) - (b - xi_) ** -theta)
+        vals[inside] = np.exp(-((xi_ + 1.0) ** -theta) - (1.0 - xi_) ** -theta)
     return SampledFunction(
         origin=(x[0],),
         spacing=(x[1] - x[0],),
         values=vals,
-        support_radius=max(abs(a - mid), abs(b - mid)) + abs(mid),
+        support_radius=1.0,
     )
 
 
@@ -121,7 +112,9 @@ def fit_stretched_exponential(xs, ys) -> FitResult:
         least six points are required and the values must span two
         decades and decrease monotonically up to 5 percent slack;
         otherwise the data cannot pin a stretched exponential and
-        :class:`FitRejectedError` is raised.
+        :class:`FitRejectedError` is raised.  It is raised, too, for a
+        degenerate fit, r <= 1e-8 or a C that overflows, which is what
+        algebraic or logarithmic decay gives.
 
     Notes
     -----
@@ -177,7 +170,12 @@ def fit_stretched_exponential(xs, ys) -> FitResult:
         gtol=1e-15,
     )
     v, logd, r = sol.x
-    C = float(np.exp(lymax + np.exp(v)))
+    with np.errstate(over="ignore"):
+        C = float(np.exp(lymax + np.exp(v)))
+    if not np.isfinite(C) or r <= 1e-8:
+        raise FitRejectedError(
+            f"degenerate fit (r = {r:.3g}, C = {C:.3g}): the ladder does not "
+            "decay like a stretched exponential")
     rms = float(np.sqrt(np.mean(sol.fun**2)))
     return FitResult(C=C, delta=float(np.exp(logd)), r=float(r), residual_rms=rms, n_points=n)
 
@@ -271,10 +269,11 @@ def _fd_weights_exact(order: int, npts: int) -> tuple[float, ...]:
 _STRIDES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 
 
-def _stencil_sup(values: np.ndarray, h: float, order: int, stride: int, center_mask=None):
-    """Sup of the stride-dilated stencil estimate of f^(order), with its
-    roundoff floor.  Returns None when the stencil does not fit or no
-    stencil center survives the mask."""
+def _stencil_sup(values: np.ndarray, h: float, order: int, stride: int,
+                 center_mask: np.ndarray):
+    """Sup over the masked centers of the stride-dilated stencil estimate
+    of f^(order), with its roundoff floor.  Returns None when the stencil
+    does not fit or no stencil center survives the mask."""
     npts = order + 9 if (order + 9) % 2 == 1 else order + 10
     reach = (npts - 1) * stride
     if reach >= len(values):
@@ -285,21 +284,20 @@ def _stencil_sup(values: np.ndarray, h: float, order: int, stride: int, center_m
     acc = np.zeros(length)
     for j in range(npts):
         acc += w[j] * values[j * stride : j * stride + length]
-    if center_mask is not None:
-        # acc[i] is the stencil starting at sample i; its center sits at
-        # sample i + stride * (npts - 1) / 2.
-        centers = np.arange(length) + stride * (npts - 1) // 2
-        keep = center_mask[centers]
-        if not np.any(keep):
-            return None
-        acc = acc[keep]
+    # acc[i] is the stencil starting at sample i; its center sits at
+    # sample i + stride * (npts - 1) / 2.
+    centers = np.arange(length) + stride * (npts - 1) // 2
+    keep = center_mask[centers]
+    if not np.any(keep):
+        return None
+    acc = acc[keep]
     sup = float(np.max(np.abs(acc))) / heff**order
     floor = 64.0 * np.finfo(float).eps * float(np.max(np.abs(values)))
     floor *= float(np.sum(np.abs(w))) / heff**order
     return sup, floor
 
 
-def _reliable_sup(values: np.ndarray, h: float, order: int, center_mask=None):
+def _reliable_sup(values: np.ndarray, h: float, order: int, center_mask: np.ndarray):
     """Sup of |f^(order)| at the smallest stride m that agrees with 2m
     within 10 percent, both above four times their roundoff floor; 0.0
     when every stride sits below that floor, None when no pair agrees."""
@@ -390,21 +388,3 @@ def estimate_order_derivatives(
     order = max(1.0, float(coef[0]))
     return GevreyOrder(order=order, method="derivative-growth", n_points=len(sups))
 
-
-def gevrey_quotients(u: SampledFunction, s: float, orders=range(1, 13)) -> dict[int, float]:
-    """Normalized constants C_k = (sup|f^(k)| / k^(sk))^(1/(k+1)).
-
-    For a function of Gevrey order exactly s0, these stay bounded when
-    s >= s0 and diverge when s < s0; their growth pattern is the raw
-    signature behind the derivative-growth estimator.  The sups follow
-    that estimator's reliability rule over the whole grid; an order
-    without a reliable sup is left out, and a vanishing one gives 0.
-    """
-    values = np.asarray(u.values, dtype=float)
-    h = u.spacing[0]
-    out: dict[int, float] = {}
-    for k in orders:
-        sup = _reliable_sup(values, h, k)
-        if sup is not None:
-            out[k] = float((sup / k ** (s * k)) ** (1.0 / (k + 1)))
-    return out

@@ -21,7 +21,8 @@ the weighted Sobolev norms built from it, and three numerical checks
 whose tau-uniformity is the quantitative content of the theory:
 
 * check_apriori: the full weighted second-order norm of f is controlled
-  by the weighted norm of A_tau f, with a constant uniform in tau;
+  by the weighted norm of A_tau f, with a constant uniform in tau
+  (apriori_norms gives the two sides of that ratio);
 * check_weight_inequality: |tau|^(p/q) (|x|^(p-1) + |x|^(q-1)) <= C w
   on the unit cutoff region, uniformly over |tau| >= 1;
 * check_scaling_inequality: lam^(2/m) ||f||^2 <= C(||f'||^2
@@ -33,10 +34,9 @@ constants, never 0^0 artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .sampling import SampledFunction
 
@@ -71,44 +71,25 @@ class OperatorParams:
 
 @dataclass(frozen=True)
 class DualFrequency:
-    """Dual coordinates (xi, tau1, tau2); only (tau1, tau2) enter A_tau."""
+    """Dual frequencies (tau1, tau2) of (t1, t2), which freeze L into A_tau."""
 
     tau1: float
     tau2: float
-    xi: float = 0.0
 
     @property
     def magnitude(self) -> float:
         return float(np.hypot(self.tau1, self.tau2))
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
+_FLAT_RADIUS = 0.25
+_FULL_RADIUS = 1.0
+
+
+def _cutoff(x: np.ndarray) -> np.ndarray:
+    """Cutoff v of the norms' weight exp(rho |tau|^(p/q) v(x)): a quintic
+    smoothstep, 0 on |x| <= 1/4 and 1 on |x| >= 1, monotone in between."""
+    t = np.clip((np.abs(x) - _FLAT_RADIUS) / (_FULL_RADIUS - _FLAT_RADIUS), 0.0, 1.0)
     return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-@dataclass(frozen=True)
-class WeightConfig:
-    """Exponential weight exp(rho |tau|^(p/q) v(x)) for the norms.
-
-    The cutoff profile v is a quintic smoothstep: identically 0 on
-    [-flat_radius, flat_radius], identically 1 outside [-full_radius,
-    full_radius], monotone in between.
-    """
-
-    rho: float = 0.0
-    flat_radius: float = 0.25
-    full_radius: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.flat_radius < self.full_radius:
-            raise ValueError("need 0 < flat_radius < full_radius")
-
-    def cutoff(self, x) -> np.ndarray:
-        t = (np.abs(np.asarray(x, dtype=float)) - self.flat_radius) / (
-            self.full_radius - self.flat_radius
-        )
-        return _smoothstep(t)
 
 
 def weight_w(x, tau: DualFrequency, params: OperatorParams) -> np.ndarray:
@@ -135,14 +116,15 @@ def htau_norm(
     k: int,
     tau: DualFrequency,
     params: OperatorParams,
-    weights: WeightConfig = WeightConfig(),
+    rho: float = 0.0,
 ) -> float:
     """Squared weighted Sobolev norm of order k in {0, 1, 2}.
 
     The k-th norm sums |f^(j)|^2 w^(2(k-1-j)) for j = 0..k against the
-    density exp(rho |tau|^(p/q) v(x)) dx, so the top derivative is
-    always measured against w^(-2) and each derivative trades for one
-    power of w:
+    density exp(rho |tau|^(p/q) v(x)) dx, where the cutoff v is 0 on
+    |x| <= 1/4, 1 on |x| >= 1 and a quintic smoothstep in between.  The
+    top derivative is always measured against w^(-2) and each derivative
+    trades for one power of w:
 
         k=0:  |f|^2 w^(-2)
         k=1:  |f'|^2 w^(-2) + |f|^2
@@ -155,7 +137,7 @@ def htau_norm(
     x = f.coords(0)
     h = f.spacing[0]
     w2 = weight_w(x, tau, params) ** 2
-    env = np.exp(weights.rho * tau.magnitude**params.exponent_ratio * weights.cutoff(x))
+    env = np.exp(rho * tau.magnitude**params.exponent_ratio * _cutoff(x))
     derivs = [np.asarray(f.values)]
     for _ in range(k):
         derivs.append(np.gradient(derivs[-1], h, edge_order=2))
@@ -216,69 +198,6 @@ def apply_A_tau(
     return SampledFunction(f.origin, f.spacing, out)
 
 
-def trim_invalid(f: SampledFunction) -> SampledFunction:
-    """Strip the non-finite boundary layer left by the difference operators.
-
-    Keeps the largest contiguous block of finite samples; raises if any
-    non-finite entry survives inside it (interior NaN means corrupted
-    data, not a boundary artifact).
-    """
-    vals = np.asarray(f.values)
-    if f.ndim != 1:
-        raise ValueError("trim_invalid handles 1d samples")
-    finite = np.isfinite(vals)
-    if finite.all():
-        return f
-    idx = np.nonzero(finite)[0]
-    if len(idx) == 0:
-        raise ValueError("no finite samples to keep")
-    lo, hi = int(idx[0]), int(idx[-1]) + 1
-    if not finite[lo:hi].all():
-        raise ValueError("non-finite samples in the interior")
-    return SampledFunction(
-        origin=(float(f.coords(0)[lo]),),
-        spacing=f.spacing,
-        values=vals[lo:hi],
-        support_radius=f.support_radius,
-    )
-
-
-def invert_A_tau(
-    g: SampledFunction, tau: DualFrequency, params: OperatorParams
-) -> SampledFunction:
-    """Solve A_tau f = g with zero-Dirichlet truncation at the grid ends.
-
-    -A_tau is symmetric positive definite on the Dirichlet grid, so the
-    banded Cholesky solve is exact to rounding; invalid (NaN) boundary
-    entries of g are treated as zero, consistent with the truncation.
-    Requires |tau| >= 1, where the continuum inverse is uniformly
-    bounded and the discretization is safely definite.
-    """
-    if g.ndim != 1:
-        raise ValueError("A_tau acts on 1d samples")
-    if tau.magnitude < 1.0:
-        raise ValueError("inversion requires |tau| >= 1")
-    x = g.coords(0)
-    h = g.spacing[0]
-    n = len(x)
-    rhs = -np.nan_to_num(np.asarray(g.values))
-    diag = 2.0 / h**2 + _potential(x, tau, params)
-    band = np.zeros((2, n))
-    band[0, 1:] = -1.0 / h**2
-    band[1, :] = diag
-    try:
-        if np.iscomplexobj(rhs):
-            sol = solveh_banded(band, rhs.real) + 1j * solveh_banded(band, rhs.imag)
-        else:
-            sol = solveh_banded(band, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - |tau| >= 1 is definite
-        raise ConsistencyError(
-            f"discretized A_tau was singular at tau={tau}, which contradicts "
-            "definiteness for |tau| >= 1"
-        ) from exc
-    return SampledFunction(g.origin, g.spacing, sol)
-
-
 def probe_family(seed: int = 42) -> list[SampledFunction]:
     """Reproducible family of 100 Gaussian probes for constant calibration.
 
@@ -300,39 +219,51 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
     return out
 
 
+def apriori_norms(
+    f: SampledFunction,
+    tau: DualFrequency,
+    params: OperatorParams,
+    rho: float = 0.0,
+) -> tuple[float, float]:
+    """The two sides of the a-priori estimate: (||f||_(2,tau)^2,
+    ||A_tau f||_(0,tau)^2), both squared norms from htau_norm.
+
+    A_tau f is measured on the interior nodes only: its one-cell
+    boundary layer, which apply_A_tau leaves NaN, is sliced off.
+    """
+    image = apply_A_tau(f, tau, params)
+    interior = SampledFunction((f.coords(0)[1],), f.spacing, image.values[1:-1])
+    return htau_norm(f, 2, tau, params, rho), htau_norm(interior, 0, tau, params, rho)
+
+
 def check_apriori(
     f: SampledFunction,
     tau: DualFrequency,
     params: OperatorParams,
-    weights: WeightConfig = WeightConfig(),
+    rho: float = 0.0,
 ) -> float:
-    """Ratio of the order-2 weighted norm of f to the order-0 norm of A_tau f.
+    """Ratio ||f||_(2,tau)^2 / ||A_tau f||_(0,tau)^2 of apriori_norms.
 
     The a-priori estimate says this ratio is bounded uniformly in tau
-    for small rho; the checks sweep it over a probe family and a tau
-    ladder and watch the spread.
+    for small rho, the exponent of the norms' weight exp(rho |tau|^(p/q)
+    v(x)); the checks sweep it over a probe family and a tau ladder and
+    watch the spread.
     """
-    num = htau_norm(f, 2, tau, params, weights)
-    image = trim_invalid(apply_A_tau(f, tau, params))
-    den = htau_norm(image, 0, tau, params, weights)
+    num, den = apriori_norms(f, tau, params, rho)
     if den == 0.0 or not np.isfinite(den):
-        raise ValueError("A_tau f vanishes; the a-priori ratio is undefined")
+        raise ValueError("A_tau f vanishes or is not finite; the a-priori ratio is undefined")
     return num / den
 
 
-def check_weight_inequality(
-    params: OperatorParams, tau_ladder, support_radius: float = 1.0
-) -> float:
+def check_weight_inequality(params: OperatorParams, tau_ladder) -> float:
     """Sup of |tau|^(p/q) (|x|^(p-1) + |x|^(q-1)) / w(x, tau).
 
-    Sampled at 401 points x in [-support_radius, support_radius], tau
+    Sampled at 401 points x in the unit cutoff region [-1, 1], tau
     magnitudes from the ladder, and 16 tau directions on a quarter
     circle (w is even in each component).  Uniform boundedness over
     |tau| >= 1 is the pointwise weight inequality the norms depend on.
     """
-    if support_radius > 1.0:
-        raise ValueError("the inequality is claimed on the unit cutoff region")
-    x = np.linspace(-support_radius, support_radius, 401)
+    x = np.linspace(-1.0, 1.0, 401)
     # x^0 == 1 by convention, including at x = 0.
     numerator_x = np.abs(x) ** (params.p - 1) + np.abs(x) ** (params.q - 1)
     angles = np.linspace(0.0, np.pi / 2.0, 16)

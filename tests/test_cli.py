@@ -138,11 +138,29 @@ class TestUsageErrors:
             ("inequalities", "--tau-ladder", "1,0.5"),
             ("transform", "--freq-ladder", "64,48,32,24,16,12,8"),
             ("classify", "--freq-ladder", "16,32,32,64,128,256,512"),
+            ("counterexample", "--p", "1", "--q", "2", "--n-ladder", "1,2"),
         ],
     )
     def test_invalid_ladder_returns_64(self, tmp_path, argv):
         code, out = run(tmp_path, *argv)
         assert code == 64
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eigen", "--p", "1", "--q", "2", "--grid-x", "inf"),
+            ("eigen", "--p", "1", "--q", "2", "--grid-h", "nan"),
+            ("inequalities", "--tau-ladder", "inf"),
+            ("transform", "--order", "nan"),
+            ("classify", "--order", "inf"),
+            ("transform", "--freq-ladder", "nan"),
+        ],
+    )
+    def test_non_finite_value_returns_64(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 64
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_returns_64(self, tmp_path, capsys):

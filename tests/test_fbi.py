@@ -296,8 +296,12 @@ class TestLowpassKernel:
 class TestSplitting:
     def test_split_is_exact_on_real_axis(self, bump2):
         d = decompose(bump2, 30.0, 0.5)
-        recon = d.low_on_axis() + d.high.values
+        recon = d.low.values + d.high.values
         assert np.allclose(recon, bump2.values, atol=1e-14)
+        # On a tube, row 0 of the low part is that same real-axis row.
+        tube = decompose(bump2, 30.0, 0.5, tube_height=0.1)
+        assert np.array_equal(tube.low.values[0], d.low.values)
+        assert np.array_equal(tube.high.values, d.high.values)
 
     def test_cut_below_one_rejected(self, bump2):
         with pytest.raises(ValueError, match="at least 1"):

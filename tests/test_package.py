@@ -1,9 +1,12 @@
-"""The package namespace: every export resolves and every import is exported."""
+"""The package namespace: every export resolves, every import is exported,
+and every export has a reader."""
 
 import ast
 from pathlib import Path
 
 import gevreylab
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_lists_exactly_the_public_imports():
@@ -18,3 +21,28 @@ def test_all_lists_exactly_the_public_imports():
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(gevreylab, name)] == []
     assert {name for name in imported if not name.startswith("_")} <= set(exported)
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names a module loads, reads as attributes, or imports; a def or
+    class statement is a definition, not a reference."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_has_a_reader():
+    # A public name stays only while the package itself (beyond the
+    # namespace), the acceptance gate or the benchmark reads it.
+    package = Path(gevreylab.__file__).parent
+    readers = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    readers += [*(ROOT / "perfbench").rglob("*.py"),
+                ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
+    read = set().union(*(_referenced_names(p) for p in readers))
+    assert [name for name in gevreylab.__all__ if name not in read] == []
