@@ -10,8 +10,9 @@ key=value file of the same keys, which explicit flags override.
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
 order out of range, non-linear growth ladder, no eigenpair for p < q),
 1 other failures, 64 usage errors (among them a flag or config key the
-pipeline does not read, a non-finite value, an n-ladder of fewer than
-three distinct orders, and a grid override too coarse to solve on).
+pipeline does not read, a non-finite value, an n-ladder that is not
+strictly increasing or has fewer than three orders, and a grid override
+too coarse to solve on).
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ _FLAGS = {
     "order": _Flag(float, "Gevrey order of the generated bump (default 2)"),
     "tau_ladder": _Flag(_floats_csv, "dual-frequency magnitudes T1,T2,..., each >= 1"),
     "freq_ladder": _Flag(_floats_csv, "transform frequency ladder F1,F2,..."),
-    "n_ladder": _Flag(_ints_csv, "growth ladder orders N1,N2,..., three or more distinct"),
+    "n_ladder": _Flag(_ints_csv, "growth ladder orders N1<N2<..., three or more"),
     "grid_x": _Flag(float, "override the profile grid half-width"),
     "grid_h": _Flag(float, "override the profile grid spacing"),
     "seed": _Flag(int, "probe-family seed (default 42)"),
@@ -183,13 +184,13 @@ class RunConfig:
         ):
             if any(v <= 0 for v in ladder):
                 raise UsageError(f"{name} entries must be positive")
-        if any(b <= a for a, b in zip(self.freq_ladder, self.freq_ladder[1:])):
-            raise UsageError("freq-ladder must be strictly increasing")
+            if any(b <= a for a, b in zip(ladder, ladder[1:])):
+                raise UsageError(f"{name} must be strictly increasing")
         if any(v < 1 for v in self.tau_ladder):  # the estimates need |tau| >= 1
             raise UsageError("tau-ladder entries must be >= 1")
         # Two rows pin the nuisance constants; a third tests the line.
-        if len(set(self.n_ladder)) < 3:
-            raise UsageError("n-ladder needs at least three distinct orders")
+        if len(self.n_ladder) < 3:
+            raise UsageError("n-ladder needs at least three orders")
         if self.grid_x is not None and self.grid_x <= 0:
             raise UsageError("grid half-width must be positive")
         if self.grid_h is not None and self.grid_h <= 0:
@@ -416,10 +417,10 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
     for rho in (0.0, 0.05, -0.05):
         for mag in config.tau_ladder:
             tau = DualFrequency(0.0, float(mag))
-            ratios = [check_apriori(g, tau, params, rho) for g in probes]
+            ratios = check_apriori(probes, tau, params, rho)
             best = int(np.argmax(ratios))  # the first probe that attains the max
             num, den = apriori_norms(probes[best], tau, params, rho)
-            apriori_rows.append([rho, tau.tau1, tau.tau2, ratios[best], num, den])
+            apriori_rows.append([rho, tau.tau1, tau.tau2, float(ratios[best]), num, den])
     emit_report(
         apriori_rows,
         ["rho", "tau1", "tau2", "max_ratio", "h2_norm", "image_norm"],
@@ -433,10 +434,10 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
 
     scaling_rows = []
     for m in sorted({params.p, params.q}):
-        for lam in config.tau_ladder:
+        sides = check_scaling_inequality(probes, config.tau_ladder, m)
+        for lam, lhs_row, rhs_row in zip(config.tau_ladder, *sides):
             worst = (0.0, 0.0, 0.0)
-            for g in probes:
-                lhs, rhs = check_scaling_inequality(g, lam, m)
+            for lhs, rhs in zip(lhs_row.tolist(), rhs_row.tolist()):
                 if rhs > 0 and lhs / rhs > worst[0]:
                     worst = (lhs / rhs, lhs, rhs)
             scaling_rows.append([m, lam, worst[1], worst[2], worst[0]])

@@ -44,6 +44,11 @@ constant-coefficient one) and the solver correctly returns an empty
 list.  For p < q profiles always exist, so a search in which the
 filters reject every mode is a grid failure and raises
 InconclusiveError.
+
+scipy is imported per use, inside the one function that needs each
+module (scipy.special in default_grid, scipy.sparse in the pencil
+solve, scipy.linalg in reference_eigenvalues, scipy.interpolate in the
+profile spline), so importing the package and its CLI loads no scipy.
 """
 
 from __future__ import annotations
@@ -52,11 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import beta
-from scipy.sparse.linalg import eigsh
 
 from .operators import ConsistencyError, OperatorParams, apply_L
 from .sampling import SampledFunction
@@ -167,6 +167,8 @@ def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
     """
     if params.p == params.q:
         return GridSpec(30.0, _DEFAULT_SPACING)
+    from scipy.special import beta
+
     c = 2 * (params.q - params.p)
     top = _modes_requested(count) - 1
     turn_q = (top + 0.5) * math.pi * c / (2.0 * beta(params.p / c, 1.5))
@@ -191,6 +193,9 @@ def _profile_residual(x: np.ndarray, h: float, vals: np.ndarray, z: float,
 
 def _pencil_solve(params: OperatorParams, grid: GridSpec, k: int):
     """Eigenvalues/vectors of (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import eigsh
+
     x = grid.nodes()
     h = grid.spacing
     n = len(x)
@@ -327,6 +332,8 @@ def reference_eigenvalues(
     """
     if params.q == 1:
         raise ValueError("no discrete spectrum exists for q = 1")
+    from scipy.linalg import eigh_tridiagonal
+
     half = potential_floor ** (1.0 / (2 * (params.q - 1)))
 
     def lowest(h: float) -> np.ndarray:
@@ -350,7 +357,9 @@ def residual_norm(pair: Eigenpair, params: OperatorParams) -> float:
                              pair.z, params)
 
 
-def _spline(pair: Eigenpair) -> CubicSpline:
+def _spline(pair: Eigenpair):
+    from scipy.interpolate import CubicSpline
+
     return CubicSpline(pair.f.coords(0), np.asarray(pair.f.values, dtype=float))
 
 
@@ -492,13 +501,17 @@ def growth_table(
     exponential), so N up to 1e6 costs nothing.  The nuisance constant
     B0 is pinned by solving the two lowest rows exactly, mirroring how
     a derivative bound's constants would be fitted before testing
-    growth against them.
+    growth against them; a repeated order would make that solve
+    singular, so it raises ValueError.
     """
     if k not in (0, 1):
         raise ValueError("probe order k must be 0 or 1")
     Ns = sorted(int(N) for N in N_ladder)
     if len(Ns) < 2 or Ns[0] < 1:
         raise ValueError("need at least two ladder values with N >= 1")
+    repeated = sorted({a for a, b in zip(Ns, Ns[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"growth ladder orders must be distinct; repeated: {repeated}")
     s = _spline(pair)
     dk0 = abs(float(s(0.0, k))) if k else abs(float(s(0.0)))
     if dk0 < 1e-12:

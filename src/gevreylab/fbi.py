@@ -100,7 +100,7 @@ def _require_resolved(u: SampledFunction, top: float) -> None:
 
 
 def _require_supported(u: SampledFunction) -> None:
-    if not u.is_compactly_supported(1e-8):
+    if not u.is_compactly_supported():
         raise ValueError(
             "samples do not decay at the grid boundary; the quadrature "
             "would truncate essential mass"

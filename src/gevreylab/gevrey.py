@@ -19,6 +19,9 @@ is flat to infinite order at the support edge (the edge is the worst
 point, where order-s behavior is sharp); for s = 1 a truncated Gaussian
 probed at the center, since nontrivial compactly supported analytic
 functions do not exist.
+
+scipy.optimize is imported inside fit_stretched_exponential, its only
+user, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .fbi import fbi_field
 from .sampling import SampledFunction
@@ -155,6 +157,8 @@ def fit_stretched_exponential(xs, ys) -> FitResult:
 
     lymax = float(ly.max())
     v0 = np.log(max(float(np.mean(ly + d0 * xs**r0)) - lymax, 1e-3))
+
+    from scipy.optimize import least_squares
 
     def resid(theta):
         v, logd, r = theta

@@ -28,6 +28,14 @@ whose tau-uniformity is the quantitative content of the theory:
 * check_scaling_inequality: lam^(2/m) ||f||^2 <= C(||f'||^2
   + lam^2 int x^(2(m-1)) |f|^2) with C calibrated once at lam = 1.
 
+The norms and the a-priori and scaling checks take a probe stack: a
+sequence of 1d samples on one grid, such as probe_family returns, held
+as one (probes, nodes) array.  What depends on the grid only (weight,
+density, potential) is formed once per call and broadcast over the
+probes, and every quadrature sums over the contiguous node axis, so each
+row equals that probe checked alone.  A single 1d sample is the stack of
+one and gives floats.
+
 Convention: x^0 is 1 everywhere including x = 0, so p = 1 terms are
 constants, never 0^0 artifacts.
 """
@@ -35,6 +43,7 @@ constants, never 0^0 artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -111,13 +120,68 @@ def _potential(x: np.ndarray, tau: DualFrequency, params: OperatorParams) -> np.
     )
 
 
+def _probe_stack(
+    f: SampledFunction | Sequence[SampledFunction],
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Values (probes, nodes), nodes x and spacing h of a probe stack.
+
+    A probe stack is a sequence of 1d samples on one grid; a single 1d
+    sample is read as the stack of one.
+    """
+    probes = (f,) if isinstance(f, SampledFunction) else tuple(f)
+    if not probes:
+        raise ValueError("a probe stack needs at least one probe")
+    if any(g.ndim != 1 for g in probes):
+        raise ValueError("expected 1d samples")
+    first = probes[0]
+    grid = (first.origin, first.spacing, first.values.shape)
+    if any((g.origin, g.spacing, g.values.shape) != grid for g in probes):
+        raise ValueError("the probes of a stack must share one grid")
+    return np.stack([g.values for g in probes]), first.coords(0), first.spacing[0]
+
+
+def _per_probe(f: SampledFunction | Sequence[SampledFunction], values: np.ndarray):
+    """``values`` with its last, per-probe axis dropped for a single
+    sample, and a float where nothing else is left."""
+    if not isinstance(f, SampledFunction):
+        return values
+    one = values[..., 0]
+    return float(one) if one.ndim == 0 else one
+
+
+def _weighted_norms(
+    values: np.ndarray,
+    x: np.ndarray,
+    h: float,
+    k: int,
+    tau: DualFrequency,
+    params: OperatorParams,
+    rho: float,
+) -> np.ndarray:
+    """htau_norm of every row of ``values`` (probes, nodes) on the nodes x.
+
+    The weight and the density depend on the grid only, so they are
+    formed once on x and broadcast over the probes; each sum runs over
+    the contiguous last axis.
+    """
+    w2 = weight_w(x, tau, params) ** 2
+    env = np.exp(rho * tau.magnitude**params.exponent_ratio * _cutoff(x))
+    derivs = [values]
+    for _ in range(k):
+        derivs.append(np.gradient(derivs[-1], h, axis=-1, edge_order=2))
+    total = np.zeros(values.shape)
+    for j, d in enumerate(derivs):
+        total += np.abs(d) ** 2 * np.power(w2, k - 1 - j)
+    return np.sum(total * env, axis=-1) * h
+
+
 def htau_norm(
-    f: SampledFunction,
+    f: SampledFunction | Sequence[SampledFunction],
     k: int,
     tau: DualFrequency,
     params: OperatorParams,
     rho: float = 0.0,
-) -> float:
+) -> float | np.ndarray:
     """Squared weighted Sobolev norm of order k in {0, 1, 2}.
 
     The k-th norm sums |f^(j)|^2 w^(2(k-1-j)) for j = 0..k against the
@@ -129,34 +193,27 @@ def htau_norm(
         k=0:  |f|^2 w^(-2)
         k=1:  |f'|^2 w^(-2) + |f|^2
         k=2:  |f''|^2 w^(-2) + |f'|^2 + |f|^2 w^2
+
+    ``f`` is one 1d sample, giving a float, or a probe stack on one grid,
+    giving one norm per probe.
     """
     if k not in (0, 1, 2):
         raise ValueError("norm order k must be 0, 1, or 2")
-    if f.ndim != 1:
-        raise ValueError("weighted norms are defined for 1d samples")
-    x = f.coords(0)
-    h = f.spacing[0]
-    w2 = weight_w(x, tau, params) ** 2
-    env = np.exp(rho * tau.magnitude**params.exponent_ratio * _cutoff(x))
-    derivs = [np.asarray(f.values)]
-    for _ in range(k):
-        derivs.append(np.gradient(derivs[-1], h, edge_order=2))
-    total = np.zeros_like(x)
-    for j, d in enumerate(derivs):
-        total += np.abs(d) ** 2 * np.power(w2, k - 1 - j)
-    return float(np.sum(total * env) * h)
+    values, x, h = _probe_stack(f)
+    return _per_probe(f, _weighted_norms(values, x, h, k, tau, params, rho))
 
 
 def _second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered second difference along one axis; boundary layer NaN."""
-    out = np.full_like(values, np.nan)
+    """Centered second difference along one axis, at that axis's interior
+    nodes (the result is two shorter along ``axis``)."""
     lo = [slice(None)] * values.ndim
     hi = [slice(None)] * values.ndim
     mid = [slice(None)] * values.ndim
     lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
-    out[tuple(mid)] = (
-        values[tuple(lo)] - 2.0 * values[tuple(mid)] + values[tuple(hi)]
-    ) / h**2
+    out = 2.0 * values[tuple(mid)]  # (lo - 2 mid + hi) / h^2 in one buffer
+    np.subtract(values[tuple(lo)], out, out=out)
+    out += values[tuple(hi)]
+    out /= h**2
     return out
 
 
@@ -172,12 +229,27 @@ def apply_L(u: SampledFunction, params: OperatorParams) -> SampledFunction:
         raise ValueError("grid too small: need at least 6 points per axis")
     x = u.coords(0)
     vals = np.asarray(u.values)
-    out = _second_difference(vals, 0, u.spacing[0])
-    xp = x ** (2 * (params.p - 1))
-    xq = x ** (2 * (params.q - 1))
-    out += xp[:, None, None] * _second_difference(vals, 1, u.spacing[1])
-    out += xq[:, None, None] * _second_difference(vals, 2, u.spacing[2])
+    inner = slice(1, -1)
+    xp = (x ** (2 * (params.p - 1)))[inner, None, None]
+    xq = (x ** (2 * (params.q - 1)))[inner, None, None]
+    out = np.full_like(vals, np.nan)
+    core = out[inner, inner, inner]
+    core[...] = _second_difference(vals[:, inner, inner], 0, u.spacing[0])
+    core += xp * _second_difference(vals[inner, :, inner], 1, u.spacing[1])
+    core += xq * _second_difference(vals[inner, inner, :], 2, u.spacing[2])
     return SampledFunction(u.origin, u.spacing, out)
+
+
+def _frozen_image(
+    values: np.ndarray, x: np.ndarray, h: float, tau: DualFrequency, params: OperatorParams
+) -> np.ndarray:
+    """A_tau applied to every row of ``values`` (probes, nodes), at the
+    interior nodes x[1:-1]."""
+    if values.shape[-1] < 6:
+        raise ValueError("grid too small: need at least 6 points")
+    out = _second_difference(values, -1, h)
+    out -= _potential(x[1:-1], tau, params) * values[:, 1:-1]
+    return out
 
 
 def apply_A_tau(
@@ -187,14 +259,9 @@ def apply_A_tau(
 
     Boundary points are NaN (no centered difference exists there).
     """
-    if f.ndim != 1:
-        raise ValueError("A_tau acts on 1d samples")
-    if len(f.values) < 6:
-        raise ValueError("grid too small: need at least 6 points")
-    x = f.coords(0)
-    out = _second_difference(np.asarray(f.values), 0, f.spacing[0])
-    inner = slice(1, -1)
-    out[inner] -= _potential(x[inner], tau, params) * f.values[inner]
+    values, x, h = _probe_stack(f)
+    out = np.full_like(f.values, np.nan)
+    out[1:-1] = _frozen_image(values, x, h, tau, params)[0]
     return SampledFunction(f.origin, f.spacing, out)
 
 
@@ -203,7 +270,9 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
 
     Centers are uniform in [-1/2, 1/2], widths uniform in [0.05, 0.5];
     the 4001-node grid on [-3, 3] is wide enough that every probe is
-    negligible at the ends.
+    negligible at the ends.  All probes share that grid, so the family
+    is a probe stack: check_apriori and check_scaling_inequality take it
+    whole and return one value per probe.
     """
     count, half_width, n = 100, 3.0, 4001
     rng = np.random.default_rng(seed)
@@ -220,37 +289,45 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
 
 
 def apriori_norms(
-    f: SampledFunction,
+    f: SampledFunction | Sequence[SampledFunction],
     tau: DualFrequency,
     params: OperatorParams,
     rho: float = 0.0,
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """The two sides of the a-priori estimate: (||f||_(2,tau)^2,
-    ||A_tau f||_(0,tau)^2), both squared norms from htau_norm.
+    ||A_tau f||_(0,tau)^2), both squared norms as htau_norm forms them.
 
     A_tau f is measured on the interior nodes only: its one-cell
-    boundary layer, which apply_A_tau leaves NaN, is sliced off.
+    boundary layer, which apply_A_tau leaves NaN, is sliced off.  ``f``
+    is one 1d sample, giving two floats, or a probe stack on one grid,
+    giving two per-probe arrays.
     """
-    image = apply_A_tau(f, tau, params)
-    interior = SampledFunction((f.coords(0)[1],), f.spacing, image.values[1:-1])
-    return htau_norm(f, 2, tau, params, rho), htau_norm(interior, 0, tau, params, rho)
+    values, x, h = _probe_stack(f)
+    image = _frozen_image(values, x, h, tau, params)
+    # The image's grid starts at x[1] and is laid out as SampledFunction
+    # lays out its nodes, which can differ from x[1:-1] in the last bit.
+    x_image = x[1] + h * np.arange(len(x) - 2)
+    image_norm = _weighted_norms(image, x_image, h, 0, tau, params, rho)
+    return htau_norm(f, 2, tau, params, rho), _per_probe(f, image_norm)
 
 
 def check_apriori(
-    f: SampledFunction,
+    f: SampledFunction | Sequence[SampledFunction],
     tau: DualFrequency,
     params: OperatorParams,
     rho: float = 0.0,
-) -> float:
+) -> float | np.ndarray:
     """Ratio ||f||_(2,tau)^2 / ||A_tau f||_(0,tau)^2 of apriori_norms.
 
     The a-priori estimate says this ratio is bounded uniformly in tau
     for small rho, the exponent of the norms' weight exp(rho |tau|^(p/q)
     v(x)); the checks sweep it over a probe family and a tau ladder and
-    watch the spread.
+    watch the spread.  ``f`` is one 1d sample, giving a float, or a
+    probe stack on one grid, giving one ratio per probe; a vanishing or
+    non-finite image norm anywhere in the stack raises ValueError.
     """
     num, den = apriori_norms(f, tau, params, rho)
-    if den == 0.0 or not np.isfinite(den):
+    if np.any(den == 0.0) or not np.all(np.isfinite(den)):
         raise ValueError("A_tau f vanishes or is not finite; the a-priori ratio is undefined")
     return num / den
 
@@ -278,15 +355,16 @@ def check_weight_inequality(params: OperatorParams, tau_ladder) -> float:
     return sup
 
 
-def _scaling_terms(f: SampledFunction, m: int) -> tuple[float, float, float]:
-    """(||f||^2, ||f'||^2, int x^(2(m-1)) |f|^2) on f's own grid."""
-    x = f.coords(0)
-    h = f.spacing[0]
-    vals = np.asarray(f.values)
-    n0 = float(np.sum(np.abs(vals) ** 2) * h)
-    grad = np.gradient(vals, h, edge_order=2)
-    a = float(np.sum(np.abs(grad) ** 2) * h)
-    b = float(np.sum(np.abs(vals) ** 2 * x ** (2 * (m - 1))) * h)
+def _scaling_terms(
+    values: np.ndarray, x: np.ndarray, h: float, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-probe (||f||^2, ||f'||^2, int x^(2(m-1)) |f|^2) of the rows of
+    ``values`` (probes, nodes) on the nodes x."""
+    density = np.abs(values) ** 2
+    n0 = np.sum(density, axis=-1) * h
+    grad = np.gradient(values, h, axis=-1, edge_order=2)
+    a = np.sum(np.abs(grad) ** 2, axis=-1) * h
+    b = np.sum(density * x ** (2 * (m - 1)), axis=-1) * h
     return n0, a, b
 
 
@@ -323,17 +401,30 @@ def scaling_constant(m: int) -> float:
 
 
 def check_scaling_inequality(
-    f: SampledFunction, lam: float, m: int
-) -> tuple[float, float]:
+    f: SampledFunction | Sequence[SampledFunction],
+    lam: float | Sequence[float],
+    m: int,
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Evaluate both sides of lam^(2/m) ||f||^2 <= C (||f'||^2 + lam^2 b).
 
     Returns (lhs, rhs) with the per-order constant folded into rhs.
-    The quadratures use f's own grid, so rescaled inputs (same values,
+    ``f`` is one 1d sample or a probe stack on one grid, and ``lam`` one
+    cut or a ladder of cuts; the three quadratures depend on f and m
+    only, so they are formed once for every cut.  Each side has the
+    shape (cuts, probes), less the axis a single cut or a single sample
+    does not have: one sample at one cut gives two floats.  The
+    quadratures use f's own grid, so rescaled inputs (same values,
     scaled spacing) reproduce the continuum scaling identity exactly.
     """
-    if lam <= 0:
+    cuts = [float(c) for c in np.ravel(lam)]
+    if min(cuts) <= 0:
         raise ValueError("scaling parameter must be positive")
-    n0, a, b = _scaling_terms(f, m)
-    lhs = lam ** (2.0 / m) * n0
-    rhs = scaling_constant(m) * (a + lam**2 * b)
-    return lhs, rhs
+    values, x, h = _probe_stack(f)
+    n0, a, b = _scaling_terms(values, x, h, m)
+    c = scaling_constant(m)
+    # Python floats keep lam^(2/m) the scalar pow of a single cut.
+    lhs = np.array([cut ** (2.0 / m) * n0 for cut in cuts])
+    rhs = np.array([c * (a + cut**2 * b) for cut in cuts])
+    if np.ndim(lam) == 0:
+        lhs, rhs = lhs[0], rhs[0]
+    return _per_probe(f, lhs), _per_probe(f, rhs)

@@ -15,6 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+#: Largest boundary-shell sample, relative to the peak, of a function
+#: that counts as compactly supported on its grid.
+_SUPPORT_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SampledFunction:
@@ -75,25 +79,19 @@ class SampledFunction:
             else self.support_radius / factor,
         )
 
-    def boundary_peak(self) -> float:
-        """Largest |value| on the outermost grid shell.
-
-        Used to decide whether a quadrature over this grid can be trusted
-        as an integral over all of space.
-        """
-        peak = 0.0
-        for ax in range(self.ndim):
-            for idx in (0, -1):
-                face = np.take(self.values, idx, axis=ax)
-                peak = max(peak, float(np.max(np.abs(face))))
-        return peak
-
-    def is_compactly_supported(self, rel_tol: float = 1e-8) -> bool:
-        """True when boundary samples are below rel_tol of the peak value."""
+    def is_compactly_supported(self) -> bool:
+        """True when every sample on the outermost grid shell is at most
+        _SUPPORT_REL_TOL of the peak |value|, so a quadrature over this
+        grid can be trusted as an integral over all of space."""
         top = float(np.max(np.abs(self.values)))
         if top == 0.0:
             return True
-        return self.boundary_peak() <= rel_tol * top
+        shell = max(
+            float(np.max(np.abs(np.take(self.values, idx, axis=ax))))
+            for ax in range(self.ndim)
+            for idx in (0, -1)
+        )
+        return shell <= _SUPPORT_REL_TOL * top
 
 
 def sample(

@@ -139,6 +139,7 @@ class TestUsageErrors:
             ("transform", "--freq-ladder", "64,48,32,24,16,12,8"),
             ("classify", "--freq-ladder", "16,32,32,64,128,256,512"),
             ("counterexample", "--p", "1", "--q", "2", "--n-ladder", "1,2"),
+            ("counterexample", "--p", "1", "--q", "2", "--n-ladder", "2,2,3,4"),
         ],
     )
     def test_invalid_ladder_returns_64(self, tmp_path, argv):

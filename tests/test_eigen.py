@@ -274,6 +274,8 @@ class TestGrowthLadder:
             growth_table(pair, P12, 0, (100,))
         with pytest.raises(ValueError, match="at least two"):
             growth_table(pair, P12, 0, (0, 10))
+        with pytest.raises(ValueError, match=r"distinct; repeated: \[2\]"):
+            growth_table(pair, P12, 0, (2, 2, 3, 4))
         with pytest.raises(ValueError, match="0 or 1"):
             growth_table(pair, P12, 2, (10, 100))
 

@@ -186,6 +186,30 @@ class TestFullOperator:
         with pytest.raises(ValueError, match="3d"):
             apply_L(gauss(101), P12)
 
+    @pytest.mark.parametrize("params", [P12, P23, OperatorParams(3, 4)])
+    def test_equals_the_padded_difference_sum(self, params):
+        # Reference: each axis differenced into its own NaN-padded copy of
+        # the box, summed as d_x + x^(2(p-1)) d_t1 + x^(2(q-1)) d_t2.
+        rng = np.random.default_rng(7)
+        shape = (9, 8, 11)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = SampledFunction((-1.0, -0.5, -2.0), (0.25, 0.125, 0.4), vals)
+
+        def padded(axis):
+            out = np.full_like(vals, np.nan)
+            lo, mid, hi = ([slice(None)] * 3 for _ in range(3))
+            lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
+            out[tuple(mid)] = (
+                vals[tuple(lo)] - 2.0 * vals[tuple(mid)] + vals[tuple(hi)]
+            ) / u.spacing[axis] ** 2
+            return out
+
+        x = u.coords(0)[:, None, None]
+        want = padded(0)
+        want += x ** (2 * (params.p - 1)) * padded(1)
+        want += x ** (2 * (params.q - 1)) * padded(2)
+        assert np.array_equal(apply_L(u, params).values, want, equal_nan=True)
+
     def test_requires_enough_points(self):
         u = SampledFunction((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), np.ones((4, 8, 8)))
         with pytest.raises(ValueError, match="at least 6"):
@@ -293,6 +317,31 @@ class TestAprioriEstimate:
         with pytest.raises(ValueError, match="vanishes"):
             check_apriori(z, DualFrequency(1.0, 1.0), P12)
 
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (3, 4)])
+    def test_stack_rows_equal_single_probes(self, p, q):
+        # Each row of a stacked sweep is bit for bit the probe alone,
+        # the stack of one: the sums run over the contiguous last axis.
+        params = OperatorParams(p, q)
+        probes = probe_family()
+        for rho in (0.0, 0.05, -0.05):
+            for mag in (1.0, 10.0, 100.0, 1000.0, 10000.0):
+                tau = DualFrequency(0.0, mag)
+                ratios = check_apriori(probes, tau, params, rho)
+                assert ratios.shape == (100,)
+                for i in range(0, 100, 33):
+                    assert ratios[i] == check_apriori(probes[i], tau, params, rho)
+
+    def test_zero_probe_in_a_stack_rejected(self):
+        probes = probe_family()[:3]
+        zero = SampledFunction(probes[0].origin, probes[0].spacing, np.zeros(4001))
+        with pytest.raises(ValueError, match="vanishes"):
+            check_apriori([*probes, zero], DualFrequency(0.0, 10.0), P12)
+
+    def test_stack_needs_one_grid(self):
+        g = probe_family()[0]
+        with pytest.raises(ValueError, match="one grid"):
+            check_apriori([g, g.rescaled(2.0)], DualFrequency(0.0, 10.0), P12)
+
 
 class TestWeightInequality:
     def test_isotropic_sup_is_sqrt_two(self):
@@ -337,6 +386,20 @@ class TestScalingInequality:
         from gevreylab.operators import scaling_constant
 
         assert 1.001 / scaling_constant(3) == pytest.approx(1.0603620904841829, rel=1e-10)
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (3, 4)])
+    def test_stack_and_ladder_equal_single_calls(self, p, q):
+        probes = probe_family()
+        ladder = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+        for m in sorted({p, q}):
+            lhs, rhs = check_scaling_inequality(probes, ladder, m)
+            assert lhs.shape == rhs.shape == (5, 100)
+            for j, lam in enumerate(ladder):
+                one_cut = check_scaling_inequality(probes, lam, m)
+                assert np.array_equal(one_cut[0], lhs[j])
+                assert np.array_equal(one_cut[1], rhs[j])
+                for i in range(0, 100, 11):
+                    assert (lhs[j, i], rhs[j, i]) == check_scaling_inequality(probes[i], lam, m)
 
     def test_gaussian_satisfies_bound(self):
         f = gauss(4001, 6.0)

@@ -2,6 +2,9 @@
 and every export has a reader."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gevreylab
@@ -46,3 +49,14 @@ def test_every_export_has_a_reader():
                 ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
     read = set().union(*(_referenced_names(p) for p in readers))
     assert [name for name in gevreylab.__all__ if name not in read] == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it, so pipelines
+    # that never reach them (transform, inequalities for p, q <= 2) do
+    # not pay for it at startup.
+    env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.__file__).parents[1]))
+    code = "import sys, gevreylab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

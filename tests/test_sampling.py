@@ -43,14 +43,14 @@ def test_rescaled_represents_dilated_argument():
         f.rescaled(-1.0)
 
 
-def test_boundary_peak_and_support_check():
+def test_support_check():
     vals = np.zeros(11)
     vals[5] = 1.0
     assert line(vals).is_compactly_supported()
+    vals[-1] = 1e-9  # below the 1e-8 tolerance
+    assert line(vals).is_compactly_supported()
     vals[0] = 0.5
-    f = line(vals)
-    assert f.boundary_peak() == pytest.approx(0.5)
-    assert not f.is_compactly_supported()
+    assert not line(vals).is_compactly_supported()
     # All-zero samples count as supported (nothing to truncate).
     assert line(np.zeros(8)).is_compactly_supported()
 
