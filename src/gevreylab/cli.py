@@ -414,10 +414,9 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
     probes = probe_family(seed=config.seed)
 
     apriori_rows = []
+    taus = [DualFrequency(0.0, float(mag)) for mag in config.tau_ladder]
     for rho in (0.0, 0.05, -0.05):
-        for mag in config.tau_ladder:
-            tau = DualFrequency(0.0, float(mag))
-            ratios = check_apriori(probes, tau, params, rho)
+        for tau, ratios in zip(taus, check_apriori(probes, taus, params, rho)):
             best = int(np.argmax(ratios))  # the first probe that attains the max
             num, den = apriori_norms(probes[best], tau, params, rho)
             apriori_rows.append([rho, tau.tau1, tau.tau2, float(ratios[best]), num, den])

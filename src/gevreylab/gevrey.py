@@ -20,13 +20,14 @@ point, where order-s behavior is sharp); for s = 1 a truncated Gaussian
 probed at the center, since nontrivial compactly supported analytic
 functions do not exist.
 
-scipy.optimize is imported inside fit_stretched_exponential, its only
-user, so importing this module loads no scipy.
+Both estimators and the stretched-exponential fit use numpy alone, so
+neither importing this module nor calling it loads scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,10 @@ from .sampling import SampledFunction
 _MONOTONE_SLACK = 1.05
 #: Ladder values below peak * floor are quadrature noise, not signal.
 _DECAY_FLOOR = 1e-12
+#: The fit's v = log(log C - max log y) lives in [-_V_BOUND, _V_BOUND].
+_V_BOUND = 50.0
+#: Step of the downhill walk in v that brackets the profile minimum.
+_WALK_STEP = 0.05
 
 
 class FitRejectedError(ValueError):
@@ -104,6 +109,20 @@ def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
     )
 
 
+def _profile(v: float, lx: np.ndarray, ly: np.ndarray, lymax: float):
+    """Best (logd, r) at fixed v and the residuals of the log-space model.
+
+    For fixed v the model log(lymax + e^v - log y) = logd + r log x is a
+    straight line in log x, so the least-squares pair comes in closed
+    form; r is clamped to [1e-9, 1] and logd to [-200, 200].
+    """
+    z = np.log(lymax + np.exp(v) - ly)
+    lxc = lx - lx.mean()
+    r = float(np.clip(np.dot(lxc, z) / np.dot(lxc, lxc), 1e-9, 1.0))
+    logd = float(np.clip(np.mean(z - r * lx), -200.0, 200.0))
+    return logd, r, z - logd - r * lx
+
+
 def fit_stretched_exponential(xs, ys) -> FitResult:
     """Fit y = C * exp(-delta * x**r) with r constrained to (0, 1].
 
@@ -116,20 +135,29 @@ def fit_stretched_exponential(xs, ys) -> FitResult:
         otherwise the data cannot pin a stretched exponential and
         :class:`FitRejectedError` is raised.  It is raised, too, for a
         degenerate fit, r <= 1e-8 or a C that overflows, which is what
-        algebraic or logarithmic decay gives.
+        algebraic or logarithmic decay gives.  A NaN or infinite entry
+        in either array raises ValueError before any fitting.
 
     Notes
     -----
-    Initialization fits log(-log y) against log x on the tail half of
-    the ladder, where the prefactor C is negligible; the full model is
-    then polished by least squares in the parameterization
-    log C = max(log y) + exp(v), which keeps C above the data and the
-    profile away from the degenerate C -> infinity ray.
+    The model is fitted in log space in the parameterization
+    log C = max(log y) + exp(v), which keeps C above the data, with
+    v in [-50, 50].  Initialization fits log(-log y) against log x on the
+    tail half of the ladder, where the prefactor C is negligible, and
+    seeds v from it.  For fixed v the best (log delta, r) is a straight
+    line fit (variable projection), which leaves a search in v alone.
+    That search is local: the profile also falls toward the degenerate
+    C -> infinity ray as v grows, so it walks downhill from the seed in
+    steps of 0.05 and then bisects on the sign of the profile's slope,
+    which the envelope theorem gives in closed form.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be matching 1d arrays")
+    for name, arr in (("abscissae xs", xs), ("ladder values ys", ys)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
     if len(xs) < 6:
         raise FitRejectedError(f"need at least 6 points, got {len(xs)}")
     if np.any(ys <= 0) or np.any(xs <= 0):
@@ -156,32 +184,40 @@ def fit_stretched_exponential(xs, ys) -> FitResult:
     d0 = float(np.exp(np.clip(logd0, -200.0, 200.0)))
 
     lymax = float(ly.max())
-    v0 = np.log(max(float(np.mean(ly + d0 * xs**r0)) - lymax, 1e-3))
+    v0 = float(np.log(max(float(np.mean(ly + d0 * xs**r0)) - lymax, 1e-3)))
 
-    from scipy.optimize import least_squares
+    def cost(v: float) -> float:
+        return float(np.sum(_profile(v, lx, ly, lymax)[2] ** 2))
 
-    def resid(theta):
-        v, logd, r = theta
-        return np.log(lymax + np.exp(v) - ly) - logd - r * lx
+    def slope(v: float) -> float:
+        # d cost / dv over 2 e^v: the line is optimal at every v, so only
+        # the explicit dependence of log(lymax + e^v - ly) on v counts.
+        return float(np.sum(_profile(v, lx, ly, lymax)[2] / (lymax + np.exp(v) - ly)))
 
-    sol = least_squares(
-        resid,
-        x0=[v0, np.log(d0), r0],
-        bounds=([-50.0, -200.0, 1e-9], [50.0, 200.0, 1.0]),
-        method="trf",
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    v, logd, r = sol.x
+    v, here = v0, cost(v0)
+    step = _WALK_STEP if cost(v0 + _WALK_STEP) < here else -_WALK_STEP
+    while abs(v + step) <= _V_BOUND and (ahead := cost(v + step)) < here:
+        v, here = v + step, ahead
+    lo, hi = max(v - _WALK_STEP, -_V_BOUND), min(v + _WALK_STEP, _V_BOUND)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    v = 0.5 * (lo + hi)
+    logd, r, resid = _profile(v, lx, ly, lymax)
+
     with np.errstate(over="ignore"):
         C = float(np.exp(lymax + np.exp(v)))
     if not np.isfinite(C) or r <= 1e-8:
         raise FitRejectedError(
             f"degenerate fit (r = {r:.3g}, C = {C:.3g}): the ladder does not "
             "decay like a stretched exponential")
-    rms = float(np.sqrt(np.mean(sol.fun**2)))
-    return FitResult(C=C, delta=float(np.exp(logd)), r=float(r), residual_rms=rms, n_points=n)
+    rms = float(np.sqrt(np.mean(resid**2)))
+    return FitResult(C=C, delta=float(np.exp(logd)), r=r, residual_rms=rms, n_points=n)
 
 
 def prune_decay_floor(freqs, mags):
@@ -231,43 +267,41 @@ def estimate_order_fbi(
 def fd_weights(order: int, npts: int) -> np.ndarray:
     """Exact central finite-difference weights on integer nodes.
 
-    Solves the Taylor moment system in rational arithmetic, so the only
-    floating error in a stencil application is the final rounding of the
-    weights.  ``npts`` must be odd and exceed ``order``.  The solve is
-    cached per (order, npts); each call returns a fresh array.
+    The weights come from Fornberg's recursion in rational arithmetic, so
+    the only floating error in a stencil application is the final
+    rounding of the weights.  ``npts`` must be odd and exceed ``order``.
+    One recursion per width gives every order on that width and is
+    cached; each call returns a fresh array.
     """
     if npts % 2 != 1 or npts <= order:
         raise ValueError("need an odd stencil wider than the derivative order")
-    return np.array(_fd_weights_exact(order, npts))
+    return np.array(_fd_table(npts)[order])
 
 
 @functools.lru_cache(maxsize=None)
-def _fd_weights_exact(order: int, npts: int) -> tuple[float, ...]:
+def _fd_table(npts: int) -> tuple[tuple[float, ...], ...]:
+    """Row k: weights of the k-th derivative at 0 on the nodes -m..m,
+    m = (npts - 1) // 2, for k = 0..npts-1 (B. Fornberg, Math. Comp. 51
+    (1988) 699-706)."""
     m = (npts - 1) // 2
-    nodes = list(range(-m, m + 1))
-    # Moment matrix rows: sum_j w_j node_j^i = order! * delta(i, order).
-    mat = [[Fraction(node) ** i for node in nodes] for i in range(npts)]
-    rhs = [Fraction(0)] * npts
-    fact = 1
-    for i in range(2, order + 1):
-        fact *= i
-    rhs[order] = Fraction(fact)
-    # Gaussian elimination with partial pivoting over the rationals.
-    for col in range(npts):
-        piv = max(range(col, npts), key=lambda r: abs(mat[r][col]))
-        if mat[piv][col] == 0:
-            raise ValueError("singular stencil system")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = Fraction(1) / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        rhs[col] = rhs[col] * inv
-        for row in range(npts):
-            if row != col and mat[row][col] != 0:
-                factor = mat[row][col]
-                mat[row] = [a - factor * b for a, b in zip(mat[row], mat[col])]
-                rhs[row] = rhs[row] - factor * rhs[col]
-    return tuple(float(v) for v in rhs)
+    nodes = range(-m, m + 1)
+    # w[k][j]: weight of node j for the k-th derivative on nodes[:i + 1].
+    w = [[Fraction(0)] * npts for _ in range(npts)]
+    w[0][0] = Fraction(1)
+    prev_span = 1
+    for i in range(1, npts):
+        span = math.prod(nodes[i] - nodes[j] for j in range(i))
+        ratio = Fraction(prev_span, span)
+        for k in range(i, 0, -1):
+            w[k][i] = ratio * (k * w[k - 1][i - 1] - nodes[i - 1] * w[k][i - 1])
+        w[0][i] = -ratio * nodes[i - 1] * w[0][i - 1]
+        for j in range(i):
+            gap = nodes[i] - nodes[j]
+            for k in range(i, 0, -1):
+                w[k][j] = (nodes[i] * w[k][j] - k * w[k - 1][j]) / gap
+            w[0][j] = nodes[i] * w[0][j] / gap
+        prev_span = span
+    return tuple(tuple(float(v) for v in row) for row in w)
 
 
 _STRIDES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)

@@ -34,7 +34,10 @@ as one (probes, nodes) array.  What depends on the grid only (weight,
 density, potential) is formed once per call and broadcast over the
 probes, and every quadrature sums over the contiguous node axis, so each
 row equals that probe checked alone.  A single 1d sample is the stack of
-one and gives floats.
+one and gives floats.  Likewise the norms and the a-priori check take a
+tau ladder, and the scaling check a ladder of cuts: what depends on the
+probes only (derivatives, second difference) is formed once for every
+rung.
 
 Convention: x^0 is 1 everywhere including x = 0, so p = 1 terms are
 constants, never 0^0 artifacts.
@@ -149,36 +152,57 @@ def _per_probe(f: SampledFunction | Sequence[SampledFunction], values: np.ndarra
     return float(one) if one.ndim == 0 else one
 
 
+def _per_tau(
+    f: SampledFunction | Sequence[SampledFunction],
+    tau: DualFrequency | Sequence[DualFrequency],
+    rows: list[np.ndarray],
+):
+    """Per-tau ``rows`` of per-probe values as one (taus, probes) array,
+    less the axis a single tau or a single sample does not have."""
+    values = np.array(rows)
+    return _per_probe(f, values[0] if isinstance(tau, DualFrequency) else values)
+
+
+def _squared_derivatives(values: np.ndarray, h: float, k: int) -> list[np.ndarray]:
+    """|f^(j)|^2 for j = 0..k of every row of ``values`` (probes, nodes).
+
+    They depend on the probes only, so a sweep over tau forms them once.
+    """
+    derivs = [values]
+    for _ in range(k):
+        derivs.append(np.gradient(derivs[-1], h, axis=-1, edge_order=2))
+    return [np.abs(d) ** 2 for d in derivs]
+
+
 def _weighted_norms(
-    values: np.ndarray,
+    squares: list[np.ndarray],
     x: np.ndarray,
     h: float,
-    k: int,
     tau: DualFrequency,
     params: OperatorParams,
     rho: float,
 ) -> np.ndarray:
-    """htau_norm of every row of ``values`` (probes, nodes) on the nodes x.
+    """htau_norm of order k = len(squares) - 1 of every probe, from its
+    squared derivatives ``squares`` (j = 0..k, each (probes, nodes)) on
+    the nodes x.
 
     The weight and the density depend on the grid only, so they are
     formed once on x and broadcast over the probes; each sum runs over
     the contiguous last axis.
     """
+    k = len(squares) - 1
     w2 = weight_w(x, tau, params) ** 2
     env = np.exp(rho * tau.magnitude**params.exponent_ratio * _cutoff(x))
-    derivs = [values]
-    for _ in range(k):
-        derivs.append(np.gradient(derivs[-1], h, axis=-1, edge_order=2))
-    total = np.zeros(values.shape)
-    for j, d in enumerate(derivs):
-        total += np.abs(d) ** 2 * np.power(w2, k - 1 - j)
+    total = np.zeros(squares[0].shape)
+    for j, sq in enumerate(squares):
+        total += sq * np.power(w2, k - 1 - j)
     return np.sum(total * env, axis=-1) * h
 
 
 def htau_norm(
     f: SampledFunction | Sequence[SampledFunction],
     k: int,
-    tau: DualFrequency,
+    tau: DualFrequency | Sequence[DualFrequency],
     params: OperatorParams,
     rho: float = 0.0,
 ) -> float | np.ndarray:
@@ -194,13 +218,18 @@ def htau_norm(
         k=1:  |f'|^2 w^(-2) + |f|^2
         k=2:  |f''|^2 w^(-2) + |f'|^2 + |f|^2 w^2
 
-    ``f`` is one 1d sample, giving a float, or a probe stack on one grid,
-    giving one norm per probe.
+    ``f`` is one 1d sample or a probe stack on one grid, and ``tau`` one
+    dual frequency or a ladder of them; the derivatives depend on f only,
+    so they are formed once for every tau.  The result has the shape
+    (taus, probes), less the axis a single tau or a single sample does
+    not have: one sample at one tau gives a float.
     """
     if k not in (0, 1, 2):
         raise ValueError("norm order k must be 0, 1, or 2")
     values, x, h = _probe_stack(f)
-    return _per_probe(f, _weighted_norms(values, x, h, k, tau, params, rho))
+    squares = _squared_derivatives(values, h, k)
+    taus = [tau] if isinstance(tau, DualFrequency) else list(tau)
+    return _per_tau(f, tau, [_weighted_norms(squares, x, h, t, params, rho) for t in taus])
 
 
 def _second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -240,16 +269,17 @@ def apply_L(u: SampledFunction, params: OperatorParams) -> SampledFunction:
     return SampledFunction(u.origin, u.spacing, out)
 
 
-def _frozen_image(
-    values: np.ndarray, x: np.ndarray, h: float, tau: DualFrequency, params: OperatorParams
-) -> np.ndarray:
+def _frozen_images(
+    values: np.ndarray, x: np.ndarray, h: float, taus: Sequence[DualFrequency],
+    params: OperatorParams,
+) -> list[np.ndarray]:
     """A_tau applied to every row of ``values`` (probes, nodes), at the
-    interior nodes x[1:-1]."""
+    interior nodes x[1:-1], for each tau of ``taus``; the second
+    difference depends on the probes only and is taken once."""
     if values.shape[-1] < 6:
         raise ValueError("grid too small: need at least 6 points")
-    out = _second_difference(values, -1, h)
-    out -= _potential(x[1:-1], tau, params) * values[:, 1:-1]
-    return out
+    curvature = _second_difference(values, -1, h)
+    return [curvature - _potential(x[1:-1], tau, params) * values[:, 1:-1] for tau in taus]
 
 
 def apply_A_tau(
@@ -261,7 +291,7 @@ def apply_A_tau(
     """
     values, x, h = _probe_stack(f)
     out = np.full_like(f.values, np.nan)
-    out[1:-1] = _frozen_image(values, x, h, tau, params)[0]
+    out[1:-1] = _frozen_images(values, x, h, [tau], params)[0][0]
     return SampledFunction(f.origin, f.spacing, out)
 
 
@@ -290,7 +320,7 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
 
 def apriori_norms(
     f: SampledFunction | Sequence[SampledFunction],
-    tau: DualFrequency,
+    tau: DualFrequency | Sequence[DualFrequency],
     params: OperatorParams,
     rho: float = 0.0,
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
@@ -299,21 +329,26 @@ def apriori_norms(
 
     A_tau f is measured on the interior nodes only: its one-cell
     boundary layer, which apply_A_tau leaves NaN, is sliced off.  ``f``
-    is one 1d sample, giving two floats, or a probe stack on one grid,
-    giving two per-probe arrays.
+    and ``tau`` are read and both sides shaped as in htau_norm: one
+    sample at one tau gives two floats, a probe stack over a tau ladder
+    two (taus, probes) arrays.
     """
+    taus = [tau] if isinstance(tau, DualFrequency) else list(tau)
     values, x, h = _probe_stack(f)
-    image = _frozen_image(values, x, h, tau, params)
+    images = _frozen_images(values, x, h, taus, params)
     # The image's grid starts at x[1] and is laid out as SampledFunction
     # lays out its nodes, which can differ from x[1:-1] in the last bit.
     x_image = x[1] + h * np.arange(len(x) - 2)
-    image_norm = _weighted_norms(image, x_image, h, 0, tau, params, rho)
-    return htau_norm(f, 2, tau, params, rho), _per_probe(f, image_norm)
+    image_norms = [
+        _weighted_norms([np.abs(image) ** 2], x_image, h, t, params, rho)
+        for t, image in zip(taus, images)
+    ]
+    return htau_norm(f, 2, tau, params, rho), _per_tau(f, tau, image_norms)
 
 
 def check_apriori(
     f: SampledFunction | Sequence[SampledFunction],
-    tau: DualFrequency,
+    tau: DualFrequency | Sequence[DualFrequency],
     params: OperatorParams,
     rho: float = 0.0,
 ) -> float | np.ndarray:
@@ -322,9 +357,10 @@ def check_apriori(
     The a-priori estimate says this ratio is bounded uniformly in tau
     for small rho, the exponent of the norms' weight exp(rho |tau|^(p/q)
     v(x)); the checks sweep it over a probe family and a tau ladder and
-    watch the spread.  ``f`` is one 1d sample, giving a float, or a
-    probe stack on one grid, giving one ratio per probe; a vanishing or
-    non-finite image norm anywhere in the stack raises ValueError.
+    watch the spread.  ``f`` and ``tau`` are read and the ratios shaped
+    as in htau_norm: one per (tau, probe), a float for one sample at one
+    tau.  A vanishing or non-finite image norm anywhere raises
+    ValueError.
     """
     num, den = apriori_norms(f, tau, params, rho)
     if np.any(den == 0.0) or not np.all(np.isfinite(den)):

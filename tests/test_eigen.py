@@ -23,6 +23,7 @@ from gevreylab import (
     solve_nonlinear_eigen,
     verify_kernel,
 )
+from gevreylab.eigen import _interior_norm
 
 P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
@@ -260,6 +261,14 @@ class TestKernelIdentity:
         pair = solve(1, 2)[0]
         assert verify_kernel(pair, 20.0, P12) <= 1e-6
         assert verify_kernel(pair, 1.0, P12) <= 1e-6
+
+    def test_interior_norm_is_the_norm_of_the_copied_interior(self):
+        # Path (ii) normalizes by the box interior, summed row by row.
+        rng = np.random.default_rng(0)
+        box = rng.standard_normal((7, 8, 9)) + 1j * rng.standard_normal((7, 8, 9))
+        box[0], box[:, -1], box[..., 0] = 1e3, 1e3, 1e3
+        want = np.linalg.norm(box[1:-1, 1:-1, 1:-1].ravel())
+        assert _interior_norm(box) == pytest.approx(want, rel=1e-14)
 
 
 class TestGrowthLadder:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,16 +13,43 @@ from gevreylab import (
     FitRejectedError,
     OrderTooHighError,
     SampledFunction,
+    decompose,
     estimate_order_derivatives,
     estimate_order_fbi,
+    fbi_field,
     fd_weights,
     fit_stretched_exponential,
     make_gevrey_bump,
     prune_decay_floor,
 )
-from gevreylab.gevrey import _fd_weights_exact
+from gevreylab.gevrey import _fd_table
 
 LADDER = tuple(np.geomspace(16.0, 1024.0, 24))
+
+# (r, delta, C) that scipy's bounded trust-region least squares fitted
+# before the variable-projection solve replaced it, on the default
+# transform ladders (order s at gamma = min(1, 1/s), as the transform
+# pipeline picks it; classify reads the order-2 one) and on the
+# criterion-6 splitting cuts of the order-2 bump.
+TRUST_REGION_FITS = {
+    "transform-1": (0.9955137408011301, 0.2612782922797561, 1.0503055195103403),
+    "transform-1.5": (0.6387133899598231, 1.1733597816865162, 0.15492434454481752),
+    "transform-2": (0.4414616187485882, 2.339351130634031, 1.385528551184707),
+    "transform-3": (0.2482767406234458, 4.397069743879219, 8.869940755122967),
+    "splitting": (0.477434725021557, 1.7053237779371955, 0.5265718319926949),
+}
+
+
+def default_ladder(bump_of, name: str):
+    """The (abscissae, values) ladder a TRUST_REGION_FITS entry was fitted on."""
+    if name == "splitting":
+        cuts = [25.0 * 2.0 ** (j / 2.0) for j in range(7)]
+        highs = [decompose(bump_of(2.0), lam, 0.5, tube_height=lam**-0.5).high_sup()
+                 for lam in cuts]
+        return np.array(cuts), np.array(highs)
+    s = float(name.split("-")[1])
+    mags = fbi_field(bump_of(s), [probe_point(s)], LADDER, min(1.0, 1.0 / s)).magnitudes()[0]
+    return prune_decay_floor(LADDER, mags)
 
 
 class TestBumpGenerator:
@@ -132,6 +160,33 @@ class TestStretchedFit:
             with pytest.raises(FitRejectedError, match="degenerate"):
                 fit_stretched_exponential(xs, decay(xs))
 
+    @pytest.mark.parametrize("name", sorted(TRUST_REGION_FITS))
+    def test_matches_the_trust_region_fit(self, bump_of, name):
+        # The order-1 ladder's seed v0 = -6.91 lies far below its optimum
+        # v = 1.42, and the profile also falls toward the C -> infinity
+        # ray, so only a search that stays local to the seed keeps it.
+        fit = fit_stretched_exponential(*default_ladder(bump_of, name))
+        r, delta, C = TRUST_REGION_FITS[name]
+        assert fit.r == pytest.approx(r, rel=1e-8)
+        assert fit.delta == pytest.approx(delta, rel=1e-8)
+        # The trust-region solve stopped up to 1.4e-8 short of the optimum
+        # in C (the order-3 ladder); the same objective evaluated in
+        # 40-digit arithmetic agrees with the new fit to 3e-12.
+        assert fit.C == pytest.approx(C, rel=2e-8)
+
+    @pytest.mark.parametrize("which", ["xs", "ys"])
+    def test_rejects_non_finite_input_quietly(self, capfd, which):
+        xs = np.geomspace(1.0, 1000.0, 30)
+        ys = np.exp(-np.sqrt(xs))
+        if which == "xs":
+            xs[-1] = np.inf
+        else:
+            ys[10] = np.nan
+        with pytest.raises(ValueError, match=f"{which} must be finite") as info:
+            fit_stretched_exponential(xs, ys)
+        assert type(info.value) is ValueError
+        assert capfd.readouterr() == ("", "")
+
     def test_requires_increasing_abscissae(self):
         xs = np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0])
         with pytest.raises(ValueError, match="increasing"):
@@ -228,8 +283,30 @@ class TestStencils:
         first[:] = 99.0
         again = fd_weights(6, 15)
         assert again is not first
-        uncached = np.array(_fd_weights_exact.__wrapped__(6, 15))
+        uncached = np.array(_fd_table.__wrapped__(15)[6])
         assert again.tobytes() == uncached.tobytes()
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_recursion_matches_the_moment_solve(self, order):
+        # The derivative estimator's stencils, against the Taylor moment
+        # system sum_j w_j node_j^i = order! delta(i, order) solved by
+        # Gaussian elimination over the rationals: both are exact, so
+        # the rounded weights agree bit for bit.
+        npts = order + 9 if (order + 9) % 2 == 1 else order + 10
+        m = (npts - 1) // 2
+        rows = [[Fraction(node) ** i for node in range(-m, m + 1)] for i in range(npts)]
+        rhs = [Fraction(math.factorial(order) if i == order else 0) for i in range(npts)]
+        for col in range(npts):
+            piv = next(r for r in range(col, npts) if rows[r][col] != 0)
+            rows[col], rows[piv] = rows[piv], rows[col]
+            rhs[col], rhs[piv] = rhs[piv], rhs[col]
+            for r in range(npts):
+                if r != col and rows[r][col] != 0:
+                    factor = rows[r][col] / rows[col][col]
+                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+                    rhs[r] -= factor * rhs[col]
+        want = np.array([float(rhs[i] / rows[i][i]) for i in range(npts)])
+        assert fd_weights(order, npts).tobytes() == want.tobytes()
 
 
 class TestDerivativeEstimator:

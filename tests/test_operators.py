@@ -319,17 +319,23 @@ class TestAprioriEstimate:
 
     @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (3, 4)])
     def test_stack_rows_equal_single_probes(self, p, q):
-        # Each row of a stacked sweep is bit for bit the probe alone,
-        # the stack of one: the sums run over the contiguous last axis.
+        # Each (tau, probe) entry of a sweep over a tau ladder and a probe
+        # stack is bit for bit that probe alone at that tau, the stack of
+        # one: the sums run over the contiguous last axis, and the work
+        # that depends on the probes only is shared, not reordered.
         params = OperatorParams(p, q)
         probes = probe_family()
+        taus = [DualFrequency(0.0, mag) for mag in (1.0, 10.0, 100.0, 1000.0, 10000.0)]
         for rho in (0.0, 0.05, -0.05):
-            for mag in (1.0, 10.0, 100.0, 1000.0, 10000.0):
-                tau = DualFrequency(0.0, mag)
-                ratios = check_apriori(probes, tau, params, rho)
-                assert ratios.shape == (100,)
-                for i in range(0, 100, 33):
-                    assert ratios[i] == check_apriori(probes[i], tau, params, rho)
+            ladder = check_apriori(probes, taus, params, rho)
+            assert ladder.shape == (5, 100)
+            for j, tau in enumerate(taus):
+                assert np.array_equal(ladder[j], check_apriori(probes, tau, params, rho))
+            for i in range(0, 100, 33):
+                alone = check_apriori(probes[i], taus, params, rho)
+                assert alone.shape == (5,)
+                for j, tau in enumerate(taus):
+                    assert ladder[j, i] == alone[j] == check_apriori(probes[i], tau, params, rho)
 
     def test_zero_probe_in_a_stack_rejected(self):
         probes = probe_family()[:3]

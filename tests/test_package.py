@@ -60,3 +60,25 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_detection_runs_load_no_scipy(tmp_path):
+    # The transform fit and the derivative stencils are numpy only, so
+    # transform, classify and the splitting ladder never import scipy.
+    env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.__file__).parents[1]))
+    code = f"""
+import sys
+import numpy as np
+import gevreylab as gl
+from gevreylab.cli import main
+assert main(["transform", "--order", "2", "--out", {str(tmp_path / "t")!r}]) == 0
+assert main(["classify", "--order", "2", "--out", {str(tmp_path / "c")!r}]) == 0
+bump = gl.make_gevrey_bump(2.0)
+cuts = [25.0 * 2.0 ** (j / 2.0) for j in range(7)]
+highs = [gl.decompose(bump, lam, 0.5, tube_height=lam**-0.5).high_sup() for lam in cuts]
+gl.fit_stretched_exponential(np.array(cuts), np.array(highs))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
