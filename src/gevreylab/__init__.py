@@ -18,7 +18,6 @@ from .eigen import (
     Eigenpair,
     GridSpec,
     GrowthRow,
-    InconclusiveError,
     ResampleError,
     build_counterexample,
     default_grid,
@@ -57,6 +56,7 @@ from .gevrey import (
 from .operators import (
     ConsistencyError,
     DualFrequency,
+    InconclusiveError,
     OperatorParams,
     apply_A_tau,
     apply_L,

@@ -8,7 +8,8 @@ exactly the keys its pipeline reads as flags, plus ``--config``: a plain
 key=value file of the same keys, which explicit flags override.
 
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
-order out of range, non-linear growth ladder, no eigenpair for p < q),
+order out of range, non-linear growth ladder, no eigenpair for p < q, a
+tau ladder whose weighted norms leave the float range),
 1 other failures, 64 usage errors (among them a flag or config key the
 pipeline does not read, a non-finite value, an n-ladder that is not
 strictly increasing or has fewer than three orders, and a grid override
@@ -28,7 +29,6 @@ import numpy as np
 
 from .eigen import (
     GridSpec,
-    InconclusiveError,
     default_grid,
     estimate_optimal_exponent,
     growth_table,
@@ -48,9 +48,9 @@ from .gevrey import (
 )
 from .operators import (
     DualFrequency,
+    InconclusiveError,
     OperatorParams,
     apriori_norms,
-    check_apriori,
     check_scaling_inequality,
     check_weight_inequality,
     probe_family,
@@ -61,7 +61,6 @@ from .reports import (
     eigenpair_to_csv,
     emit_report,
     field_to_csv,
-    fit_to_dict,
     grid_summary,
     growth_to_csv,
     write_json,
@@ -272,9 +271,9 @@ def _cmd_transform(config: RunConfig, out: Path) -> int:
     u = make_gevrey_bump(order)
     x0 = _probe_point(order)
     freqs = np.asarray(config.freq_ladder, dtype=float)
-    field = fbi_field(u, [x0], freqs, gamma)
+    field = fbi_field(u, x0, freqs, gamma)
     field_to_csv(field, out / "field.csv")
-    kept_f, kept_m = prune_decay_floor(freqs, field.magnitudes()[0])
+    kept_f, kept_m = prune_decay_floor(freqs, field.magnitudes())
     fit = fit_stretched_exponential(kept_f, kept_m)
     write_json(
         {
@@ -282,7 +281,7 @@ def _cmd_transform(config: RunConfig, out: Path) -> int:
             "order": order,
             "gamma": gamma,
             "base_point": x0,
-            "fit": fit_to_dict(fit),
+            "fit": dataclasses.asdict(fit),
         },
         out / "transform.json",
     )
@@ -322,7 +321,7 @@ def _cmd_classify(config: RunConfig, out: Path) -> int:
             "s": by_decay.order,
             "transform_estimate": {
                 "order": by_decay.order,
-                "fit": fit_to_dict(by_decay.fit),
+                "fit": dataclasses.asdict(by_decay.fit),
             },
             "derivative_estimate": by_derivatives,
         },
@@ -416,10 +415,10 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
     apriori_rows = []
     taus = [DualFrequency(0.0, float(mag)) for mag in config.tau_ladder]
     for rho in (0.0, 0.05, -0.05):
-        for tau, ratios in zip(taus, check_apriori(probes, taus, params, rho)):
-            best = int(np.argmax(ratios))  # the first probe that attains the max
-            num, den = apriori_norms(probes[best], tau, params, rho)
-            apriori_rows.append([rho, tau.tau1, tau.tau2, float(ratios[best]), num, den])
+        for tau, nums, dens in zip(taus, *apriori_norms(probes, taus, params, rho)):
+            best = int(np.argmax(nums / dens))  # the first probe that attains the max
+            num, den = float(nums[best]), float(dens[best])
+            apriori_rows.append([rho, tau.tau1, tau.tau2, num / den, num, den])
     emit_report(
         apriori_rows,
         ["rho", "tau1", "tau2", "max_ratio", "h2_norm", "image_norm"],

@@ -58,7 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ConsistencyError, OperatorParams, apply_L
+from .operators import (ConsistencyError, InconclusiveError, OperatorParams,
+                        _second_difference, apply_L)
 from .sampling import SampledFunction
 
 
@@ -68,11 +69,6 @@ class ResampleError(ValueError):
 
 class DegenerateOriginError(ValueError):
     """Both |f(0)| and |f'(0)| vanish; the growth probe needs parity analysis."""
-
-
-class InconclusiveError(RuntimeError):
-    """The numerics ran but resolved nothing: no stable exponent intercept,
-    or no eigenpair of a p < q pencil that passed the filters."""
 
 
 @dataclass(frozen=True)
@@ -121,10 +117,10 @@ class Eigenpair:
 
 @dataclass(frozen=True)
 class GrowthRow:
-    """One rung of the log-space derivative-growth ladder."""
+    """One rung of the log-space derivative-growth ladder, at lam = N^(q/p);
+    the probe order k is the caller's argument to growth_table."""
 
     N: int
-    k: int
     lam: float
     log_lhs: float
     log_sup: float
@@ -183,7 +179,7 @@ def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
 def _profile_residual(x: np.ndarray, h: float, vals: np.ndarray, z: float,
                       params: OperatorParams) -> float:
     """Relative equation residual via centered differences, interior only."""
-    d2 = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / h**2
+    d2 = _second_difference(vals, 0, h)
     xc = x[1:-1]
     r = d2 - xc ** (2 * (params.q - 1)) * vals[1:-1] + z * xc ** (
         2 * (params.p - 1)
@@ -382,12 +378,12 @@ def build_counterexample(
     pair: Eigenpair,
     lam: float,
     params: OperatorParams,
-    box=((-1.0, 1.0, 41), (-1.0, 1.0, 41), (-1.0, 1.0, 41)),
+    box,
 ) -> SampledFunction:
     """Kernel element exp(i lam t2) exp(lam^(p/q) w t1) f(lam^(1/q) x) on a box.
 
-    Axes are (x, t1, t2); each axis of ``box`` is (lo, hi, n).  The
-    profile is cubic-spline resampled at the dilated x coordinates.
+    Axes are (x, t1, t2); each axis of the caller's ``box`` is (lo, hi, n).
+    The profile is cubic-spline resampled at the dilated x coordinates.
     """
     if lam < 1.0:
         raise ValueError("the family is defined for lam >= 1")
@@ -453,7 +449,7 @@ def verify_kernel(
     def path_ii(n: int, n_t2: int) -> float:
         box = ((-x_half, x_half, n), (-1.0, 1.0, n), (-1.0, 1.0, n_t2))
         F = build_counterexample(pair, lam, params, box)
-        return _interior_norm(apply_L(F, params).values) / _interior_norm(F.values)
+        return np.linalg.norm(apply_L(F, params).values) / _interior_norm(F.values)
 
     # The t2 count is fixed once from the oscillation (8 samples per
     # period of exp(i lam t2)) and then doubled along with the rest;
@@ -551,7 +547,6 @@ def growth_table(
         rows.append(
             GrowthRow(
                 N=N,
-                k=k,
                 lam=float(N**ratio),
                 log_lhs=log_lhs,
                 log_sup=log_sup,

@@ -144,33 +144,30 @@ def fbi(u: SampledFunction, z, xi, gamma: float, *, check_support: bool = True) 
     return complex(np.sum(integrand) * u.spacing[0])
 
 
-def _field_1d(u: SampledFunction, zs: np.ndarray, xis: np.ndarray, gamma: float) -> np.ndarray:
-    """Transform values on a batch of base points times a frequency grid.
+def _field_1d(u: SampledFunction, z: complex, xis: np.ndarray, gamma: float) -> np.ndarray:
+    """Transform values at base point z on a batch of frequencies.
 
-    Returns an array of shape (len(zs), len(xis)).  One fused broadcast
-    keeps the hot loop in vectorized numpy; memory is len(zs) * len(xis)
-    * len(grid) complex entries, so fbi_field chunks the frequency axis.
+    Returns an array of shape (len(xis),).  One fused broadcast keeps the
+    hot loop in vectorized numpy; memory is len(xis) * len(grid) complex
+    entries, so fbi_field chunks the frequency axis.
     """
     x = u.coords(0)
-    br = bracket(xis)
-    off = zs[:, None, None] - x[None, None, :]          # (m, 1, n)
-    xi_b = xis[None, :, None]                           # (1, k, 1)
-    br_b = br[None, :, None]
-    dot = off * xi_b
-    expo = 1j * dot - br_b**gamma * off * off
-    alpha = 1.0 + 1j * gamma * br_b ** (gamma - 2.0) * dot
-    vals = np.einsum("mkn,n->mk", np.exp(expo) * alpha, u.values)
+    br = bracket(xis)[:, None]                          # (k, 1)
+    off = z - x[None, :]                                # (1, n)
+    dot = off * xis[:, None]
+    expo = 1j * dot - br**gamma * off * off
+    alpha = 1.0 + 1j * gamma * br ** (gamma - 2.0) * dot
+    vals = np.einsum("kn,n->k", np.exp(expo) * alpha, u.values)
     return vals * u.spacing[0]
 
 
 @dataclass(frozen=True)
 class FbiField:
-    """Transform magnitudes |F u| on base points times a frequency ladder."""
+    """Transform values F u(base_point, xi) along a frequency ladder."""
 
-    base_points: np.ndarray
+    base_point: complex
     freqs: np.ndarray
-    gamma: float
-    values: np.ndarray  # complex, shape (len(base_points), len(freqs))
+    values: np.ndarray  # complex, shape (len(freqs),)
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.values)
@@ -178,17 +175,17 @@ class FbiField:
 
 def fbi_field(
     u: SampledFunction,
-    base_points,
+    base_point,
     freqs,
     gamma: float,
 ) -> FbiField:
-    """Evaluate the transform on a grid of base points and frequencies.
+    """Evaluate the transform at one base point along a frequency ladder.
 
     Parameters
     ----------
     u : SampledFunction
-    base_points : array_like, shape (m,)
-        Real or complex base points.
+    base_point : complex
+        Real or complex base point, a scalar or a length-one sequence.
     freqs : array_like, shape (k,)
         Positive frequency magnitudes (the classifier ladder).
     gamma : float
@@ -202,12 +199,12 @@ def fbi_field(
         raise ValueError("frequency ladder must be a 1d array of positive reals")
     _require_supported(u)
 
-    zs = np.atleast_1d(np.asarray(base_points, dtype=complex))
+    z = _scalar(base_point, complex)
     _require_resolved(u, freqs.max(initial=0.0))
-    values = np.empty((len(zs), len(freqs)), dtype=complex)
+    values = np.empty(len(freqs), dtype=complex)
     for start in range(0, len(freqs), 64):  # 64 frequencies per broadcast
-        values[:, start:start + 64] = _field_1d(u, zs, freqs[start:start + 64], gamma)
-    return FbiField(zs, freqs, gamma, values)
+        values[start:start + 64] = _field_1d(u, z, freqs[start:start + 64], gamma)
+    return FbiField(z, freqs, values)
 
 
 def _lowpass_kernel(w, lam: float, gamma: float) -> np.ndarray:
@@ -287,18 +284,13 @@ class Decomposition:
     """Split u = low + high at frequency cut lam.
 
     ``low`` is the frequency-truncated part: it extends to an entire
-    function, sampled here on a tube (axis 0 walks the imaginary offsets
-    0 .. tube_height, axis 1 the real grid; row 0 is the real axis).
-    With ``tube_height`` 0 there is no tube and ``low`` stays one
-    dimensional on the input grid.
-    ``high`` carries the frequencies above lam, lives on the real grid,
-    and is small in sup norm when u is regular: sup |high| decays like
+    function, sampled here on a tube (axis 0 walks five imaginary offsets
+    from 0 up to the tube height, axis 1 the real grid; row 0 is the real
+    axis).  ``high`` carries the frequencies above lam, lives on the real
+    grid, and is small in sup norm when u is regular: sup |high| decays like
     exp(-delta * lam^(1/s)) for an order-s input.
     """
 
-    lam: float
-    gamma: float
-    tube_height: float
     low: SampledFunction
     high: SampledFunction
 
@@ -313,29 +305,25 @@ def decompose(
     u: SampledFunction,
     lam: float,
     gamma: float,
-    tube_height: float = 0.0,
+    tube_height: float,
 ) -> Decomposition:
     """Split samples into low and high frequency parts at cut ``lam``.
 
     The low part is evaluated on five lines Im z = const from 0 up to
-    ``tube_height`` (one line when it is 0); the split u = low + high is
+    ``tube_height``, which must be positive; the split u = low + high is
     exact on the real axis by construction, so only the real-axis row
     enters ``high``.
     """
     if lam < 1.0:
         raise ValueError("frequency cut must be at least 1")
-    if tube_height < 0.0:
-        raise ValueError("tube height must be nonnegative")
-    heights = np.linspace(0.0, tube_height, 5 if tube_height > 0.0 else 1)
+    if not tube_height > 0.0:
+        raise ValueError("tube height must be positive")
+    heights = np.linspace(0.0, tube_height, 5)
     rows = [lowpass_profile(u, lam, gamma, height=y).values for y in heights]
-    if len(heights) == 1:
-        # Axis-only split: the low part lives on the input grid.
-        low = SampledFunction(u.origin, u.spacing, rows[0])
-    else:
-        low = SampledFunction(
-            origin=(0.0, u.origin[0]),
-            spacing=(float(heights[1] - heights[0]), u.spacing[0]),
-            values=np.vstack(rows),
-        )
+    low = SampledFunction(
+        origin=(0.0, u.origin[0]),
+        spacing=(float(heights[1] - heights[0]), u.spacing[0]),
+        values=np.vstack(rows),
+    )
     high = SampledFunction(u.origin, u.spacing, u.values - rows[0])
-    return Decomposition(float(lam), float(gamma), float(tube_height), low, high)
+    return Decomposition(low, high)

@@ -67,10 +67,11 @@ class FitResult:
 
 @dataclass(frozen=True)
 class GevreyOrder:
-    """Estimated Gevrey order with the evidence that produced it."""
+    """Estimated Gevrey order with the evidence that produced it: the
+    transform-decay fit (estimate_order_fbi only) or the count of reliable
+    derivative orders, and whether the top orders vanish identically."""
 
     order: float
-    method: str
     fit: FitResult | None = None
     n_points: int = 0
     degenerate: bool = False
@@ -252,13 +253,11 @@ def estimate_order_fbi(
     gamma the window itself caps the decay.
     """
     freqs = np.asarray(freqs, dtype=float)
-    field = fbi_field(u, [base_point], freqs, gamma)
-    mags = field.magnitudes()[0]
+    mags = fbi_field(u, base_point, freqs, gamma).magnitudes()
     kept_x, kept_y = prune_decay_floor(freqs, mags)
     fit = fit_stretched_exponential(kept_x, kept_y)
     return GevreyOrder(
         order=1.0 / fit.r,
-        method="fbi-decay",
         fit=fit,
         n_points=fit.n_points,
     )
@@ -411,7 +410,6 @@ def estimate_order_derivatives(
         if top_zero:
             return GevreyOrder(
                 order=1.0,
-                method="derivative-growth",
                 n_points=len(sups),
                 degenerate=True,
             )
@@ -424,5 +422,5 @@ def estimate_order_derivatives(
     design = np.vstack([ks * np.log(ks), ks, np.ones_like(ks)]).T
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     order = max(1.0, float(coef[0]))
-    return GevreyOrder(order=order, method="derivative-growth", n_points=len(sups))
+    return GevreyOrder(order=order, n_points=len(sups))
 

@@ -57,6 +57,12 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check that should always hold has failed."""
 
 
+class InconclusiveError(RuntimeError):
+    """The numerics ran but resolved nothing: no stable exponent intercept,
+    no eigenpair of a p < q pencil that passed the filters, or a weighted
+    norm that left the float range."""
+
+
 @dataclass(frozen=True)
 class OperatorParams:
     """Exponent pair (p, q) of the degenerate operator, 1 <= p <= q."""
@@ -107,7 +113,8 @@ def _cutoff(x: np.ndarray) -> np.ndarray:
 def weight_w(x, tau: DualFrequency, params: OperatorParams) -> np.ndarray:
     """Anisotropic weight w(x, tau); vectorizes over x."""
     x = np.asarray(x, dtype=float)
-    t1sq, t2sq = tau.tau1**2, tau.tau2**2
+    # numpy squares overflow to inf where Python floats would raise.
+    t1sq, t2sq = np.square(tau.tau1), np.square(tau.tau2)
     total = (
         t1sq ** (1.0 / params.p)
         + t1sq * x ** (2 * (params.p - 1))
@@ -118,9 +125,8 @@ def weight_w(x, tau: DualFrequency, params: OperatorParams) -> np.ndarray:
 
 
 def _potential(x: np.ndarray, tau: DualFrequency, params: OperatorParams) -> np.ndarray:
-    return tau.tau1**2 * x ** (2 * (params.p - 1)) + tau.tau2**2 * x ** (
-        2 * (params.q - 1)
-    )
+    t1sq, t2sq = np.square(tau.tau1), np.square(tau.tau2)
+    return t1sq * x ** (2 * (params.p - 1)) + t2sq * x ** (2 * (params.q - 1))
 
 
 def _probe_stack(
@@ -249,8 +255,10 @@ def _second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 def apply_L(u: SampledFunction, params: OperatorParams) -> SampledFunction:
     """Apply the degenerate operator on a 3D grid (axes x, t1, t2).
 
-    Centered second differences per axis; the one-cell boundary layer
-    cannot be differenced and is returned as NaN.
+    Centered second differences per axis, on the interior nodes only: the
+    one-cell boundary layer cannot be differenced, so the result's grid
+    starts one spacing further along each axis and is two nodes shorter
+    per axis.
     """
     if u.ndim != 3:
         raise ValueError("the operator acts on 3d samples (x, t1, t2)")
@@ -261,12 +269,11 @@ def apply_L(u: SampledFunction, params: OperatorParams) -> SampledFunction:
     inner = slice(1, -1)
     xp = (x ** (2 * (params.p - 1)))[inner, None, None]
     xq = (x ** (2 * (params.q - 1)))[inner, None, None]
-    out = np.full_like(vals, np.nan)
-    core = out[inner, inner, inner]
-    core[...] = _second_difference(vals[:, inner, inner], 0, u.spacing[0])
-    core += xp * _second_difference(vals[inner, :, inner], 1, u.spacing[1])
-    core += xq * _second_difference(vals[inner, inner, :], 2, u.spacing[2])
-    return SampledFunction(u.origin, u.spacing, out)
+    out = _second_difference(vals[:, inner, inner], 0, u.spacing[0])
+    out += xp * _second_difference(vals[inner, :, inner], 1, u.spacing[1])
+    out += xq * _second_difference(vals[inner, inner, :], 2, u.spacing[2])
+    origin = tuple(o + s for o, s in zip(u.origin, u.spacing))
+    return SampledFunction(origin, u.spacing, out)
 
 
 def _frozen_images(
@@ -287,7 +294,9 @@ def apply_A_tau(
 ) -> SampledFunction:
     """Apply the frozen operator A_tau = d^2/dx^2 - potential on 1d samples.
 
-    Boundary points are NaN (no centered difference exists there).
+    The result stays on the input grid and its two boundary points are NaN
+    (no centered difference exists there), so callers slice
+    ``.values[1:-1]`` for the interior, as the acceptance gate does.
     """
     values, x, h = _probe_stack(f)
     out = np.full_like(f.values, np.nan)
@@ -301,7 +310,7 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
     Centers are uniform in [-1/2, 1/2], widths uniform in [0.05, 0.5];
     the 4001-node grid on [-3, 3] is wide enough that every probe is
     negligible at the ends.  All probes share that grid, so the family
-    is a probe stack: check_apriori and check_scaling_inequality take it
+    is a probe stack: apriori_norms and check_scaling_inequality take it
     whole and return one value per probe.
     """
     count, half_width, n = 100, 3.0, 4001
@@ -331,19 +340,29 @@ def apriori_norms(
     boundary layer, which apply_A_tau leaves NaN, is sliced off.  ``f``
     and ``tau`` are read and both sides shaped as in htau_norm: one
     sample at one tau gives two floats, a probe stack over a tau ladder
-    two (taus, probes) arrays.
+    two (taus, probes) arrays.  A norm on either side that leaves the
+    float range raises InconclusiveError, and a vanishing image norm,
+    which leaves the ratio undefined, raises ValueError.
     """
     taus = [tau] if isinstance(tau, DualFrequency) else list(tau)
     values, x, h = _probe_stack(f)
-    images = _frozen_images(values, x, h, taus, params)
-    # The image's grid starts at x[1] and is laid out as SampledFunction
-    # lays out its nodes, which can differ from x[1:-1] in the last bit.
-    x_image = x[1] + h * np.arange(len(x) - 2)
-    image_norms = [
-        _weighted_norms([np.abs(image) ** 2], x_image, h, t, params, rho)
-        for t, image in zip(taus, images)
-    ]
-    return htau_norm(f, 2, tau, params, rho), _per_tau(f, tau, image_norms)
+    # The guard below reports an overflow; numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = _frozen_images(values, x, h, taus, params)
+        # The image's grid starts at x[1] and is laid out as SampledFunction
+        # lays out its nodes, which can differ from x[1:-1] in the last bit.
+        x_image = x[1] + h * np.arange(len(x) - 2)
+        image_norms = [
+            _weighted_norms([np.abs(image) ** 2], x_image, h, t, params, rho)
+            for t, image in zip(taus, images)
+        ]
+        num, den = htau_norm(f, 2, tau, params, rho), _per_tau(f, tau, image_norms)
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise InconclusiveError("a weighted norm of the a-priori estimate is not finite: "
+                                "it leaves the float range on this tau ladder")
+    if np.any(den == 0.0):
+        raise ValueError("A_tau f vanishes; the a-priori ratio is undefined")
+    return num, den
 
 
 def check_apriori(
@@ -356,15 +375,12 @@ def check_apriori(
 
     The a-priori estimate says this ratio is bounded uniformly in tau
     for small rho, the exponent of the norms' weight exp(rho |tau|^(p/q)
-    v(x)); the checks sweep it over a probe family and a tau ladder and
-    watch the spread.  ``f`` and ``tau`` are read and the ratios shaped
-    as in htau_norm: one per (tau, probe), a float for one sample at one
-    tau.  A vanishing or non-finite image norm anywhere raises
-    ValueError.
+    v(x)); the acceptance gate sweeps it over a probe family and a tau
+    ladder and watches the spread.  ``f`` and ``tau`` are read and the
+    ratios shaped as in htau_norm: one per (tau, probe), a float for one
+    sample at one tau.  apriori_norms raises for norms it cannot divide.
     """
     num, den = apriori_norms(f, tau, params, rho)
-    if np.any(den == 0.0) or not np.all(np.isfinite(den)):
-        raise ValueError("A_tau f vanishes or is not finite; the a-priori ratio is undefined")
     return num / den
 
 
@@ -396,10 +412,9 @@ def _scaling_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-probe (||f||^2, ||f'||^2, int x^(2(m-1)) |f|^2) of the rows of
     ``values`` (probes, nodes) on the nodes x."""
-    density = np.abs(values) ** 2
+    density, slope = _squared_derivatives(values, h, 1)
     n0 = np.sum(density, axis=-1) * h
-    grad = np.gradient(values, h, axis=-1, edge_order=2)
-    a = np.sum(np.abs(grad) ** 2, axis=-1) * h
+    a = np.sum(slope, axis=-1) * h
     b = np.sum(density * x ** (2 * (m - 1)), axis=-1) * h
     return n0, a, b
 

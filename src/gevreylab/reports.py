@@ -15,7 +15,6 @@ import numpy as np
 
 from .eigen import Eigenpair, GridSpec, GrowthRow
 from .fbi import FbiField
-from .gevrey import FitResult
 from .operators import OperatorParams
 
 
@@ -50,13 +49,9 @@ def write_json(data: Mapping, path) -> None:
 
 def field_to_csv(field: FbiField, path) -> None:
     """Transform field rows: base point, frequency, re, im, abs."""
-    rows = []
-    for i, z in enumerate(field.base_points):
-        base = complex(z)
-        label = repr(base.real) if base.imag == 0.0 else repr(base)
-        for j, xi in enumerate(field.freqs):
-            val = field.values[i, j]
-            rows.append([label, xi, val.real, val.imag, abs(val)])
+    base = field.base_point
+    label = repr(base.real) if base.imag == 0.0 else repr(base)
+    rows = [[label, xi, val.real, val.imag, abs(val)] for xi, val in zip(field.freqs, field.values)]
     emit_report(rows, ["base", "xi", "re", "im", "abs"], path)
 
 
@@ -93,13 +88,3 @@ def growth_to_csv(rows: Iterable[GrowthRow], path) -> None:
         ["N", "lambda", "log_lhs", "log_sup", "s_star"],
         path,
     )
-
-
-def fit_to_dict(fit: FitResult) -> dict:
-    return {
-        "C": fit.C,
-        "delta": fit.delta,
-        "r": fit.r,
-        "residual_rms": fit.residual_rms,
-        "n_points": fit.n_points,
-    }

@@ -5,6 +5,7 @@ import json
 import re
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -391,6 +392,17 @@ class TestInequalities:
         assert apriori[0] == "rho,tau1,tau2,max_ratio,h2_norm,image_norm"
         # 3 envelope exponents x 2 ladder magnitudes.
         assert len(apriori) == 7
+
+    @pytest.mark.parametrize("ladder", ["1,1e10", "1e200"])
+    def test_tau_beyond_float_range_is_inconclusive(self, tmp_path, capfd, ladder):
+        # 1e10 overflows the weight exp(rho |tau|^(p/q) v), 1e200 tau^2.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "inequalities", "--tau-ladder", ladder)
+        assert code == 2
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("inconclusive:")
+        assert not out.exists()
 
 
 class TestDemo:

@@ -29,6 +29,8 @@ P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
 P34 = OperatorParams(3, 4)
 PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
+#: 41 points per axis on [-1, 1]^3, the coarse box of verify_kernel.
+BOX = ((-1.0, 1.0, 41),) * 3
 
 
 def hermite_ground_pair(h: float = 1e-4, half: float = 8.0) -> Eigenpair:
@@ -198,7 +200,7 @@ class TestFamily:
         from scipy.interpolate import CubicSpline
 
         pair = solve(1, 2)[0]
-        F = build_counterexample(pair, 4.0, P12)
+        F = build_counterexample(pair, 4.0, P12, BOX)
         xs = np.linspace(-1.0, 1.0, 41)
         spline = CubicSpline(pair.f.coords(0), pair.f.values)
         assert np.allclose(F.values[:, 20, 20], spline(2.0 * xs), rtol=0, atol=1e-12)
@@ -206,7 +208,7 @@ class TestFamily:
     def test_modulus_grows_along_first_time_axis(self, solve):
         pair = solve(1, 2)[0]
         lam = 4.0
-        F = build_counterexample(pair, lam, P12)
+        F = build_counterexample(pair, lam, P12, BOX)
         t1 = np.linspace(-1.0, 1.0, 41)
         f0 = abs(F.values[20, 20, 20])
         want = f0 * np.exp(np.sqrt(lam) * pair.w.real * t1)
@@ -214,18 +216,18 @@ class TestFamily:
 
     def test_oscillation_axis_has_unit_modulus_factor(self, solve):
         pair = solve(1, 2)[0]
-        F = build_counterexample(pair, 7.0, P12)
+        F = build_counterexample(pair, 7.0, P12, BOX)
         mods = np.abs(F.values[:, :, :])
         assert np.allclose(mods, mods[:, :, :1], rtol=1e-12)
 
     def test_small_lambda_rejected(self, solve):
         with pytest.raises(ValueError, match=">= 1"):
-            build_counterexample(solve(1, 2)[0], 0.5, P12)
+            build_counterexample(solve(1, 2)[0], 0.5, P12, BOX)
 
     def test_dilation_beyond_grid_rejected(self, solve):
         # lam^(1/q) = 1000 dilation against a profile stored out to ~8.
         with pytest.raises(ResampleError):
-            build_counterexample(solve(1, 2)[0], 1e6, P12)
+            build_counterexample(solve(1, 2)[0], 1e6, P12, BOX)
 
     def test_sup_bound_fit_extrapolates(self, solve):
         # The fitted log-sup law is evaluated off the calibration ladder;
@@ -294,9 +296,9 @@ class TestGrowthLadder:
 
     def test_row_fields_consistent(self, solve):
         rows = growth_table(solve(1, 2)[0], P12, 0, (10, 100, 1000))
+        assert [r.N for r in rows] == [10, 100, 1000]
         for r in rows:
             assert r.lam == pytest.approx(float(r.N) ** 2.0, rel=1e-12)
-            assert r.k == 0
             assert np.isfinite(r.log_lhs) and np.isfinite(r.log_sup)
 
     def test_ladder_converges_from_above(self, solve):

@@ -169,28 +169,34 @@ class TestTransform:
 
 class TestField:
     def test_empty_frequency_list(self, bump2):
-        field = fbi_field(bump2, [0.0], [], 0.5)
-        assert field.values.shape == (1, 0)
-        assert field.magnitudes().shape == (1, 0)
+        field = fbi_field(bump2, 0.0, [], 0.5)
+        assert field.values.shape == (0,)
+        assert field.magnitudes().shape == (0,)
 
     def test_singleton_matches_pointwise(self, bump2):
-        field = fbi_field(bump2, [0.25], [17.0], 0.75)
+        field = fbi_field(bump2, 0.25, [17.0], 0.75)
         direct = fbi(bump2, 0.25, 17.0, 0.75)
-        assert abs(field.values[0, 0] - direct) <= 1e-12 * max(1.0, abs(direct))
+        assert field.base_point == 0.25
+        assert abs(field.values[0] - direct) <= 1e-12 * max(1.0, abs(direct))
 
     def test_bump_decays_along_ray(self, bump2):
         freqs = 2.0 ** np.arange(0, 11)
-        mags = fbi_field(bump2, [0.0], freqs, 1.0).magnitudes()[0]
+        mags = fbi_field(bump2, 0.0, freqs, 1.0).magnitudes()
+        assert mags.shape == freqs.shape
         assert np.all(np.diff(mags) < 0)
 
     def test_positive_frequencies_required(self, bump2):
         with pytest.raises(ValueError, match="positive"):
-            fbi_field(bump2, [0.0], [-1.0, 2.0], 0.5)
+            fbi_field(bump2, 0.0, [-1.0, 2.0], 0.5)
+
+    def test_one_base_point_only(self, bump2):
+        with pytest.raises(ValueError, match="scalars"):
+            fbi_field(bump2, [0.0, 0.5], [1.0], 0.5)
 
     def test_one_dimensional_only(self):
         f = SampledFunction((0.0, 0.0), (0.1, 0.1), np.zeros((8, 8)))
         with pytest.raises(ValueError, match="1d"):
-            fbi_field(f, [[0.0, 0.0]], [1.0], 0.5)
+            fbi_field(f, 0.0, [1.0], 0.5)
 
     def test_tube_growth_bound(self, bump2):
         # One (C, delta) fitted on the real axis plus a linear-in-|Im z|
@@ -198,8 +204,7 @@ class TestField:
         # grid; the exchange rate is at most the frequency itself.
         freqs = np.geomspace(16.0, 1024.0, 24)
         heights = (-0.02, -0.01, 0.0, 0.01, 0.02)
-        field = fbi_field(bump2, [1.0 + 1j * y for y in heights], freqs, 0.5)
-        mags = field.magnitudes()
+        mags = [fbi_field(bump2, 1.0 + 1j * y, freqs, 0.5).magnitudes() for y in heights]
         row0 = list(heights).index(0.0)
         kept_f, kept_m = prune_decay_floor(freqs, mags[row0])
         fit = fit_stretched_exponential(kept_f, kept_m)
@@ -295,21 +300,23 @@ class TestLowpassKernel:
 
 class TestSplitting:
     def test_split_is_exact_on_real_axis(self, bump2):
-        d = decompose(bump2, 30.0, 0.5)
-        recon = d.low.values + d.high.values
+        # Row 0 of the tube is the real axis, where the split is exact.
+        d = decompose(bump2, 30.0, 0.5, tube_height=0.1)
+        assert d.low.values.shape == (5, bump2.values.size)
+        assert d.low.origin == (0.0, bump2.origin[0])
+        assert d.low.spacing == (0.025, bump2.spacing[0])
+        recon = d.low.values[0] + d.high.values
         assert np.allclose(recon, bump2.values, atol=1e-14)
-        # On a tube, row 0 of the low part is that same real-axis row.
-        tube = decompose(bump2, 30.0, 0.5, tube_height=0.1)
-        assert np.array_equal(tube.low.values[0], d.low.values)
-        assert np.array_equal(tube.high.values, d.high.values)
+        assert np.array_equal(d.low.values[0], lowpass_profile(bump2, 30.0, 0.5).values)
 
     def test_cut_below_one_rejected(self, bump2):
         with pytest.raises(ValueError, match="at least 1"):
-            decompose(bump2, 0.5, 0.5)
+            decompose(bump2, 0.5, 0.5, tube_height=0.1)
 
     def test_negative_tube_rejected(self, bump2):
-        with pytest.raises(ValueError, match="nonnegative"):
-            decompose(bump2, 10.0, 0.5, tube_height=-0.1)
+        for height in (-0.1, 0.0):
+            with pytest.raises(ValueError, match="positive"):
+                decompose(bump2, 10.0, 0.5, tube_height=height)
 
     def test_lowpass_requires_resolvable_cut(self, bump2):
         limit = 2.0 * np.pi / (8.0 * bump2.spacing[0])
@@ -324,7 +331,8 @@ class TestSplitting:
         # remnant, so the genuinely smooth sample is the right probe.)
         lams = np.array([25.0, 50.0, 100.0, 200.0])
         sups = np.array(
-            [decompose(smooth_gaussian, lam, 1.0).high_sup() for lam in lams]
+            [decompose(smooth_gaussian, lam, 1.0, tube_height=lam**-0.5).high_sup()
+             for lam in lams]
         )
         assert np.all(np.diff(sups) < 0)
         slope = np.polyfit(lams, np.log(sups), 1)[0]

@@ -48,7 +48,7 @@ def default_ladder(bump_of, name: str):
                  for lam in cuts]
         return np.array(cuts), np.array(highs)
     s = float(name.split("-")[1])
-    mags = fbi_field(bump_of(s), [probe_point(s)], LADDER, min(1.0, 1.0 / s)).magnitudes()[0]
+    mags = fbi_field(bump_of(s), probe_point(s), LADDER, min(1.0, 1.0 / s)).magnitudes()
     return prune_decay_floor(LADDER, mags)
 
 
@@ -232,7 +232,8 @@ class TestTransformEstimator:
         est = estimate_order_fbi(bump_of(s), probe_point(s), gamma, LADDER)
         assert est.fit.r == pytest.approx(FROZEN_R[(s, gamma)], abs=2e-3)
         assert est.order == pytest.approx(1.0 / est.fit.r)
-        assert est.method == "fbi-decay"
+        assert est.n_points == est.fit.n_points
+        assert not est.degenerate
 
     def test_matched_window_recovers_exponent(self, bump_of):
         for s in (1.0, 1.5, 2.0, 3.0):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gevreylab import (
     DualFrequency,
+    InconclusiveError,
     OperatorParams,
     SampledFunction,
     apply_A_tau,
@@ -172,15 +173,15 @@ class TestFullOperator:
             vals,
         )
         out = apply_L(u, P12)
-        inner = out.values[1:-1, 1:-1, 1:-1]
-        assert np.allclose(inner, 2.0, atol=1e-10)
+        assert out.values.shape == (19, 7, 7)
+        assert np.allclose(out.values, 2.0, atol=1e-10)
 
     def test_constant_maps_to_zero(self):
+        # Only the interior is returned: no boundary layer, so no NaN.
         u = SampledFunction((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), np.ones((8, 8, 8)))
         out = apply_L(u, P23)
-        assert np.allclose(out.values[1:-1, 1:-1, 1:-1], 0.0)
-        assert np.all(np.isnan(out.values[0]))
-        assert np.all(np.isnan(out.values[-1]))
+        assert out.values.shape == (6, 6, 6)
+        assert np.allclose(out.values, 0.0)
 
     def test_requires_3d(self):
         with pytest.raises(ValueError, match="3d"):
@@ -208,7 +209,11 @@ class TestFullOperator:
         want = padded(0)
         want += x ** (2 * (params.p - 1)) * padded(1)
         want += x ** (2 * (params.q - 1)) * padded(2)
-        assert np.array_equal(apply_L(u, params).values, want, equal_nan=True)
+        got = apply_L(u, params)
+        assert got.values.shape == (7, 6, 9)
+        assert got.origin == (-0.75, -0.375, -1.6)
+        assert got.spacing == u.spacing
+        assert np.array_equal(got.values, want[1:-1, 1:-1, 1:-1])
 
     def test_requires_enough_points(self):
         u = SampledFunction((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), np.ones((4, 8, 8)))
@@ -329,6 +334,8 @@ class TestAprioriEstimate:
         for rho in (0.0, 0.05, -0.05):
             ladder = check_apriori(probes, taus, params, rho)
             assert ladder.shape == (5, 100)
+            sides = apriori_norms(probes, taus, params, rho)
+            assert np.array_equal(ladder, sides[0] / sides[1])
             for j, tau in enumerate(taus):
                 assert np.array_equal(ladder[j], check_apriori(probes, tau, params, rho))
             for i in range(0, 100, 33):
@@ -336,12 +343,31 @@ class TestAprioriEstimate:
                 assert alone.shape == (5,)
                 for j, tau in enumerate(taus):
                     assert ladder[j, i] == alone[j] == check_apriori(probes[i], tau, params, rho)
+                    one = apriori_norms(probes[i], tau, params, rho)
+                    assert (sides[0][j, i], sides[1][j, i]) == one
 
     def test_zero_probe_in_a_stack_rejected(self):
         probes = probe_family()[:3]
         zero = SampledFunction(probes[0].origin, probes[0].spacing, np.zeros(4001))
-        with pytest.raises(ValueError, match="vanishes"):
-            check_apriori([*probes, zero], DualFrequency(0.0, 10.0), P12)
+        for check in (check_apriori, apriori_norms):
+            with pytest.raises(ValueError, match="vanishes"):
+                check([*probes, zero], DualFrequency(0.0, 10.0), P12)
+
+    def test_overflow_of_the_h2_side_alone_is_inconclusive(self):
+        # Scaled so that only the h2 sum overflows: the image sum stays
+        # finite, since the ratio h2/image exceeds 1 at this tau.
+        g = probe_family()[0]
+        tau = DualFrequency(0.0, 10.0)
+        num, den = apriori_norms(g, tau, P12)
+        assert num / den > 1.2
+        h = g.spacing[0]
+        scale = np.sqrt(np.finfo(float).max * h / np.sqrt(num * den))
+        big = SampledFunction(g.origin, g.spacing, scale * g.values)
+        interior = apply_A_tau(big, tau, P12).values[1:-1]
+        image = SampledFunction((g.coords(0)[1],), g.spacing, interior)
+        assert np.isfinite(htau_norm(image, 0, tau, P12))
+        with pytest.raises(InconclusiveError, match="not finite"):
+            apriori_norms(big, tau, P12)
 
     def test_stack_needs_one_grid(self):
         g = probe_family()[0]
