@@ -434,11 +434,9 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
     for m in sorted({params.p, params.q}):
         sides = check_scaling_inequality(probes, config.tau_ladder, m)
         for lam, lhs_row, rhs_row in zip(config.tau_ladder, *sides):
-            worst = (0.0, 0.0, 0.0)
-            for lhs, rhs in zip(lhs_row.tolist(), rhs_row.tolist()):
-                if rhs > 0 and lhs / rhs > worst[0]:
-                    worst = (lhs / rhs, lhs, rhs)
-            scaling_rows.append([m, lam, worst[1], worst[2], worst[0]])
+            worst = int(np.argmax(lhs_row / rhs_row))  # as in the a-priori sweep
+            lhs, rhs = float(lhs_row[worst]), float(rhs_row[worst])
+            scaling_rows.append([m, lam, lhs, rhs, lhs / rhs])
     emit_report(scaling_rows, ["m", "lam", "lhs", "rhs", "ratio"],
                 out / "scaling.csv")
 

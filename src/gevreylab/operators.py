@@ -59,8 +59,8 @@ class ConsistencyError(RuntimeError):
 
 class InconclusiveError(RuntimeError):
     """The numerics ran but resolved nothing: no stable exponent intercept,
-    no eigenpair of a p < q pencil that passed the filters, or a weighted
-    norm that left the float range."""
+    no eigenpair of a p < q pencil that passed the filters, or a weight,
+    weighted norm or inequality side that left the float range."""
 
 
 @dataclass(frozen=True)
@@ -391,6 +391,7 @@ def check_weight_inequality(params: OperatorParams, tau_ladder) -> float:
     magnitudes from the ladder, and 16 tau directions on a quarter
     circle (w is even in each component).  Uniform boundedness over
     |tau| >= 1 is the pointwise weight inequality the norms depend on.
+    A weight that leaves the float range raises InconclusiveError.
     """
     x = np.linspace(-1.0, 1.0, 401)
     # x^0 == 1 by convention, including at x = 0.
@@ -402,7 +403,13 @@ def check_weight_inequality(params: OperatorParams, tau_ladder) -> float:
             raise ValueError("weight inequality is asserted for |tau| >= 1")
         for theta in angles:
             tau = DualFrequency(mag * np.cos(theta), mag * np.sin(theta))
-            ratio = mag**params.exponent_ratio * numerator_x / weight_w(x, tau, params)
+            # The guard below reports an overflow; numpy need not warn of it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = weight_w(x, tau, params)
+            if not np.all(np.isfinite(w)):
+                raise InconclusiveError(f"the weight w(x, tau) leaves the float range "
+                                        f"at |tau| = {mag:g}")
+            ratio = mag**params.exponent_ratio * numerator_x / w
             sup = max(sup, float(ratio.max()))
     return sup
 
@@ -466,16 +473,22 @@ def check_scaling_inequality(
     does not have: one sample at one cut gives two floats.  The
     quadratures use f's own grid, so rescaled inputs (same values,
     scaled spacing) reproduce the continuum scaling identity exactly.
+    A side that leaves the float range raises InconclusiveError.
     """
-    cuts = [float(c) for c in np.ravel(lam)]
+    cuts = list(np.ravel(lam).astype(float))
     if min(cuts) <= 0:
         raise ValueError("scaling parameter must be positive")
     values, x, h = _probe_stack(f)
     n0, a, b = _scaling_terms(values, x, h, m)
     c = scaling_constant(m)
-    # Python floats keep lam^(2/m) the scalar pow of a single cut.
-    lhs = np.array([cut ** (2.0 / m) * n0 for cut in cuts])
-    rhs = np.array([c * (a + cut**2 * b) for cut in cuts])
+    # Scalar cuts keep lam^(2/m) the scalar pow of a single cut; as numpy
+    # scalars they overflow to inf, which the guard below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.array([cut ** (2.0 / m) * n0 for cut in cuts])
+        rhs = np.array([c * (a + cut**2 * b) for cut in cuts])
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+        raise InconclusiveError("a side of the scaling inequality leaves the float range "
+                                "on this ladder of cuts")
     if np.ndim(lam) == 0:
         lhs, rhs = lhs[0], rhs[0]
     return _per_probe(f, lhs), _per_probe(f, rhs)

@@ -1,5 +1,7 @@
 """Profile eigensolve, kernel family, and the growth-exponent ladder."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -31,6 +33,15 @@ P34 = OperatorParams(3, 4)
 PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
 #: 41 points per axis on [-1, 1]^3, the coarse box of verify_kernel.
 BOX = ((-1.0, 1.0, 41),) * 3
+
+
+def off_centre_pair() -> Eigenpair:
+    """A profile that peaks at |x| = 1.5, outside the unit box."""
+    h, half = 1e-3, 4.0
+    x = np.arange(-half, half + h / 2.0, h)
+    values = np.exp(-((np.abs(x) - 1.5) ** 2) / 0.1)
+    f = SampledFunction((x[0],), (h,), values, support_radius=half)
+    return Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, grid_stability=0.0)
 
 
 def hermite_ground_pair(h: float = 1e-4, half: float = 8.0) -> Eigenpair:
@@ -229,21 +240,6 @@ class TestFamily:
         with pytest.raises(ResampleError):
             build_counterexample(solve(1, 2)[0], 1e6, P12, BOX)
 
-    def test_sup_bound_fit_extrapolates(self, solve):
-        # The fitted log-sup law is evaluated off the calibration ladder;
-        # for profiles peaking inside |x| <= 1 the law is exactly affine
-        # in lam^(p/q), so prediction and direct evaluation coincide.
-        from gevreylab.eigen import _sup_bound_fit
-
-        pair = solve(1, 2)[0]
-        logA, B = _sup_bound_fit(pair, P12, lams=(1.0, 2.0, 4.0))
-        coords = pair.f.coords(0)
-        vals = np.abs(np.asarray(pair.f.values))
-        for lam in (8.0, 16.0):
-            peak = float(np.max(vals[np.abs(coords) <= lam**0.5]))
-            actual = lam**0.5 * abs(pair.w.real) + np.log(peak)
-            assert logA + B * lam**0.5 == pytest.approx(actual, abs=1e-9)
-
 
 class TestKernelIdentity:
     def test_separable_reduction_is_exact(self, solve):
@@ -301,6 +297,20 @@ class TestGrowthLadder:
             assert r.lam == pytest.approx(float(r.N) ** 2.0, rel=1e-12)
             assert np.isfinite(r.log_lhs) and np.isfinite(r.log_sup)
 
+    def test_log_sup_is_the_box_sup(self, solve):
+        # sup |F_lam| on [-1, 1]^3 at lam = N^(q/p) is exp(N |Re w|)
+        # times the max of |f| over |x| <= N^(1/p).
+        ladder = (1, 2, 10, 100)
+        for pair in (off_centre_pair(), solve(1, 2)[0]):
+            coords, mags = pair.f.coords(0), np.abs(pair.f.values)
+            for row in growth_table(pair, P12, 0, ladder):
+                peak = np.max(mags[np.abs(coords) <= row.N])
+                want = row.N * abs(pair.w.real) + np.log(peak)
+                assert row.log_sup == pytest.approx(want, rel=1e-14)
+        # Past N = 1 the box reaches the off-centre peak, f = 1 at |x| = 1.5.
+        rows = growth_table(off_centre_pair(), P12, 0, ladder)
+        assert [r.log_sup for r in rows[1:]] == pytest.approx([2.0, 10.0, 100.0], abs=1e-9)
+
     def test_ladder_converges_from_above(self, solve):
         # The two calibration rows coincide by construction; past them
         # the distance to the limit shrinks monotonically.
@@ -325,6 +335,14 @@ class TestExponentEstimate:
         assert estimate_optimal_exponent(solve(2, 3)[0], P23) == pytest.approx(
             1.502124695749911, abs=1e-6
         )
+
+    def test_intercept_does_not_depend_on_w(self, solve):
+        # The two-row B0 pin absorbs the N |Re w| term of log sup exactly.
+        pair = solve(2, 3)[0]
+        s0 = estimate_optimal_exponent(pair, P23)
+        for w in (5.0, 0.1):
+            moved = dataclasses.replace(pair, w=complex(w))
+            assert estimate_optimal_exponent(moved, P23) == pytest.approx(s0, rel=1e-14)
 
     def test_expectation_cross_check(self, solve):
         pair = solve(1, 2)[0]

@@ -397,6 +397,13 @@ class TestWeightInequality:
         with pytest.raises(ValueError, match=">= 1"):
             check_weight_inequality(P12, [0.5])
 
+    def test_weight_beyond_the_float_range_is_inconclusive(self):
+        # |tau|^2 overflows at 1e200: the weight is inf (NaN where inf
+        # meets x^2 = 0), and every ratio would read 0 or NaN.
+        for params in (P11, P12):
+            with pytest.raises(InconclusiveError, match="float range"):
+                check_weight_inequality(params, [10.0, 1e200])
+
 
 class TestScalingInequality:
     def test_first_order_constant_is_exactly_one(self):
@@ -432,6 +439,15 @@ class TestScalingInequality:
                 assert np.array_equal(one_cut[1], rhs[j])
                 for i in range(0, 100, 11):
                     assert (lhs[j, i], rhs[j, i]) == check_scaling_inequality(probes[i], lam, m)
+
+    def test_sides_beyond_the_float_range_are_inconclusive(self):
+        # At 1e200 lam^2 itself overflows (a Python float would raise
+        # OverflowError); at 1.2e154 lam^2 is finite but lam^2 ||f||^2 is not.
+        cases = ((probe_family()[0], 1e200, 2), (probe_family(), [1.0, 1e200], 1),
+                 (gauss(), 1.2e154, 1))
+        for f, lam, m in cases:
+            with pytest.raises(InconclusiveError, match="float range"):
+                check_scaling_inequality(f, lam, m)
 
     def test_gaussian_satisfies_bound(self):
         f = gauss(4001, 6.0)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gevreylab
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,23 +64,48 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_detection_runs_load_no_scipy(tmp_path):
-    # The transform fit and the derivative stencils are numpy only, so
-    # transform, classify and the splitting ladder never import scipy.
-    env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.__file__).parents[1]))
-    code = f"""
-import sys
+#: What each run may load of scipy, by subpackage.  The transform fit
+#: and the derivative stencils are numpy only; the scaling constant of an
+#: order m >= 3 needs the oracle (linalg), and the eigen pipeline the
+#: pencil solve (sparse) besides; the Beta value of its default grid
+#: comes from the standard library, and it never builds the profile
+#: spline (interpolate).  The splitting ladder is the library call chain
+#: of the splitting benchmark job.
+_SCIPY_BY_RUN = {
+    "transform --order 2": set(),
+    "classify --order 2": set(),
+    "inequalities --p 1 --q 2": set(),
+    "inequalities --p 1 --q 3": {"linalg"},
+    "eigen --p 2 --q 3": {"sparse", "linalg"},
+    "splitting ladder": set(),
+}
+
+_SPLITTING = """
 import numpy as np
 import gevreylab as gl
-from gevreylab.cli import main
-assert main(["transform", "--order", "2", "--out", {str(tmp_path / "t")!r}]) == 0
-assert main(["classify", "--order", "2", "--out", {str(tmp_path / "c")!r}]) == 0
 bump = gl.make_gevrey_bump(2.0)
 cuts = [25.0 * 2.0 ** (j / 2.0) for j in range(7)]
 highs = [gl.decompose(bump, lam, 0.5, tube_height=lam**-0.5).high_sup() for lam in cuts]
 gl.fit_stretched_exponential(np.array(cuts), np.array(highs))
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
+
+
+@pytest.mark.parametrize("run", list(_SCIPY_BY_RUN),
+                         ids=lambda run: "-".join(w for w in run.split() if w[0] != "-"))
+def test_runs_load_only_the_scipy_they_use(run, tmp_path):
+    if run == "splitting ladder":
+        code = _SPLITTING
+    else:
+        argv = [*run.split(), "--out", str(tmp_path / "out")]
+        code = f"from gevreylab.cli import main\nassert main({argv!r}) == 0\n"
+    code += """
+import sys
+names = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}
+print(sorted(n for n in names if not n.startswith('_')
+             and hasattr(sys.modules['scipy.' + n], '__path__')))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    loaded = set(ast.literal_eval(out.stdout.strip().splitlines()[-1]))
+    assert loaded <= _SCIPY_BY_RUN[run]
