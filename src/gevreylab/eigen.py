@@ -49,8 +49,9 @@ InconclusiveError.
 
 scipy is imported per use, inside the one function that needs each
 module (scipy.sparse in the pencil solve, scipy.linalg in
-reference_eigenvalues, scipy.interpolate in the profile spline), so
-importing the package and its CLI loads no scipy.
+reference_eigenvalues), so importing the package and its CLI loads no
+scipy.  Profile values and derivatives off the stored nodes come from
+the cubic through the samples in moment form (_profile_at), in numpy.
 """
 
 from __future__ import annotations
@@ -355,19 +356,42 @@ def residual_norm(pair: Eigenpair, params: OperatorParams) -> float:
                              pair.z, params)
 
 
-def _spline(pair: Eigenpair):
-    from scipy.interpolate import CubicSpline
+def _profile_at(f: SampledFunction, xs, deriv: int = 0) -> np.ndarray:
+    """The profile (deriv 0) or its first derivative (deriv 1) at ``xs``,
+    from the cubic through the samples in moment form.
 
-    return CubicSpline(pair.f.coords(0), np.asarray(pair.f.values, dtype=float))
+    The moments M_i are the samples' own second difference, set to 0 at
+    the two end nodes, where the stored profile is truncated at 1e-14 of
+    its peak.  For an eigenpair they are f'' = (x^(2(q-1)) - z x^(2(p-1))) f
+    to within the residual filter, so no solve is needed.  On the cell
+    x_i + t h, 0 <= t <= 1, the cubic is the linear interpolant minus
+    h^2/6 t(1 - t)[(2 - t) M_i + (1 + t) M_(i+1)].  Its derivative jumps
+    by O(h^3 f^(4)) across a node; on a node it reads the mean of the two
+    one-sided values, so a symmetric profile has an exactly odd derivative.
+    """
+    vals = np.asarray(f.values, dtype=float)
+    h = f.spacing[0]
+    moments = np.zeros_like(vals)
+    moments[1:-1] = _second_difference(vals, 0, h)
+    # Cells come from the stored spacing: a difference of two stored
+    # coordinates is off in its last bits, which moves values by 1e-12.
+    pos = (np.asarray(xs, dtype=float) - f.origin[0]) / h
+    i = np.clip(np.floor(pos).astype(int), 0, len(vals) - 2)
+    t = pos - i
+    f0, f1, m0, m1 = vals[i], vals[i + 1], moments[i], moments[i + 1]
+    if deriv == 0:
+        return (1 - t) * f0 + t * f1 - h * h / 6 * t * (1 - t) * ((2 - t) * m0 + (1 + t) * m1)
+    slope = (f1 - f0) / h - h / 6 * ((2 - 6 * t + 3 * t * t) * m0 + (1 - 3 * t * t) * m1)
+    j = np.clip(np.rint(pos).astype(int), 1, len(vals) - 2)
+    mean = (vals[j + 1] - vals[j - 1]) / (2 * h) - h / 12 * (moments[j + 1] - moments[j - 1])
+    return np.where(np.abs(pos - j) < 1e-6, mean, slope)
 
 
 def select_k(pair: Eigenpair) -> int:
     """Deterministic probe order: 0 or 1, whichever derivative of the
     profile at the origin is larger; both vanishing means the profile
     has higher-order symmetry and a different eigenpair should be used."""
-    s = _spline(pair)
-    f0 = abs(float(s(0.0)))
-    f1 = abs(float(s(0.0, 1)))
+    f0, f1 = (abs(float(_profile_at(pair.f, 0.0, k))) for k in (0, 1))
     if max(f0, f1) < 1e-12:
         raise DegenerateOriginError(
             "profile and its first derivative both vanish at the origin; "
@@ -385,7 +409,8 @@ def build_counterexample(
     """Kernel element exp(i lam t2) exp(lam^(p/q) w t1) f(lam^(1/q) x) on a box.
 
     Axes are (x, t1, t2); each axis of the caller's ``box`` is (lo, hi, n).
-    The profile is cubic-spline resampled at the dilated x coordinates.
+    The profile is resampled at the dilated x coordinates by the cubic
+    through its samples in moment form (``_profile_at``).
     """
     if lam < 1.0:
         raise ValueError("the family is defined for lam >= 1")
@@ -399,8 +424,7 @@ def build_counterexample(
     xs = np.linspace(xlo, xhi, nx)
     t1 = np.linspace(t1lo, t1hi, n1)
     t2 = np.linspace(t2lo, t2hi, n2)
-    spline = _spline(pair)
-    fx = spline(np.clip(scale * xs, coords[0], coords[-1])).astype(complex)
+    fx = _profile_at(pair.f, np.clip(scale * xs, coords[0], coords[-1])).astype(complex)
     g1 = np.exp(lam**params.exponent_ratio * pair.w * t1)
     g2 = np.exp(1j * lam * t2)
     values = fx[:, None, None] * g1[None, :, None] * g2[None, None, :]
@@ -479,8 +503,9 @@ def growth_table(
     """Log-space growth ladder rows at lam = N^(q/p).
 
     Everything is analytic in log space, so N up to 1e6 costs nothing:
-    the derivative at the origin comes from the profile spline, and the
-    sup of |F_lam| on [-1, 1]^3 from its definition.  The t2 phase has
+    the derivative at the origin comes from the moment-form cubic through
+    the profile samples, and the sup of |F_lam| on [-1, 1]^3 from its
+    definition.  The t2 phase has
     modulus 1 and the t1 factor peaks at exp(lam^(p/q) |Re w|), so
     log sup = N |Re w| + log max |f| over the stored nodes with
     |x| <= lam^(1/q) = N^(1/p).  The nuisance constant B0 is pinned by
@@ -498,8 +523,7 @@ def growth_table(
     repeated = sorted({a for a, b in zip(Ns, Ns[1:]) if a == b})
     if repeated:
         raise ValueError(f"growth ladder orders must be distinct; repeated: {repeated}")
-    s = _spline(pair)
-    dk0 = abs(float(s(0.0, k))) if k else abs(float(s(0.0)))
+    dk0 = abs(float(_profile_at(pair.f, 0.0, k)))
     if dk0 < 1e-12:
         raise DegenerateOriginError(
             f"derivative of order {k} vanishes at the origin; "

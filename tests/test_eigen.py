@@ -25,7 +25,7 @@ from gevreylab import (
     solve_nonlinear_eigen,
     verify_kernel,
 )
-from gevreylab.eigen import _interior_norm
+from gevreylab.eigen import _interior_norm, _profile_at
 
 P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
@@ -49,6 +49,16 @@ def hermite_ground_pair(h: float = 1e-4, half: float = 8.0) -> Eigenpair:
     x = np.arange(-half, half + h / 2.0, h)
     f = SampledFunction((x[0],), (h,), np.exp(-x * x / 2.0), support_radius=half)
     return Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, grid_stability=0.0)
+
+
+def staggered_hermite_pair(odd: bool, h: float = 1e-3, half: float = 8.0) -> Eigenpair:
+    """Closed-form (1, 2) profile on the solver's staggered grid at its
+    fine spacing: e^(-x^2/2) (z = 1) or x e^(-x^2/2) (z = 3)."""
+    x = GridSpec(half, h).nodes()
+    values = (x if odd else 1.0) * np.exp(-x * x / 2.0)
+    f = SampledFunction((x[0],), (h,), values, support_radius=half)
+    z = 3.0 if odd else 1.0
+    return Eigenpair(z=z, w=complex(np.sqrt(z)), f=f, residual=0.0, grid_stability=0.0)
 
 
 class TestGrids:
@@ -205,6 +215,15 @@ class TestSelectK:
         with pytest.raises(DegenerateOriginError):
             select_k(pair)
 
+    def test_parity_of_closed_form_profiles(self):
+        assert select_k(staggered_hermite_pair(odd=False)) == 0
+        assert select_k(staggered_hermite_pair(odd=True)) == 1
+
+    def test_odd_profile_slope_at_origin(self):
+        # d/dx x e^(-x^2/2) = 1 at x = 0, read mid-cell on the staggered grid.
+        f = staggered_hermite_pair(odd=True).f
+        assert float(_profile_at(f, 0.0, 1)) == pytest.approx(1.0, abs=1e-9)
+
 
 class TestFamily:
     def test_zero_time_slice_is_dilated_profile(self, solve):
@@ -215,6 +234,13 @@ class TestFamily:
         xs = np.linspace(-1.0, 1.0, 41)
         spline = CubicSpline(pair.f.coords(0), pair.f.values)
         assert np.allclose(F.values[:, 20, 20], spline(2.0 * xs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_zero_time_slice_matches_closed_form(self, odd):
+        F = build_counterexample(staggered_hermite_pair(odd), 4.0, P12, BOX)
+        u = 2.0 * np.linspace(-1.0, 1.0, 41)
+        want = (u if odd else 1.0) * np.exp(-u * u / 2.0)
+        assert np.allclose(F.values[:, 20, 20], want, rtol=0, atol=1e-12)
 
     def test_modulus_grows_along_first_time_axis(self, solve):
         pair = solve(1, 2)[0]

@@ -66,17 +66,20 @@ def test_cli_import_loads_no_scipy():
 
 #: What each run may load of scipy, by subpackage.  The transform fit
 #: and the derivative stencils are numpy only; the scaling constant of an
-#: order m >= 3 needs the oracle (linalg), and the eigen pipeline the
-#: pencil solve (sparse) besides; the Beta value of its default grid
-#: comes from the standard library, and it never builds the profile
-#: spline (interpolate).  The splitting ladder is the library call chain
-#: of the splitting benchmark job.
+#: order m >= 3 needs the oracle (linalg), and the eigen, counterexample
+#: and demo pipelines the pencil solve (sparse) besides.  The Beta value
+#: of the default grid comes from the standard library, and profile
+#: values off the nodes from a numpy cubic, so no run loads special or
+#: interpolate.  The splitting ladder is the library call chain of the
+#: splitting benchmark job.
 _SCIPY_BY_RUN = {
     "transform --order 2": set(),
     "classify --order 2": set(),
     "inequalities --p 1 --q 2": set(),
     "inequalities --p 1 --q 3": {"linalg"},
     "eigen --p 2 --q 3": {"sparse", "linalg"},
+    "counterexample --p 1 --q 2": {"sparse", "linalg"},
+    "demo --pairs 2,3": {"sparse", "linalg"},
     "splitting ladder": set(),
 }
 
