@@ -528,7 +528,8 @@ _PIPELINES = {
         "kernel family checks and growth exponent",
         "kernel family exp(i lam t2) exp(lam^(p/q) w t1) f(lam^(1/q) x); "
         "residual checked by separable reduction and by 3d differences, "
-        "growth exponent s*(N) extrapolated against 1/log N",
+        "growth exponent s*(N) fitted on log N / log(N+1) and 1 / log(N+1), "
+        "whose leading coefficient s0 checks the construction's algebra",
         ("p", "q", "grid_x", "grid_h", "n_ladder", "out"),
     ),
     "inequalities": _Pipeline(

@@ -356,10 +356,10 @@ class TestGrowthLadder:
 class TestExponentEstimate:
     def test_frozen_intercepts(self, solve):
         assert estimate_optimal_exponent(solve(1, 2)[0], P12) == pytest.approx(
-            2.002832927488601, abs=1e-6
+            1.999999999822193, abs=1e-6
         )
         assert estimate_optimal_exponent(solve(2, 3)[0], P23) == pytest.approx(
-            1.502124695749911, abs=1e-6
+            1.499999999999999, abs=1e-6
         )
 
     def test_intercept_does_not_depend_on_w(self, solve):
@@ -377,14 +377,15 @@ class TestExponentEstimate:
         got = estimate_optimal_exponent(pair, P12, expected=2.0)
         assert abs(got - 2.0) <= 0.02
 
-    def test_zero_residual_budget_is_inconclusive(self, solve):
-        # On N = 1, 2, 3 the rows leave the 1/log N line by rms 0.042,
-        # above the 0.02 budget.
+    def test_zero_residual_budget_is_inconclusive(self):
+        # The box sup jumps once the box reaches the off-centre peak at
+        # |x| = 1.5, so on N = 1, 2, 3 the rows leave the model by rms
+        # 0.349, above the 0.02 budget.
         with pytest.raises(InconclusiveError, match="not linear"):
-            estimate_optimal_exponent(solve(1, 2)[0], P12, (1, 2, 3))
+            estimate_optimal_exponent(off_centre_pair(), P12, (1, 2, 3))
 
     def test_two_order_ladder_is_inconclusive(self, solve):
-        # A line through two rows fits exactly, so linearity goes unchecked.
+        # A two-term fit passes through two rows exactly, so the model goes unchecked.
         with pytest.raises(InconclusiveError, match="three distinct"):
             estimate_optimal_exponent(solve(1, 2)[0], P12, (1, 2, 2))
 
