@@ -373,10 +373,10 @@ def _profile_at(f: SampledFunction, xs, deriv: int = 0) -> np.ndarray:
     """The profile (deriv 0) or its first derivative (deriv 1) at ``xs``,
     from the cubic through the samples in moment form.
 
-    The moments M_i are the samples' own second difference, set to 0 at
-    the two end nodes, where the stored profile is truncated at 1e-14 of
-    its peak.  For an eigenpair they are f'' = (x^(2(q-1)) - z x^(2(p-1))) f
-    to within the residual filter, so no solve is needed.  On the cell
+    The moments M_i are the samples' own second difference, 0 at the two
+    end nodes, where the stored profile is truncated at 1e-14 of its
+    peak; for an eigenpair they are the equation's f'' to within the
+    residual filter, so no solve is needed.  On the cell
     x_i + t h, 0 <= t <= 1, the cubic is the linear interpolant minus
     h^2/6 t(1 - t)[(2 - t) M_i + (1 + t) M_(i+1)].  Its derivative jumps
     by O(h^3 f^(4)) across a node; on a node it reads the mean of the two
@@ -516,9 +516,8 @@ def growth_table(
     """Log-space growth ladder rows at lam = N^(q/p).
 
     Everything is analytic in log space, so N up to 1e6 costs nothing:
-    the derivative at the origin comes from the moment-form cubic through
-    the profile samples, and the sup of |F_lam| on [-1, 1]^3 from its
-    definition.  The t2 phase has
+    the derivative at the origin comes from _profile_at, and the sup of
+    |F_lam| on [-1, 1]^3 from its definition.  The t2 phase has
     modulus 1 and the t1 factor peaks at exp(lam^(p/q) |Re w|), so
     log sup = N |Re w| + log max |f| over the stored nodes with
     |x| <= lam^(1/q) = N^(1/p).  The nuisance constant B0 is pinned by
@@ -593,17 +592,14 @@ def estimate_optimal_exponent(
     """Extrapolated growth exponent: the limit of s*(N) as N -> infinity.
 
     Fits s* by least squares on the basis {log N / log(N+1), 1/log(N+1)}
-    and returns the first coefficient.  For a profile with k = 0 whose
-    |f| peaks at the origin that model is exact (see the module
-    docstring), so s0 reproduces q/p to rounding and checks the algebra
-    of the construction, not the solve.  Otherwise the rows carry terms
-    of order log N / N outside the basis: on the default ladder the
-    excited modes of the default pairs read s0 - q/p from -8.1e-3 to
-    1.9e-4.  A ladder of fewer than three distinct orders (two rows fit
-    exactly, so the model goes unchecked) or a fit with rms above 0.02
-    raises InconclusiveError; if ``expected`` is supplied, disagreement
-    beyond 0.02 raises ConsistencyError (used by the CLI to self-check
-    against theory).
+    and returns the first coefficient.  For k = 0 and a profile whose |f|
+    peaks at the origin the model is exact (see the module docstring),
+    so s0 reproduces q/p to rounding; other profiles leave terms of order
+    log N / N outside it.  A ladder of fewer than three distinct orders
+    (two rows fit exactly, so the model goes unchecked) or a fit with rms
+    above 0.02 raises InconclusiveError; if ``expected`` is supplied,
+    disagreement beyond 0.02 raises ConsistencyError (used by the CLI to
+    self-check against theory).
     """
     if len({int(N) for N in N_ladder}) < 3:
         raise InconclusiveError("the growth ladder needs at least three distinct "

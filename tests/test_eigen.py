@@ -51,12 +51,12 @@ def hermite_ground_pair(h: float = 1e-4, half: float = 8.0) -> Eigenpair:
     return Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, grid_stability=0.0)
 
 
-def staggered_hermite_pair(odd: bool, h: float = 1e-3, half: float = 8.0) -> Eigenpair:
-    """Closed-form (1, 2) profile on the solver's staggered grid at its
-    fine spacing: e^(-x^2/2) (z = 1) or x e^(-x^2/2) (z = 3)."""
-    x = GridSpec(half, h).nodes()
+def staggered_hermite_pair(odd: bool) -> Eigenpair:
+    """Closed-form (1, 2) profile on a staggered grid at the solver's fine
+    spacing 1e-3: e^(-x^2/2) (z = 1) or x e^(-x^2/2) (z = 3)."""
+    x = GridSpec(8.0, 1e-3).nodes()
     values = (x if odd else 1.0) * np.exp(-x * x / 2.0)
-    f = SampledFunction((x[0],), (h,), values, support_radius=half)
+    f = SampledFunction((x[0],), (1e-3,), values, support_radius=8.0)
     z = 3.0 if odd else 1.0
     return Eigenpair(z=z, w=complex(np.sqrt(z)), f=f, residual=0.0, grid_stability=0.0)
 
