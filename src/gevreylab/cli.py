@@ -414,8 +414,9 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
 
     apriori_rows = []
     taus = [DualFrequency(0.0, float(mag)) for mag in config.tau_ladder]
-    for rho in (0.0, 0.05, -0.05):
-        for tau, nums, dens in zip(taus, *apriori_norms(probes, taus, params, rho)):
+    rhos = (0.0, 0.05, -0.05)
+    for rho, num_rows, den_rows in zip(rhos, *apriori_norms(probes, taus, params, rhos)):
+        for tau, nums, dens in zip(taus, num_rows, den_rows):
             best = int(np.argmax(nums / dens))  # the first probe that attains the max
             num, den = float(nums[best]), float(dens[best])
             apriori_rows.append([rho, tau.tau1, tau.tau2, num / den, num, den])

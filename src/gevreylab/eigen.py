@@ -49,10 +49,9 @@ decayed by e^-40 past its turning point, with that mode's eigenvalue
 estimated by Bohr-Sommerfeld quantization (a closed-form Beta-function
 action).  Spurious pencil modes are removed by three filters: equation
 residual, eigenvalue drift between spacings h and h/2, and Schwartz tail
-decay on the grid.  An independent oracle (Sturm bisection of the
-symmetric tridiagonal matrix M^(-1/2) S M^(-1/2) on its own window, at
-two spacings with Richardson extrapolation) exists for cross-validation
-in reference_eigenvalues.
+decay on the grid.  An independent oracle, reference_eigenvalues, solves
+the same pencil by a Hermite-function Galerkin method instead, with no
+grid shared with the solver, for cross-validation.
 
 For p = q no Schwartz solution exists (the equation collapses to a
 constant-coefficient one) and the solver correctly returns an empty
@@ -60,11 +59,11 @@ list.  For p < q profiles always exist, so a search in which the
 filters reject every mode is a grid failure and raises
 InconclusiveError.
 
-scipy is imported per use, inside the one function that needs each
-module (scipy.sparse in the pencil solve, scipy.linalg in
-reference_eigenvalues), so importing the package and its CLI loads no
-scipy.  Profile values and derivatives off the stored nodes come from
-the cubic through the samples in moment form (_profile_at), in numpy.
+scipy.sparse is imported inside the pencil solve, the one place that
+uses scipy, so importing the package and its CLI loads no scipy; the
+oracle is numpy only.  Profile values and derivatives off the stored
+nodes come from the cubic through the samples in moment form
+(_profile_at), in numpy.
 """
 
 from __future__ import annotations
@@ -156,6 +155,17 @@ def _modes_requested(count: int) -> int:
     return max(count + 4, 8)
 
 
+def _turning_point_q(params: OperatorParams, count: int) -> float:
+    """x_t^q, with x_t the turning point of the highest mode requested for
+    ``count`` pairs, from Bohr-Sommerfeld quantization (see default_grid);
+    p < q."""
+    c = 2 * (params.q - params.p)
+    a = params.p / c
+    beta = math.exp(math.lgamma(a) + math.lgamma(1.5) - math.lgamma(a + 1.5))
+    top = _modes_requested(count) - 1
+    return (top + 0.5) * math.pi * c / (2.0 * beta)
+
+
 def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
     """Spacing 2e-3 and the Agmon extent: the highest mode requested for
     ``count`` pairs has decayed by e^-40.
@@ -180,10 +190,7 @@ def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
     if params.p == params.q:
         return GridSpec(30.0, _DEFAULT_SPACING)
     c = 2 * (params.q - params.p)
-    a = params.p / c
-    beta = math.exp(math.lgamma(a) + math.lgamma(1.5) - math.lgamma(a + 1.5))
-    top = _modes_requested(count) - 1
-    turn_q = (top + 0.5) * math.pi * c / (2.0 * beta)
+    turn_q = _turning_point_q(params, count)
     target = _AGMON_DECAY / turn_q
     u = 1.0 + np.linspace(0.0, (1.5 * target / math.sqrt(c)) ** (2.0 / 3.0), 4097)
     rate = u ** (params.p - 1) * np.sqrt(u**c - 1.0)
@@ -315,50 +322,70 @@ def solve_nonlinear_eigen(
     return pairs
 
 
-def reference_eigenvalues(
-    params: OperatorParams,
-    count: int = 3,
-    *,
-    spacing: float = 8e-3,
-    potential_floor: float = 1e4,
-) -> np.ndarray:
-    """Independent oracle: tridiagonal bisection, Richardson refined.
+def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float) -> np.ndarray:
+    """Lowest ``count`` z of the profile pencil in the first n Hermite
+    functions psi_k(x / scale) / sqrt(scale)."""
+    p, q = params.p, params.q
+    # Powers of the position matrix Y (x / scale in this basis, off-diagonal
+    # sqrt(k / 2)) by banded shifts, in n + 2q functions so that the
+    # leading n x n block of each power is exact.
+    big = n + 2 * q
+    off = np.sqrt(np.arange(1, big) / 2.0)[:, None]
+    powers = [np.eye(big)]
+    for _ in range(max(2, 2 * (q - 1))):
+        nxt = np.zeros((big, big))
+        nxt[:-1] += off * powers[-1][1:]
+        nxt[1:] += off * powers[-1][:-1]
+        powers.append(nxt)
+    kinetic = (np.diag(2.0 * np.arange(big) + 1.0) - powers[2]) / scale**2
+    stiff = (kinetic + scale ** (2 * (q - 1)) * powers[2 * (q - 1)])[:n, :n]
+    mass = scale ** (2 * (p - 1)) * powers[2 * (p - 1)][:n, :n]
+    try:
+        chol = np.linalg.cholesky(stiff)
+    except np.linalg.LinAlgError:
+        raise InconclusiveError(
+            f"the ({p}, {q}) Hermite-Galerkin stiffness matrix lost definiteness "
+            f"in rounding at {n} functions"
+        ) from None
+    # mu = 1/z of M v = mu S v, as eigenvalues of L^-1 M L^-T with S = L L^T.
+    flipped = np.linalg.solve(chol, np.linalg.solve(chol, mass).T)
+    return 1.0 / np.linalg.eigvalsh(flipped)[::-1][:count]
 
-    The pencil S f = z M f, with S = -D^2 + x^(2(q-1)) tridiagonal and
-    M = diag x^(2(p-1)) positive on the staggered nodes, has the same
-    eigenvalues as the symmetric tridiagonal T = M^(-1/2) S M^(-1/2).
-    Its lowest values are found by Sturm bisection at two spacings
-    (h, h/2) and combined by h^2 Richardson extrapolation.  The window
-    is the oracle's own: the confining term only needs to reach
-    ``potential_floor``, not the solver's Agmon extent, and neither
-    shift-invert nor ARPACK is involved.
 
-    For p > 1 the mass weight nearly vanishes at the innermost nodes,
-    so T has entries near 8 / h^4 there.  T is scaled diagonally
-    dominant, and bisection resolves its small eigenvalues to high
-    relative accuracy (Barlow and Demmel 1990), but only if it is asked
-    to: LAPACK's default tolerance eps * ||T|| is absolute, and against
-    that norm it leaves relative errors from 1e-6 at (2, 3) to order one
-    at (3, 4).  The explicit absolute tolerance 1e-12 keeps every
-    returned value to about 1e-12 relative.
+def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
+    """Independent oracle: the lowest ``count`` z by a Hermite-function
+    Galerkin solve (Boyd, Chebyshev and Fourier Spectral Methods, ch. 17).
+
+    The basis is n Hermite functions of scale s = 0.15 x_t, with x_t the
+    turning point that default_grid estimates for the modes requested.
+    In it x / s is the tridiagonal Y, -d^2/dx^2 is (diag(2k + 1) - Y^2)
+    / s^2, and the pencil is S = that + s^(2(q-1)) Y^(2(q-1)) against
+    M = s^(2(p-1)) Y^(2(p-1)), each formed exactly in n + 2q functions and
+    truncated to n.  No grid, spacing or window is shared with the
+    solver's finite differences.
+
+    The pencil is solved flipped: the Cholesky factor L of S, which is
+    bounded below by its ground energy, and the largest mu = 1/z of
+    L^-1 M L^-T.  For p > 1 M is nearly singular, its weight vanishing
+    at the origin, and a Cholesky of M instead loses accuracy as n grows
+    or fails outright.  n runs 64, 80,
+    100, ... (x 1.25) until two consecutive solves agree to 1e-12
+    relative; no agreement by n = 400 raises InconclusiveError.  The
+    default pairs stop at n = 80.  numpy only.
     """
-    if params.q == 1:
-        raise ValueError("no discrete spectrum exists for q = 1")
-    from scipy.linalg import eigh_tridiagonal
-
-    half = potential_floor ** (1.0 / (2 * (params.q - 1)))
-
-    def lowest(h: float) -> np.ndarray:
-        x = GridSpec(half, h).nodes()
-        scale = np.abs(x) ** -(params.p - 1)  # M^(-1/2)
-        diag = (2.0 / h**2 + x ** (2 * (params.q - 1))) * scale**2
-        off = -scale[:-1] * scale[1:] / h**2
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                select_range=(0, count - 1), tol=1e-12)
-
-    coarse = lowest(spacing)
-    fine = lowest(spacing / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    if params.p == params.q:
+        raise ValueError(f"no discrete spectrum exists for p = q = {params.q}")
+    scale = 0.15 * _turning_point_q(params, count) ** (1.0 / params.q)
+    n, last = 64, None
+    while n <= 400:
+        z = _galerkin_lowest(params, count, n, scale)
+        if last is not None and np.all(np.abs(z - last) <= 1e-12 * np.abs(z)):
+            return z
+        n, last = int(round(1.25 * n)), z
+    raise InconclusiveError(
+        f"the ({params.p}, {params.q}) Hermite-Galerkin eigenvalues did not "
+        f"settle to 1e-12 within 400 functions"
+    )
 
 
 def residual_norm(pair: Eigenpair, params: OperatorParams) -> float:
@@ -592,10 +619,12 @@ def estimate_optimal_exponent(
     """Extrapolated growth exponent: the limit of s*(N) as N -> infinity.
 
     Fits s* by least squares on the basis {log N / log(N+1), 1/log(N+1)}
-    and returns the first coefficient.  For k = 0 and a profile whose |f|
-    peaks at the origin the model is exact (see the module docstring),
-    so s0 reproduces q/p to rounding; other profiles leave terms of order
-    log N / N outside it.  A ladder of fewer than three distinct orders
+    and returns the first coefficient.  The model is exact only for k = 0
+    profiles whose |f| peaks at the origin (see the module docstring),
+    where s0 reproduces q/p to rounding.  An odd mode, or an even one
+    peaking off the origin, leaves a term of order log N / N outside it:
+    on the default ladder the excited modes of the four default pairs
+    miss q/p by up to 8.1e-3.  A ladder of fewer than three distinct orders
     (two rows fit exactly, so the model goes unchecked) or a fit with rms
     above 0.02 raises InconclusiveError; if ``expected`` is supplied,
     disagreement beyond 0.02 raises ConsistencyError (used by the CLI to

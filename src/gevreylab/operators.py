@@ -35,9 +35,10 @@ density, potential) is formed once per call and broadcast over the
 probes, and every quadrature sums over the contiguous node axis, so each
 row equals that probe checked alone.  A single 1d sample is the stack of
 one and gives floats.  Likewise the norms and the a-priori check take a
-tau ladder, and the scaling check a ladder of cuts: what depends on the
-probes only (derivatives, second difference) is formed once for every
-rung.
+tau ladder and a rho ladder, and the scaling check a ladder of cuts:
+what depends on the probes only (derivatives, second difference) is
+formed once for every rung, and what depends on tau besides (the A_tau
+images, the weighted sums) once for every rho.
 
 Convention: x^0 is 1 everywhere including x = 0, so p = 1 terms are
 constants, never 0^0 artifacts.
@@ -158,15 +159,19 @@ def _per_probe(f: SampledFunction | Sequence[SampledFunction], values: np.ndarra
     return float(one) if one.ndim == 0 else one
 
 
-def _per_tau(
+def _per_ladder(
     f: SampledFunction | Sequence[SampledFunction],
     tau: DualFrequency | Sequence[DualFrequency],
-    rows: list[np.ndarray],
+    rho: float | Sequence[float],
+    values: np.ndarray,
 ):
-    """Per-tau ``rows`` of per-probe values as one (taus, probes) array,
-    less the axis a single tau or a single sample does not have."""
-    values = np.array(rows)
-    return _per_probe(f, values[0] if isinstance(tau, DualFrequency) else values)
+    """(rhos, taus, probes) ``values`` less the axes a single rho, a
+    single tau or a single sample does not have."""
+    if np.ndim(rho) == 0:
+        values = values[0]
+    if isinstance(tau, DualFrequency):
+        values = values[..., 0, :]
+    return _per_probe(f, values)
 
 
 def _squared_derivatives(values: np.ndarray, h: float, k: int) -> list[np.ndarray]:
@@ -184,25 +189,32 @@ def _weighted_norms(
     squares: list[np.ndarray],
     x: np.ndarray,
     h: float,
-    tau: DualFrequency,
+    taus: Sequence[DualFrequency],
     params: OperatorParams,
-    rho: float,
+    rhos: Sequence[float],
 ) -> np.ndarray:
     """htau_norm of order k = len(squares) - 1 of every probe, from its
     squared derivatives ``squares`` (j = 0..k, each (probes, nodes)) on
-    the nodes x.
+    the nodes x, as one (rhos, taus, probes) array.
 
-    The weight and the density depend on the grid only, so they are
-    formed once on x and broadcast over the probes; each sum runs over
-    the contiguous last axis.
+    Each tau's weighted total sum_j |f^(j)|^2 w^(2(k-1-j)) is formed once
+    for every rho; only the density exp(rho |tau|^(p/q) v) and the sum
+    run per rho.  The weight and the density depend on the grid only, so
+    they are formed on x and broadcast over the probes; each sum runs
+    over the contiguous last axis.
     """
     k = len(squares) - 1
-    w2 = weight_w(x, tau, params) ** 2
-    env = np.exp(rho * tau.magnitude**params.exponent_ratio * _cutoff(x))
-    total = np.zeros(squares[0].shape)
-    for j, sq in enumerate(squares):
-        total += sq * np.power(w2, k - 1 - j)
-    return np.sum(total * env, axis=-1) * h
+    cutoff = _cutoff(x)
+    out = np.empty((len(rhos), len(taus), len(squares[0])))
+    for i, tau in enumerate(taus):
+        w2 = weight_w(x, tau, params) ** 2
+        total = np.zeros(squares[0].shape)
+        for j, sq in enumerate(squares):
+            total += sq * np.power(w2, k - 1 - j)
+        for r, rho in enumerate(rhos):
+            env = np.exp(rho * tau.magnitude**params.exponent_ratio * cutoff)
+            out[r, i] = np.sum(total * env, axis=-1) * h
+    return out
 
 
 def htau_norm(
@@ -210,7 +222,7 @@ def htau_norm(
     k: int,
     tau: DualFrequency | Sequence[DualFrequency],
     params: OperatorParams,
-    rho: float = 0.0,
+    rho: float | Sequence[float] = 0.0,
 ) -> float | np.ndarray:
     """Squared weighted Sobolev norm of order k in {0, 1, 2}.
 
@@ -224,18 +236,21 @@ def htau_norm(
         k=1:  |f'|^2 w^(-2) + |f|^2
         k=2:  |f''|^2 w^(-2) + |f'|^2 + |f|^2 w^2
 
-    ``f`` is one 1d sample or a probe stack on one grid, and ``tau`` one
-    dual frequency or a ladder of them; the derivatives depend on f only,
-    so they are formed once for every tau.  The result has the shape
-    (taus, probes), less the axis a single tau or a single sample does
-    not have: one sample at one tau gives a float.
+    ``f`` is one 1d sample or a probe stack on one grid, ``tau`` one dual
+    frequency or a ladder of them, and ``rho`` one exponent or a ladder
+    of them.  The derivatives depend on f only, so they are formed once,
+    and each tau's weighted sum of them once for every rho.  The result
+    has the shape (rhos, taus, probes), less the axes a single rho, a
+    single tau or a single sample does not have: one sample at one tau
+    and one rho gives a float.
     """
     if k not in (0, 1, 2):
         raise ValueError("norm order k must be 0, 1, or 2")
     values, x, h = _probe_stack(f)
     squares = _squared_derivatives(values, h, k)
     taus = [tau] if isinstance(tau, DualFrequency) else list(tau)
-    return _per_tau(f, tau, [_weighted_norms(squares, x, h, t, params, rho) for t in taus])
+    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
+    return _per_ladder(f, tau, rho, _weighted_norms(squares, x, h, taus, params, rhos))
 
 
 def _second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -331,20 +346,23 @@ def apriori_norms(
     f: SampledFunction | Sequence[SampledFunction],
     tau: DualFrequency | Sequence[DualFrequency],
     params: OperatorParams,
-    rho: float = 0.0,
+    rho: float | Sequence[float] = 0.0,
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """The two sides of the a-priori estimate: (||f||_(2,tau)^2,
     ||A_tau f||_(0,tau)^2), both squared norms as htau_norm forms them.
 
     A_tau f is measured on the interior nodes only: its one-cell
-    boundary layer, which apply_A_tau leaves NaN, is sliced off.  ``f``
-    and ``tau`` are read and both sides shaped as in htau_norm: one
-    sample at one tau gives two floats, a probe stack over a tau ladder
-    two (taus, probes) arrays.  A norm on either side that leaves the
-    float range raises InconclusiveError, and a vanishing image norm,
+    boundary layer, which apply_A_tau leaves NaN, is sliced off.  ``f``,
+    ``tau`` and ``rho`` are read and both sides shaped as in htau_norm:
+    one sample at one tau and one rho gives two floats, a probe stack
+    over a rho ladder and a tau ladder two (rhos, taus, probes) arrays.
+    The A_tau images, like the derivatives, are formed once for every
+    rho.  A norm on either side that leaves the float range, at any rho
+    of the ladder, raises InconclusiveError, and a vanishing image norm,
     which leaves the ratio undefined, raises ValueError.
     """
     taus = [tau] if isinstance(tau, DualFrequency) else list(tau)
+    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
     values, x, h = _probe_stack(f)
     # The guard below reports an overflow; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -352,14 +370,14 @@ def apriori_norms(
         # The image's grid starts at x[1] and is laid out as SampledFunction
         # lays out its nodes, which can differ from x[1:-1] in the last bit.
         x_image = x[1] + h * np.arange(len(x) - 2)
-        image_norms = [
-            _weighted_norms([np.abs(image) ** 2], x_image, h, t, params, rho)
+        image_norms = np.concatenate([
+            _weighted_norms([np.abs(image) ** 2], x_image, h, [t], params, rhos)
             for t, image in zip(taus, images)
-        ]
-        num, den = htau_norm(f, 2, tau, params, rho), _per_tau(f, tau, image_norms)
+        ], axis=1)
+        num, den = htau_norm(f, 2, tau, params, rho), _per_ladder(f, tau, rho, image_norms)
     if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
         raise InconclusiveError("a weighted norm of the a-priori estimate is not finite: "
-                                "it leaves the float range on this tau ladder")
+                                "it leaves the float range on this tau and rho ladder")
     if np.any(den == 0.0):
         raise ValueError("A_tau f vanishes; the a-priori ratio is undefined")
     return num, den
@@ -369,16 +387,17 @@ def check_apriori(
     f: SampledFunction | Sequence[SampledFunction],
     tau: DualFrequency | Sequence[DualFrequency],
     params: OperatorParams,
-    rho: float = 0.0,
+    rho: float | Sequence[float] = 0.0,
 ) -> float | np.ndarray:
     """Ratio ||f||_(2,tau)^2 / ||A_tau f||_(0,tau)^2 of apriori_norms.
 
     The a-priori estimate says this ratio is bounded uniformly in tau
     for small rho, the exponent of the norms' weight exp(rho |tau|^(p/q)
     v(x)); the acceptance gate sweeps it over a probe family and a tau
-    ladder and watches the spread.  ``f`` and ``tau`` are read and the
-    ratios shaped as in htau_norm: one per (tau, probe), a float for one
-    sample at one tau.  apriori_norms raises for norms it cannot divide.
+    ladder and watches the spread.  ``f``, ``tau`` and ``rho`` are read
+    and the ratios shaped as in htau_norm: one per (rho, tau, probe), a
+    float for one sample at one tau and one rho.  apriori_norms raises
+    for norms it cannot divide.
     """
     num, den = apriori_norms(f, tau, params, rho)
     return num / den
@@ -445,7 +464,9 @@ def scaling_constant(m: int) -> float:
     term only ever helps and the sharp constant is discretely safe.
 
     The ground energy is exactly 1 for m = 1 (constant potential) and
-    m = 2 (harmonic); higher m takes it from the eigenvalue oracle.
+    m = 2 (harmonic); higher m takes it from the eigenvalue oracle, a
+    numpy Hermite-Galerkin solve of the (1, m) profile pencil, so no
+    order loads scipy.
     """
     if m < 1:
         raise ValueError("scaling order m must be a positive integer")

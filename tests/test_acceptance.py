@@ -64,8 +64,8 @@ def test_criterion_01_threshold_exponent_recovery(solve):
 
 def test_criterion_02_eigenvalue_oracle_agreement(solve):
     # Quadratic confinement has a closed-form ground value of 1; the
-    # quartic cases are checked against an independent tridiagonal
-    # bisection oracle with Richardson extrapolation.  Budget: 30 s per pair.
+    # quartic cases are checked against an independent Hermite-Galerkin
+    # oracle that shares no grid with the solver.  Budget: 30 s per pair.
     checks = [("(1,2) closed form", abs(solve(1, 2)[0].z - 1.0), SOLVE_SECONDS[(1, 2)])]
     for p, q in ((1, 3), (2, 3)):
         t0 = time.perf_counter()

@@ -346,6 +346,40 @@ class TestAprioriEstimate:
                     one = apriori_norms(probes[i], tau, params, rho)
                     assert (sides[0][j, i], sides[1][j, i]) == one
 
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (3, 4)])
+    def test_rho_rows_equal_single_rho_calls(self, p, q):
+        # Each rho row of a sweep over a rho ladder is bit for bit the
+        # single-rho call: the derivatives, the A_tau images and each tau's
+        # weighted sum are shared, and only the density and the sum run
+        # per rho.
+        params = OperatorParams(p, q)
+        probes = probe_family()
+        taus = [DualFrequency(0.0, mag) for mag in (1.0, 100.0, 10000.0)]
+        rhos = (0.0, 0.05, -0.05)
+        norms = htau_norm(probes, 2, taus, params, rhos)
+        sides = apriori_norms(probes, taus, params, rhos)
+        assert norms.shape == sides[0].shape == sides[1].shape == (3, 3, 100)
+        assert np.array_equal(sides[0], norms)
+        for r, rho in enumerate(rhos):
+            assert np.array_equal(norms[r], htau_norm(probes, 2, taus, params, rho))
+            one = apriori_norms(probes, taus, params, rho)
+            assert np.array_equal(sides[0][r], one[0])
+            assert np.array_equal(sides[1][r], one[1])
+        g, tau = probes[7], taus[1]
+        alone = apriori_norms(g, tau, params, rhos)
+        assert alone[0].shape == alone[1].shape == (3,)
+        assert htau_norm(probes, 1, tau, params, rhos).shape == (3, 100)
+        for r, rho in enumerate(rhos):
+            assert (alone[0][r], alone[1][r]) == apriori_norms(g, tau, params, rho)
+
+    def test_one_overflowing_rho_of_a_ladder_is_inconclusive(self):
+        # exp(1e3 |tau|^(1/2) v) = exp(1e4) on |x| >= 1 leaves the float range.
+        g = probe_family()[0]
+        tau = DualFrequency(0.0, 100.0)
+        assert np.all(np.isfinite(check_apriori(g, tau, P12, [0.0, 0.05])))
+        with pytest.raises(InconclusiveError, match="not finite"):
+            apriori_norms(g, tau, P12, [0.0, 0.05, 1e3])
+
     def test_zero_probe_in_a_stack_rejected(self):
         probes = probe_family()[:3]
         zero = SampledFunction(probes[0].origin, probes[0].spacing, np.zeros(4001))

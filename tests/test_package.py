@@ -54,9 +54,9 @@ def test_every_export_has_a_reader():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the functions that use it, so pipelines
-    # that never reach them (transform, inequalities for p, q <= 2) do
-    # not pay for it at startup.
+    # scipy is imported inside the pencil solve, its one user, so
+    # pipelines that never reach it (transform, classify, inequalities)
+    # do not pay for it at startup.
     env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.__file__).parents[1]))
     code = "import sys, gevreylab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -64,23 +64,26 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-#: What each run may load of scipy, by subpackage.  The transform fit
-#: and the derivative stencils are numpy only; the scaling constant of an
-#: order m >= 3 needs the oracle (linalg), and the eigen, counterexample
-#: and demo pipelines the pencil solve (sparse) besides.  The Beta value
-#: of the default grid comes from the standard library, and profile
-#: values off the nodes from a numpy cubic, so no run loads special or
-#: interpolate.  The splitting ladder is the library call chain of the
-#: splitting benchmark job.
+#: What each run may load of scipy, by subpackage.  The transform fit,
+#: the derivative stencils and the eigenvalue oracle, which gives the
+#: scaling constant of an order m >= 3, are numpy only; the eigen,
+#: counterexample and demo pipelines load the pencil solve (sparse, which
+#: brings linalg).  The Beta value of the default grid comes from the
+#: standard library, and profile values off the nodes from a numpy cubic,
+#: so no run loads special or interpolate.  The splitting ladder and the
+#: oracle are the library call chains of the splitting and oracle
+#: benchmark jobs.
 _SCIPY_BY_RUN = {
     "transform --order 2": set(),
     "classify --order 2": set(),
     "inequalities --p 1 --q 2": set(),
-    "inequalities --p 1 --q 3": {"linalg"},
+    "inequalities --p 1 --q 3": set(),
+    "inequalities --p 3 --q 4": set(),
     "eigen --p 2 --q 3": {"sparse", "linalg"},
     "counterexample --p 1 --q 2": {"sparse", "linalg"},
     "demo --pairs 2,3": {"sparse", "linalg"},
     "splitting ladder": set(),
+    "oracle 2,3": set(),
 }
 
 _SPLITTING = """
@@ -92,12 +95,17 @@ highs = [gl.decompose(bump, lam, 0.5, tube_height=lam**-0.5).high_sup() for lam 
 gl.fit_stretched_exponential(np.array(cuts), np.array(highs))
 """
 
+_LIBRARY_RUNS = {
+    "splitting ladder": _SPLITTING,
+    "oracle 2,3": "import gevreylab as gl\ngl.reference_eigenvalues(gl.OperatorParams(2, 3))\n",
+}
+
 
 @pytest.mark.parametrize("run", list(_SCIPY_BY_RUN),
                          ids=lambda run: "-".join(w for w in run.split() if w[0] != "-"))
 def test_runs_load_only_the_scipy_they_use(run, tmp_path):
-    if run == "splitting ladder":
-        code = _SPLITTING
+    if run in _LIBRARY_RUNS:
+        code = _LIBRARY_RUNS[run]
     else:
         argv = [*run.split(), "--out", str(tmp_path / "out")]
         code = f"from gevreylab.cli import main\nassert main({argv!r}) == 0\n"
