@@ -81,25 +81,24 @@ class UsageError(ValueError):
 
 # The value parsers raise ArgumentTypeError, whose message argparse
 # prints as is; for any other error it prints "invalid <function> value".
-def _floats_csv(text: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from exc
-    if not vals:
-        raise argparse.ArgumentTypeError("ladder must not be empty")
-    return vals
+def _csv(kind: type, noun: str):
+    """Parser of a non-empty comma-separated ladder of ``kind`` values."""
 
-def _ints_csv(text: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from exc
-    if not vals:
-        raise argparse.ArgumentTypeError("ladder must not be empty")
-    return vals
+    def parse(text: str) -> tuple:
+        try:
+            vals = tuple(kind(t) for t in text.split(",") if t.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}") from exc
+        if not vals:
+            raise argparse.ArgumentTypeError("ladder must not be empty")
+        return vals
+
+    return parse
+
+
+_floats_csv = _csv(float, "numbers")
+_ints_csv = _csv(int, "integers")
 
 
 def _pair(text: str) -> tuple[int, int]:

@@ -275,7 +275,7 @@ def lowpass_profile(
     w0 = (x[0] + 1j * height) - x[-1]
     w = w0 + np.arange(2 * n - 1) * h
     kernel = _lowpass_kernel(w, lam, gamma)
-    vals = h * np.convolve(u.values[::-1], kernel, mode="valid")[:n]
+    vals = h * np.convolve(u.values, kernel, mode="valid")
     return SampledFunction(u.origin, u.spacing, vals)
 
 

@@ -46,6 +46,7 @@ constants, never 0^0 artifacts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -260,11 +261,7 @@ def _second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     hi = [slice(None)] * values.ndim
     mid = [slice(None)] * values.ndim
     lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
-    out = 2.0 * values[tuple(mid)]  # (lo - 2 mid + hi) / h^2 in one buffer
-    np.subtract(values[tuple(lo)], out, out=out)
-    out += values[tuple(hi)]
-    out /= h**2
-    return out
+    return (values[tuple(lo)] - 2.0 * values[tuple(mid)] + values[tuple(hi)]) / h**2
 
 
 def apply_L(u: SampledFunction, params: OperatorParams) -> SampledFunction:
@@ -445,9 +442,7 @@ def _scaling_terms(
     return n0, a, b
 
 
-_scaling_constants: dict[int, float] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def scaling_constant(m: int) -> float:
     """Constant for the scaling inequality, fixed once per order m.
 
@@ -470,13 +465,11 @@ def scaling_constant(m: int) -> float:
     """
     if m < 1:
         raise ValueError("scaling order m must be a positive integer")
-    if m not in _scaling_constants:
-        from .eigen import reference_eigenvalues  # eigen imports this module
+    from .eigen import reference_eigenvalues  # eigen imports this module
 
-        ground = 1.0 if m <= 2 else reference_eigenvalues(OperatorParams(1, m), 1)[0]
-        sharp = 1.0 / float(ground)
-        _scaling_constants[m] = sharp if m == 1 else 1.001 * sharp
-    return _scaling_constants[m]
+    ground = 1.0 if m <= 2 else reference_eigenvalues(OperatorParams(1, m), 1)[0]
+    sharp = 1.0 / float(ground)
+    return sharp if m == 1 else 1.001 * sharp
 
 
 def check_scaling_inequality(

@@ -42,6 +42,13 @@ def pytest_sessionfinish(session, exitstatus):
         )
 
 
+def pytest_terminal_summary(terminalreporter):
+    elapsed = time.perf_counter() - _SESSION_T0
+    terminalreporter.write_line(
+        f"suite wall time {elapsed:.0f} s of the {_SUITE_BUDGET_SECONDS:.0f} s budget"
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _solve(p: int, q: int):
     start = time.perf_counter()

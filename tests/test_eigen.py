@@ -25,13 +25,15 @@ from gevreylab import (
     solve_nonlinear_eigen,
     verify_kernel,
 )
-from gevreylab.eigen import _interior_norm, _profile_at
+import gevreylab.eigen
+from gevreylab.eigen import _profile_at
 
 P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
 P34 = OperatorParams(3, 4)
 PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
-#: 41 points per axis on [-1, 1]^3, the coarse box of verify_kernel.
+#: 41 points per axis on [-1, 1]^3: the size of verify_kernel's coarse cube,
+#: whose t2 window shrinks with lam above 5.
 BOX = ((-1.0, 1.0, 41),) * 3
 
 
@@ -289,13 +291,13 @@ class TestKernelIdentity:
         pair = solve(1, 2)[0]
         base = residual_norm(pair, P12)
         for lam in (10.0, 100.0):
-            got = verify_kernel(pair, lam, P12, refine_check=False)
+            got = verify_kernel(pair, lam, P12)
             assert got == pytest.approx(lam * base, rel=1e-14)
 
     def test_doubling_scales_by_two_over_q(self, solve):
         pair = solve(1, 2)[0]
-        v1 = verify_kernel(pair, 10.0, P12, refine_check=False)
-        v2 = verify_kernel(pair, 20.0, P12, refine_check=False)
+        v1 = verify_kernel(pair, 10.0, P12)
+        v2 = verify_kernel(pair, 20.0, P12)
         assert v2 / v1 == pytest.approx(2.0 ** (2.0 / P12.q), rel=1e-12)
 
     def test_residual_stays_small_with_refinement_check(self, solve):
@@ -303,13 +305,25 @@ class TestKernelIdentity:
         assert verify_kernel(pair, 20.0, P12) <= 1e-6
         assert verify_kernel(pair, 1.0, P12) <= 1e-6
 
-    def test_interior_norm_is_the_norm_of_the_copied_interior(self):
-        # Path (ii) normalizes by the box interior, summed row by row.
-        rng = np.random.default_rng(0)
-        box = rng.standard_normal((7, 8, 9)) + 1j * rng.standard_normal((7, 8, 9))
-        box[0], box[:, -1], box[..., 0] = 1e3, 1e3, 1e3
-        want = np.linalg.norm(box[1:-1, 1:-1, 1:-1].ravel())
-        assert _interior_norm(box) == pytest.approx(want, rel=1e-14)
+    @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
+    def test_wrong_dispersion_fails_the_3d_check(self, lam):
+        # The exact (1, 2) ground profile has z = 1, so w = sqrt(1.1) makes
+        # F_lam miss the kernel by 0.1 lam f while the profile residual
+        # (path i) stays at rounding level.
+        pair = dataclasses.replace(hermite_ground_pair(), w=np.sqrt(1.1) + 0.0j)
+        with pytest.raises(ConsistencyError, match="do not converge"):
+            verify_kernel(pair, lam, P12)
+
+    def test_check_boxes_are_small_cubes_at_large_lambda(self, solve, monkeypatch):
+        boxes = []
+
+        def recording(pair, lam, params, box):
+            boxes.append(box)
+            return build_counterexample(pair, lam, params, box)
+
+        monkeypatch.setattr(gevreylab.eigen, "build_counterexample", recording)
+        verify_kernel(solve(1, 2)[0], 100.0, P12)
+        assert [[n for _, _, n in box] for box in boxes] == [[41] * 3, [81] * 3]
 
 
 class TestGrowthLadder:

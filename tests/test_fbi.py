@@ -309,6 +309,19 @@ class TestSplitting:
         assert np.allclose(recon, bump2.values, atol=1e-14)
         assert np.array_equal(d.low.values[0], lowpass_profile(bump2, 30.0, 0.5).values)
 
+    @pytest.mark.parametrize("height", [0.0, 0.1])
+    def test_lowpass_matches_inversion_on_asymmetric_input(self, height):
+        # Two Gaussians of different weight, off centre: a low-pass line
+        # evaluated on the mirrored input would differ by order one.
+        u = sample(
+            lambda x: np.exp(-4.0 * (x - 1.0) ** 2) + 0.5 * np.exp(-8.0 * (x + 1.5) ** 2),
+            [(-4.0, 4.0, 1024)],
+            support_radius=4.0,
+        )
+        got = lowpass_profile(u, 20.0, 0.5, height=height).values
+        want = inversion_profile(u, u.coords(0) + 1j * height, 0.5, [20.0])[0]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_cut_below_one_rejected(self, bump2):
         with pytest.raises(ValueError, match="at least 1"):
             decompose(bump2, 0.5, 0.5, tube_height=0.1)
