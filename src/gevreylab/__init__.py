@@ -39,7 +39,6 @@ from .fbi import (
     fbi_field,
     inversion_profile,
     jacobian_alpha,
-    lowpass_profile,
 )
 from .gevrey import (
     FitRejectedError,
@@ -114,7 +113,6 @@ __all__ = [
     "htau_norm",
     "inversion_profile",
     "jacobian_alpha",
-    "lowpass_profile",
     "make_gevrey_bump",
     "probe_family",
     "prune_decay_floor",

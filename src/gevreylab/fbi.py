@@ -35,9 +35,12 @@ convolution of u with the low-pass kernel
              = sin(lam w) / (pi w) * exp(-<lam>^g w^2),     K_lam(0) = lam/pi,
 
 which holds for complex w as well, so tube evaluation needs nothing else.
-On the sample grid the x' integral is the sum h * sum_j u(x_j) K_lam(z - x_j):
-a discrete convolution along a line Im z = const, and one matrix-vector
-product at a set of isolated points.
+On the sample grid the x' integral is the sum h * sum_j u(x_j) K_lam(z - x_j).
+At a set of isolated points it is one matrix-vector product.  On the real
+axis it is a direct discrete convolution, kept direct because the high
+part u - low must be accurate to its own size, far below sup |u|.  The
+tube lines Im z = const > 0 feed only the tube bound, so they share one
+FFT of u and cost one kernel transform each.
 """
 
 from __future__ import annotations
@@ -249,6 +252,42 @@ def inversion_profile(
     return np.array([_lowpass_at(u, zs, r, gamma) for r in radii])
 
 
+def _lowpass_rows(u: SampledFunction, lam: float, gamma: float, heights) -> np.ndarray:
+    """Low-pass lines h * sum_j u(x_j) K_lam(x_i + i y - x_j), one row per height y.
+
+    The real axis (y = 0) is a direct sum: the high part u - row is
+    small, and must be accurate to its own size, which an FFT's rounding
+    (relative to sup |u|) is not.  The lines off the axis feed only the
+    tube bound and share one FFT of u.  Its length, a power of two
+    >= 2n - 1, is enough: the full convolution has 3n - 2 entries, and
+    what wraps around lands outside the n kept ones [n - 1, 2n - 1).
+    This is also the argument check of ``lowpass_profile`` and
+    ``decompose``.
+    """
+    gamma = _check_gamma(gamma)
+    if u.ndim != 1:
+        raise ValueError("frequency splitting is implemented for 1d samples")
+    if lam <= 0:
+        raise ValueError("frequency cut must be positive")
+    _require_supported(u)
+    _require_resolved(u, lam)
+    x = u.coords(0)
+    h = u.spacing[0]
+    n = len(x)
+    size = 1 << (2 * n - 2).bit_length()
+    heights = np.asarray(heights, dtype=float)
+    w = ((x[0] + 1j * heights[:, None]) - x[-1]) + np.arange(2 * n - 1) * h
+    kernels = _lowpass_kernel(w, lam, gamma)
+    rows = np.empty((len(heights), n), dtype=complex)
+    tube = heights != 0.0
+    if tube.any():
+        spectra = np.fft.fft(u.values, size) * np.fft.fft(kernels[tube], size)
+        rows[tube] = np.fft.ifft(spectra)[:, n - 1 : 2 * n - 1]
+    for i in np.flatnonzero(~tube):
+        rows[i] = np.convolve(u.values, kernels[i], mode="valid")
+    return h * rows
+
+
 def lowpass_profile(
     u: SampledFunction,
     lam: float,
@@ -259,24 +298,13 @@ def lowpass_profile(
     """Low-frequency part g_lam evaluated along the line Im z = height.
 
     Returns samples on the same real grid as ``u``.  g_lam is entire in z,
-    so evaluation off the real axis is the same convolution with a complex
-    offset; boundedness of the result on tubes of width lam^(-1/2) is the
-    quantitative content of the splitting.
+    so evaluation off the real axis is the same sum with a complex
+    offset: a direct sum on the real axis, an FFT convolution off it.
+    Boundedness of the result on tubes of width lam^(-1/2) is the
+    quantitative content of the splitting.  Samples that do not decay at
+    the grid boundary raise ValueError.
     """
-    gamma = _check_gamma(gamma)
-    if u.ndim != 1:
-        raise ValueError("frequency splitting is implemented for 1d samples")
-    if lam <= 0:
-        raise ValueError("frequency cut must be positive")
-    _require_resolved(u, lam)
-    x = u.coords(0)
-    h = u.spacing[0]
-    n = len(x)
-    w0 = (x[0] + 1j * height) - x[-1]
-    w = w0 + np.arange(2 * n - 1) * h
-    kernel = _lowpass_kernel(w, lam, gamma)
-    vals = h * np.convolve(u.values, kernel, mode="valid")
-    return SampledFunction(u.origin, u.spacing, vals)
+    return SampledFunction(u.origin, u.spacing, _lowpass_rows(u, lam, gamma, [height])[0])
 
 
 @dataclass(frozen=True)
@@ -312,18 +340,20 @@ def decompose(
     The low part is evaluated on five lines Im z = const from 0 up to
     ``tube_height``, which must be positive; the split u = low + high is
     exact on the real axis by construction, so only the real-axis row
-    enters ``high``.
+    enters ``high``.  That row is the direct sum of ``lowpass_profile``,
+    bit for bit; the four lines above it share one FFT of u.  Samples
+    that do not decay at the grid boundary raise ValueError.
     """
     if lam < 1.0:
         raise ValueError("frequency cut must be at least 1")
     if not tube_height > 0.0:
         raise ValueError("tube height must be positive")
     heights = np.linspace(0.0, tube_height, 5)
-    rows = [lowpass_profile(u, lam, gamma, height=y).values for y in heights]
+    rows = _lowpass_rows(u, lam, gamma, heights)
     low = SampledFunction(
         origin=(0.0, u.origin[0]),
         spacing=(float(heights[1] - heights[0]), u.spacing[0]),
-        values=np.vstack(rows),
+        values=rows,
     )
     high = SampledFunction(u.origin, u.spacing, u.values - rows[0])
     return Decomposition(low, high)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -266,11 +265,11 @@ def estimate_order_fbi(
 def fd_weights(order: int, npts: int) -> np.ndarray:
     """Exact central finite-difference weights on integer nodes.
 
-    The weights come from Fornberg's recursion in rational arithmetic, so
-    the only floating error in a stencil application is the final
-    rounding of the weights.  ``npts`` must be odd and exceed ``order``.
-    One recursion per width gives every order on that width and is
-    cached; each call returns a fresh array.
+    The weights are derivatives of the Lagrange basis polynomials,
+    computed in integer arithmetic, so the only floating error in a
+    stencil application is the final rounding of the weights.  ``npts``
+    must be odd and exceed ``order``.  One table per width gives every
+    order on that width and is cached; each call returns a fresh array.
     """
     if npts % 2 != 1 or npts <= order:
         raise ValueError("need an odd stencil wider than the derivative order")
@@ -280,27 +279,30 @@ def fd_weights(order: int, npts: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _fd_table(npts: int) -> tuple[tuple[float, ...], ...]:
     """Row k: weights of the k-th derivative at 0 on the nodes -m..m,
-    m = (npts - 1) // 2, for k = 0..npts-1 (B. Fornberg, Math. Comp. 51
-    (1988) 699-706)."""
+    m = (npts - 1) // 2, for k = 0..npts-1.
+
+    The weight of node j is l_j^(k)(0) = k! q_k / d_j, where l_j is the
+    Lagrange basis polynomial of node j, the integers q_k are the
+    coefficients of P(x) / (x - j) for the node polynomial
+    P(x) = prod_i (x - i), and d_j = prod_{i != j} (j - i).  Python's
+    int / int division rounds correctly, so each weight is its exact
+    rational value rounded once.
+    """
     m = (npts - 1) // 2
     nodes = range(-m, m + 1)
-    # w[k][j]: weight of node j for the k-th derivative on nodes[:i + 1].
-    w = [[Fraction(0)] * npts for _ in range(npts)]
-    w[0][0] = Fraction(1)
-    prev_span = 1
-    for i in range(1, npts):
-        span = math.prod(nodes[i] - nodes[j] for j in range(i))
-        ratio = Fraction(prev_span, span)
-        for k in range(i, 0, -1):
-            w[k][i] = ratio * (k * w[k - 1][i - 1] - nodes[i - 1] * w[k][i - 1])
-        w[0][i] = -ratio * nodes[i - 1] * w[0][i - 1]
-        for j in range(i):
-            gap = nodes[i] - nodes[j]
-            for k in range(i, 0, -1):
-                w[k][j] = (nodes[i] * w[k][j] - k * w[k - 1][j]) / gap
-            w[0][j] = nodes[i] * w[0][j] / gap
-        prev_span = span
-    return tuple(tuple(float(v) for v in row) for row in w)
+    poly = [1]  # coefficients of P, constant term first
+    for i in nodes:
+        poly = [a - i * b for a, b in zip([0] + poly, poly + [0])]
+    table = [[0.0] * npts for _ in range(npts)]
+    for col, j in enumerate(nodes):
+        denom = math.prod(j - i for i in nodes if i != j)
+        sign = 1 if denom > 0 else -1  # keeps a zero weight +0.0
+        coeff = poly[npts]
+        # Synthetic division, highest degree first: q_(k-1) = p_k + j q_k.
+        for k in range(npts - 1, -1, -1):
+            table[k][col] = sign * math.factorial(k) * coeff / abs(denom)
+            coeff = poly[k] + j * coeff
+    return tuple(tuple(row) for row in table)
 
 
 _STRIDES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)

@@ -15,12 +15,11 @@ from gevreylab import (
     fit_stretched_exponential,
     inversion_profile,
     jacobian_alpha,
-    lowpass_profile,
     make_gevrey_bump,
     prune_decay_floor,
     sample,
 )
-from gevreylab.fbi import _lowpass_kernel
+from gevreylab.fbi import _lowpass_kernel, lowpass_profile
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -309,7 +308,7 @@ class TestSplitting:
         assert np.allclose(recon, bump2.values, atol=1e-14)
         assert np.array_equal(d.low.values[0], lowpass_profile(bump2, 30.0, 0.5).values)
 
-    @pytest.mark.parametrize("height", [0.0, 0.1])
+    @pytest.mark.parametrize("height", [0.0, 0.1, 0.3])
     def test_lowpass_matches_inversion_on_asymmetric_input(self, height):
         # Two Gaussians of different weight, off centre: a low-pass line
         # evaluated on the mirrored input would differ by order one.
@@ -321,6 +320,25 @@ class TestSplitting:
         got = lowpass_profile(u, 20.0, 0.5, height=height).values
         want = inversion_profile(u, u.coords(0) + 1j * height, 0.5, [20.0])[0]
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_tube_rows_match_inversion(self, bump2):
+        # The criterion-6 ladder: the top tube row of every cut, which
+        # the FFT computes, against the pointwise sum at z = x + i lam^(-1/2).
+        # The e^(lam y) growth of the tube kernel sets the rounding floor
+        # (about 2e-12 at lam = 200, for the direct sum too).
+        idx = np.arange(0, bump2.values.size, 37)
+        for lam in (25.0 * 2.0 ** (j / 2.0) for j in range(7)):
+            top = lam**-0.5
+            got = decompose(bump2, lam, 0.5, tube_height=top).low.values[-1, idx]
+            want = inversion_profile(bump2, bump2.coords(0)[idx] + 1j * top, 0.5, [lam])[0]
+            assert np.max(np.abs(got - want)) <= 1e-11
+
+    def test_undecayed_samples_rejected(self):
+        flat = sample(np.ones_like, [(-1.0, 1.0, 1024)])
+        with pytest.raises(ValueError, match="do not decay"):
+            decompose(flat, 20.0, 0.5, tube_height=0.1)
+        with pytest.raises(ValueError, match="do not decay"):
+            lowpass_profile(flat, 20.0, 0.5)
 
     def test_cut_below_one_rejected(self, bump2):
         with pytest.raises(ValueError, match="at least 1"):

@@ -287,7 +287,7 @@ class TestStencils:
         uncached = np.array(_fd_table.__wrapped__(15)[6])
         assert again.tobytes() == uncached.tobytes()
 
-    @pytest.mark.parametrize("order", range(1, 13))
+    @pytest.mark.parametrize("order", range(1, 15))
     def test_recursion_matches_the_moment_solve(self, order):
         # The derivative estimator's stencils, against the Taylor moment
         # system sum_j w_j node_j^i = order! delta(i, order) solved by
