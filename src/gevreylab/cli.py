@@ -4,16 +4,15 @@ Two tables declare the command line.  ``_PIPELINES`` holds one row per
 subcommand: its handler, its help line, the description embedded in its
 JSON reports, and every key it reads.  ``_FLAGS`` holds one row per
 key: the parser of its value and its help line.  A subcommand takes
-exactly the keys its pipeline reads as flags, plus ``--config``: a plain
-key=value file of the same keys, which explicit flags override.
+exactly the keys its pipeline reads, as flags; flags are the only input.
 
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
 order out of range, non-linear growth ladder, no eigenpair for p < q, a
 tau ladder whose weighted norms leave the float range),
-1 other failures, 64 usage errors (among them a flag or config key the
-pipeline does not read, a non-finite value, an n-ladder that is not
-strictly increasing or has fewer than three orders, and a grid override
-too coarse to solve on).
+1 other failures, 64 usage errors (among them a flag the pipeline does
+not read, a non-finite value, an n-ladder that is not strictly increasing
+or has fewer than three orders, and a grid override that is not positive
+or too coarse to solve on).
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ _DEFAULT_PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
 
 
 class UsageError(ValueError):
-    """Malformed config-file entry, or flag values no pipeline can run with."""
+    """Flag values no pipeline can run with."""
 
 
 # The value parsers raise ArgumentTypeError, whose message argparse
@@ -112,23 +111,13 @@ def _pair(text: str) -> tuple[int, int]:
             f"expected a pair of integers, got {text!r}") from exc
 
 
-def _pairs_value(text: str) -> tuple[tuple[int, int], ...]:
-    tokens = text.replace(";", " ").split()
-    if not tokens:
-        raise argparse.ArgumentTypeError("pairs must not be empty")
-    return tuple(_pair(tok) for tok in tokens)
-
-
 class _Flag(NamedTuple):
     parse: Callable[[str], object]
     help: str
-    # "+": one or more words after the flag, each parsed to a tuple and
-    # the tuples joined; a config file gives the words on one line.
-    nargs: str | None = None
+    nargs: str | None = None  # "+": one or more words, collected in a tuple
 
 
-#: Keyed by RunConfig field; the flag spells "_" as "-", config files
-#: accept either spelling.
+#: Keyed by RunConfig field; the flag spells "_" as "-".
 _FLAGS = {
     "p": _Flag(int, "lower exponent parameter (default 1)"),
     "q": _Flag(int, "upper exponent parameter (default 2)"),
@@ -140,7 +129,7 @@ _FLAGS = {
     "grid_x": _Flag(float, "override the profile grid half-width"),
     "grid_h": _Flag(float, "override the profile grid spacing"),
     "seed": _Flag(int, "probe-family seed (default 42)"),
-    "pairs": _Flag(_pairs_value, "pairs P,Q (default 1,2 1,3 2,3 3,4)", "+"),
+    "pairs": _Flag(_pair, "pairs P,Q (default 1,2 1,3 2,3 3,4)", "+"),
     "out": _Flag(str, "output directory (default .)"),
 }
 
@@ -164,8 +153,6 @@ class RunConfig:
     pairs: tuple[tuple[int, int], ...] = _DEFAULT_PAIRS
 
     def __post_init__(self):
-        if self.command not in _PIPELINES:
-            raise UsageError(f"unknown command {self.command!r}")
         numbers = (self.gamma, self.order, *self.tau_ladder, *self.freq_ladder,
                    self.grid_x, self.grid_h)
         if not all(v is None or math.isfinite(v) for v in numbers):
@@ -189,57 +176,20 @@ class RunConfig:
         # Two rows pin the nuisance constants; a third tests the line.
         if len(self.n_ladder) < 3:
             raise UsageError("n-ladder needs at least three orders")
-        if self.grid_x is not None and self.grid_x <= 0:
-            raise UsageError("grid half-width must be positive")
-        if self.grid_h is not None and self.grid_h <= 0:
-            raise UsageError("grid spacing must be positive")
         if any(not (1 <= a <= b) for a, b in self.pairs):
             raise UsageError("each pair must satisfy 1 <= p <= q")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
-
-
-def _converted(key: str, text: str):
-    try:
-        return _FLAGS[key].parse(text)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"bad value for {key}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value for {key}: {text!r}") from exc
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults, config-file entries, then explicit flags."""
-    reads = _PIPELINES[args.command].flags
-    merged: dict = {"command": args.command}
-    if args.config:
-        for key, text in _read_config_file(args.config).items():
-            if key not in reads:
-                raise UsageError(f"{args.command} does not read config key "
-                                 f"{key!r}; it reads {', '.join(reads)}")
-            merged[key] = _converted(key, text)
-    for key in reads:
+    """The defaults, overridden by the flags that were given."""
+    given = {}
+    for key in _PIPELINES[args.command].flags:
         value = getattr(args, key)
         if value is not None:
-            merged[key] = sum(value, ()) if _FLAGS[key].nargs else value
-    return RunConfig(**merged)
+            given[key] = tuple(value) if _FLAGS[key].nargs else value
+    return RunConfig(args.command, **given)
 
 
 def _default_gamma(order: float) -> float:
@@ -497,7 +447,7 @@ class _Pipeline(NamedTuple):
     # Embedded in every JSON report so a report file is self-describing
     # about what produced it.
     description: str
-    flags: tuple[str, ...]  # every key it reads, flags and config file alike
+    flags: tuple[str, ...]  # every key it reads
 
 
 _PIPELINES = {
@@ -573,8 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                              description=pipeline.description)
         # main reports a usage error found after parsing with this usage line.
         cmd.set_defaults(subparser=cmd)
-        cmd.add_argument("--config", metavar="FILE",
-                         help="key=value file; explicit flags override it")
         for key in pipeline.flags:
             flag = _FLAGS[key]
             cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=flag.parse,

@@ -261,8 +261,7 @@ def _lowpass_rows(u: SampledFunction, lam: float, gamma: float, heights) -> np.n
     tube bound and share one FFT of u.  Its length, a power of two
     >= 2n - 1, is enough: the full convolution has 3n - 2 entries, and
     what wraps around lands outside the n kept ones [n - 1, 2n - 1).
-    This is also the argument check of ``lowpass_profile`` and
-    ``decompose``.
+    This is also the argument check of ``decompose``.
     """
     gamma = _check_gamma(gamma)
     if u.ndim != 1:
@@ -284,27 +283,9 @@ def _lowpass_rows(u: SampledFunction, lam: float, gamma: float, heights) -> np.n
         spectra = np.fft.fft(u.values, size) * np.fft.fft(kernels[tube], size)
         rows[tube] = np.fft.ifft(spectra)[:, n - 1 : 2 * n - 1]
     for i in np.flatnonzero(~tube):
-        rows[i] = np.convolve(u.values, kernels[i], mode="valid")
+        # At y = 0 the kernel's imaginary part is exactly 0.
+        rows[i] = np.convolve(u.values, kernels[i].real, mode="valid")
     return h * rows
-
-
-def lowpass_profile(
-    u: SampledFunction,
-    lam: float,
-    gamma: float,
-    *,
-    height: float = 0.0,
-) -> SampledFunction:
-    """Low-frequency part g_lam evaluated along the line Im z = height.
-
-    Returns samples on the same real grid as ``u``.  g_lam is entire in z,
-    so evaluation off the real axis is the same sum with a complex
-    offset: a direct sum on the real axis, an FFT convolution off it.
-    Boundedness of the result on tubes of width lam^(-1/2) is the
-    quantitative content of the splitting.  Samples that do not decay at
-    the grid boundary raise ValueError.
-    """
-    return SampledFunction(u.origin, u.spacing, _lowpass_rows(u, lam, gamma, [height])[0])
 
 
 @dataclass(frozen=True)
@@ -340,9 +321,9 @@ def decompose(
     The low part is evaluated on five lines Im z = const from 0 up to
     ``tube_height``, which must be positive; the split u = low + high is
     exact on the real axis by construction, so only the real-axis row
-    enters ``high``.  That row is the direct sum of ``lowpass_profile``,
-    bit for bit; the four lines above it share one FFT of u.  Samples
-    that do not decay at the grid boundary raise ValueError.
+    enters ``high``.  That row is a direct sum; the four lines above it
+    share one FFT of u.  Samples that do not decay at the grid boundary
+    raise ValueError, and a cut the grid cannot resolve GridTooCoarseError.
     """
     if lam < 1.0:
         raise ValueError("frequency cut must be at least 1")

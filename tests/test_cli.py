@@ -1,5 +1,6 @@
-"""End-to-end CLI runs: exit codes, config layering, report determinism."""
+"""End-to-end CLI runs: exit codes, the flags each pipeline takes, report determinism."""
 
+import argparse
 import importlib.util
 import json
 import re
@@ -50,25 +51,9 @@ class TestUsageErrors:
         code, _ = run(tmp_path, "transform", "--gamma", "1.5")
         assert code == 64
 
-    def test_missing_config_file_returns_64(self, tmp_path):
-        code, _ = run(tmp_path, "transform", "--config", str(tmp_path / "nope.cfg"))
-        assert code == 64
-
-    def test_unknown_config_key_returns_64(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("wibble=3\n")
-        code, _ = run(tmp_path, "transform", "--config", str(cfg))
-        assert code == 64
-
     @pytest.mark.parametrize("command", ["transform", "classify"])
     def test_unresolvable_frequency_ladder_returns_64(self, tmp_path, command):
         code, _ = run(tmp_path, command, "--freq-ladder", "1e6,2e6")
-        assert code == 64
-
-    def test_malformed_config_line_returns_64(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("order 2\n")
-        code, _ = run(tmp_path, "transform", "--config", str(cfg))
         assert code == 64
 
     @pytest.mark.parametrize(
@@ -81,6 +66,7 @@ class TestUsageErrors:
             ["inequalities", "--gamma", "0.5"],
             ["demo", "--grid-x", "3"],
             ["demo", "--p", "2,3"],  # not taken as an abbreviation of --pairs
+            ["transform", "--config", "run.cfg"],  # flags are the only input
         ],
     )
     def test_flag_the_pipeline_does_not_read_exits_64(self, argv):
@@ -102,6 +88,13 @@ class TestUsageErrors:
         assert "grid too small" in capsys.readouterr().err
         assert list(out.glob("*")) == []  # no report written
 
+    @pytest.mark.parametrize("flag, value", [("--grid-x", "0"), ("--grid-h", "-1")])
+    def test_non_positive_grid_returns_64(self, tmp_path, capsys, flag, value):
+        code, out = run(tmp_path, "eigen", flag, value)
+        assert code == 64
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -122,14 +115,6 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: gevreylab transform [-h]")
         assert "--freq-ladder" in err
-
-    def test_config_key_the_pipeline_does_not_read_returns_64(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("p=3\n")
-        code, out = run(tmp_path, "transform", "--config", str(cfg))
-        assert code == 64
-        assert "does not read config key 'p'" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -225,6 +210,15 @@ class TestParser:
         for line in lines:
             self.check(shlex.split(line)[1:])
 
+    def test_each_pipeline_takes_only_its_flags(self):
+        # One input path: no option beyond help, --out and the keys it reads.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(_PIPELINES)
+        for name, pipeline in _PIPELINES.items():
+            flags = {"--" + key.replace("_", "-") for key in pipeline.flags}
+            assert set(sub.choices[name]._option_string_actions) == {"-h", "--help", *flags}
+
     def test_readme_flag_table_matches_pipelines(self):
         rows = re.findall(r"^\| (`[a-z]+`(?:, `[a-z]+`)*) \| (.*) \|$",
                           (ROOT / "README.md").read_text(), re.M)
@@ -236,28 +230,6 @@ class TestParser:
         assert documented == {
             name: set(pipeline.flags) - {"out"} for name, pipeline in _PIPELINES.items()
         }
-
-
-class TestConfigLayering:
-    def test_file_values_apply(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment line\norder=3\ngamma=1.0\n")
-        code, out = run(tmp_path, "transform", "--config", str(cfg))
-        assert code == 0
-        report = json.loads((out / "transform.json").read_text())
-        assert report["order"] == 3.0
-        assert report["gamma"] == 1.0
-
-    def test_flags_override_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("order=3\ngamma=1.0\n")
-        code, out = run(
-            tmp_path, "transform", "--config", str(cfg), "--order", "2"
-        )
-        assert code == 0
-        report = json.loads((out / "transform.json").read_text())
-        assert report["order"] == 2.0
-        assert report["gamma"] == 1.0
 
 
 class TestTransform:

@@ -19,7 +19,7 @@ from gevreylab import (
     prune_decay_floor,
     sample,
 )
-from gevreylab.fbi import _lowpass_kernel, lowpass_profile
+from gevreylab.fbi import _lowpass_kernel
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -306,20 +306,21 @@ class TestSplitting:
         assert d.low.spacing == (0.025, bump2.spacing[0])
         recon = d.low.values[0] + d.high.values
         assert np.allclose(recon, bump2.values, atol=1e-14)
-        assert np.array_equal(d.low.values[0], lowpass_profile(bump2, 30.0, 0.5).values)
 
     @pytest.mark.parametrize("height", [0.0, 0.1, 0.3])
     def test_lowpass_matches_inversion_on_asymmetric_input(self, height):
         # Two Gaussians of different weight, off centre: a low-pass line
-        # evaluated on the mirrored input would differ by order one.
-        u = sample(
-            lambda x: np.exp(-4.0 * (x - 1.0) ** 2) + 0.5 * np.exp(-8.0 * (x + 1.5) ** 2),
-            [(-4.0, 4.0, 1024)],
-            support_radius=4.0,
-        )
-        got = lowpass_profile(u, 20.0, 0.5, height=height).values
-        want = inversion_profile(u, u.coords(0) + 1j * height, 0.5, [20.0])[0]
-        assert np.max(np.abs(got - want)) <= 1e-12
+        # evaluated on the mirrored input would differ by order one.  The
+        # complex case, times e^(3ix), checks the real-axis row's real kernel.
+        def pair(x):
+            return np.exp(-4.0 * (x - 1.0) ** 2) + 0.5 * np.exp(-8.0 * (x + 1.5) ** 2)
+
+        row = round(height / 0.1)  # tube rows sit at heights 0, 0.1, ..., 0.4
+        for fn in (pair, lambda x: pair(x) * np.exp(3j * x)):
+            u = sample(fn, [(-4.0, 4.0, 1024)], support_radius=4.0)
+            got = decompose(u, 20.0, 0.5, tube_height=0.4).low.values[row]
+            want = inversion_profile(u, u.coords(0) + 1j * height, 0.5, [20.0])[0]
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_tube_rows_match_inversion(self, bump2):
         # The criterion-6 ladder: the top tube row of every cut, which
@@ -337,8 +338,6 @@ class TestSplitting:
         flat = sample(np.ones_like, [(-1.0, 1.0, 1024)])
         with pytest.raises(ValueError, match="do not decay"):
             decompose(flat, 20.0, 0.5, tube_height=0.1)
-        with pytest.raises(ValueError, match="do not decay"):
-            lowpass_profile(flat, 20.0, 0.5)
 
     def test_cut_below_one_rejected(self, bump2):
         with pytest.raises(ValueError, match="at least 1"):
@@ -352,7 +351,7 @@ class TestSplitting:
     def test_lowpass_requires_resolvable_cut(self, bump2):
         limit = 2.0 * np.pi / (8.0 * bump2.spacing[0])
         with pytest.raises(GridTooCoarseError):
-            lowpass_profile(bump2, 2.0 * limit, 0.5)
+            decompose(bump2, 2.0 * limit, 0.5, tube_height=0.1)
 
     def test_analytic_input_high_part_decays_exponentially(self, smooth_gaussian):
         # Analytic input: sup of the high part should fall like

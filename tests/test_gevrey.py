@@ -71,6 +71,17 @@ class TestBumpGenerator:
         outside = (x <= -1.0) | (x >= 1.0)
         assert np.all(u.values[outside] == 0.0)
 
+    def test_order_just_above_one_is_finite_without_warning(self):
+        # (1 -+ x)^(-1/(s-1)) overflows next to +-1 here; exp(-inf) = 0
+        # is the exact value, so no overflow warning may reach the caller.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = make_gevrey_bump(1.005)
+        x = u.coords(0)
+        assert np.all(np.isfinite(u.values))
+        assert np.all(u.values[np.abs(x) >= 1.0] == 0.0)
+        assert np.max(u.values) > 0.0
+
     def test_flat_at_the_edges(self):
         # The profile and its sampled slope both vanish to high accuracy
         # approaching the support endpoint.
