@@ -7,8 +7,9 @@ key: the parser of its value and its help line.  A subcommand takes
 exactly the keys its pipeline reads, as flags; flags are the only input.
 
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
-order out of range, non-linear growth ladder, no eigenpair for p < q, a
-tau ladder whose weighted norms leave the float range),
+order out of range, non-linear growth ladder, an eigen solve for p < q
+that does not settle or whose profiles the grid cannot hold, a tau
+ladder whose weighted norms leave the float range),
 1 other failures, 64 usage errors (among them a flag the pipeline does
 not read, a non-finite value, an n-ladder that is not strictly increasing
 or has fewer than three orders, and a grid override that is not positive
@@ -285,7 +286,7 @@ def _cmd_classify(config: RunConfig, out: Path) -> int:
 
 
 def _profiles(config: RunConfig, out: Path, command: str):
-    """Eigenpairs for (p, q) and the grid they were solved on, after
+    """Eigenpairs for (p, q) and the grid they were sampled on, after
     reporting an empty p = q search."""
     params = OperatorParams(config.p, config.q)
     grid = _grid(config, params)
@@ -469,8 +470,9 @@ _PIPELINES = {
     "eigen": _Pipeline(
         _cmd_eigen,
         "profile-equation eigenpairs for one (p, q)",
-        "staggered-grid pencil (-f'' + x^(2(q-1)) f) = z x^(2(p-1)) f, "
-        "shift-invert iteration cross-checked on two spacings",
+        "pencil (-f'' + x^(2(q-1)) f) = z x^(2(p-1)) f by Hermite-function "
+        "Galerkin, the basis grown until z and the residuals settle; "
+        "profiles summed on a staggered grid",
         ("p", "q", "grid_x", "grid_h", "out"),
     ),
     "counterexample": _Pipeline(
@@ -494,7 +496,7 @@ _PIPELINES = {
     "demo": _Pipeline(
         _cmd_demo,
         "exponent table across (p, q) pairs",
-        "per (p, q): pencil solve, kernel family, ladder extrapolation "
+        "per (p, q): Hermite-Galerkin pencil solve, kernel family, ladder extrapolation "
         "of the growth exponent s*(N) toward the q/p threshold",
         ("pairs", "n_ladder", "out"),
     ),
@@ -550,7 +552,11 @@ def dispatch(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse hands a subcommand's unread words back to the top parser;
+    # report them with the subcommand's own usage line instead.
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return dispatch(config_from_args(args))
     except (UsageError, GridTooCoarseError) as exc:

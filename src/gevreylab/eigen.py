@@ -39,37 +39,33 @@ exists; the numerical evidence is z, the oracle agreement and the
 kernel residuals.
 
 Discretization: the profile equation is the generalized symmetric
-pencil (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f.  The mass weight
-x^(2(p-1)) vanishes at x = 0 for p > 1, so the grid is staggered: an
-even number n of nodes x_j = (j + 1/2 - n/2) h, exactly symmetric about
-the origin and never on it, keeping every node weight positive.  The
-pencil is solved by shift-invert Lanczos at sigma = 0.  The default
-extent is the Agmon distance at which the highest requested mode has
-decayed by e^-40 past its turning point, with that mode's eigenvalue
-estimated by Bohr-Sommerfeld quantization (a closed-form Beta-function
-action).  Spurious pencil modes are removed by three filters: equation
-residual, eigenvalue drift between spacings h and h/2, and Schwartz tail
-decay on the grid.  An independent oracle, reference_eigenvalues, solves
-the same pencil by a Hermite-function Galerkin method instead, with no
-grid shared with the solver, for cross-validation.
+pencil (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f, solved in numpy by a
+Hermite-function Galerkin method (Boyd, Chebyshev and Fourier Spectral
+Methods, ch. 17; see _galerkin_lowest).  The flipped solve is
+variational, so it has no spurious modes to filter.  Each profile is
+summed from its coefficients on a staggered grid: an even number n of
+nodes x_j = (j + 1/2 - n/2) h, exactly symmetric about the origin and
+never on it.  The default extent is the Agmon distance at which the
+highest mode that sizes the window has decayed by e^-40 past its
+turning point, with that mode's eigenvalue estimated by Bohr-Sommerfeld
+quantization (a closed-form Beta-function action).  An independent
+oracle, reference_eigenvalues, solves the same pencil by staggered
+finite differences at two spacings, for cross-validation; it is the
+package's one scipy user, and no pipeline calls it.
 
 For p = q no Schwartz solution exists (the equation collapses to a
 constant-coefficient one) and the solver correctly returns an empty
-list.  For p < q profiles always exist, so a search in which the
-filters reject every mode is a grid failure and raises
-InconclusiveError.
-
-scipy.sparse is imported inside the pencil solve, the one place that
-uses scipy, so importing the package and its CLI loads no scipy; the
-oracle is numpy only.  Profile values and derivatives off the stored
-nodes come from the cubic through the samples in moment form
-(_profile_at), in numpy.
+list.  For p < q profiles always exist, so a Hermite basis that does
+not settle, or a sampling grid that cannot hold the profiles, raises
+InconclusiveError.  Profile values and derivatives off the stored nodes
+come from the cubic through the samples in moment form (_profile_at).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,7 +106,7 @@ class GridSpec:
         return (np.arange(self.size) + 0.5 - self.size / 2) * self.spacing
 
     def refined(self) -> "GridSpec":
-        """The same window at half the spacing (the solver's fine grid)."""
+        """The same window at half the spacing (where profiles are sampled)."""
         return GridSpec(self.half_width, self.spacing / 2.0)
 
 
@@ -118,16 +114,19 @@ class GridSpec:
 class Eigenpair:
     """Solution (z, f) of the profile equation with solver diagnostics.
 
-    ``w`` is the principal square root of z; ``residual`` the equation
-    residual of the stored samples; ``grid_stability`` the relative
-    eigenvalue drift between the h and h/2 solves.
+    ``w`` is the principal square root of z; ``residual`` the relative
+    equation residual of the profile's Hermite coefficients (see
+    _galerkin_lowest); ``basis_size`` the number of Hermite functions of
+    the final solve, and ``basis_change`` the relative change of z from
+    the solve before it.
     """
 
     z: float
     w: complex
     f: SampledFunction
     residual: float
-    grid_stability: float
+    basis_size: int
+    basis_change: float
 
 
 @dataclass(frozen=True)
@@ -143,22 +142,25 @@ class GrowthRow:
 
 
 #: Decay, in units of e-folds past the turning point, that the default
-#: grid resolves for the highest requested mode: e^-40 ~ 4e-18 lies far
-#: below both the 1e-14 profile truncation and the 1e-6 tail filter.
+#: grid resolves for the highest mode that sizes it: e^-40 ~ 4e-18 lies
+#: far below both the 1e-14 profile truncation and the 1e-6 edge check.
 _AGMON_DECAY = 40.0
-#: Coarse spacing of the default grid; the solver also uses half of it.
+#: Coarse spacing of the default grid; profiles are sampled at half of it.
 _DEFAULT_SPACING = 2e-3
+#: Sampling-grid check (solve_nonlinear_eigen): edge decay and Parseval.
+_SAMPLING_TOL = 1e-6
 
 
 def _modes_requested(count: int) -> int:
-    """Modes the pencil solve asks for, a margin above those it keeps."""
+    """Modes whose turning points size the default window and the Hermite
+    scale, a margin above the ``count`` pairs kept."""
     return max(count + 4, 8)
 
 
 def _turning_point_q(params: OperatorParams, count: int) -> float:
-    """x_t^q, with x_t the turning point of the highest mode requested for
-    ``count`` pairs, from Bohr-Sommerfeld quantization (see default_grid);
-    p < q."""
+    """x_t^q, with x_t the turning point of the highest mode that sizes
+    the window for ``count`` pairs, from Bohr-Sommerfeld quantization
+    (see default_grid); p < q."""
     c = 2 * (params.q - params.p)
     a = params.p / c
     beta = math.exp(math.lgamma(a) + math.lgamma(1.5) - math.lgamma(a + 1.5))
@@ -167,14 +169,14 @@ def _turning_point_q(params: OperatorParams, count: int) -> float:
 
 
 def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
-    """Spacing 2e-3 and the Agmon extent: the highest mode requested for
-    ``count`` pairs has decayed by e^-40.
+    """Spacing 2e-3 and the Agmon extent: the highest mode that sizes the
+    window for ``count`` pairs has decayed by e^-40.
 
     Write a = 2(q-1), b = 2(p-1) and c = a - b.  A mode of eigenvalue z
     turns at x_t = z^(1/c) and decays past it like exp(-A(x)) with the
     Agmon distance A(x) = int_(x_t)^x sqrt(y^a - z y^b) dy.  The highest
-    mode that solve_nonlinear_eigen requests for ``count`` pairs, n, is
-    placed by Bohr-Sommerfeld quantization
+    mode that sizes the window for ``count`` pairs, n = _modes_requested
+    - 1, is placed by Bohr-Sommerfeld quantization
 
         2 int_0^(x_t) sqrt(z y^b - y^a) dy = (n + 1/2) pi,
 
@@ -199,39 +201,94 @@ def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
     return GridSpec(float(turn_q ** (1.0 / params.q) * reach), _DEFAULT_SPACING)
 
 
-def _profile_residual(x: np.ndarray, h: float, vals: np.ndarray, z: float,
-                      params: OperatorParams) -> float:
-    """Relative equation residual via centered differences, interior only."""
-    d2 = _second_difference(vals, 0, h)
-    xc = x[1:-1]
-    r = d2 - xc ** (2 * (params.q - 1)) * vals[1:-1] + z * xc ** (
-        2 * (params.p - 1)
-    ) * vals[1:-1]
-    return float(np.linalg.norm(r) / np.linalg.norm(vals))
+def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float,
+                     vectors: bool = False):
+    """Lowest ``count`` z of the profile pencil in the first n Hermite
+    functions psi_k(x / scale) / sqrt(scale), as (z, coefficients,
+    residuals); the last two are None unless ``vectors``.
+
+    In this basis x / scale is the tridiagonal Y, -d^2/dx^2 is
+    (diag(2k + 1) - Y^2) / scale^2, and the pencil is S = that +
+    scale^(2(q-1)) Y^(2(q-1)) against M = scale^(2(p-1)) Y^(2(p-1)),
+    formed in n + 2q functions, where every column below n is exact.
+    The n x n pencil is solved flipped: with S = L L^T, the largest
+    mu = 1/z of L^-1 M L^-T.  (For p > 1 M is nearly singular, and a
+    Cholesky of M instead loses accuracy as n grows or fails outright.)
+    An eigenvector u maps back to c = L^-T u, scaled to unit norm, the
+    profile's L^2 norm.  The residual ||(-S + z M) c|| over all n + 2q
+    rows vanishes in the first n to rounding; the rows past n hold the
+    coupling of c's last entries to the functions left out.
+    """
+    p, q = params.p, params.q
+    # Powers of Y (off-diagonal sqrt(k / 2)) by banded shifts.
+    big = n + 2 * q
+    off = np.sqrt(np.arange(1, big) / 2.0)[:, None]
+    powers = [np.eye(big)]
+    for _ in range(max(2, 2 * (q - 1))):
+        nxt = np.zeros((big, big))
+        nxt[:-1] += off * powers[-1][1:]
+        nxt[1:] += off * powers[-1][:-1]
+        powers.append(nxt)
+    kinetic = (np.diag(2.0 * np.arange(big) + 1.0) - powers[2]) / scale**2
+    stiff = (kinetic + scale ** (2 * (q - 1)) * powers[2 * (q - 1)])[:, :n]
+    mass = scale ** (2 * (p - 1)) * powers[2 * (p - 1)][:, :n]
+    try:
+        chol = np.linalg.cholesky(stiff[:n])
+    except np.linalg.LinAlgError:
+        raise InconclusiveError(
+            f"the ({p}, {q}) Hermite-Galerkin stiffness matrix lost definiteness "
+            f"in rounding at {n} functions"
+        ) from None
+    flipped = np.linalg.solve(chol, np.linalg.solve(chol, mass[:n]).T)
+    if not vectors:
+        return 1.0 / np.linalg.eigvalsh(flipped)[::-1][:count], None, None
+    mu, u = np.linalg.eigh(flipped)
+    z = 1.0 / mu[::-1][:count]
+    coef = np.linalg.solve(chol.T, u[:, ::-1][:, :count])
+    coef /= np.linalg.norm(coef, axis=0)
+    residual = np.linalg.norm(z * (mass @ coef) - stiff @ coef, axis=0)
+    return z, coef, residual
 
 
-def _pencil_solve(params: OperatorParams, grid: GridSpec, k: int):
-    """Eigenvalues/vectors of (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import eigsh
+class _Galerkin(NamedTuple):
+    """A settled Hermite-Galerkin solve (see _galerkin_settled)."""
 
-    x = grid.nodes()
-    h = grid.spacing
-    n = len(x)
-    diag = 2.0 / h**2 + x ** (2 * (params.q - 1))
-    off = np.full(n - 1, -1.0 / h**2)
-    stiff = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-    k = min(k, n - 2)
-    # Fixed start vector keeps the Lanczos iteration, and with it every
-    # emitted report, bit-reproducible across runs.
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    if params.p == 1:
-        vals, vecs = eigsh(stiff, k=k, sigma=0.0, which="LM", v0=v0)
-    else:
-        mass = sp.diags(x ** (2 * (params.p - 1)), 0, format="csc")
-        vals, vecs = eigsh(stiff, k=k, M=mass, sigma=0.0, which="LM", v0=v0)
-    order = np.argsort(np.abs(vals))
-    return x, vals[order], vecs[:, order]
+    z: np.ndarray
+    coef: np.ndarray | None
+    residual: np.ndarray | None
+    last: np.ndarray  # z of the solve before, in a smaller basis
+    n: int
+    scale: float
+
+
+def _galerkin_settled(params: OperatorParams, count: int, vectors: bool = False) -> _Galerkin:
+    """The Galerkin solve at n = 64, 80, 100, ... (x 1.25) functions,
+    stopped once two consecutive solves agree on every z to 1e-12
+    relative and, with ``vectors``, every residual is below 1e-10; no
+    settling by n = 400 raises InconclusiveError.  numpy only.
+
+    z settles first, its error being the square of the coefficients'.
+    Eigenvalues alone take the scale 0.15 x_t, with x_t the turning
+    point that default_grid estimates, and the default pairs stop at
+    n = 80.  Profiles take 0.1 x_t: their tails fall like exp(-x^q / q),
+    faster than any Hermite function's Gaussian once q > 2, and at
+    0.15 x_t (6, 8) still has a residual of 4e-6 at n = 381, where at
+    0.1 x_t every pair with q <= 8 settles by n = 381.  The default pairs
+    stop at n = 244 (1, 2), 195 (1, 3), 125 (2, 3) and 100 (3, 4).
+    """
+    turn = _turning_point_q(params, count) ** (1.0 / params.q)
+    scale = (0.1 if vectors else 0.15) * turn
+    n, last = 64, None
+    while n <= 400:
+        z, coef, residual = _galerkin_lowest(params, count, n, scale, vectors)
+        if (last is not None and np.all(np.abs(z - last) <= 1e-12 * np.abs(z))
+                and (residual is None or np.all(residual <= 1e-10))):
+            return _Galerkin(z, coef, residual, last, n, scale)
+        n, last = int(round(1.25 * n)), z
+    raise InconclusiveError(
+        f"the ({params.p}, {params.q}) Hermite-Galerkin solve did not settle "
+        f"within 400 functions"
+    )
 
 
 def _truncate_profile(x: np.ndarray, vals: np.ndarray, pad: int = 8):
@@ -242,158 +299,123 @@ def _truncate_profile(x: np.ndarray, vals: np.ndarray, pad: int = 8):
     return x[lo:hi], vals[lo:hi]
 
 
+def _hermite_sum(y: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] psi_k(y), one row per column of ``coef``, with the
+    orthonormal Hermite functions from their recurrence psi_k =
+    sqrt(2/k) y psi_(k-1) - sqrt((k-1)/k) psi_(k-2), psi_0 =
+    pi^(-1/4) exp(-y^2/2).  Accumulated term by term, so memory stays
+    at those rows whatever the basis size."""
+    total = np.zeros((coef.shape[1], len(y)))
+    prev, cur = np.zeros_like(y), np.pi**-0.25 * np.exp(-0.5 * y * y)
+    for k, row in enumerate(coef):
+        if k:
+            prev, cur = cur, math.sqrt(2.0 / k) * y * cur - math.sqrt((k - 1) / k) * prev
+        total += row[:, None] * cur
+    return total
+
+
 def solve_nonlinear_eigen(
     params: OperatorParams,
     grid: GridSpec | None = None,
     count: int = 4,
 ) -> list[Eigenpair]:
-    """Real eigenpairs of the profile equation, ordered by |z|.
+    """The ``count`` lowest eigenpairs of the profile equation, by z.
 
-    Solves the pencil at spacings h and h/2 and keeps a fine-grid pair
-    only when (a) its equation residual is below 1e-6 relative, (b) a
-    coarse eigenvalue matches within 1e-5 relative, and
-    (c) the eigenfunction decays at the grid edge (Schwartz tail, which
-    box modes and continuum artifacts fail).  An empty list is a valid
-    outcome only for p = q, where there is nothing to find; for p < q
-    an empty search raises InconclusiveError with the number of modes
-    each filter rejected.
+    z, the Hermite coefficients and their residuals come from
+    _galerkin_settled.  Each profile, of unit L^2 norm and positive
+    peak, is summed on the staggered nodes of ``grid``'s refinement
+    (half its spacing) and stored with its tails cut at 1e-14 of that
+    peak.  The grid must hold it: on the outer 5% of the window the
+    profile must sit below 1e-6 of its peak, and its grid sum h sum f^2
+    must match its unit coefficient norm to 1e-6 (Parseval); otherwise
+    InconclusiveError.  p = q returns an empty list.
     """
-    if params.p == params.q:
-        # The profile equation collapses to -f'' = (z - 1) x^(2(q-1)) f,
-        # which has no decaying solution for any z; the pencil spectrum
-        # is a near-continuum cluster that every filter would reject.
-        # Returning the documented empty result directly spares the
-        # iteration from grinding against that cluster.
+    if params.p == params.q:  # -f'' = (z - 1) x^(2(q-1)) f decays for no z
         return []
     grid = grid or default_grid(params, count=count)
-    want = _modes_requested(count)
-    _, coarse_vals, _ = _pencil_solve(params, grid, want)
-    fine_grid = grid.refined()
-    x, fine_vals, fine_vecs = _pencil_solve(params, fine_grid, want)
-    h = fine_grid.spacing
-
-    pairs: list[Eigenpair] = []
-    rejected = {"drift": 0, "tail": 0, "residual": 0}
+    sol = _galerkin_settled(params, count, vectors=True)
+    fine = grid.refined()
+    x, h = fine.nodes(), fine.spacing
+    vals = _hermite_sum(x / sol.scale, sol.coef) / math.sqrt(sol.scale)
     edge = max(4, int(0.05 * len(x)))
-    for idx, z in enumerate(fine_vals):
-        z = float(z)
-        drift = float(np.min(np.abs(coarse_vals - z)) / max(abs(z), 1.0))
-        if drift > 1e-5:
-            rejected["drift"] += 1
-            continue
-        vals = fine_vecs[:, idx]
-        vals = vals / np.sqrt(h * np.sum(vals**2))
-        top = np.max(np.abs(vals))
-        tail = max(np.max(np.abs(vals[:edge])), np.max(np.abs(vals[-edge:])))
-        if tail > 1e-6 * top:
-            rejected["tail"] += 1
-            continue
-        res = _profile_residual(x, h, vals, z, params)
-        if res > 1e-6:
-            rejected["residual"] += 1
-            continue
-        if vals[np.argmax(np.abs(vals))] < 0:
-            vals = -vals
-        xt, vt = _truncate_profile(x, vals)
-        f = SampledFunction(
-            origin=(float(xt[0]),),
-            spacing=(h,),
-            values=vt,
-            support_radius=float(max(abs(xt[0]), abs(xt[-1]))),
-        )
-        pairs.append(
-            Eigenpair(
-                z=z,
-                w=complex(np.sqrt(complex(z))),
-                f=f,
-                residual=res,
-                grid_stability=drift,
-            )
-        )
-        if len(pairs) == count:
-            break
-    if not pairs:
-        tally = ", ".join(f"{n} by {name}" for name, n in rejected.items())
+    mags = np.abs(vals)
+    top = np.max(mags, axis=1)
+    tail = np.max(np.hstack((mags[:, :edge], mags[:, -edge:])), axis=1)
+    miss = np.abs(h * np.sum(vals**2, axis=1) - 1.0)
+    bad = np.flatnonzero((tail > _SAMPLING_TOL * top) | (miss > _SAMPLING_TOL))
+    if len(bad):
+        k = bad[0]
         raise InconclusiveError(
-            f"no mode of the ({params.p}, {params.q}) pencil passed the filters "
-            f"({len(fine_vals)} rejected: {tally}) at grid half-width "
-            f"{grid.half_width:g}, spacing {grid.spacing:g}; refine or widen the grid"
+            f"the sampling grid at half-width {grid.half_width:g}, spacing "
+            f"{grid.spacing:g} cannot hold mode {k} of the ({params.p}, {params.q}) "
+            f"pencil: it reaches {tail[k]:.1e} on the window's outer 5% against a "
+            f"peak of {top[k]:.1e}, and its grid norm is off 1 by {miss[k]:.1e}; "
+            f"refine or widen the grid"
         )
+    pairs = []
+    for k, (z, v) in enumerate(zip(sol.z, vals)):
+        xt, vt = _truncate_profile(x, v if v[np.argmax(mags[k])] > 0 else -v)
+        f = SampledFunction((float(xt[0]),), (h,), vt,
+                            support_radius=float(max(abs(xt[0]), abs(xt[-1]))))
+        pairs.append(Eigenpair(z=float(z), w=complex(np.sqrt(complex(z))), f=f,
+                               residual=float(sol.residual[k]), basis_size=sol.n,
+                               basis_change=float(abs(z - sol.last[k]) / abs(z))))
     return pairs
 
 
-def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float) -> np.ndarray:
-    """Lowest ``count`` z of the profile pencil in the first n Hermite
-    functions psi_k(x / scale) / sqrt(scale)."""
-    p, q = params.p, params.q
-    # Powers of the position matrix Y (x / scale in this basis, off-diagonal
-    # sqrt(k / 2)) by banded shifts, in n + 2q functions so that the
-    # leading n x n block of each power is exact.
-    big = n + 2 * q
-    off = np.sqrt(np.arange(1, big) / 2.0)[:, None]
-    powers = [np.eye(big)]
-    for _ in range(max(2, 2 * (q - 1))):
-        nxt = np.zeros((big, big))
-        nxt[:-1] += off * powers[-1][1:]
-        nxt[1:] += off * powers[-1][:-1]
-        powers.append(nxt)
-    kinetic = (np.diag(2.0 * np.arange(big) + 1.0) - powers[2]) / scale**2
-    stiff = (kinetic + scale ** (2 * (q - 1)) * powers[2 * (q - 1)])[:n, :n]
-    mass = scale ** (2 * (p - 1)) * powers[2 * (p - 1)][:n, :n]
-    try:
-        chol = np.linalg.cholesky(stiff)
-    except np.linalg.LinAlgError:
-        raise InconclusiveError(
-            f"the ({p}, {q}) Hermite-Galerkin stiffness matrix lost definiteness "
-            f"in rounding at {n} functions"
-        ) from None
-    # mu = 1/z of M v = mu S v, as eigenvalues of L^-1 M L^-T with S = L L^T.
-    flipped = np.linalg.solve(chol, np.linalg.solve(chol, mass).T)
-    return 1.0 / np.linalg.eigvalsh(flipped)[::-1][:count]
+def _pencil_solve(params: OperatorParams, grid: GridSpec, k: int):
+    """The k eigenvalues of the three-point difference pencil
+    (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f on ``grid``'s staggered nodes
+    nearest 0, in order, with their eigenvectors (columns)."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import eigsh
+
+    x = grid.nodes()
+    h = grid.spacing
+    n = len(x)
+    diag = 2.0 / h**2 + x ** (2 * (params.q - 1))
+    off = np.full(n - 1, -1.0 / h**2)
+    stiff = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
+    # Fixed start vector keeps the Lanczos iteration bit-reproducible.
+    v0 = np.full(n, 1.0 / np.sqrt(n))
+    mass = None if params.p == 1 else sp.diags(x ** (2 * (params.p - 1)), 0, format="csc")
+    vals, vecs = eigsh(stiff, k=min(k, n - 2), M=mass, sigma=0.0, which="LM", v0=v0)
+    order = np.argsort(np.abs(vals))
+    return vals[order], vecs[:, order]
 
 
 def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
-    """Independent oracle: the lowest ``count`` z by a Hermite-function
-    Galerkin solve (Boyd, Chebyshev and Fourier Spectral Methods, ch. 17).
+    """Independent oracle: the lowest ``count`` z of the three-point
+    finite-difference pencil, extrapolated to zero spacing.
 
-    The basis is n Hermite functions of scale s = 0.15 x_t, with x_t the
-    turning point that default_grid estimates for the modes requested.
-    In it x / s is the tridiagonal Y, -d^2/dx^2 is (diag(2k + 1) - Y^2)
-    / s^2, and the pencil is S = that + s^(2(q-1)) Y^(2(q-1)) against
-    M = s^(2(p-1)) Y^(2(p-1)), each formed exactly in n + 2q functions and
-    truncated to n.  No grid, spacing or window is shared with the
-    solver's finite differences.
-
-    The pencil is solved flipped: the Cholesky factor L of S, which is
-    bounded below by its ground energy, and the largest mu = 1/z of
-    L^-1 M L^-T.  For p > 1 M is nearly singular, its weight vanishing
-    at the origin, and a Cholesky of M instead loses accuracy as n grows
-    or fails outright.  n runs 64, 80,
-    100, ... (x 1.25) until two consecutive solves agree to 1e-12
-    relative; no agreement by n = 400 raises InconclusiveError.  The
-    default pairs stop at n = 80.  numpy only.
+    The pencil is solved by shift-invert Lanczos at sigma = 0 on the
+    staggered nodes of default_grid at its spacing h and at h/2, and
+    (4 z_(h/2) - z_h) / 3 cancels the O(h^2) error of each.  It shares
+    no discretization with solve_nonlinear_eigen's Hermite-Galerkin
+    solve.  Its own error, against the closed form 1, 3, 5 of (1, 2), is
+    5.3e-12, 4.1e-13 and 3.2e-13 relative; on (1, 3), (2, 3) and (3, 4)
+    it agrees with the solver to 6.3e-13 or better.  The package's one
+    scipy user (scipy.sparse).
     """
     if params.p == params.q:
         raise ValueError(f"no discrete spectrum exists for p = q = {params.q}")
-    scale = 0.15 * _turning_point_q(params, count) ** (1.0 / params.q)
-    n, last = 64, None
-    while n <= 400:
-        z = _galerkin_lowest(params, count, n, scale)
-        if last is not None and np.all(np.abs(z - last) <= 1e-12 * np.abs(z)):
-            return z
-        n, last = int(round(1.25 * n)), z
-    raise InconclusiveError(
-        f"the ({params.p}, {params.q}) Hermite-Galerkin eigenvalues did not "
-        f"settle to 1e-12 within 400 functions"
-    )
+    grid = default_grid(params, count=count)
+    coarse = _pencil_solve(params, grid, count)[0]
+    fine = _pencil_solve(params, grid.refined(), count)[0]
+    return (4.0 * fine - coarse) / 3.0
 
 
 def residual_norm(pair: Eigenpair, params: OperatorParams) -> float:
-    """Relative equation residual of the pair's stored samples."""
+    """Relative equation residual of the pair's stored samples, by
+    centered second differences on the interior nodes.  For a sampled
+    smooth profile this is the O(h^2) truncation of the difference."""
     f = pair.f
     x = f.coords(0)
-    return _profile_residual(x, f.spacing[0], np.asarray(f.values, dtype=float),
-                             pair.z, params)
+    vals = np.asarray(f.values, dtype=float)
+    d2 = _second_difference(vals, 0, f.spacing[0])
+    xc, vc = x[1:-1], vals[1:-1]
+    r = d2 - xc ** (2 * (params.q - 1)) * vc + pair.z * xc ** (2 * (params.p - 1)) * vc
+    return float(np.linalg.norm(r) / np.linalg.norm(vals))
 
 
 def _profile_at(f: SampledFunction, xs, deriv: int = 0) -> np.ndarray:
@@ -402,8 +424,8 @@ def _profile_at(f: SampledFunction, xs, deriv: int = 0) -> np.ndarray:
 
     The moments M_i are the samples' own second difference, 0 at the two
     end nodes, where the stored profile is truncated at 1e-14 of its
-    peak; for an eigenpair they are the equation's f'' to within the
-    residual filter, so no solve is needed.  On the cell
+    peak; for a smooth profile they are f'' to O(h^2 f^(4)), so no
+    solve is needed.  On the cell
     x_i + t h, 0 <= t <= 1, the cubic is the linear interpolant minus
     h^2/6 t(1 - t)[(2 - t) M_i + (1 + t) M_(i+1)].  Its derivative jumps
     by O(h^3 f^(4)) across a node; on a node it reads the mean of the two
@@ -479,7 +501,8 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     """Relative residual of the kernel identity for F_lam.
 
     Path (i), returned: the family is separable, so applying the full
-    operator reduces exactly to lam^(2/q) times the profile residual.
+    operator reduces exactly to lam^(2/q) times the profile equation's
+    residual, the pair's ``residual``.
     Path (ii), asserted: direct second differences of F_lam on a 41^3
     cube and on its 81^3 refinement must shrink like h^2 toward the
     path (i) value; failure raises ConsistencyError.
@@ -492,7 +515,7 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     exp(i lam t2) R(x, t1) and ||L_h F_lam|| / ||F_lam|| depends on the
     t2 axis only through its spacing.
     """
-    path_i = lam ** (2.0 / params.q) * residual_norm(pair, params)
+    path_i = lam ** (2.0 / params.q) * pair.residual
 
     # Stored profiles are truncated where they drop below 1e-14 of peak,
     # so the x extent of the check box is capped to the numerically live

@@ -69,12 +69,14 @@ def eigenpair_summary(pair: Eigenpair, params: OperatorParams) -> dict:
         "q": params.q,
         "z": pair.z,
         "residual": pair.residual,
-        "grid_stability": pair.grid_stability,
+        "basis_size": pair.basis_size,
+        "basis_change": pair.basis_change,
     }
 
 
 def grid_summary(grid: GridSpec) -> dict:
-    """The grid a pencil was solved on; the fine grid halves its spacing."""
+    """The grid the profiles were sampled on; the samples sit at half its
+    spacing (fine_nodes)."""
     return {
         "half_width": grid.half_width,
         "spacing": grid.spacing,

@@ -64,8 +64,10 @@ def test_criterion_01_threshold_exponent_recovery(solve):
 
 def test_criterion_02_eigenvalue_oracle_agreement(solve):
     # Quadratic confinement has a closed-form ground value of 1; the
-    # quartic cases are checked against an independent Hermite-Galerkin
-    # oracle that shares no grid with the solver.  Budget: 30 s per pair.
+    # quartic cases are checked against an independent finite-difference
+    # oracle (three-point pencil at h and h/2, Richardson-combined) that
+    # shares no discretization with the Hermite-Galerkin solver.  Budget:
+    # 30 s per pair.
     checks = [("(1,2) closed form", abs(solve(1, 2)[0].z - 1.0), SOLVE_SECONDS[(1, 2)])]
     for p, q in ((1, 3), (2, 3)):
         t0 = time.perf_counter()
@@ -208,10 +210,11 @@ def test_criterion_08_structural_invariants(solve, bump_of):
             support_radius=pair.f.support_radius,
         ),
         residual=pair.residual,
-        grid_stability=pair.grid_stability,
+        basis_size=pair.basis_size,
+        basis_change=pair.basis_change,
     )
-    # The residual sits at the second-difference rounding floor, so the
-    # rescaling perturbs it by up to eps/h^2 absolute; the exponent
+    # The rescaling rounds every sample, which perturbs the sampled
+    # second-difference residual by up to eps/h^2 absolute; the exponent
     # estimate cancels the scale in log space and is far tighter.
     d_res = abs(residual_norm(scaled, p23) - residual_norm(pair, p23))
     d_est = abs(estimate_optimal_exponent(scaled, p23) - estimate_optimal_exponent(pair, p23))

@@ -74,6 +74,14 @@ class TestUsageErrors:
             main(argv)
         assert err.value.code == 64
 
+    def test_flag_the_pipeline_does_not_read_shows_the_pipeline_usage(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["transform", "--seed", "9"])
+        assert err.value.code == 64
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: gevreylab transform [-h]")
+        assert lines[-1] == "gevreylab transform: error: unrecognized arguments: --seed 9"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -317,7 +325,7 @@ class TestEigen:
         code, out = run(tmp_path, "eigen", "--p", "1", "--q", "2",
                         "--grid-x", "1000", "--grid-h", "10")
         assert code == 2
-        assert "8 by drift" in capsys.readouterr().err
+        assert "cannot hold mode 0" in capsys.readouterr().err
         assert not (out / "eigen.json").exists()
 
 
@@ -342,7 +350,7 @@ class TestCounterexample:
     def test_empty_search_below_threshold_is_inconclusive(self, tmp_path, capsys):
         code, out = run(tmp_path, "counterexample", "--p", "1", "--q", "2", "--grid-x", "3")
         assert code == 2
-        assert "by drift" in capsys.readouterr().err
+        assert "cannot hold mode 0" in capsys.readouterr().err
         assert not (out / "counterexample.json").exists()
 
 

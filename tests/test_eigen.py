@@ -26,7 +26,7 @@ from gevreylab import (
     verify_kernel,
 )
 import gevreylab.eigen
-from gevreylab.eigen import _profile_at
+from gevreylab.eigen import _pencil_solve, _profile_at
 
 P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
@@ -43,14 +43,16 @@ def off_centre_pair() -> Eigenpair:
     x = np.arange(-half, half + h / 2.0, h)
     values = np.exp(-((np.abs(x) - 1.5) ** 2) / 0.1)
     f = SampledFunction((x[0],), (h,), values, support_radius=half)
-    return Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, grid_stability=0.0)
+    return Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, basis_size=0,
+                     basis_change=0.0)
 
 
 def hermite_ground_pair(h: float = 1e-4, half: float = 8.0) -> Eigenpair:
     """Closed-form ground profile for (1, 2): unit frequency Gaussian."""
     x = np.arange(-half, half + h / 2.0, h)
     f = SampledFunction((x[0],), (h,), np.exp(-x * x / 2.0), support_radius=half)
-    return Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, grid_stability=0.0)
+    return Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, basis_size=0,
+                     basis_change=0.0)
 
 
 def staggered_hermite_pair(odd: bool) -> Eigenpair:
@@ -60,7 +62,8 @@ def staggered_hermite_pair(odd: bool) -> Eigenpair:
     values = (x if odd else 1.0) * np.exp(-x * x / 2.0)
     f = SampledFunction((x[0],), (1e-3,), values, support_radius=8.0)
     z = 3.0 if odd else 1.0
-    return Eigenpair(z=z, w=complex(np.sqrt(z)), f=f, residual=0.0, grid_stability=0.0)
+    return Eigenpair(z=z, w=complex(np.sqrt(z)), f=f, residual=0.0, basis_size=0,
+                     basis_change=0.0)
 
 
 class TestGrids:
@@ -101,7 +104,9 @@ class TestGrids:
     def test_default_extent_resolves_requested_modes(self, solve):
         # Agmon extent: every kept mode dies out inside the grid, where
         # its stored profile is cut at 1e-14 of peak, and doubling the
-        # extent moves no eigenvalue by more than 1e-10 relative.
+        # extent moves no eigenvalue by more than 1e-10 relative.  The
+        # eigenvalues do not depend on the grid, so the stored profiles,
+        # sampled on the same nodes, are compared too.
         for p, q in PAIRS:
             params = OperatorParams(p, q)
             grid = default_grid(params)
@@ -112,6 +117,10 @@ class TestGrids:
             z = np.array([pair.z for pair in pairs])
             z_wide = np.array([pair.z for pair in wide])
             assert np.all(np.abs(z - z_wide) <= 1e-10 * z_wide), (p, q)
+            for pair, other in zip(pairs, wide):
+                assert other.f.origin == pair.f.origin, (p, q)
+                top = np.max(np.abs(pair.f.values))
+                assert np.max(np.abs(other.f.values - pair.f.values)) <= 1e-12 * top, (p, q)
         assert default_grid(OperatorParams(2, 2)).half_width == 30.0
 
     def test_default_extent_grows_with_count(self):
@@ -130,9 +139,7 @@ class TestResidual:
 
     def test_perturbed_eigenvalue_detected(self):
         base = hermite_ground_pair()
-        off = Eigenpair(
-            z=1.1, w=base.w, f=base.f, residual=0.0, grid_stability=0.0
-        )
+        off = dataclasses.replace(base, z=1.1)
         assert residual_norm(off, P12) >= 0.01
 
 
@@ -143,10 +150,10 @@ class TestSolve:
         assert np.allclose([p.z for p in pairs], [1.0, 3.0, 5.0, 7.0], atol=1e-5)
         assert abs(pairs[0].z - 1.0) <= 1e-6
 
-    def test_filters_enforced(self, solve):
+    def test_settling_enforced(self, solve):
         for pair in solve(1, 2) + solve(2, 3):
             assert pair.residual <= 1e-6
-            assert pair.grid_stability <= 1e-5
+            assert pair.basis_change <= 1e-12
             assert abs(pair.w**2 - pair.z) <= 1e-12 * max(1.0, abs(pair.z))
             top = np.max(np.abs(pair.f.values))
             assert top > 0.0
@@ -170,13 +177,47 @@ class TestSolve:
         assert solve_nonlinear_eigen(OperatorParams(2, 2)) == []
 
     def test_unresolved_grid_below_threshold_is_inconclusive(self):
-        # Profiles exist for p < q, so an empty search blames the grid;
-        # spacing 10 leaves every mode drifting between h and h/2.
-        with pytest.raises(InconclusiveError, match="8 by drift, 0 by tail, 0 by residual"):
+        # Profiles exist for p < q, so a grid that cannot hold them is a
+        # failure.  Spacing 10 samples the profiles at half of it, so the
+        # ground state only at +-2.5, +-7.5, ..., and its grid norm reads 0.011.
+        with pytest.raises(InconclusiveError, match="cannot hold mode 0 .* norm is off 1 by 9.9e-01"):
             solve_nonlinear_eigen(P12, GridSpec(1000.0, 10.0))
 
+    def test_sampling_grid_check(self):
+        # At half-width 3 the ground state, of peak 0.75, still reaches
+        # 0.02 on the outer 5% of the window.
+        with pytest.raises(InconclusiveError,
+                           match="cannot hold mode 0 .* reaches 2.0e-02 .* peak of 7.5e-01"):
+            solve_nonlinear_eigen(P12, GridSpec(3.0, 2e-3))
+        # At half-width 6 the ground state fits and the next mode does not.
+        with pytest.raises(InconclusiveError, match="cannot hold mode 1"):
+            solve_nonlinear_eigen(P12, GridSpec(6.0, 2e-3))
+
+    @pytest.mark.parametrize("pq", PAIRS)
+    def test_profiles_match_the_oracle_eigenvectors(self, solve, pq):
+        # The finite-difference eigenvectors on the same nodes carry their
+        # own O(h^2) error, 3.9e-8 to 9.0e-7 of the peak on these modes.
+        params = OperatorParams(*pq)
+        grid = default_grid(params).refined()
+        _, vecs = _pencil_solve(params, grid, 4)
+        for pair, vec in zip(solve(*pq), vecs.T):
+            start = int(round((pair.f.origin[0] - grid.nodes()[0]) / grid.spacing))
+            got = np.zeros(grid.size)
+            got[start:start + len(pair.f.values)] = pair.f.values
+            vec *= np.sign(vec @ got) / np.sqrt(grid.spacing * np.sum(vec**2))
+            assert np.max(np.abs(got - vec)) <= 1e-6 * np.max(np.abs(got)), pq
+
+    def test_residuals_settle_below_1e10(self, solve):
+        # The basis grows until every kept mode's residual is below 1e-10,
+        # and the ground states land far below it.
+        for p, q in PAIRS:
+            pairs = solve(p, q)
+            assert all(pair.residual <= 1e-10 for pair in pairs)
+            assert pairs[0].residual <= 1e-13, (p, q)
+
     def test_oracle_cross_check(self, solve):
-        # Independent Hermite-Galerkin oracle, no grid shared with the solver.
+        # Independent finite-difference oracle, no discretization shared
+        # with the solver.
         got = [p.z for p in solve(3, 4)][:3]
         oracle = reference_eigenvalues(P34)
         rel = np.abs(np.array(got) - oracle[: len(got)]) / oracle[: len(got)]
@@ -205,19 +246,19 @@ class TestSolve:
         got = reference_eigenvalues(params, count)
         assert np.all(np.abs(got - want) <= 1e-8 * want)
 
-    def test_oracle_is_exact_for_the_harmonic_pair(self):
+    def test_solver_is_exact_for_the_harmonic_pair(self, solve):
         # -f'' + x^2 f = z f: the Hermite functions are its eigenfunctions.
-        got = reference_eigenvalues(P12)
-        assert np.all(np.abs(got - [1.0, 3.0, 5.0]) <= 1e-13)
+        got = [pair.z for pair in solve(1, 2)]
+        assert np.all(np.abs(np.array(got) - [1.0, 3.0, 5.0, 7.0]) <= 1e-13)
 
-    def test_oracle_unsettled_basis_is_inconclusive(self):
-        # At (12, 13) the solves at 305 and 381 functions still differ by
-        # 9e-10.  At (1, 30) the stiffness, with entries up to 1e26 at 156
-        # functions, loses definiteness in rounding before any two agree.
+    def test_unsettled_basis_is_inconclusive(self):
+        # At (12, 13) z agrees to 3e-15 between 305 and 381 functions, but
+        # the residuals still read 0.16.  At (1, 30) the stiffness loses
+        # definiteness in rounding at 305 functions, before any two agree.
         with pytest.raises(InconclusiveError, match="did not settle"):
-            reference_eigenvalues(OperatorParams(12, 13))
+            solve_nonlinear_eigen(OperatorParams(12, 13))
         with pytest.raises(InconclusiveError):
-            reference_eigenvalues(OperatorParams(1, 30))
+            solve_nonlinear_eigen(OperatorParams(1, 30))
 
     def test_oracle_rejects_flat_potential(self):
         for p, q in ((1, 1), (2, 2)):
@@ -230,7 +271,8 @@ class TestSelectK:
         x = np.linspace(-6.0, 6.0, 1201)
         vals = x**2 * np.exp(-x * x)
         f = SampledFunction((x[0],), (x[1] - x[0],), vals, support_radius=6.0)
-        pair = Eigenpair(z=1.0, w=1.0 + 0j, f=f, residual=0.0, grid_stability=0.0)
+        pair = Eigenpair(z=1.0, w=1.0 + 0j, f=f, residual=0.0, basis_size=0,
+                         basis_change=0.0)
         with pytest.raises(DegenerateOriginError):
             select_k(pair)
 
@@ -289,10 +331,9 @@ class TestFamily:
 class TestKernelIdentity:
     def test_separable_reduction_is_exact(self, solve):
         pair = solve(1, 2)[0]
-        base = residual_norm(pair, P12)
         for lam in (10.0, 100.0):
             got = verify_kernel(pair, lam, P12)
-            assert got == pytest.approx(lam * base, rel=1e-14)
+            assert got == pytest.approx(lam * pair.residual, rel=1e-14)
 
     def test_doubling_scales_by_two_over_q(self, solve):
         pair = solve(1, 2)[0]
@@ -431,22 +472,16 @@ class TestExponentEstimate:
 
     def test_normalization_invariance(self, solve):
         pair = solve(2, 3)[0]
-        scaled = Eigenpair(
-            z=pair.z,
-            w=pair.w,
-            f=SampledFunction(
-                pair.f.origin,
-                pair.f.spacing,
-                -2.35 * np.asarray(pair.f.values),
-                support_radius=pair.f.support_radius,
-            ),
-            residual=pair.residual,
-            grid_stability=pair.grid_stability,
-        )
+        scaled = dataclasses.replace(pair, f=SampledFunction(
+            pair.f.origin,
+            pair.f.spacing,
+            -2.35 * np.asarray(pair.f.values),
+            support_radius=pair.f.support_radius,
+        ))
         # Rescaling rounds every stored sample once and the second
-        # difference amplifies that by 1/h^2, so the residual (itself at
-        # that floor) is invariant to eps/h^2 absolute, not to relative
-        # precision.  Measured shift ~1.3e-11 against a 2.2e-10 floor.
+        # difference amplifies that by 1/h^2, so the sampled residual is
+        # invariant to eps/h^2 absolute, not to relative precision.
+        # Measured shift 5e-14 against a 2.2e-10 floor.
         floor = np.finfo(float).eps / pair.f.spacing[0] ** 2
         assert abs(residual_norm(scaled, P23) - residual_norm(pair, P23)) <= floor
         assert estimate_optimal_exponent(scaled, P23) == pytest.approx(

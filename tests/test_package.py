@@ -54,9 +54,8 @@ def test_every_export_has_a_reader():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the pencil solve, its one user, so
-    # pipelines that never reach it (transform, classify, inequalities)
-    # do not pay for it at startup.
+    # scipy is imported inside the oracle's finite-difference solve, its
+    # one user, which no pipeline reaches.
     env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.__file__).parents[1]))
     code = "import sys, gevreylab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -65,25 +64,25 @@ def test_cli_import_loads_no_scipy():
 
 
 #: What each run may load of scipy, by subpackage.  The transform fit,
-#: the derivative stencils and the eigenvalue oracle, which gives the
-#: scaling constant of an order m >= 3, are numpy only; the eigen,
-#: counterexample and demo pipelines load the pencil solve (sparse, which
-#: brings linalg).  The Beta value of the default grid comes from the
-#: standard library, and profile values off the nodes from a numpy cubic,
-#: so no run loads special or interpolate.  The splitting ladder and the
-#: oracle are the library call chains of the splitting and oracle
-#: benchmark jobs.
+#: the derivative stencils and the Hermite-Galerkin solve, which gives the
+#: eigen, counterexample and demo profiles and the scaling constant of an
+#: order m >= 3, are numpy only; the eigenvalue oracle loads the
+#: finite-difference pencil solve (sparse, which brings linalg).  The
+#: Beta value of the default grid comes from the standard library, and
+#: profile values off the nodes from a numpy cubic, so no run loads
+#: special or interpolate.  The splitting ladder and the oracle are the
+#: library call chains of the splitting and oracle benchmark jobs.
 _SCIPY_BY_RUN = {
     "transform --order 2": set(),
     "classify --order 2": set(),
     "inequalities --p 1 --q 2": set(),
     "inequalities --p 1 --q 3": set(),
     "inequalities --p 3 --q 4": set(),
-    "eigen --p 2 --q 3": {"sparse", "linalg"},
-    "counterexample --p 1 --q 2": {"sparse", "linalg"},
-    "demo --pairs 2,3": {"sparse", "linalg"},
+    "eigen --p 2 --q 3": set(),
+    "counterexample --p 1 --q 2": set(),
+    "demo --pairs 2,3": set(),
     "splitting ladder": set(),
-    "oracle 2,3": set(),
+    "oracle 2,3": {"sparse", "linalg"},
 }
 
 _SPLITTING = """

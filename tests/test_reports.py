@@ -75,7 +75,7 @@ def test_field_csv_keeps_complex_base_label(tmp_path):
 def test_eigenpair_csv_parses_back(tmp_path):
     x = np.linspace(-1.0, 1.0, 11)
     f = SampledFunction((x[0],), (x[1] - x[0],), np.exp(-x * x))
-    pair = Eigenpair(z=1.0, w=1.0 + 0j, f=f, residual=0.0, grid_stability=0.0)
+    pair = Eigenpair(z=1.0, w=1.0 + 0j, f=f, residual=0.0, basis_size=0, basis_change=0.0)
     out = tmp_path / "pair.csv"
     eigenpair_to_csv(pair, out)
     lines = out.read_text().splitlines()
@@ -94,14 +94,16 @@ def test_eigenpair_summary_fields():
 
     x = np.linspace(-1.0, 1.0, 11)
     f = SampledFunction((x[0],), (x[1] - x[0],), np.exp(-x * x))
-    pair = Eigenpair(z=3.0, w=np.sqrt(3.0) + 0j, f=f, residual=1e-9, grid_stability=1e-8)
+    pair = Eigenpair(z=3.0, w=np.sqrt(3.0) + 0j, f=f, residual=1e-13, basis_size=80,
+                     basis_change=4e-16)
     got = eigenpair_summary(pair, OperatorParams(1, 2))
     assert got == {
         "p": 1,
         "q": 2,
         "z": 3.0,
-        "residual": 1e-9,
-        "grid_stability": 1e-8,
+        "residual": 1e-13,
+        "basis_size": 80,
+        "basis_change": 4e-16,
     }
 
 
