@@ -13,7 +13,7 @@ ladder whose weighted norms leave the float range),
 1 other failures, 64 usage errors (among them a flag the pipeline does
 not read, a non-finite value, an n-ladder that is not strictly increasing
 or has fewer than three orders, and a grid override that is not positive
-or too coarse to solve on).
+or too coarse to resample profiles on).
 """
 
 from __future__ import annotations
@@ -496,8 +496,8 @@ _PIPELINES = {
     "demo": _Pipeline(
         _cmd_demo,
         "exponent table across (p, q) pairs",
-        "per (p, q): Hermite-Galerkin pencil solve, kernel family, ladder extrapolation "
-        "of the growth exponent s*(N) toward the q/p threshold",
+        "per (p, q): Hermite-Galerkin pencil solve for the ground profile and "
+        "ladder extrapolation of the growth exponent s*(N) toward the q/p threshold",
         ("pairs", "n_ladder", "out"),
     ),
 }

@@ -50,8 +50,8 @@ highest mode that sizes the window has decayed by e^-40 past its
 turning point, with that mode's eigenvalue estimated by Bohr-Sommerfeld
 quantization (a closed-form Beta-function action).  An independent
 oracle, reference_eigenvalues, solves the same pencil by staggered
-finite differences at two spacings, for cross-validation; it is the
-package's one scipy user, and no pipeline calls it.
+finite differences at two spacings, for cross-validation, also in numpy
+(_pencil_solve); no pipeline calls it.
 
 For p = q no Schwartz solution exists (the equation collapses to a
 constant-coefficient one) and the solver correctly returns an empty
@@ -64,6 +64,7 @@ come from the cubic through the samples in moment form (_profile_at).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,7 +94,8 @@ class GridSpec:
         if not (0 < self.half_width < math.inf and 0 < self.spacing < math.inf):
             raise ValueError("grid extent and spacing must be positive and finite")
         if self.half_width / self.spacing < 8:
-            raise ValueError("grid too small for a second-order solve")
+            raise ValueError("grid too small: need at least 8 spacings per half-width "
+                             "for the cubic profile resampling and the difference oracle")
 
     @property
     def size(self) -> int:
@@ -363,39 +365,173 @@ def solve_nonlinear_eigen(
     return pairs
 
 
-def _pencil_solve(params: OperatorParams, grid: GridSpec, k: int):
-    """The k eigenvalues of the three-point difference pencil
-    (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f on ``grid``'s staggered nodes
-    nearest 0, in order, with their eigenvectors (columns)."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import eigsh
+def _cyclic_reduction(diag: np.ndarray, off: float):
+    """A solver for the symmetric tridiagonal system with diagonal
+    ``diag`` and every off-diagonal entry ``off``, factored once by
+    odd-even cyclic reduction.
 
+    The system is padded to 2^m - 1 rows with decoupled identity rows.
+    Each level eliminates the even rows (0, 2, ...) from the odd ones and
+    keeps its multipliers, so a solve is 2m vectorised passes: reduce the
+    right-hand side down the levels, then substitute back up.  The
+    stiffness matrices here are diagonally dominant, where cyclic
+    reduction is stable.
+    """
+    n = len(diag)
+    size = 2 ** n.bit_length() - 1
+    b = np.ones(size)
+    b[:n] = diag
+    a = np.zeros(size)  # a[i] couples row i to row i - 1
+    a[1:n] = off
+    levels = []
+    while len(b) > 1:
+        be, bo, ae, ao = b[0::2], b[1::2], a[0::2], a[1::2]
+        left, right = -ao / be[:-1], -ae[1:] / be[1:]
+        levels.append((be, ae, np.append(ao, 0.0), left, right))
+        b = bo + left * ao + right * ae[1:]
+        a = left * ae[:-1]
+    last = b[0]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        r = np.zeros(size)
+        r[:n] = rhs
+        evens = []
+        for _, _, _, left, right in levels:
+            re = r[0::2]
+            evens.append(re)
+            r = r[1::2] + left * re[:-1] + right * re[1:]
+        x = r / last
+        for (be, ae, ce, _, _), re in zip(reversed(levels), reversed(evens)):
+            xo = np.concatenate(([0.0], x, [0.0]))
+            full = np.empty(2 * len(re) - 1)
+            full[0::2] = (re - ae * xo[:-1] - ce * xo[1:]) / be
+            full[1::2] = x
+            x = full
+        return x[:n]
+
+    return solve
+
+
+def _sturm_count(diag: np.ndarray, mass: np.ndarray, off: float, sigma: float) -> int:
+    """Number of eigenvalues below ``sigma`` of the pencil (S, M), S the
+    symmetric tridiagonal matrix with diagonal ``diag`` and off-diagonal
+    ``off``, M = diag(``mass``) positive: the negative pivots of the
+    LDL^T factorization of S - sigma M, by Sylvester's law of inertia
+    (Barth, Martin and Wilkinson, Numer. Math. 9, 1967).  One scalar
+    pass over the rows; a zero pivot is read as the tiniest negative
+    one, the limit from sigma a hair above."""
+    off2, count, pivot = off * off, 0, math.inf
+    for d in (diag - sigma * mass).tolist():
+        pivot = d - off2 / pivot
+        if pivot <= 0.0:
+            count += 1
+            if pivot == 0.0:
+                pivot = -sys.float_info.min
+    return count
+
+
+#: Relative Lanczos residual at which _pencil_solve takes a Ritz value.
+_LANCZOS_TOL = 1e-14
+#: Lanczos steps after which _pencil_solve gives up; the default pairs
+#: take 18 to 33 for three modes, (12, 13) 62.
+_LANCZOS_STEPS = 300
+
+
+def _pencil_solve(params: OperatorParams, grid: GridSpec, k: int):
+    """The k lowest eigenvalues of the three-point difference pencil
+    (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f on ``grid``'s staggered nodes
+    (zero outside the window), in order, with their eigenvectors as
+    columns of unit norm.  numpy only.
+
+    Write S f = z M f, M = diag(x^(2(p-1))).  Lanczos with full
+    reorthogonalization runs on M^(1/2) S^-1 M^(1/2), whose eigenvalues
+    are theta = 1/z, with S factored once by cyclic reduction.  The
+    start vector exp(-x^2)(1 + x) has both parities.  The iteration
+    stops once the k + 1 largest Ritz values each have a Lanczos residual
+    at or below 1e-14 of their value: 18 to 33 steps on the default
+    pairs at k = 3.  Each eigenvector is S^-1 M^(1/2) of its Ritz
+    vector, which the iteration already formed, and each z its Rayleigh
+    quotient in energy form,
+
+        [sum ((f_(i+1) - f_i) / h)^2 + (f_0^2 + f_(n-1)^2) / h^2
+         + sum x^(2(q-1)) f^2] / sum x^(2(p-1)) f^2,
+
+    which never forms the diagonal 2 / h^2 + x^(2(q-1)): on the default
+    grids the quotient f^T S f with that diagonal rounds to 9e-11
+    relative, and the Ritz values 1/theta to 3e-12.
+    Sturm counts certify the result: at the midpoint between the j-th
+    and (j+1)-th z exactly j + 1 eigenvalues must lie below, for j < k,
+    so a mode the start vector missed raises InconclusiveError, as does
+    an iteration that does not converge.
+    """
     x = grid.nodes()
     h = grid.spacing
     n = len(x)
-    diag = 2.0 / h**2 + x ** (2 * (params.q - 1))
-    off = np.full(n - 1, -1.0 / h**2)
-    stiff = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-    # Fixed start vector keeps the Lanczos iteration bit-reproducible.
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    mass = None if params.p == 1 else sp.diags(x ** (2 * (params.p - 1)), 0, format="csc")
-    vals, vecs = eigsh(stiff, k=min(k, n - 2), M=mass, sigma=0.0, which="LM", v0=v0)
-    order = np.argsort(np.abs(vals))
-    return vals[order], vecs[:, order]
+    pot = x ** (2 * (params.q - 1))
+    mass = x ** (2 * (params.p - 1))
+    diag, off = 2.0 / h**2 + pot, -1.0 / h**2
+    solve = _cyclic_reduction(diag, off)
+    root = np.sqrt(mass)
+    want = k + 1
+    steps = min(n, _LANCZOS_STEPS)
+    basis, images = np.zeros((steps, n)), np.zeros((steps, n))
+    alphas, betas = [], []
+    # np.einsum keeps the long reductions off the threaded BLAS, whose
+    # ddot and dgemv stalled for 0.1-0.7 s in about one process in ten
+    # on a busy 2-core machine.
+    vec = np.exp(-x * x) * (1.0 + x)
+    vec /= math.sqrt(np.einsum("i,i", vec, vec))
+    for j in range(steps):
+        basis[j] = vec
+        images[j] = solve(root * vec)  # S^-1 M^(1/2) q_j
+        w = root * images[j]
+        alphas.append(float(np.einsum("i,i", vec, w)))
+        w -= alphas[-1] * vec + (betas[-1] * basis[j - 1] if j else 0.0)
+        for _ in range(2):  # full reorthogonalization; twice is enough
+            w -= np.einsum("ji,j", basis[:j + 1], np.einsum("ji,i", basis[:j + 1], w))
+        beta = math.sqrt(np.einsum("i,i", w, w))
+        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta, s = theta[::-1][:want], s[:, ::-1][:, :want]
+        converged = len(theta) == want and np.all(beta * np.abs(s[-1]) <= _LANCZOS_TOL * theta)
+        if converged or beta == 0.0:
+            break
+        betas.append(beta)
+        vec = w / beta
+    if not converged:
+        raise InconclusiveError(
+            f"the ({params.p}, {params.q}) difference pencil on {n} nodes did not "
+            f"converge within {j + 1} Lanczos steps"
+        )
+    vecs = np.einsum("ji,jk", images[:j + 1], s)
+    vecs /= np.sqrt(np.einsum("ik,ik->k", vecs, vecs))
+    sq, step = vecs**2, np.diff(vecs, axis=0)
+    energy = (np.einsum("ik,ik->k", step, step) + sq[0] + sq[-1]) / h**2
+    vals = (energy + np.einsum("i,ik", pot, sq)) / np.einsum("i,ik", mass, sq)
+    for mode in range(k):
+        sigma = 0.5 * (vals[mode] + vals[mode + 1])
+        below = _sturm_count(diag, mass, off, sigma)
+        if below != mode + 1:
+            raise InconclusiveError(
+                f"the ({params.p}, {params.q}) difference pencil on {n} nodes has "
+                f"{below} eigenvalues below {sigma:.12g}, where Lanczos found {mode + 1}"
+            )
+    return vals[:k], vecs[:, :k]
 
 
 def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
     """Independent oracle: the lowest ``count`` z of the three-point
     finite-difference pencil, extrapolated to zero spacing.
 
-    The pencil is solved by shift-invert Lanczos at sigma = 0 on the
-    staggered nodes of default_grid at its spacing h and at h/2, and
-    (4 z_(h/2) - z_h) / 3 cancels the O(h^2) error of each.  It shares
-    no discretization with solve_nonlinear_eigen's Hermite-Galerkin
-    solve.  Its own error, against the closed form 1, 3, 5 of (1, 2), is
-    5.3e-12, 4.1e-13 and 3.2e-13 relative; on (1, 3), (2, 3) and (3, 4)
-    it agrees with the solver to 6.3e-13 or better.  The package's one
-    scipy user (scipy.sparse).
+    The pencil is solved by _pencil_solve (shift-invert Lanczos, checked
+    by Sturm counts) on the staggered nodes of default_grid at its
+    spacing h and at h/2, and (4 z_(h/2) - z_h) / 3 cancels the O(h^2)
+    error of each.  It shares no discretization with
+    solve_nonlinear_eigen's Hermite-Galerkin solve.  Its own error,
+    against the closed form 1, 3, 5 of (1, 2), is 1.5e-14, 4.5e-14 and
+    1.1e-13 relative; on (1, 3), (2, 3) and (3, 4) it agrees with the
+    solver to 1.0e-13 or better on the ground state and 6.6e-13 on the
+    third mode.  (With scipy's eigsh in place of _pencil_solve the (1, 2)
+    error read 5.3e-12: eigsh's rounding, not O(h^4) truncation.)
     """
     if params.p == params.q:
         raise ValueError(f"no discrete spectrum exists for p = q = {params.q}")

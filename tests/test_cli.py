@@ -402,3 +402,13 @@ class TestDemo:
             cells = line.split(",")
             assert float(cells[2]) == pytest.approx(target, rel=1e-12)
             assert abs(float(cells[3]) - target) < 0.02
+
+    def test_help_names_what_runs(self, capsys):
+        # demo solves the pencil and extrapolates the ladder; it builds
+        # no kernel family.
+        with pytest.raises(SystemExit) as err:
+            main(["demo", "-h"])
+        assert err.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "kernel family" not in text
+        assert "Hermite-Galerkin pencil solve" in text and "ladder extrapolation" in text

@@ -1,6 +1,11 @@
 """Profile eigensolve, kernel family, and the growth-exponent ladder."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from gevreylab import (
     verify_kernel,
 )
 import gevreylab.eigen
-from gevreylab.eigen import _pencil_solve, _profile_at
+from gevreylab.eigen import _pencil_solve, _profile_at, _sturm_count
 
 P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
@@ -264,6 +269,57 @@ class TestSolve:
         for p, q in ((1, 1), (2, 2)):
             with pytest.raises(ValueError, match=f"p = q = {q}"):
                 reference_eigenvalues(OperatorParams(p, q))
+
+    def test_oracle_is_exact_for_the_harmonic_pair(self):
+        # The Richardson step leaves O(h^4) truncation and rounding:
+        # measured 1.5e-14, 4.5e-14 and 1.1e-13 relative.
+        want = np.array([1.0, 3.0, 5.0])
+        assert np.all(np.abs(reference_eigenvalues(P12) - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("pq", [(1, 2), (2, 3)])
+    def test_sturm_count_matches_the_dense_pencil(self, pq):
+        # Every gap of the spectrum on a 60-node grid, below it and above it.
+        params = OperatorParams(*pq)
+        grid = GridSpec(3.0, 0.1)
+        x, h = grid.nodes(), grid.spacing
+        diag = 2.0 / h**2 + x ** (2 * (params.q - 1))
+        mass = x ** (2 * (params.p - 1))
+        stiff = np.diag(diag) - (np.eye(len(x), k=1) + np.eye(len(x), k=-1)) / h**2
+        z = eigh(stiff, np.diag(mass), eigvals_only=True)
+        sigmas = [0.5 * z[0], *(0.5 * (z[:-1] + z[1:])), 2.0 * z[-1]]
+        counts = [_sturm_count(diag, mass, -1.0 / h**2, sigma) for sigma in sigmas]
+        assert counts == [int(np.sum(z < sigma)) for sigma in sigmas]
+        assert counts == list(range(len(x) + 1))
+        got = _pencil_solve(params, grid, 4)[0]
+        assert np.all(np.abs(got - z[:4]) <= 1e-12 * z[:4])
+
+    def test_pencil_solve_finds_the_odd_modes(self):
+        # The start vector has both parities: the modes z = 3 and 7 of
+        # (1, 2) come out, with odd eigenvectors on the symmetric nodes.
+        vals, vecs = _pencil_solve(P12, default_grid(P12), 4)
+        assert np.all(np.abs(vals - [1.0, 3.0, 5.0, 7.0]) <= 1e-5)
+        for j, vec in enumerate(vecs.T):
+            mirror = vec[::-1] * (-1) ** j
+            assert np.max(np.abs(vec - mirror)) <= 1e-10 * np.max(np.abs(vec)), j
+
+    def test_sturm_certificate_rejects_a_missed_mode(self, monkeypatch):
+        # One eigenvalue more below each midpoint than Lanczos found is
+        # what a start vector blind to a mode would leave.
+        count = gevreylab.eigen._sturm_count
+        monkeypatch.setattr(gevreylab.eigen, "_sturm_count", lambda *args: count(*args) + 1)
+        with pytest.raises(InconclusiveError, match="2 eigenvalues below .* Lanczos found 1"):
+            _pencil_solve(P12, GridSpec(8.0, 0.05), 3)
+
+    def test_oracle_report_is_identical_across_processes(self):
+        # The oracle benchmark job's report, written in two fresh processes.
+        code = ("import json, gevreylab as gl\n"
+                "zs = gl.reference_eigenvalues(gl.OperatorParams(2, 3))\n"
+                "print(json.dumps({'2,3': [float(z) for z in zs]}, indent=2, sort_keys=True))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.__file__).parents[1]))
+        outs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True).stdout for _ in range(2)]
+        assert outs[0] == outs[1]
+        assert len(json.loads(outs[0])["2,3"]) == 3
 
 
 class TestSelectK:

@@ -53,9 +53,24 @@ def test_every_export_has_a_reader():
     assert [name for name in gevreylab.__all__ if name not in read] == []
 
 
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only, so no import of it may sit even on
+    # a path that no run reaches.
+    package = Path(gevreylab.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the oracle's finite-difference solve, its
-    # one user, which no pipeline reaches.
     env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.__file__).parents[1]))
     code = "import sys, gevreylab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -64,14 +79,14 @@ def test_cli_import_loads_no_scipy():
 
 
 #: What each run may load of scipy, by subpackage.  The transform fit,
-#: the derivative stencils and the Hermite-Galerkin solve, which gives the
+#: the derivative stencils, the Hermite-Galerkin solve, which gives the
 #: eigen, counterexample and demo profiles and the scaling constant of an
-#: order m >= 3, are numpy only; the eigenvalue oracle loads the
-#: finite-difference pencil solve (sparse, which brings linalg).  The
-#: Beta value of the default grid comes from the standard library, and
-#: profile values off the nodes from a numpy cubic, so no run loads
-#: special or interpolate.  The splitting ladder and the oracle are the
-#: library call chains of the splitting and oracle benchmark jobs.
+#: order m >= 3, and the eigenvalue oracle's finite-difference pencil
+#: solve (Lanczos on a cyclic-reduction solve, Sturm counts) are numpy
+#: only.  The Beta value of the default grid comes from the standard
+#: library, and profile values off the nodes from a numpy cubic, so no
+#: run loads special or interpolate.  The splitting ladder and the oracle
+#: are the library call chains of the splitting and oracle benchmark jobs.
 _SCIPY_BY_RUN = {
     "transform --order 2": set(),
     "classify --order 2": set(),
@@ -82,7 +97,7 @@ _SCIPY_BY_RUN = {
     "counterexample --p 1 --q 2": set(),
     "demo --pairs 2,3": set(),
     "splitting ladder": set(),
-    "oracle 2,3": {"sparse", "linalg"},
+    "oracle 2,3": set(),
 }
 
 _SPLITTING = """
