@@ -376,9 +376,8 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
         out / "apriori.csv",
     )
 
-    weight_rows = [
-        [mag, check_weight_inequality(params, [mag])] for mag in config.tau_ladder
-    ]
+    sups = check_weight_inequality(params, config.tau_ladder)
+    weight_rows = [[mag, float(sup)] for mag, sup in zip(config.tau_ladder, sups)]
     emit_report(weight_rows, ["tau", "sup_ratio"], out / "weight.csv")
 
     scaling_rows = []

@@ -222,15 +222,18 @@ def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float,
     coupling of c's last entries to the functions left out.
     """
     p, q = params.p, params.q
-    # Powers of Y (off-diagonal sqrt(k / 2)) by banded shifts.
+    # Powers of Y (off-diagonal sqrt(k / 2)) by banded shifts, keeping
+    # only those the pencil reads, so memory does not grow with q.
     big = n + 2 * q
     off = np.sqrt(np.arange(1, big) / 2.0)[:, None]
-    powers = [np.eye(big)]
-    for _ in range(max(2, 2 * (q - 1))):
-        nxt = np.zeros((big, big))
-        nxt[:-1] += off * powers[-1][1:]
-        nxt[1:] += off * powers[-1][:-1]
-        powers.append(nxt)
+    powers = {0: np.eye(big)}
+    power = powers[0]
+    for j in range(1, max(2, 2 * (q - 1)) + 1):
+        prev, power = power, np.zeros((big, big))
+        power[:-1] += off * prev[1:]
+        power[1:] += off * prev[:-1]
+        if j in (2, 2 * (p - 1), 2 * (q - 1)):
+            powers[j] = power
     kinetic = (np.diag(2.0 * np.arange(big) + 1.0) - powers[2]) / scale**2
     stiff = (kinetic + scale ** (2 * (q - 1)) * powers[2 * (q - 1)])[:, :n]
     mass = scale ** (2 * (p - 1)) * powers[2 * (p - 1)][:, :n]
@@ -277,6 +280,11 @@ def _galerkin_settled(params: OperatorParams, count: int, vectors: bool = False)
     0.15 x_t (6, 8) still has a residual of 4e-6 at n = 381, where at
     0.1 x_t every pair with q <= 8 settles by n = 381.  The default pairs
     stop at n = 244 (1, 2), 195 (1, 3), 125 (2, 3) and 100 (3, 4).
+
+    Eigenvalues alone stay a separate path for cost: in fresh processes
+    on a shared 2-core box the (1, 3) ground state took 2.3-4.6 ms
+    without vectors and 33-149 ms with them, nearly all in the first
+    np.linalg.eigh.  scaling_constant takes it for every order m >= 3.
     """
     turn = _turning_point_q(params, count) ** (1.0 / params.q)
     scale = (0.1 if vectors else 0.15) * turn
@@ -615,14 +623,14 @@ def build_counterexample(
     (xlo, xhi, nx), (t1lo, t1hi, n1), (t2lo, t2hi, n2) = box
     scale = lam ** (1.0 / params.q)
     coords = pair.f.coords(0)
-    if scale * max(abs(xlo), abs(xhi)) > max(abs(coords[0]), abs(coords[-1])):
+    if scale * xlo < coords[0] or scale * xhi > coords[-1]:
         raise ResampleError(
             "dilated box exceeds the stored profile grid; solve on a wider grid"
         )
     xs = np.linspace(xlo, xhi, nx)
     t1 = np.linspace(t1lo, t1hi, n1)
     t2 = np.linspace(t2lo, t2hi, n2)
-    fx = _profile_at(pair.f, np.clip(scale * xs, coords[0], coords[-1])).astype(complex)
+    fx = _profile_at(pair.f, scale * xs).astype(complex)
     g1 = np.exp(lam**params.exponent_ratio * pair.w * t1)
     g2 = np.exp(1j * lam * t2)
     values = fx[:, None, None] * g1[None, :, None] * g2[None, None, :]

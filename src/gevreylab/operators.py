@@ -28,17 +28,16 @@ whose tau-uniformity is the quantitative content of the theory:
 * check_scaling_inequality: lam^(2/m) ||f||^2 <= C(||f'||^2
   + lam^2 int x^(2(m-1)) |f|^2) with C calibrated once at lam = 1.
 
-The norms and the a-priori and scaling checks take a probe stack: a
-sequence of 1d samples on one grid, such as probe_family returns, held
-as one (probes, nodes) array.  What depends on the grid only (weight,
-density, potential) is formed once per call and broadcast over the
-probes, and every quadrature sums over the contiguous node axis, so each
-row equals that probe checked alone.  A single 1d sample is the stack of
-one and gives floats.  Likewise the norms and the a-priori check take a
-tau ladder and a rho ladder, and the scaling check a ladder of cuts:
-what depends on the probes only (derivatives, second difference) is
-formed once for every rung, and what depends on tau besides (the A_tau
-images, the weighted sums) once for every rho.
+Every check is a sweep: probe stacks and ladders in, one entry per rung
+out.  The norms and the a-priori check give (rhos, taus, probes) arrays,
+the scaling check two (cuts, probes) arrays and the weight check one sup
+per magnitude; an empty stack or ladder raises ValueError.  A probe
+stack is a sequence of 1d samples on one grid, such as probe_family
+returns, held as one (probes, nodes) array.  Work that depends on the
+grid only is formed once and broadcast over the probes, work that
+depends on the probes only once for every tau, rho or cut, and every
+quadrature sums over the contiguous node axis, so each entry equals
+that probe checked alone at that tau, rho or cut.
 
 Convention: x^0 is 1 everywhere including x = 0, so p = 1 terms are
 constants, never 0^0 artifacts.
@@ -132,17 +131,20 @@ def _potential(x: np.ndarray, tau: DualFrequency, params: OperatorParams) -> np.
     return t1sq * x ** (2 * (params.p - 1)) + t2sq * x ** (2 * (params.q - 1))
 
 
-def _probe_stack(
-    f: SampledFunction | Sequence[SampledFunction],
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Values (probes, nodes), nodes x and spacing h of a probe stack.
+def _rungs(name: str, ladder: Sequence) -> list:
+    """The rungs of a probe stack or ladder ``name``, which may not be empty."""
+    rungs = list(ladder)
+    if not rungs:
+        raise ValueError(f"{name} is empty: a sweep needs at least one rung")
+    return rungs
 
-    A probe stack is a sequence of 1d samples on one grid; a single 1d
-    sample is read as the stack of one.
-    """
-    probes = (f,) if isinstance(f, SampledFunction) else tuple(f)
-    if not probes:
-        raise ValueError("a probe stack needs at least one probe")
+
+def _probe_stack(
+    probes: Sequence[SampledFunction],
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Values (probes, nodes), nodes x and spacing h of a probe stack, a
+    sequence of 1d samples on one grid."""
+    probes = _rungs("probes", probes)
     if any(g.ndim != 1 for g in probes):
         raise ValueError("expected 1d samples")
     first = probes[0]
@@ -150,30 +152,6 @@ def _probe_stack(
     if any((g.origin, g.spacing, g.values.shape) != grid for g in probes):
         raise ValueError("the probes of a stack must share one grid")
     return np.stack([g.values for g in probes]), first.coords(0), first.spacing[0]
-
-
-def _per_probe(f: SampledFunction | Sequence[SampledFunction], values: np.ndarray):
-    """``values`` with its last, per-probe axis dropped for a single
-    sample, and a float where nothing else is left."""
-    if not isinstance(f, SampledFunction):
-        return values
-    one = values[..., 0]
-    return float(one) if one.ndim == 0 else one
-
-
-def _per_ladder(
-    f: SampledFunction | Sequence[SampledFunction],
-    tau: DualFrequency | Sequence[DualFrequency],
-    rho: float | Sequence[float],
-    values: np.ndarray,
-):
-    """(rhos, taus, probes) ``values`` less the axes a single rho, a
-    single tau or a single sample does not have."""
-    if np.ndim(rho) == 0:
-        values = values[0]
-    if isinstance(tau, DualFrequency):
-        values = values[..., 0, :]
-    return _per_probe(f, values)
 
 
 def _squared_derivatives(values: np.ndarray, h: float, k: int) -> list[np.ndarray]:
@@ -220,12 +198,12 @@ def _weighted_norms(
 
 
 def htau_norm(
-    f: SampledFunction | Sequence[SampledFunction],
+    probes: Sequence[SampledFunction],
     k: int,
-    tau: DualFrequency | Sequence[DualFrequency],
+    taus: Sequence[DualFrequency],
     params: OperatorParams,
-    rho: float | Sequence[float] = 0.0,
-) -> float | np.ndarray:
+    rhos: Sequence[float] = (0.0,),
+) -> np.ndarray:
     """Squared weighted Sobolev norm of order k in {0, 1, 2}.
 
     The k-th norm sums |f^(j)|^2 w^(2(k-1-j)) for j = 0..k against the
@@ -238,21 +216,15 @@ def htau_norm(
         k=1:  |f'|^2 w^(-2) + |f|^2
         k=2:  |f''|^2 w^(-2) + |f'|^2 + |f|^2 w^2
 
-    ``f`` is one 1d sample or a probe stack on one grid, ``tau`` one dual
-    frequency or a ladder of them, and ``rho`` one exponent or a ladder
-    of them.  The derivatives depend on f only, so they are formed once,
-    and each tau's weighted sum of them once for every rho.  The result
-    has the shape (rhos, taus, probes), less the axes a single rho, a
-    single tau or a single sample does not have: one sample at one tau
-    and one rho gives a float.
+    One norm per (rho, tau, probe), as a (rhos, taus, probes) array.  The
+    derivatives depend on the probes only, so they are formed once, and
+    each tau's weighted sum of them once for every rho.
     """
     if k not in (0, 1, 2):
         raise ValueError("norm order k must be 0, 1, or 2")
-    values, x, h = _probe_stack(f)
+    values, x, h = _probe_stack(probes)
     squares = _squared_derivatives(values, h, k)
-    taus = [tau] if isinstance(tau, DualFrequency) else list(tau)
-    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
-    return _per_ladder(f, tau, rho, _weighted_norms(squares, x, h, taus, params, rhos))
+    return _weighted_norms(squares, x, h, _rungs("taus", taus), params, _rungs("rhos", rhos))
 
 
 def _second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -311,7 +283,7 @@ def apply_A_tau(
     (no centered difference exists there), so callers slice
     ``.values[1:-1]`` for the interior, as the acceptance gate does.
     """
-    values, x, h = _probe_stack(f)
+    values, x, h = _probe_stack([f])
     out = np.full_like(f.values, np.nan)
     out[1:-1] = _frozen_images(values, x, h, [tau], params)[0][0]
     return SampledFunction(f.origin, f.spacing, out)
@@ -341,38 +313,35 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
 
 
 def apriori_norms(
-    f: SampledFunction | Sequence[SampledFunction],
-    tau: DualFrequency | Sequence[DualFrequency],
+    probes: Sequence[SampledFunction],
+    taus: Sequence[DualFrequency],
     params: OperatorParams,
-    rho: float | Sequence[float] = 0.0,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+    rhos: Sequence[float] = (0.0,),
+) -> tuple[np.ndarray, np.ndarray]:
     """The two sides of the a-priori estimate: (||f||_(2,tau)^2,
-    ||A_tau f||_(0,tau)^2), both squared norms as htau_norm forms them.
+    ||A_tau f||_(0,tau)^2), both squared norms as htau_norm forms them
+    and both (rhos, taus, probes) arrays.
 
     A_tau f is measured on the interior nodes only: its one-cell
-    boundary layer, which apply_A_tau leaves NaN, is sliced off.  ``f``,
-    ``tau`` and ``rho`` are read and both sides shaped as in htau_norm:
-    one sample at one tau and one rho gives two floats, a probe stack
-    over a rho ladder and a tau ladder two (rhos, taus, probes) arrays.
-    The A_tau images, like the derivatives, are formed once for every
-    rho.  A norm on either side that leaves the float range, at any rho
-    of the ladder, raises InconclusiveError, and a vanishing image norm,
-    which leaves the ratio undefined, raises ValueError.
+    boundary layer, which apply_A_tau leaves NaN, is sliced off.  The
+    A_tau images, like the derivatives, are formed once for every rho.
+    A norm on either side that leaves the float range, at any rho of the
+    ladder, raises InconclusiveError, and a vanishing image norm, which
+    leaves the ratio undefined, raises ValueError.
     """
-    taus = [tau] if isinstance(tau, DualFrequency) else list(tau)
-    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
-    values, x, h = _probe_stack(f)
+    taus, rhos = _rungs("taus", taus), _rungs("rhos", rhos)
+    values, x, h = _probe_stack(probes)
     # The guard below reports an overflow; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
         images = _frozen_images(values, x, h, taus, params)
         # The image's grid starts at x[1] and is laid out as SampledFunction
         # lays out its nodes, which can differ from x[1:-1] in the last bit.
         x_image = x[1] + h * np.arange(len(x) - 2)
-        image_norms = np.concatenate([
+        den = np.concatenate([
             _weighted_norms([np.abs(image) ** 2], x_image, h, [t], params, rhos)
             for t, image in zip(taus, images)
         ], axis=1)
-        num, den = htau_norm(f, 2, tau, params, rho), _per_ladder(f, tau, rho, image_norms)
+        num = htau_norm(probes, 2, taus, params, rhos)
     if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
         raise InconclusiveError("a weighted norm of the a-priori estimate is not finite: "
                                 "it leaves the float range on this tau and rho ladder")
@@ -382,42 +351,42 @@ def apriori_norms(
 
 
 def check_apriori(
-    f: SampledFunction | Sequence[SampledFunction],
-    tau: DualFrequency | Sequence[DualFrequency],
+    probes: Sequence[SampledFunction],
+    taus: Sequence[DualFrequency],
     params: OperatorParams,
-    rho: float | Sequence[float] = 0.0,
-) -> float | np.ndarray:
-    """Ratio ||f||_(2,tau)^2 / ||A_tau f||_(0,tau)^2 of apriori_norms.
+    rhos: Sequence[float] = (0.0,),
+) -> np.ndarray:
+    """Ratio ||f||_(2,tau)^2 / ||A_tau f||_(0,tau)^2 of apriori_norms,
+    one per (rho, tau, probe), which raises for norms it cannot divide.
 
     The a-priori estimate says this ratio is bounded uniformly in tau
     for small rho, the exponent of the norms' weight exp(rho |tau|^(p/q)
     v(x)); the acceptance gate sweeps it over a probe family and a tau
-    ladder and watches the spread.  ``f``, ``tau`` and ``rho`` are read
-    and the ratios shaped as in htau_norm: one per (rho, tau, probe), a
-    float for one sample at one tau and one rho.  apriori_norms raises
-    for norms it cannot divide.
+    ladder and watches the spread.
     """
-    num, den = apriori_norms(f, tau, params, rho)
+    num, den = apriori_norms(probes, taus, params, rhos)
     return num / den
 
 
-def check_weight_inequality(params: OperatorParams, tau_ladder) -> float:
-    """Sup of |tau|^(p/q) (|x|^(p-1) + |x|^(q-1)) / w(x, tau).
+def check_weight_inequality(params: OperatorParams, magnitudes: Sequence[float]) -> np.ndarray:
+    """Sup of |tau|^(p/q) (|x|^(p-1) + |x|^(q-1)) / w(x, tau), one per
+    tau magnitude of the ladder.
 
-    Sampled at 401 points x in the unit cutoff region [-1, 1], tau
-    magnitudes from the ladder, and 16 tau directions on a quarter
-    circle (w is even in each component).  Uniform boundedness over
-    |tau| >= 1 is the pointwise weight inequality the norms depend on.
-    A weight that leaves the float range raises InconclusiveError.
+    Sampled at 401 points x in the unit cutoff region [-1, 1] and 16 tau
+    directions on a quarter circle (w is even in each component).
+    Uniform boundedness over |tau| >= 1 is the pointwise weight
+    inequality the norms depend on.  A weight that leaves the float
+    range raises InconclusiveError.
     """
     x = np.linspace(-1.0, 1.0, 401)
     # x^0 == 1 by convention, including at x = 0.
     numerator_x = np.abs(x) ** (params.p - 1) + np.abs(x) ** (params.q - 1)
     angles = np.linspace(0.0, np.pi / 2.0, 16)
-    sup = 0.0
-    for mag in tau_ladder:
+    sups = []
+    for mag in _rungs("magnitudes", magnitudes):
         if mag < 1.0:
             raise ValueError("weight inequality is asserted for |tau| >= 1")
+        sup = 0.0
         for theta in angles:
             tau = DualFrequency(mag * np.cos(theta), mag * np.sin(theta))
             # The guard below reports an overflow; numpy need not warn of it.
@@ -428,19 +397,8 @@ def check_weight_inequality(params: OperatorParams, tau_ladder) -> float:
                                         f"at |tau| = {mag:g}")
             ratio = mag**params.exponent_ratio * numerator_x / w
             sup = max(sup, float(ratio.max()))
-    return sup
-
-
-def _scaling_terms(
-    values: np.ndarray, x: np.ndarray, h: float, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-probe (||f||^2, ||f'||^2, int x^(2(m-1)) |f|^2) of the rows of
-    ``values`` (probes, nodes) on the nodes x."""
-    density, slope = _squared_derivatives(values, h, 1)
-    n0 = np.sum(density, axis=-1) * h
-    a = np.sum(slope, axis=-1) * h
-    b = np.sum(density * x ** (2 * (m - 1)), axis=-1) * h
-    return n0, a, b
+        sups.append(sup)
+    return np.array(sups)
 
 
 @functools.lru_cache(maxsize=None)
@@ -460,10 +418,9 @@ def scaling_constant(m: int) -> float:
     term only ever helps and the sharp constant is discretely safe.
 
     The ground energy is exactly 1 for m = 1 (constant potential) and
-    m = 2 (harmonic); higher m takes it from the numpy Hermite-Galerkin
-    solve of the (1, m) profile pencil that the eigen solver uses, with
-    eigenvalues only and settled on z alone (eigen._galerkin_settled),
-    so no order loads scipy.
+    m = 2 (harmonic); higher m takes it from the Hermite-Galerkin solve
+    of the (1, m) profile pencil that the eigen solver uses, eigenvalues
+    only and settled on z alone (eigen._galerkin_settled).
     """
     if m < 1:
         raise ValueError("scaling order m must be a positive integer")
@@ -475,36 +432,35 @@ def scaling_constant(m: int) -> float:
 
 
 def check_scaling_inequality(
-    f: SampledFunction | Sequence[SampledFunction],
-    lam: float | Sequence[float],
+    probes: Sequence[SampledFunction],
+    cuts: Sequence[float],
     m: int,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate both sides of lam^(2/m) ||f||^2 <= C (||f'||^2 + lam^2 b).
 
-    Returns (lhs, rhs) with the per-order constant folded into rhs.
-    ``f`` is one 1d sample or a probe stack on one grid, and ``lam`` one
-    cut or a ladder of cuts; the three quadratures depend on f and m
-    only, so they are formed once for every cut.  Each side has the
-    shape (cuts, probes), less the axis a single cut or a single sample
-    does not have: one sample at one cut gives two floats.  The
-    quadratures use f's own grid, so rescaled inputs (same values,
-    scaled spacing) reproduce the continuum scaling identity exactly.
-    A side that leaves the float range raises InconclusiveError.
+    Returns (lhs, rhs), two (cuts, probes) arrays, with the per-order
+    constant folded into rhs.  The three quadratures depend on the probes
+    and m only, so they are formed once for every cut.  They use the
+    probes' own grid, so rescaled inputs (same values, scaled spacing)
+    reproduce the continuum scaling identity exactly.  A side that leaves
+    the float range raises InconclusiveError.
     """
-    cuts = list(np.ravel(lam).astype(float))
-    if min(cuts) <= 0:
+    cuts = np.array(_rungs("cuts", cuts), dtype=float)
+    if cuts.min() <= 0:
         raise ValueError("scaling parameter must be positive")
-    values, x, h = _probe_stack(f)
-    n0, a, b = _scaling_terms(values, x, h, m)
+    values, x, h = _probe_stack(probes)
+    # ||f||^2, ||f'||^2 and int x^(2(m-1)) |f|^2 of each probe.
+    density, slope = _squared_derivatives(values, h, 1)
+    n0 = np.sum(density, axis=-1) * h
+    a = np.sum(slope, axis=-1) * h
+    b = np.sum(density * x ** (2 * (m - 1)), axis=-1) * h
     c = scaling_constant(m)
-    # Scalar cuts keep lam^(2/m) the scalar pow of a single cut; as numpy
-    # scalars they overflow to inf, which the guard below reports.
+    # Each cut is a numpy scalar, so lam^(2/m) and lam^2 overflow to inf,
+    # which the guard below reports, where a Python float would raise.
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.array([cut ** (2.0 / m) * n0 for cut in cuts])
         rhs = np.array([c * (a + cut**2 * b) for cut in cuts])
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise InconclusiveError("a side of the scaling inequality leaves the float range "
                                 "on this ladder of cuts")
-    if np.ndim(lam) == 0:
-        lhs, rhs = lhs[0], rhs[0]
-    return _per_probe(f, lhs), _per_probe(f, rhs)
+    return lhs, rhs

@@ -154,16 +154,16 @@ def test_criterion_07_uniform_inequalities(probes):
     # to 1e-6.
     params = OperatorParams(1, 2)
     mags = [10.0**k for k in range(5)]
-    apriori = [
-        max(check_apriori(g, DualFrequency(0.0, m), params) for g in probes) for m in mags
-    ]
-    weight = [check_weight_inequality(params, [m]) for m in mags]
+    taus = [DualFrequency(0.0, m) for m in mags]
+    apriori = check_apriori(probes, taus, params)[0].max(axis=1)
+    weight = check_weight_inequality(params, mags)
     drift = 0.0
     for m in (1, 2, 3):
         ratios = []
         for lam in (1.0, 10.0, 100.0):
-            lhs, rhs = check_scaling_inequality(probes[0].rescaled(lam ** (1.0 / m)), lam, m)
-            ratios.append(lhs / rhs)
+            member = probes[0].rescaled(lam ** (1.0 / m))
+            lhs, rhs = check_scaling_inequality([member], [lam], m)
+            ratios.append(lhs[0, 0] / rhs[0, 0])
         drift = max(drift, max(ratios) - min(ratios))
     a_spread = max(apriori) / min(apriori)
     w_spread = max(weight) / min(weight)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,19 @@ class TestSolve:
         assert outs[0] == outs[1]
         assert len(json.loads(outs[0])["2,3"]) == 3
 
+    def test_galerkin_keeps_only_the_powers_it_reads(self):
+        # The pencil reads Y^2, Y^(2(p-1)) and Y^(2(q-1)) of the n + 2q
+        # square position matrix; keeping every power up to Y^(2(q-1))
+        # would hold 159 of them here, about 87 MB.
+        tracemalloc.start()
+        try:
+            z = gevreylab.eigen._galerkin_lowest(OperatorParams(1, 80), 1, 100, 0.1)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(z[0]) and z[0] > 0.0
+        assert peak < 20e6
+
 
 class TestSelectK:
     def test_degenerate_origin_rejected(self):
@@ -382,6 +396,18 @@ class TestFamily:
         # lam^(1/q) = 1000 dilation against a profile stored out to ~8.
         with pytest.raises(ResampleError):
             build_counterexample(solve(1, 2)[0], 1e6, P12, BOX)
+
+    @pytest.mark.parametrize("lo,hi", [(-4.0, 6.0), (-6.0, 4.0)])
+    def test_dilation_beyond_the_nearer_end_rejected(self, lo, hi):
+        # lam = 25 dilates [-1, 1] to [-5, 5]: inside the farther end of
+        # the stored grid but past the nearer one, where no sample exists.
+        h = 1e-3
+        x = np.arange(lo, hi + h / 2.0, h)
+        f = SampledFunction((x[0],), (h,), np.exp(-x * x / 2.0))
+        pair = Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, basis_size=0,
+                         basis_change=0.0)
+        with pytest.raises(ResampleError):
+            build_counterexample(pair, 25.0, P12, BOX)
 
 
 class TestKernelIdentity:

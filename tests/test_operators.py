@@ -58,14 +58,12 @@ class TestWeightConfig:
     def test_cutoff_plateaus(self):
         # Samples on one node x_i have weighted-to-plain norm ratio
         # exp(rho |tau|^(p/q) v(x_i)), which reads the cutoff v back.
+        # One probe per node, swept as one stack.
         x = np.linspace(-3.0, 3.0, 601)
         tau, rho = DualFrequency(0.0, 4.0), 0.5  # rho |tau|^(1/2) = 1
-
-        def cutoff_at(node):
-            f = SampledFunction((x[0],), (x[1] - x[0],), node)
-            return np.log(htau_norm(f, 0, tau, P12, rho) / htau_norm(f, 0, tau, P12))
-
-        v = np.array([cutoff_at(node) for node in np.eye(len(x))])
+        nodes = [SampledFunction((x[0],), (x[1] - x[0],), node) for node in np.eye(len(x))]
+        norms = htau_norm(nodes, 0, [tau], P12, (rho, 0.0))[:, 0]
+        v = np.log(norms[0] / norms[1])
         assert np.all(v[np.abs(x) <= 0.25] == 0.0)
         assert np.allclose(v[np.abs(x) >= 1.0], 1.0, rtol=0.0, atol=1e-12)
         ramp = v[(x >= 0.25) & (x <= 1.0)]
@@ -130,7 +128,7 @@ class TestWeightedNorms:
         z = SampledFunction((x[0],), (x[1] - x[0],), np.zeros(101))
         tau = DualFrequency(1.0, 2.0)
         for k in (0, 1, 2):
-            assert htau_norm(z, k, tau, P12) == 0.0
+            assert htau_norm([z], k, [tau], P12)[0, 0, 0] == 0.0
 
     def test_isotropic_base_norm_closed_form(self):
         # p = q = 1 puts w^2 = 2 |tau|^2 everywhere, so the order-0 norm
@@ -138,23 +136,23 @@ class TestWeightedNorms:
         f = gauss(2001, 6.0)
         tau = DualFrequency(3.0, -1.0)
         want = np.sum(f.values**2) * f.spacing[0] / (2.0 * tau.magnitude**2)
-        assert htau_norm(f, 0, tau, P11) == pytest.approx(want, rel=1e-12)
+        assert htau_norm([f], 0, [tau], P11)[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_norm_order_validated(self):
         with pytest.raises(ValueError, match="0, 1, or 2"):
-            htau_norm(gauss(101), 3, DualFrequency(1.0, 0.0), P12)
+            htau_norm([gauss(101)], 3, [DualFrequency(1.0, 0.0)], P12)
 
     def test_requires_1d(self):
         vals = np.ones((8, 8))
         u = SampledFunction((0.0, 0.0), (0.1, 0.1), vals)
         with pytest.raises(ValueError, match="1d"):
-            htau_norm(u, 0, DualFrequency(1.0, 0.0), P12)
+            htau_norm([u], 0, [DualFrequency(1.0, 0.0)], P12)
 
     def test_refinement_converges_to_frozen_value(self):
         # Gaussian data, tau = (0, 100), order-2 norm: grid refinement
         # moves the quadrature by under 1e-8 relative per doubling.
         tau = DualFrequency(0.0, 100.0)
-        vals = [htau_norm(gauss(n), 2, tau, P12) for n in (2001, 4001, 8001)]
+        vals = [htau_norm([gauss(n)], 2, [tau], P12)[0, 0, 0] for n in (2001, 4001, 8001)]
         assert vals[2] == pytest.approx(9040.40347, abs=1e-4)
         for a, b in zip(vals, vals[1:]):
             assert abs(b - a) / b < 1e-8
@@ -289,10 +287,8 @@ class TestFrozenOperator:
 class TestAprioriEstimate:
     def test_ladder_spread_bounded(self):
         fam = probe_family()[::10]
-        vals = [
-            max(check_apriori(g, DualFrequency(0.0, 10.0**k), P12) for g in fam)
-            for k in range(5)
-        ]
+        taus = [DualFrequency(0.0, 10.0**k) for k in range(5)]
+        vals = check_apriori(fam, taus, P12)[0].max(axis=1)
         frozen = [1.25003, 2.600604, 1.454902, 1.057864, 1.005979]
         assert np.allclose(vals, frozen, atol=1e-5)
         assert max(vals) / min(vals) < 4.0
@@ -300,58 +296,57 @@ class TestAprioriEstimate:
     def test_small_envelope_exponent_is_a_perturbation(self):
         g = probe_family()[0]
         tau = DualFrequency(0.0, 10.0)
-        base = check_apriori(g, tau, P12)
-        for rho in (-0.05, 0.05):
-            v = check_apriori(g, tau, P12, rho=rho)
+        base, *perturbed = check_apriori([g], [tau], P12, (0.0, -0.05, 0.05))[:, 0, 0]
+        for v in perturbed:
             assert 0.8 <= v / base <= 1.25
 
     def test_ratio_of_the_interior_norms(self):
         # The image norm skips the boundary layer apply_A_tau leaves NaN.
         g = probe_family()[3]
         tau = DualFrequency(0.0, 100.0)
-        num, den = apriori_norms(g, tau, P12, rho=0.05)
+        num, den = apriori_norms([g], [tau], P12, [0.05])
         image = apply_A_tau(g, tau, P12)
         interior = SampledFunction((g.coords(0)[1],), g.spacing, image.values[1:-1])
-        assert num == htau_norm(g, 2, tau, P12, rho=0.05)
-        assert den == htau_norm(interior, 0, tau, P12, rho=0.05)
-        assert check_apriori(g, tau, P12, rho=0.05) == num / den
+        assert np.array_equal(num, htau_norm([g], 2, [tau], P12, [0.05]))
+        assert np.array_equal(den, htau_norm([interior], 0, [tau], P12, [0.05]))
+        assert np.array_equal(check_apriori([g], [tau], P12, [0.05]), num / den)
 
     def test_zero_image_rejected(self):
         x = np.linspace(-2.0, 2.0, 101)
         z = SampledFunction((x[0],), (x[1] - x[0],), np.zeros(101))
         with pytest.raises(ValueError, match="vanishes"):
-            check_apriori(z, DualFrequency(1.0, 1.0), P12)
+            check_apriori([z], [DualFrequency(1.0, 1.0)], P12)
 
     @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (3, 4)])
     def test_stack_rows_equal_single_probes(self, p, q):
-        # Each (tau, probe) entry of a sweep over a tau ladder and a probe
-        # stack is bit for bit that probe alone at that tau, the stack of
-        # one: the sums run over the contiguous last axis, and the work
-        # that depends on the probes only is shared, not reordered.
+        # Each (rho, tau, probe) entry of a sweep over a probe stack and
+        # its ladders is bit for bit that probe alone, the stack of one,
+        # on the ladders and at that tau alone: the sums run over the
+        # contiguous last axis, and the work that depends on the probes
+        # only is shared, not reordered.
         params = OperatorParams(p, q)
         probes = probe_family()
         taus = [DualFrequency(0.0, mag) for mag in (1.0, 10.0, 100.0, 1000.0, 10000.0)]
-        for rho in (0.0, 0.05, -0.05):
-            ladder = check_apriori(probes, taus, params, rho)
-            assert ladder.shape == (5, 100)
-            sides = apriori_norms(probes, taus, params, rho)
-            assert np.array_equal(ladder, sides[0] / sides[1])
+        rhos = (0.0, 0.05, -0.05)
+        ladder = check_apriori(probes, taus, params, rhos)
+        assert ladder.shape == (3, 5, 100)
+        sides = apriori_norms(probes, taus, params, rhos)
+        assert np.array_equal(ladder, sides[0] / sides[1])
+        for i in range(0, 100, 33):
+            alone = apriori_norms([probes[i]], taus, params, rhos)
+            for side, one in zip(sides, alone):
+                assert np.array_equal(side[..., i:i + 1], one)
             for j, tau in enumerate(taus):
-                assert np.array_equal(ladder[j], check_apriori(probes, tau, params, rho))
-            for i in range(0, 100, 33):
-                alone = check_apriori(probes[i], taus, params, rho)
-                assert alone.shape == (5,)
-                for j, tau in enumerate(taus):
-                    assert ladder[j, i] == alone[j] == check_apriori(probes[i], tau, params, rho)
-                    one = apriori_norms(probes[i], tau, params, rho)
-                    assert (sides[0][j, i], sides[1][j, i]) == one
+                at_tau = apriori_norms([probes[i]], [tau], params, rhos)
+                for side, one in zip(sides, at_tau):
+                    assert np.array_equal(side[:, j:j + 1, i:i + 1], one)
 
     @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (3, 4)])
     def test_rho_rows_equal_single_rho_calls(self, p, q):
         # Each rho row of a sweep over a rho ladder is bit for bit the
-        # single-rho call: the derivatives, the A_tau images and each tau's
-        # weighted sum are shared, and only the density and the sum run
-        # per rho.
+        # call on the rho ladder of one: the derivatives, the A_tau images
+        # and each tau's weighted sum are shared, and only the density and
+        # the sum run per rho.
         params = OperatorParams(p, q)
         probes = probe_family()
         taus = [DualFrequency(0.0, mag) for mag in (1.0, 100.0, 10000.0)]
@@ -360,71 +355,64 @@ class TestAprioriEstimate:
         sides = apriori_norms(probes, taus, params, rhos)
         assert norms.shape == sides[0].shape == sides[1].shape == (3, 3, 100)
         assert np.array_equal(sides[0], norms)
+        assert htau_norm(probes, 1, taus[:1], params, rhos).shape == (3, 1, 100)
         for r, rho in enumerate(rhos):
-            assert np.array_equal(norms[r], htau_norm(probes, 2, taus, params, rho))
-            one = apriori_norms(probes, taus, params, rho)
-            assert np.array_equal(sides[0][r], one[0])
-            assert np.array_equal(sides[1][r], one[1])
-        g, tau = probes[7], taus[1]
-        alone = apriori_norms(g, tau, params, rhos)
-        assert alone[0].shape == alone[1].shape == (3,)
-        assert htau_norm(probes, 1, tau, params, rhos).shape == (3, 100)
-        for r, rho in enumerate(rhos):
-            assert (alone[0][r], alone[1][r]) == apriori_norms(g, tau, params, rho)
+            one = apriori_norms(probes, taus, params, [rho])
+            assert np.array_equal(sides[0][r:r + 1], one[0])
+            assert np.array_equal(sides[1][r:r + 1], one[1])
 
     def test_one_overflowing_rho_of_a_ladder_is_inconclusive(self):
         # exp(1e3 |tau|^(1/2) v) = exp(1e4) on |x| >= 1 leaves the float range.
         g = probe_family()[0]
         tau = DualFrequency(0.0, 100.0)
-        assert np.all(np.isfinite(check_apriori(g, tau, P12, [0.0, 0.05])))
+        assert np.all(np.isfinite(check_apriori([g], [tau], P12, [0.0, 0.05])))
         with pytest.raises(InconclusiveError, match="not finite"):
-            apriori_norms(g, tau, P12, [0.0, 0.05, 1e3])
+            apriori_norms([g], [tau], P12, [0.0, 0.05, 1e3])
 
     def test_zero_probe_in_a_stack_rejected(self):
         probes = probe_family()[:3]
         zero = SampledFunction(probes[0].origin, probes[0].spacing, np.zeros(4001))
         for check in (check_apriori, apriori_norms):
             with pytest.raises(ValueError, match="vanishes"):
-                check([*probes, zero], DualFrequency(0.0, 10.0), P12)
+                check([*probes, zero], [DualFrequency(0.0, 10.0)], P12)
 
     def test_overflow_of_the_h2_side_alone_is_inconclusive(self):
         # Scaled so that only the h2 sum overflows: the image sum stays
         # finite, since the ratio h2/image exceeds 1 at this tau.
         g = probe_family()[0]
         tau = DualFrequency(0.0, 10.0)
-        num, den = apriori_norms(g, tau, P12)
+        num, den = (side[0, 0, 0] for side in apriori_norms([g], [tau], P12))
         assert num / den > 1.2
         h = g.spacing[0]
         scale = np.sqrt(np.finfo(float).max * h / np.sqrt(num * den))
         big = SampledFunction(g.origin, g.spacing, scale * g.values)
         interior = apply_A_tau(big, tau, P12).values[1:-1]
         image = SampledFunction((g.coords(0)[1],), g.spacing, interior)
-        assert np.isfinite(htau_norm(image, 0, tau, P12))
+        assert np.all(np.isfinite(htau_norm([image], 0, [tau], P12)))
         with pytest.raises(InconclusiveError, match="not finite"):
-            apriori_norms(big, tau, P12)
+            apriori_norms([big], [tau], P12)
 
     def test_stack_needs_one_grid(self):
         g = probe_family()[0]
         with pytest.raises(ValueError, match="one grid"):
-            check_apriori([g, g.rescaled(2.0)], DualFrequency(0.0, 10.0), P12)
+            check_apriori([g, g.rescaled(2.0)], [DualFrequency(0.0, 10.0)], P12)
 
 
 class TestWeightInequality:
     def test_isotropic_sup_is_sqrt_two(self):
         # p = q = 1: ratio = mag * 2 / (sqrt(2) mag) at |x| = 1.
-        for mag in (1.0, 10.0, 1000.0):
-            got = check_weight_inequality(P11, [mag])
-            assert got == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        got = check_weight_inequality(P11, [1.0, 10.0, 1000.0])
+        assert np.allclose(got, np.sqrt(2.0), rtol=0.0, atol=1e-12)
 
     def test_ladder_sups_frozen(self):
-        sups = [check_weight_inequality(P12, [10.0**k]) for k in range(5)]
+        sups = check_weight_inequality(P12, [10.0**k for k in range(5)])
         assert np.allclose(sups, [1.4142, 1.0488, 1.005, 1.0, 1.0], atol=1e-3)
         assert max(sups) / min(sups) < 2.0
 
     @pytest.mark.parametrize("p,q", [(2, 3), (3, 4)])
     def test_spread_bounded_for_higher_pairs(self, p, q):
         params = OperatorParams(p, q)
-        sups = [check_weight_inequality(params, [10.0**k]) for k in range(5)]
+        sups = check_weight_inequality(params, [10.0**k for k in range(5)])
         assert max(sups) / min(sups) < 2.0
 
     def test_small_magnitudes_rejected(self):
@@ -451,7 +439,7 @@ class TestScalingInequality:
         with pytest.raises(ValueError, match="positive integer"):
             scaling_constant(0)
         with pytest.raises(ValueError, match="positive"):
-            check_scaling_inequality(gauss(101), -1.0, 2)
+            check_scaling_inequality([gauss(101)], [-1.0], 2)
 
     def test_quartic_constant_matches_the_literature_ground_energy(self):
         # Lowest eigenvalue of -d^2/dy^2 + y^4: 1.06036209048418 (Hioe
@@ -468,26 +456,27 @@ class TestScalingInequality:
             lhs, rhs = check_scaling_inequality(probes, ladder, m)
             assert lhs.shape == rhs.shape == (5, 100)
             for j, lam in enumerate(ladder):
-                one_cut = check_scaling_inequality(probes, lam, m)
-                assert np.array_equal(one_cut[0], lhs[j])
-                assert np.array_equal(one_cut[1], rhs[j])
-                for i in range(0, 100, 11):
-                    assert (lhs[j, i], rhs[j, i]) == check_scaling_inequality(probes[i], lam, m)
+                one_cut = check_scaling_inequality(probes, [lam], m)
+                assert np.array_equal(one_cut[0], lhs[j:j + 1])
+                assert np.array_equal(one_cut[1], rhs[j:j + 1])
+            for i in range(0, 100, 11):
+                alone = check_scaling_inequality([probes[i]], ladder, m)
+                assert np.array_equal(alone[0], lhs[:, i:i + 1])
+                assert np.array_equal(alone[1], rhs[:, i:i + 1])
 
     def test_sides_beyond_the_float_range_are_inconclusive(self):
         # At 1e200 lam^2 itself overflows (a Python float would raise
         # OverflowError); at 1.2e154 lam^2 is finite but lam^2 ||f||^2 is not.
-        cases = ((probe_family()[0], 1e200, 2), (probe_family(), [1.0, 1e200], 1),
-                 (gauss(), 1.2e154, 1))
+        cases = (([probe_family()[0]], [1e200], 2), (probe_family(), [1.0, 1e200], 1),
+                 ([gauss()], [1.2e154], 1))
         for f, lam, m in cases:
             with pytest.raises(InconclusiveError, match="float range"):
                 check_scaling_inequality(f, lam, m)
 
     def test_gaussian_satisfies_bound(self):
         f = gauss(4001, 6.0)
-        for lam in (1.0, 10.0, 100.0):
-            lhs, rhs = check_scaling_inequality(f, lam, 2)
-            assert lhs <= rhs
+        lhs, rhs = check_scaling_inequality([f], [1.0, 10.0, 100.0], 2)
+        assert np.all(lhs <= rhs)
 
     @pytest.mark.parametrize(
         "m,frozen",
@@ -501,8 +490,49 @@ class TestScalingInequality:
         ratios = []
         for lam in (1.0, 10.0, 100.0):
             member = g.rescaled(lam ** (1.0 / m))
-            lhs, rhs = check_scaling_inequality(member, lam, m)
-            ratios.append(lhs / rhs)
+            lhs, rhs = check_scaling_inequality([member], [lam], m)
+            ratios.append(lhs[0, 0] / rhs[0, 0])
         assert max(ratios) - min(ratios) <= 1e-12
         assert ratios[0] == pytest.approx(frozen, abs=1e-9)
         assert all(r <= 1.0 for r in ratios)
+
+
+class TestSweepConvention:
+    """Every sweep takes a probe stack and ladders, never a single value."""
+
+    def test_single_values_are_rejected(self):
+        # A lone sample, dual frequency, rho, cut or magnitude is not
+        # read as the stack or ladder of one: each raises instead.
+        g, tau = gauss(101), DualFrequency(0.0, 10.0)
+        calls = [
+            lambda: htau_norm(g, 0, [tau], P12),
+            lambda: htau_norm([g], 0, tau, P12),
+            lambda: htau_norm([g], 0, [tau], P12, 0.05),
+            lambda: apriori_norms(g, [tau], P12),
+            lambda: apriori_norms([g], tau, P12),
+            lambda: check_apriori([g], [tau], P12, 0.05),
+            lambda: check_scaling_inequality(g, [1.0], 2),
+            lambda: check_scaling_inequality([g], 1.0, 2),
+            lambda: check_weight_inequality(P12, 10.0),
+        ]
+        for call in calls:
+            with pytest.raises((TypeError, ValueError)):
+                call()
+
+    @pytest.mark.parametrize("name", ["probes", "taus", "rhos"])
+    def test_empty_stack_or_ladder_of_the_norms_is_named(self, name):
+        args = {"probes": [gauss(101)], "taus": [DualFrequency(0.0, 10.0)], "rhos": [0.0]}
+        args[name] = []
+        for sweep in (apriori_norms, check_apriori):
+            with pytest.raises(ValueError, match=f"{name} is empty"):
+                sweep(args["probes"], args["taus"], P12, args["rhos"])
+        with pytest.raises(ValueError, match=f"{name} is empty"):
+            htau_norm(args["probes"], 2, args["taus"], P12, args["rhos"])
+
+    def test_empty_cuts_probes_or_magnitudes_are_named(self):
+        with pytest.raises(ValueError, match="cuts is empty"):
+            check_scaling_inequality([gauss(101)], [], 2)
+        with pytest.raises(ValueError, match="probes is empty"):
+            check_scaling_inequality([], [1.0], 2)
+        with pytest.raises(ValueError, match="magnitudes is empty"):
+            check_weight_inequality(P12, [])
