@@ -18,6 +18,7 @@ from .eigen import (
     Eigenpair,
     GridSpec,
     GrowthRow,
+    HermiteSeries,
     ResampleError,
     build_counterexample,
     default_grid,
@@ -86,6 +87,7 @@ __all__ = [
     "GridSpec",
     "GridTooCoarseError",
     "GrowthRow",
+    "HermiteSeries",
     "InconclusiveError",
     "OperatorParams",
     "OrderTooHighError",

@@ -8,12 +8,10 @@ exactly the keys its pipeline reads, as flags; flags are the only input.
 
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
 order out of range, non-linear growth ladder, an eigen solve for p < q
-that does not settle or whose profiles the grid cannot hold, a tau
-ladder whose weighted norms leave the float range),
-1 other failures, 64 usage errors (among them a flag the pipeline does
-not read, a non-finite value, an n-ladder that is not strictly increasing
-or has fewer than three orders, and a grid override that is not positive
-or too coarse to resample profiles on).
+that does not settle or whose matrices leave the float range, a tau
+ladder whose weighted norms leave the float range), 1 other failures, 64 usage errors (among them a flag the
+pipeline does not read, a non-finite value, and an n-ladder that is not
+strictly increasing or has fewer than three orders).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .eigen import (
-    GridSpec,
     default_grid,
     estimate_optimal_exponent,
     growth_table,
@@ -127,8 +124,6 @@ _FLAGS = {
     "tau_ladder": _Flag(_floats_csv, "dual-frequency magnitudes T1,T2,..., each >= 1"),
     "freq_ladder": _Flag(_floats_csv, "transform frequency ladder F1,F2,..."),
     "n_ladder": _Flag(_ints_csv, "growth ladder orders N1<N2<..., three or more"),
-    "grid_x": _Flag(float, "override the profile grid half-width"),
-    "grid_h": _Flag(float, "override the profile grid spacing"),
     "seed": _Flag(int, "probe-family seed (default 42)"),
     "pairs": _Flag(_pair, "pairs P,Q (default 1,2 1,3 2,3 3,4)", "+"),
     "out": _Flag(str, "output directory (default .)"),
@@ -147,15 +142,12 @@ class RunConfig:
     tau_ladder: tuple[float, ...] = _DEFAULT_TAUS
     freq_ladder: tuple[float, ...] = _DEFAULT_FREQS
     n_ladder: tuple[int, ...] = _DEFAULT_NS
-    grid_x: float | None = None
-    grid_h: float | None = None
     out: str = "."
     seed: int = 42
     pairs: tuple[tuple[int, int], ...] = _DEFAULT_PAIRS
 
     def __post_init__(self):
-        numbers = (self.gamma, self.order, *self.tau_ladder, *self.freq_ladder,
-                   self.grid_x, self.grid_h)
+        numbers = (self.gamma, self.order, *self.tau_ladder, *self.freq_ladder)
         if not all(v is None or math.isfinite(v) for v in numbers):
             raise UsageError("every number must be finite, not inf or nan")
         if not (1 <= self.p <= self.q):
@@ -202,17 +194,6 @@ def _probe_point(order: float) -> float:
     # bumps are hard truncations of an analytic profile, so the center
     # is the right probe there.
     return 0.0 if order == 1.0 else 1.0
-
-
-def _grid(config: RunConfig, params: OperatorParams) -> GridSpec:
-    """The default grid, with the --grid-x and --grid-h overrides applied."""
-    base = default_grid(params)
-    half = config.grid_x if config.grid_x is not None else base.half_width
-    spacing = config.grid_h if config.grid_h is not None else base.spacing
-    try:
-        return GridSpec(half, spacing)
-    except ValueError as exc:
-        raise UsageError(f"grid half-width {half:g}, spacing {spacing:g}: {exc}") from exc
 
 
 def _cmd_transform(config: RunConfig, out: Path) -> int:
@@ -286,11 +267,9 @@ def _cmd_classify(config: RunConfig, out: Path) -> int:
 
 
 def _profiles(config: RunConfig, out: Path, command: str):
-    """Eigenpairs for (p, q) and the grid they were sampled on, after
-    reporting an empty p = q search."""
+    """Eigenpairs for (p, q), after reporting an empty p = q search."""
     params = OperatorParams(config.p, config.q)
-    grid = _grid(config, params)
-    found = solve_nonlinear_eigen(params, grid)
+    found = solve_nonlinear_eigen(params)
     if not found:
         write_json(
             {
@@ -303,19 +282,22 @@ def _profiles(config: RunConfig, out: Path, command: str):
             out / f"{command}.json",
         )
         print(f"no admissible eigenpairs for p={params.p}, q={params.q}")
-    return params, grid, found
+    return params, found
 
 
 def _cmd_eigen(config: RunConfig, out: Path) -> int:
-    params, grid, found = _profiles(config, out, "eigen")
+    params, found = _profiles(config, out, "eigen")
     if not found:
         return 0
     pair = found[0]
-    eigenpair_to_csv(pair, out / "eigenpair.csv")
+    grid = default_grid(params)
+    eigenpair_to_csv(pair, grid.refined(), out / "eigenpair.csv")
     summary = eigenpair_summary(pair, params)
     summary["pipeline"] = _PIPELINES["eigen"].description
     summary["count"] = len(found)
     summary["all_z"] = [p.z for p in found]
+    summary["all_residual"] = [p.residual for p in found]
+    summary["all_basis_change"] = [p.basis_change for p in found]
     summary["grid"] = grid_summary(grid)
     write_json(summary, out / "eigen.json")
     print(f"z = {pair.z:.9f}, residual {pair.residual:.2e}, "
@@ -325,7 +307,7 @@ def _cmd_eigen(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_counterexample(config: RunConfig, out: Path) -> int:
-    params, grid, found = _profiles(config, out, "counterexample")
+    params, found = _profiles(config, out, "counterexample")
     if not found:
         return 0
     pair = found[0]
@@ -344,7 +326,6 @@ def _cmd_counterexample(config: RunConfig, out: Path) -> int:
             "q": params.q,
             "z": pair.z,
             "probe_order": k,
-            "grid": grid_summary(grid),
             "kernel_residuals": residuals,
             "s0_estimate": s0,
             "expected": params.optimal_order,
@@ -471,8 +452,8 @@ _PIPELINES = {
         "profile-equation eigenpairs for one (p, q)",
         "pencil (-f'' + x^(2(q-1)) f) = z x^(2(p-1)) f by Hermite-function "
         "Galerkin, the basis grown until z and the residuals settle; "
-        "profiles summed on a staggered grid",
-        ("p", "q", "grid_x", "grid_h", "out"),
+        "the ground profile's series sampled on the default staggered grid",
+        ("p", "q", "out"),
     ),
     "counterexample": _Pipeline(
         _cmd_counterexample,
@@ -481,7 +462,7 @@ _PIPELINES = {
         "residual checked by separable reduction and by 3d differences, "
         "growth exponent s*(N) fitted on log N / log(N+1) and 1 / log(N+1), "
         "whose leading coefficient s0 checks the construction's algebra",
-        ("p", "q", "grid_x", "grid_h", "n_ladder", "out"),
+        ("p", "q", "n_ladder", "out"),
     ),
     "inequalities": _Pipeline(
         _cmd_inequalities,

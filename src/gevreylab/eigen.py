@@ -30,35 +30,31 @@ c = -|Re w| - log B0,
 The last term vanishes for k = 0 and a profile whose |f| peaks at the
 origin, as for every ground state here, and a least-squares fit on the
 basis {log N / log(N+1), 1/log(N+1)} then returns q/p as its first
-coefficient s0.  On the default ladder 10^2 .. 10^6, s0 - q/p is
--1.8e-10 for (1, 2) and (1, 3), where f''(0) != 0 and the nearest nodes
-sit h/2 off the origin, so the stored max falls short of |f(0)| by
-O(h^2); it is about 1e-15 for (2, 3) and (3, 4).  So s0 checks the
-algebra of the construction and that a profile with f^(k)(0) != 0
-exists; the numerical evidence is z, the oracle agreement and the
-kernel residuals.
+coefficient s0.  f^(k)(0) and max |f| are exact values of the profile's
+Hermite series, and for a ground state the max is f(0) itself, so on
+the default ladder 10^2 .. 10^6 s0 - q/p is at rounding, at most
+1.8e-15 on the four default pairs.  So s0 checks the algebra of the
+construction and that a profile with f^(k)(0) != 0 exists; the
+numerical evidence is z, the oracle agreement and the kernel residuals.
 
 Discretization: the profile equation is the generalized symmetric
 pencil (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f, solved in numpy by a
 Hermite-function Galerkin method (Boyd, Chebyshev and Fourier Spectral
 Methods, ch. 17; see _galerkin_lowest).  The flipped solve is
 variational, so it has no spurious modes to filter.  Each profile is
-summed from its coefficients on a staggered grid: an even number n of
-nodes x_j = (j + 1/2 - n/2) h, exactly symmetric about the origin and
-never on it.  The default extent is the Agmon distance at which the
-highest mode that sizes the window has decayed by e^-40 past its
-turning point, with that mode's eigenvalue estimated by Bohr-Sommerfeld
-quantization (a closed-form Beta-function action).  An independent
-oracle, reference_eigenvalues, solves the same pencil by staggered
-finite differences at two spacings, for cross-validation, also in numpy
-(_pencil_solve); no pipeline calls it.
+kept as its series (HermiteSeries), which gives f and its derivatives
+exactly at any x.  The readers take them inside the default window, the
+Agmon distance at which the highest mode that sizes the window has
+decayed by e^-40 past its turning point, with that mode's eigenvalue
+estimated by Bohr-Sommerfeld quantization (a closed-form Beta-function
+action).  An independent oracle, reference_eigenvalues, solves the same
+pencil by staggered finite differences at two spacings, for
+cross-validation, also in numpy (_pencil_solve); no pipeline calls it.
 
 For p = q no Schwartz solution exists (the equation collapses to a
 constant-coefficient one) and the solver correctly returns an empty
 list.  For p < q profiles always exist, so a Hermite basis that does
-not settle, or a sampling grid that cannot hold the profiles, raises
-InconclusiveError.  Profile values and derivatives off the stored nodes
-come from the cubic through the samples in moment form (_profile_at).
+not settle raises InconclusiveError.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ from .sampling import SampledFunction
 
 
 class ResampleError(ValueError):
-    """Requested evaluation exceeds the stored profile's grid extent."""
+    """Requested evaluation lies past the default window of the profiles."""
 
 
 class DegenerateOriginError(ValueError):
@@ -95,7 +91,7 @@ class GridSpec:
             raise ValueError("grid extent and spacing must be positive and finite")
         if self.half_width / self.spacing < 8:
             raise ValueError("grid too small: need at least 8 spacings per half-width "
-                             "for the cubic profile resampling and the difference oracle")
+                             "for a second-order difference")
 
     @property
     def size(self) -> int:
@@ -108,24 +104,64 @@ class GridSpec:
         return (np.arange(self.size) + 0.5 - self.size / 2) * self.spacing
 
     def refined(self) -> "GridSpec":
-        """The same window at half the spacing (where profiles are sampled)."""
+        """The same window at half the spacing (where eigenpair.csv and
+        residual_norm sample the profiles)."""
         return GridSpec(self.half_width, self.spacing / 2.0)
+
+
+@dataclass(frozen=True)
+class HermiteSeries:
+    """A profile as its Hermite series: f(x) = sum_k values[k]
+    psi_k(x / scale) / sqrt(scale), with psi_k the orthonormal Hermite
+    functions (see _hermite_sum), so f has the L^2 norm of ``values``.
+
+    ``values`` holds the series in coefficient space, as
+    SampledFunction.values holds a function at its nodes.
+    """
+
+    scale: float
+    values: np.ndarray
+
+    def __call__(self, x, deriv: int = 0) -> np.ndarray:
+        """f (deriv 0) or its derivative of order ``deriv`` at ``x``."""
+        return self._rows(x, (deriv,))[0]
+
+    def _rows(self, x, orders) -> np.ndarray:
+        """f^(d)(x) for each d in ``orders``, one row each, from one pass of
+        the recurrence.  Each derivative maps the coefficients exactly,
+        one entry longer, by psi_k' = sqrt(k/2) psi_(k-1) - sqrt((k+1)/2)
+        psi_(k+1)."""
+        series = [np.asarray(self.values, dtype=float)]
+        while len(series) <= max(orders):
+            coef = series[-1]
+            root = np.sqrt(np.arange(1, len(coef) + 1) / 2.0)
+            step = np.zeros(len(coef) + 1)
+            step[:-2] = root[:-1] * coef[1:]
+            step[1:] -= root * coef
+            series.append(step / self.scale)
+        cols = np.zeros((len(series[-1]), len(orders)))
+        for j, d in enumerate(orders):
+            cols[:len(series[d]), j] = series[d]
+        y = np.asarray(x, dtype=float) / self.scale
+        rows = _hermite_sum(y.ravel(), cols) / math.sqrt(self.scale)
+        return rows.reshape(len(orders), *y.shape)
 
 
 @dataclass(frozen=True)
 class Eigenpair:
     """Solution (z, f) of the profile equation with solver diagnostics.
 
-    ``w`` is the principal square root of z; ``residual`` the relative
-    equation residual of the profile's Hermite coefficients (see
-    _galerkin_lowest); ``basis_size`` the number of Hermite functions of
-    the final solve, and ``basis_change`` the relative change of z from
-    the solve before it.
+    ``w`` is the principal square root of z; ``f`` the profile's Hermite
+    series, of unit L^2 norm and signed so that f^(k)(0) > 0 for the
+    probe order k of select_k; ``residual`` the relative equation
+    residual of its coefficients (see _galerkin_lowest); ``basis_size``
+    the number of Hermite functions of the final solve, and
+    ``basis_change`` the relative change of z from the solve before it.
     """
 
     z: float
     w: complex
-    f: SampledFunction
+    f: HermiteSeries
     residual: float
     basis_size: int
     basis_change: float
@@ -144,13 +180,11 @@ class GrowthRow:
 
 
 #: Decay, in units of e-folds past the turning point, that the default
-#: grid resolves for the highest mode that sizes it: e^-40 ~ 4e-18 lies
-#: far below both the 1e-14 profile truncation and the 1e-6 edge check.
+#: grid resolves for the highest mode that sizes it: e^-40 ~ 4e-18, so a
+#: profile read past the window is zero to rounding.
 _AGMON_DECAY = 40.0
-#: Coarse spacing of the default grid; profiles are sampled at half of it.
+#: Coarse spacing of the default grid; eigenpair.csv samples at half of it.
 _DEFAULT_SPACING = 2e-3
-#: Sampling-grid check (solve_nonlinear_eigen): edge decay and Parseval.
-_SAMPLING_TOL = 1e-6
 
 
 def _modes_requested(count: int) -> int:
@@ -219,7 +253,9 @@ def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float,
     An eigenvector u maps back to c = L^-T u, scaled to unit norm, the
     profile's L^2 norm.  The residual ||(-S + z M) c|| over all n + 2q
     rows vanishes in the first n to rounding; the rows past n hold the
-    coupling of c's last entries to the functions left out.
+    coupling of c's last entries to the functions left out.  A power of
+    Y that leaves the float range raises InconclusiveError before any
+    factorization: a larger basis only holds larger entries.
     """
     p, q = params.p, params.q
     # Powers of Y (off-diagonal sqrt(k / 2)) by banded shifts, keeping
@@ -228,12 +264,19 @@ def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float,
     off = np.sqrt(np.arange(1, big) / 2.0)[:, None]
     powers = {0: np.eye(big)}
     power = powers[0]
-    for j in range(1, max(2, 2 * (q - 1)) + 1):
-        prev, power = power, np.zeros((big, big))
-        power[:-1] += off * prev[1:]
-        power[1:] += off * prev[:-1]
-        if j in (2, 2 * (p - 1), 2 * (q - 1)):
-            powers[j] = power
+    with np.errstate(over="raise"):
+        try:
+            for j in range(1, max(2, 2 * (q - 1)) + 1):
+                prev, power = power, np.zeros((big, big))
+                power[:-1] += off * prev[1:]
+                power[1:] += off * prev[:-1]
+                if j in (2, 2 * (p - 1), 2 * (q - 1)):
+                    powers[j] = power
+        except FloatingPointError:
+            raise InconclusiveError(
+                f"the ({p}, {q}) Hermite-Galerkin position powers leave the float "
+                f"range at Y^{j} in {n} functions"
+            ) from None
     kinetic = (np.diag(2.0 * np.arange(big) + 1.0) - powers[2]) / scale**2
     stiff = (kinetic + scale ** (2 * (q - 1)) * powers[2 * (q - 1)])[:, :n]
     mass = scale ** (2 * (p - 1)) * powers[2 * (p - 1)][:, :n]
@@ -301,14 +344,6 @@ def _galerkin_settled(params: OperatorParams, count: int, vectors: bool = False)
     )
 
 
-def _truncate_profile(x: np.ndarray, vals: np.ndarray, pad: int = 8):
-    """Drop the numerically dead tails of a Schwartz profile."""
-    live = np.nonzero(np.abs(vals) > 1e-14 * np.max(np.abs(vals)))[0]
-    lo = max(0, int(live[0]) - pad)
-    hi = min(len(x), int(live[-1]) + pad + 1)
-    return x[lo:hi], vals[lo:hi]
-
-
 def _hermite_sum(y: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_k coef[k] psi_k(y), one row per column of ``coef``, with the
     orthonormal Hermite functions from their recurrence psi_k =
@@ -324,49 +359,22 @@ def _hermite_sum(y: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return total
 
 
-def solve_nonlinear_eigen(
-    params: OperatorParams,
-    grid: GridSpec | None = None,
-    count: int = 4,
-) -> list[Eigenpair]:
+def solve_nonlinear_eigen(params: OperatorParams, count: int = 4) -> list[Eigenpair]:
     """The ``count`` lowest eigenpairs of the profile equation, by z.
 
     z, the Hermite coefficients and their residuals come from
-    _galerkin_settled.  Each profile, of unit L^2 norm and positive
-    peak, is summed on the staggered nodes of ``grid``'s refinement
-    (half its spacing) and stored with its tails cut at 1e-14 of that
-    peak.  The grid must hold it: on the outer 5% of the window the
-    profile must sit below 1e-6 of its peak, and its grid sum h sum f^2
-    must match its unit coefficient norm to 1e-6 (Parseval); otherwise
-    InconclusiveError.  p = q returns an empty list.
+    _galerkin_settled.  Each profile is its unit-norm series, signed so
+    that f^(k)(0) > 0 for the probe order k of select_k.  p = q returns
+    an empty list.
     """
     if params.p == params.q:  # -f'' = (z - 1) x^(2(q-1)) f decays for no z
         return []
-    grid = grid or default_grid(params, count=count)
     sol = _galerkin_settled(params, count, vectors=True)
-    fine = grid.refined()
-    x, h = fine.nodes(), fine.spacing
-    vals = _hermite_sum(x / sol.scale, sol.coef) / math.sqrt(sol.scale)
-    edge = max(4, int(0.05 * len(x)))
-    mags = np.abs(vals)
-    top = np.max(mags, axis=1)
-    tail = np.max(np.hstack((mags[:, :edge], mags[:, -edge:])), axis=1)
-    miss = np.abs(h * np.sum(vals**2, axis=1) - 1.0)
-    bad = np.flatnonzero((tail > _SAMPLING_TOL * top) | (miss > _SAMPLING_TOL))
-    if len(bad):
-        k = bad[0]
-        raise InconclusiveError(
-            f"the sampling grid at half-width {grid.half_width:g}, spacing "
-            f"{grid.spacing:g} cannot hold mode {k} of the ({params.p}, {params.q}) "
-            f"pencil: it reaches {tail[k]:.1e} on the window's outer 5% against a "
-            f"peak of {top[k]:.1e}, and its grid norm is off 1 by {miss[k]:.1e}; "
-            f"refine or widen the grid"
-        )
     pairs = []
-    for k, (z, v) in enumerate(zip(sol.z, vals)):
-        xt, vt = _truncate_profile(x, v if v[np.argmax(mags[k])] > 0 else -v)
-        f = SampledFunction((float(xt[0]),), (h,), vt,
-                            support_radius=float(max(abs(xt[0]), abs(xt[-1]))))
+    for k, z in enumerate(sol.z):
+        f = HermiteSeries(sol.scale, sol.coef[:, k])
+        if _origin_value(f)[1] < 0.0:
+            f = HermiteSeries(sol.scale, -sol.coef[:, k])
         pairs.append(Eigenpair(z=float(z), w=complex(np.sqrt(complex(z))), f=f,
                                residual=float(sol.residual[k]), basis_size=sol.n,
                                basis_change=float(abs(z - sol.last[k]) / abs(z))))
@@ -550,60 +558,37 @@ def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
 
 
 def residual_norm(pair: Eigenpair, params: OperatorParams) -> float:
-    """Relative equation residual of the pair's stored samples, by
-    centered second differences on the interior nodes.  For a sampled
-    smooth profile this is the O(h^2) truncation of the difference."""
-    f = pair.f
-    x = f.coords(0)
-    vals = np.asarray(f.values, dtype=float)
-    d2 = _second_difference(vals, 0, f.spacing[0])
+    """Relative equation residual of the profile sampled on the nodes of
+    default_grid(params).refined(), where eigenpair.csv samples it, by
+    centered second differences on the interior nodes: for a smooth
+    profile the O(h^2) truncation of the difference, independent of the
+    series' own residual."""
+    grid = default_grid(params).refined()
+    x = grid.nodes()
+    vals = pair.f(x)
+    d2 = _second_difference(vals, 0, grid.spacing)
     xc, vc = x[1:-1], vals[1:-1]
     r = d2 - xc ** (2 * (params.q - 1)) * vc + pair.z * xc ** (2 * (params.p - 1)) * vc
     return float(np.linalg.norm(r) / np.linalg.norm(vals))
 
 
-def _profile_at(f: SampledFunction, xs, deriv: int = 0) -> np.ndarray:
-    """The profile (deriv 0) or its first derivative (deriv 1) at ``xs``,
-    from the cubic through the samples in moment form.
-
-    The moments M_i are the samples' own second difference, 0 at the two
-    end nodes, where the stored profile is truncated at 1e-14 of its
-    peak; for a smooth profile they are f'' to O(h^2 f^(4)), so no
-    solve is needed.  On the cell
-    x_i + t h, 0 <= t <= 1, the cubic is the linear interpolant minus
-    h^2/6 t(1 - t)[(2 - t) M_i + (1 + t) M_(i+1)].  Its derivative jumps
-    by O(h^3 f^(4)) across a node; on a node it reads the mean of the two
-    one-sided values, so a symmetric profile has an exactly odd derivative.
-    """
-    vals = np.asarray(f.values, dtype=float)
-    h = f.spacing[0]
-    moments = np.zeros_like(vals)
-    moments[1:-1] = _second_difference(vals, 0, h)
-    # Cells come from the stored spacing: a difference of two stored
-    # coordinates is off in its last bits, which moves values by 1e-12.
-    pos = (np.asarray(xs, dtype=float) - f.origin[0]) / h
-    i = np.clip(np.floor(pos).astype(int), 0, len(vals) - 2)
-    t = pos - i
-    f0, f1, m0, m1 = vals[i], vals[i + 1], moments[i], moments[i + 1]
-    if deriv == 0:
-        return (1 - t) * f0 + t * f1 - h * h / 6 * t * (1 - t) * ((2 - t) * m0 + (1 + t) * m1)
-    slope = (f1 - f0) / h - h / 6 * ((2 - 6 * t + 3 * t * t) * m0 + (1 - 3 * t * t) * m1)
-    j = np.clip(np.rint(pos).astype(int), 1, len(vals) - 2)
-    mean = (vals[j + 1] - vals[j - 1]) / (2 * h) - h / 12 * (moments[j + 1] - moments[j - 1])
-    return np.where(np.abs(pos - j) < 1e-6, mean, slope)
+def _origin_value(f: HermiteSeries) -> tuple[int, float]:
+    """(k, f^(k)(0)) for the larger in modulus of f(0) and f'(0), f(0) on a tie."""
+    f0, f1 = f._rows(0.0, (0, 1))
+    return (0, f0) if abs(f0) >= abs(f1) else (1, f1)
 
 
 def select_k(pair: Eigenpair) -> int:
     """Deterministic probe order: 0 or 1, whichever derivative of the
     profile at the origin is larger; both vanishing means the profile
     has higher-order symmetry and a different eigenpair should be used."""
-    f0, f1 = (abs(float(_profile_at(pair.f, 0.0, k))) for k in (0, 1))
-    if max(f0, f1) < 1e-12:
+    k, value = _origin_value(pair.f)
+    if abs(value) < 1e-12:
         raise DegenerateOriginError(
             "profile and its first derivative both vanish at the origin; "
             "pick an eigenpair of different parity"
         )
-    return 0 if f0 >= f1 else 1
+    return k
 
 
 def build_counterexample(
@@ -615,22 +600,23 @@ def build_counterexample(
     """Kernel element exp(i lam t2) exp(lam^(p/q) w t1) f(lam^(1/q) x) on a box.
 
     Axes are (x, t1, t2); each axis of the caller's ``box`` is (lo, hi, n).
-    The profile is resampled at the dilated x coordinates by the cubic
-    through its samples in moment form (``_profile_at``).
+    The profile's series is evaluated at the dilated x coordinates, which
+    must lie in the default window |x| <= X of default_grid(params).
     """
     if lam < 1.0:
         raise ValueError("the family is defined for lam >= 1")
     (xlo, xhi, nx), (t1lo, t1hi, n1), (t2lo, t2hi, n2) = box
     scale = lam ** (1.0 / params.q)
-    coords = pair.f.coords(0)
-    if scale * xlo < coords[0] or scale * xhi > coords[-1]:
+    reach = default_grid(params).half_width
+    if scale * xlo < -reach or scale * xhi > reach:
         raise ResampleError(
-            "dilated box exceeds the stored profile grid; solve on a wider grid"
+            f"dilated box [{scale * xlo:g}, {scale * xhi:g}] leaves the profile "
+            f"window |x| <= {reach:g}"
         )
     xs = np.linspace(xlo, xhi, nx)
     t1 = np.linspace(t1lo, t1hi, n1)
     t2 = np.linspace(t2lo, t2hi, n2)
-    fx = _profile_at(pair.f, scale * xs).astype(complex)
+    fx = pair.f(scale * xs).astype(complex)
     g1 = np.exp(lam**params.exponent_ratio * pair.w * t1)
     g2 = np.exp(1j * lam * t2)
     values = fx[:, None, None] * g1[None, :, None] * g2[None, None, :]
@@ -661,13 +647,10 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     """
     path_i = lam ** (2.0 / params.q) * pair.residual
 
-    # Stored profiles are truncated where they drop below 1e-14 of peak,
-    # so the x extent of the check box is capped to the numerically live
-    # region; outside it the dilated profile is resample noise, not data.
-    coords = pair.f.coords(0)
+    # The dilated x extent stays inside the profile window, past which
+    # the profile is below e^-40 of its peak.
     scale = lam ** (1.0 / params.q)
-    reach = min(abs(coords[0]), abs(coords[-1]))
-    x_half = min(1.0, 0.98 * reach / scale)
+    x_half = min(1.0, 0.98 * default_grid(params).half_width / scale)
     t2_half = min(1.0, 20.0 / math.ceil(4.0 * lam))
 
     def path_ii(n: int) -> float:
@@ -687,6 +670,32 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     return path_i
 
 
+def _extrema(f: HermiteSeries, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate maxima of |f| in the window |x| <= reach, as (x, |f(x)|).
+
+    The local maxima of |f| on 2049 nodes, the origin among them, and
+    each one moved by Newton steps on f' = 0 with f'' from the series.
+    A step below 1e-9 of the node spacing is not taken: it would change
+    f by about f'' step^2 / 2, under rounding.  A point that leaves its
+    node's cell is dropped; the node itself stays a candidate.
+    """
+    x = reach * np.linspace(-1.0, 1.0, 2049)
+    cell = x[1] - x[0]
+    mags = np.abs(f(x))
+    nodes = x[np.flatnonzero((mags[1:-1] > mags[:-2]) & (mags[1:-1] >= mags[2:])) + 1]
+    x = nodes
+    for _ in range(8):
+        slope, bend = f._rows(x, (1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = slope / bend
+        move = np.isfinite(step) & (np.abs(step) > 1e-9 * cell)
+        if not move.any():
+            break
+        x = np.where(move, x - step, x)
+    x = np.concatenate((nodes, x[np.abs(x - nodes) <= cell]))
+    return x, np.abs(f(x))
+
+
 def growth_table(
     pair: Eigenpair,
     params: OperatorParams,
@@ -696,11 +705,13 @@ def growth_table(
     """Log-space growth ladder rows at lam = N^(q/p).
 
     Everything is analytic in log space, so N up to 1e6 costs nothing:
-    the derivative at the origin comes from _profile_at, and the sup of
-    |F_lam| on [-1, 1]^3 from its definition.  The t2 phase has
+    the derivative at the origin is the series' own, and the sup of
+    |F_lam| on [-1, 1]^3 comes from its definition.  The t2 phase has
     modulus 1 and the t1 factor peaks at exp(lam^(p/q) |Re w|), so
-    log sup = N |Re w| + log max |f| over the stored nodes with
-    |x| <= lam^(1/q) = N^(1/p).  The nuisance constant B0 is pinned by
+    log sup = N |Re w| + log max |f| over |x| <= lam^(1/q) = N^(1/p),
+    capped at the default window, past which f is below e^-40 of its
+    peak.  That max is the largest |f| at the box ends and at the
+    extrema inside (_extrema).  The nuisance constant B0 is pinned by
     solving the two lowest rows exactly, mirroring how a derivative
     bound's constants would be fitted before testing growth against
     them; a repeated order would make that solve singular, so it raises
@@ -715,22 +726,24 @@ def growth_table(
     repeated = sorted({a for a, b in zip(Ns, Ns[1:]) if a == b})
     if repeated:
         raise ValueError(f"growth ladder orders must be distinct; repeated: {repeated}")
-    dk0 = abs(float(_profile_at(pair.f, 0.0, k)))
+    dk0 = abs(float(pair.f(0.0, k)))
     if dk0 < 1e-12:
         raise DegenerateOriginError(
             f"derivative of order {k} vanishes at the origin; "
             "pick k by parity (select_k)"
         )
     log_dk0 = math.log(dk0)
-    coords = pair.f.coords(0)
-    mags = np.abs(np.asarray(pair.f.values))
+    reach = default_grid(params).half_width
+    xs, mags = _extrema(pair.f, reach)
+    boxes = np.minimum(np.array(Ns, dtype=float) ** (1.0 / params.p), reach)
+    ends = np.max(np.abs(pair.f(np.stack((-boxes, boxes)))), axis=0)
     rw = abs(pair.w.real)
     ratio = params.q / params.p
 
     raw = []
-    for N in Ns:
+    for N, box, end in zip(Ns, boxes, ends):
         log_lhs = (N + k / params.q) * (ratio * math.log(N)) + log_dk0
-        peak = float(np.max(mags[np.abs(coords) <= N ** (1.0 / params.p)]))
+        peak = float(np.max(mags[np.abs(xs) <= box], initial=end))
         log_sup = N * rw + math.log(peak)
         raw.append((N, log_lhs, log_sup))
 
@@ -777,7 +790,7 @@ def estimate_optimal_exponent(
     where s0 reproduces q/p to rounding.  An odd mode, or an even one
     peaking off the origin, leaves a term of order log N / N outside it:
     on the default ladder the excited modes of the four default pairs
-    miss q/p by up to 8.1e-3.  A ladder of fewer than three distinct orders
+    miss q/p by up to 8.1e-3 (the fourth mode of (1, 3)).  A ladder of fewer than three distinct orders
     (two rows fit exactly, so the model goes unchecked) or a fit with rms
     above 0.02 raises InconclusiveError; if ``expected`` is supplied,
     disagreement beyond 0.02 raises ConsistencyError (used by the CLI to

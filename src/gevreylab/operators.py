@@ -60,9 +60,9 @@ class ConsistencyError(RuntimeError):
 
 class InconclusiveError(RuntimeError):
     """The numerics ran but resolved nothing: no stable exponent intercept,
-    a Hermite-Galerkin solve that did not settle, a sampling grid that
-    cannot hold the profiles of a p < q pencil, or a weight, weighted
-    norm or inequality side that left the float range."""
+    a Hermite-Galerkin solve that did not settle or whose matrices left
+    the float range, or a weight, weighted norm or inequality side that
+    left the float range."""
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,10 @@ def field_to_csv(field: FbiField, path) -> None:
     emit_report(rows, ["base", "xi", "re", "im", "abs"], path)
 
 
-def eigenpair_to_csv(pair: Eigenpair, path) -> None:
-    """Profile samples: x, re f, im f."""
-    x = pair.f.coords(0)
-    vals = np.asarray(pair.f.values, dtype=complex)
+def eigenpair_to_csv(pair: Eigenpair, grid: GridSpec, path) -> None:
+    """Profile samples on the nodes of ``grid``: x, re f, im f."""
+    x = grid.nodes()
+    vals = np.asarray(pair.f(x), dtype=complex)
     rows = [[xi, v.real, v.imag] for xi, v in zip(x, vals)]
     emit_report(rows, ["x", "re", "im"], path)
 
@@ -75,8 +75,8 @@ def eigenpair_summary(pair: Eigenpair, params: OperatorParams) -> dict:
 
 
 def grid_summary(grid: GridSpec) -> dict:
-    """The grid the profiles were sampled on; the samples sit at half its
-    spacing (fine_nodes)."""
+    """The grid of eigenpair.csv; the samples sit at half its spacing
+    (fine_nodes)."""
     return {
         "half_width": grid.half_width,
         "spacing": grid.spacing,

@@ -20,6 +20,7 @@ from conftest import SOLVE_SECONDS
 from gevreylab import (
     DualFrequency,
     Eigenpair,
+    HermiteSeries,
     OperatorParams,
     SampledFunction,
     apply_A_tau,
@@ -27,6 +28,7 @@ from gevreylab import (
     check_scaling_inequality,
     check_weight_inequality,
     decompose,
+    default_grid,
     estimate_optimal_exponent,
     estimate_order_fbi,
     fbi,
@@ -183,18 +185,14 @@ def test_criterion_08_structural_invariants(solve, bump_of):
     # deformation density against a finite-difference derivative of
     # the contour map.  The companion wall-clock budget is enforced at
     # session exit in conftest.
-    from scipy.interpolate import CubicSpline
-
     fails = []
 
     worst = 0.0
+    xs = np.linspace(0.0, 0.9 * default_grid(OperatorParams(1, 2)).half_width, 500)
     for pair in solve(1, 2):
-        x = pair.f.coords(0)
-        spl = CubicSpline(x, pair.f.values)
-        xs = np.linspace(0.0, 0.9 * x[-1], 500)
-        even = np.max(np.abs(spl(xs) - spl(-xs)))
-        odd = np.max(np.abs(spl(xs) + spl(-xs)))
-        worst = max(worst, min(even, odd) / np.max(np.abs(pair.f.values)))
+        even = np.max(np.abs(pair.f(xs) - pair.f(-xs)))
+        odd = np.max(np.abs(pair.f(xs) + pair.f(-xs)))
+        worst = max(worst, min(even, odd) / np.max(np.abs(pair.f(xs))))
     if worst > 1e-8:
         fails.append(f"parity {worst:.1e}")
 
@@ -203,22 +201,19 @@ def test_criterion_08_structural_invariants(solve, bump_of):
     scaled = Eigenpair(
         z=pair.z,
         w=pair.w,
-        f=SampledFunction(
-            pair.f.origin,
-            pair.f.spacing,
-            -2.35 * np.asarray(pair.f.values),
-            support_radius=pair.f.support_radius,
-        ),
+        f=HermiteSeries(pair.f.scale, -2.35 * pair.f.values),
         residual=pair.residual,
         basis_size=pair.basis_size,
         basis_change=pair.basis_change,
     )
-    # The rescaling rounds every sample, which perturbs the sampled
-    # second-difference residual by up to eps/h^2 absolute; the exponent
-    # estimate cancels the scale in log space and is far tighter.
+    # The rescaling rounds every coefficient, which perturbs the sampled
+    # second-difference residual by up to eps/h^2 absolute, h the default
+    # refined spacing; the exponent estimate cancels the scale in log
+    # space and is far tighter.
     d_res = abs(residual_norm(scaled, p23) - residual_norm(pair, p23))
     d_est = abs(estimate_optimal_exponent(scaled, p23) - estimate_optimal_exponent(pair, p23))
-    if d_res > np.finfo(float).eps / pair.f.spacing[0] ** 2 or d_est > 1e-9:
+    h = default_grid(p23).refined().spacing
+    if d_res > np.finfo(float).eps / h**2 or d_est > 1e-9:
         fails.append(f"normalization d_res {d_res:.1e} d_est {d_est:.1e}")
 
     x = np.linspace(-8.0, 8.0, 2001)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,22 +18,23 @@ from gevreylab import (
     DegenerateOriginError,
     Eigenpair,
     GridSpec,
+    HermiteSeries,
     InconclusiveError,
     OperatorParams,
     ResampleError,
-    SampledFunction,
     build_counterexample,
     default_grid,
     estimate_optimal_exponent,
     growth_table,
     reference_eigenvalues,
     residual_norm,
+    scaling_constant,
     select_k,
     solve_nonlinear_eigen,
     verify_kernel,
 )
 import gevreylab.eigen
-from gevreylab.eigen import _pencil_solve, _profile_at, _sturm_count
+from gevreylab.eigen import _pencil_solve, _sturm_count
 
 P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
@@ -43,33 +45,39 @@ PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
 BOX = ((-1.0, 1.0, 41),) * 3
 
 
+def series_pair(values, z: float = 1.0, scale: float = 1.0) -> Eigenpair:
+    """A pair whose profile is the Hermite series of ``values`` at ``scale``."""
+    f = HermiteSeries(scale, np.asarray(values, dtype=float))
+    return Eigenpair(z=z, w=complex(np.sqrt(z)), f=f, residual=0.0, basis_size=len(values),
+                     basis_change=0.0)
+
+
 def off_centre_pair() -> Eigenpair:
-    """A profile that peaks at |x| = 1.5, outside the unit box."""
-    h, half = 1e-3, 4.0
-    x = np.arange(-half, half + h / 2.0, h)
-    values = np.exp(-((np.abs(x) - 1.5) ** 2) / 0.1)
-    f = SampledFunction((x[0],), (h,), values, support_radius=half)
-    return Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, basis_size=0,
-                     basis_change=0.0)
+    """A profile that peaks at |x| = 1.5, outside the unit box:
+    g(x - 1.5) + g(x + 1.5), g(x) = exp(-x^2 / 0.1), both 1 to e^-90 at
+    their peaks.  At scale s = sqrt(0.05) g(x - 1.5) is exp(-(y - b)^2 / 2)
+    in y = x / s, b = 1.5 / s, whose Hermite coefficients are those of a
+    coherent state: sqrt(s) pi^(1/4) e^(-a^2/2) a^n / sqrt(n!), a = b / sqrt(2).
+    The mirrored term flips the odd ones."""
+    s = math.sqrt(0.05)
+    a = 1.5 / s / math.sqrt(2.0)
+    n = np.arange(128)
+    log_c = n * math.log(a) - 0.5 * np.array([math.lgamma(k + 1.0) for k in n]) - a * a / 2
+    values = np.where(n % 2 == 0, 2.0 * math.sqrt(s) * np.pi**0.25 * np.exp(log_c), 0.0)
+    return series_pair(values, scale=s)
 
 
-def hermite_ground_pair(h: float = 1e-4, half: float = 8.0) -> Eigenpair:
-    """Closed-form ground profile for (1, 2): unit frequency Gaussian."""
-    x = np.arange(-half, half + h / 2.0, h)
-    f = SampledFunction((x[0],), (h,), np.exp(-x * x / 2.0), support_radius=half)
-    return Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, basis_size=0,
-                     basis_change=0.0)
+def hermite_ground_pair() -> Eigenpair:
+    """Closed-form ground profile for (1, 2): e^(-x^2/2) = pi^(1/4) psi_0."""
+    return series_pair([np.pi**0.25])
 
 
-def staggered_hermite_pair(odd: bool) -> Eigenpair:
-    """Closed-form (1, 2) profile on a staggered grid at the solver's fine
-    spacing 1e-3: e^(-x^2/2) (z = 1) or x e^(-x^2/2) (z = 3)."""
-    x = GridSpec(8.0, 1e-3).nodes()
-    values = (x if odd else 1.0) * np.exp(-x * x / 2.0)
-    f = SampledFunction((x[0],), (1e-3,), values, support_radius=8.0)
-    z = 3.0 if odd else 1.0
-    return Eigenpair(z=z, w=complex(np.sqrt(z)), f=f, residual=0.0, basis_size=0,
-                     basis_change=0.0)
+def closed_form_pair(odd: bool) -> Eigenpair:
+    """Closed-form (1, 2) profile: e^(-x^2/2) (z = 1) or x e^(-x^2/2) =
+    pi^(1/4) psi_1 / sqrt(2) (z = 3)."""
+    if odd:
+        return series_pair([0.0, np.pi**0.25 / np.sqrt(2.0)], z=3.0)
+    return hermite_ground_pair()
 
 
 class TestGrids:
@@ -100,33 +108,17 @@ class TestGrids:
         assert np.min(np.abs(x)) == pytest.approx(0.0015)
         assert np.allclose(np.diff(x), 0.003)
 
-    def test_even_profile_on_off_multiple_grid(self):
-        # An off-centre grid tilts the even ground state, so that its
-        # odd derivative at the origin no longer vanishes.
-        pair = solve_nonlinear_eigen(P12, GridSpec(7.0, 0.003), count=1)[0]
-        with pytest.raises(DegenerateOriginError):
-            growth_table(pair, P12, 1, (10, 100))
-
     def test_default_extent_resolves_requested_modes(self, solve):
-        # Agmon extent: every kept mode dies out inside the grid, where
-        # its stored profile is cut at 1e-14 of peak, and doubling the
-        # extent moves no eigenvalue by more than 1e-10 relative.  The
-        # eigenvalues do not depend on the grid, so the stored profiles,
-        # sampled on the same nodes, are compared too.
+        # Agmon extent: every kept mode has died out at the window's edge,
+        # where the readers stop (build_counterexample, growth_table).
         for p, q in PAIRS:
             params = OperatorParams(p, q)
-            grid = default_grid(params)
+            reach = default_grid(params).half_width
             pairs = solve(p, q)
             assert len(pairs) == 4
-            assert all(pair.f.support_radius < grid.half_width for pair in pairs)
-            wide = solve_nonlinear_eigen(params, GridSpec(2.0 * grid.half_width, grid.spacing))
-            z = np.array([pair.z for pair in pairs])
-            z_wide = np.array([pair.z for pair in wide])
-            assert np.all(np.abs(z - z_wide) <= 1e-10 * z_wide), (p, q)
-            for pair, other in zip(pairs, wide):
-                assert other.f.origin == pair.f.origin, (p, q)
-                top = np.max(np.abs(pair.f.values))
-                assert np.max(np.abs(other.f.values - pair.f.values)) <= 1e-12 * top, (p, q)
+            for pair in pairs:
+                top = np.max(np.abs(pair.f(np.linspace(-reach, reach, 2001))))
+                assert np.max(np.abs(pair.f(np.array([-reach, reach])))) <= 1e-16 * top, (p, q)
         assert default_grid(OperatorParams(2, 2)).half_width == 30.0
 
     def test_default_extent_grows_with_count(self):
@@ -138,10 +130,11 @@ class TestGrids:
 
 class TestResidual:
     def test_exact_ground_profile(self):
-        # Centered second differences of the exact profile leave an
-        # O(h^2) truncation term; at h = 1e-4 that is ~1.1e-8.
-        pair = hermite_ground_pair()
-        assert residual_norm(pair, P12) <= 2e-8
+        # Centered second differences of the exact profile, sampled at
+        # the default (1, 2) spacing h = 1e-3, leave an O(h^2) truncation
+        # term: 0.21 h^2.
+        h = default_grid(P12).refined().spacing
+        assert residual_norm(hermite_ground_pair(), P12) <= 0.25 * h**2
 
     def test_perturbed_eigenvalue_detected(self):
         base = hermite_ground_pair()
@@ -165,16 +158,20 @@ class TestSolve:
             assert top > 0.0
 
     def test_profiles_have_definite_parity(self, solve):
-        from scipy.interpolate import CubicSpline
-
+        reach = default_grid(P12).half_width
+        xs = np.linspace(0.0, 0.9 * reach, 500)
         for pair in solve(1, 2):
-            x = pair.f.coords(0)
-            s = CubicSpline(x, pair.f.values)
-            xs = np.linspace(0.0, 0.9 * x[-1], 500)
-            even = np.max(np.abs(s(xs) - s(-xs)))
-            odd = np.max(np.abs(s(xs) + s(-xs)))
-            scale = np.max(np.abs(pair.f.values))
+            even = np.max(np.abs(pair.f(xs) - pair.f(-xs)))
+            odd = np.max(np.abs(pair.f(xs) + pair.f(-xs)))
+            scale = np.max(np.abs(pair.f(xs)))
             assert min(even, odd) / scale <= 1e-8
+
+    @pytest.mark.parametrize("pq", PAIRS)
+    def test_sign_rule(self, solve, pq):
+        # Each profile is signed by its probe derivative at the origin,
+        # not by which of an odd mode's two mirror-image peaks comes first.
+        for pair in solve(*pq):
+            assert float(pair.f(0.0, select_k(pair))) > 0.0, pq
 
     def test_parities_alternate(self, solve):
         assert [select_k(p) for p in solve(1, 2)] == [0, 1, 0, 1]
@@ -182,22 +179,20 @@ class TestSolve:
     def test_equal_exponents_have_no_profiles(self):
         assert solve_nonlinear_eigen(OperatorParams(2, 2)) == []
 
-    def test_unresolved_grid_below_threshold_is_inconclusive(self):
-        # Profiles exist for p < q, so a grid that cannot hold them is a
-        # failure.  Spacing 10 samples the profiles at half of it, so the
-        # ground state only at +-2.5, +-7.5, ..., and its grid norm reads 0.011.
-        with pytest.raises(InconclusiveError, match="cannot hold mode 0 .* norm is off 1 by 9.9e-01"):
-            solve_nonlinear_eigen(P12, GridSpec(1000.0, 10.0))
-
-    def test_sampling_grid_check(self):
-        # At half-width 3 the ground state, of peak 0.75, still reaches
-        # 0.02 on the outer 5% of the window.
-        with pytest.raises(InconclusiveError,
-                           match="cannot hold mode 0 .* reaches 2.0e-02 .* peak of 7.5e-01"):
-            solve_nonlinear_eigen(P12, GridSpec(3.0, 2e-3))
-        # At half-width 6 the ground state fits and the next mode does not.
-        with pytest.raises(InconclusiveError, match="cannot hold mode 1"):
-            solve_nonlinear_eigen(P12, GridSpec(6.0, 2e-3))
+    def test_sampling_grid_check(self, solve):
+        # eigenpair.csv samples each profile on the default grid's
+        # refinement.  That grid holds every kept mode: on its outer 5%
+        # the profile sits below 1e-6 of its peak, and its grid norm
+        # h sum f^2 matches the unit coefficient norm to 1e-6 (Parseval).
+        for p, q in PAIRS:
+            grid = default_grid(OperatorParams(p, q)).refined()
+            x = grid.nodes()
+            edge = int(0.05 * len(x))
+            for pair in solve(p, q):
+                vals = np.abs(pair.f(x))
+                tail = max(np.max(vals[:edge]), np.max(vals[-edge:]))
+                assert tail <= 1e-6 * np.max(vals), (p, q)
+                assert abs(grid.spacing * np.sum(vals**2) - 1.0) <= 1e-6, (p, q)
 
     @pytest.mark.parametrize("pq", PAIRS)
     def test_profiles_match_the_oracle_eigenvectors(self, solve, pq):
@@ -207,9 +202,7 @@ class TestSolve:
         grid = default_grid(params).refined()
         _, vecs = _pencil_solve(params, grid, 4)
         for pair, vec in zip(solve(*pq), vecs.T):
-            start = int(round((pair.f.origin[0] - grid.nodes()[0]) / grid.spacing))
-            got = np.zeros(grid.size)
-            got[start:start + len(pair.f.values)] = pair.f.values
+            got = pair.f(grid.nodes())
             vec *= np.sign(vec @ got) / np.sqrt(grid.spacing * np.sum(vec**2))
             assert np.max(np.abs(got - vec)) <= 1e-6 * np.max(np.abs(got)), pq
 
@@ -335,43 +328,58 @@ class TestSolve:
         assert np.isfinite(z[0]) and z[0] > 0.0
         assert peak < 20e6
 
+    def test_overflowing_powers_are_inconclusive(self):
+        # At (1, 400) the powers of Y overflow at Y^192 in the first basis
+        # of 64 functions; a larger basis only holds larger entries.  No
+        # overflow warning, no factorization, no further basis.
+        with pytest.raises(InconclusiveError, match=r"\(1, 400\) .* float range at Y\^192 in 64"):
+            scaling_constant(400)
+
 
 class TestSelectK:
     def test_degenerate_origin_rejected(self):
-        x = np.linspace(-6.0, 6.0, 1201)
-        vals = x**2 * np.exp(-x * x)
-        f = SampledFunction((x[0],), (x[1] - x[0],), vals, support_radius=6.0)
-        pair = Eigenpair(z=1.0, w=1.0 + 0j, f=f, residual=0.0, basis_size=0,
-                         basis_change=0.0)
+        # x^2 e^(-x^2/2) = pi^(1/4) (psi_0 + sqrt(2) psi_2) / 2.
+        pair = series_pair([np.pi**0.25 / 2.0, 0.0, np.pi**0.25 / np.sqrt(2.0)])
         with pytest.raises(DegenerateOriginError):
             select_k(pair)
 
     def test_parity_of_closed_form_profiles(self):
-        assert select_k(staggered_hermite_pair(odd=False)) == 0
-        assert select_k(staggered_hermite_pair(odd=True)) == 1
+        assert select_k(closed_form_pair(odd=False)) == 0
+        assert select_k(closed_form_pair(odd=True)) == 1
 
     def test_odd_profile_slope_at_origin(self):
-        # d/dx x e^(-x^2/2) = 1 at x = 0, read mid-cell on the staggered grid.
-        f = staggered_hermite_pair(odd=True).f
-        assert float(_profile_at(f, 0.0, 1)) == pytest.approx(1.0, abs=1e-9)
+        # d/dx x e^(-x^2/2) = 1 at x = 0, read off the series.
+        f = closed_form_pair(odd=True).f
+        assert float(f(0.0, 1)) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_series_matches_the_closed_form(self, odd):
+        # f and f' of e^(-x^2/2) and x e^(-x^2/2), at scale 1 and at a
+        # scale the coefficients absorb, f(x) = g(x / s) / sqrt(s).
+        x = np.linspace(-6.0, 6.0, 1201)
+        g = np.exp(-x * x / 2.0)
+        want = (x * g, (1.0 - x * x) * g) if odd else (g, -x * g)
+        f = closed_form_pair(odd).f
+        s = 0.4
+        wide = HermiteSeries(s, np.sqrt(s) * f.values)
+        for deriv in (0, 1):
+            assert np.max(np.abs(f(x, deriv) - want[deriv])) <= 1e-14
+            assert np.max(np.abs(s**deriv * wide(s * x, deriv) - want[deriv])) <= 1e-14
 
 
 class TestFamily:
     def test_zero_time_slice_is_dilated_profile(self, solve):
-        from scipy.interpolate import CubicSpline
-
         pair = solve(1, 2)[0]
         F = build_counterexample(pair, 4.0, P12, BOX)
         xs = np.linspace(-1.0, 1.0, 41)
-        spline = CubicSpline(pair.f.coords(0), pair.f.values)
-        assert np.allclose(F.values[:, 20, 20], spline(2.0 * xs), rtol=0, atol=1e-12)
+        assert np.array_equal(F.values[:, 20, 20], pair.f(2.0 * xs))
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_zero_time_slice_matches_closed_form(self, odd):
-        F = build_counterexample(staggered_hermite_pair(odd), 4.0, P12, BOX)
+        F = build_counterexample(closed_form_pair(odd), 4.0, P12, BOX)
         u = 2.0 * np.linspace(-1.0, 1.0, 41)
         want = (u if odd else 1.0) * np.exp(-u * u / 2.0)
-        assert np.allclose(F.values[:, 20, 20], want, rtol=0, atol=1e-12)
+        assert np.allclose(F.values[:, 20, 20], want, rtol=0, atol=1e-15)
 
     def test_modulus_grows_along_first_time_axis(self, solve):
         pair = solve(1, 2)[0]
@@ -393,21 +401,21 @@ class TestFamily:
             build_counterexample(solve(1, 2)[0], 0.5, P12, BOX)
 
     def test_dilation_beyond_grid_rejected(self, solve):
-        # lam^(1/q) = 1000 dilation against a profile stored out to ~8.
+        # lam^(1/q) = 1000 dilation against a window of half-width 10.6.
         with pytest.raises(ResampleError):
             build_counterexample(solve(1, 2)[0], 1e6, P12, BOX)
 
     @pytest.mark.parametrize("lo,hi", [(-4.0, 6.0), (-6.0, 4.0)])
     def test_dilation_beyond_the_nearer_end_rejected(self, lo, hi):
-        # lam = 25 dilates [-1, 1] to [-5, 5]: inside the farther end of
-        # the stored grid but past the nearer one, where no sample exists.
-        h = 1e-3
-        x = np.arange(lo, hi + h / 2.0, h)
-        f = SampledFunction((x[0],), (h,), np.exp(-x * x / 2.0))
-        pair = Eigenpair(z=1.0, w=1.0 + 0.0j, f=f, residual=0.0, basis_size=0,
-                         basis_change=0.0)
+        # lam = X^2 dilates [lo, hi] / 5 to [lo, hi] X / 5: inside the
+        # window |x| <= X on one side and past it on the other.
+        reach = default_grid(P12).half_width
+        pair = hermite_ground_pair()
+        lam = reach**2
         with pytest.raises(ResampleError):
-            build_counterexample(pair, 25.0, P12, BOX)
+            build_counterexample(pair, lam, P12, ((lo / 5.0, hi / 5.0, 41),) + BOX[1:])
+        inside = build_counterexample(pair, lam, P12, ((lo / 7.0, hi / 7.0, 41),) + BOX[1:])
+        assert np.all(np.isfinite(inside.values))
 
 
 class TestKernelIdentity:
@@ -479,17 +487,32 @@ class TestGrowthLadder:
 
     def test_log_sup_is_the_box_sup(self, solve):
         # sup |F_lam| on [-1, 1]^3 at lam = N^(q/p) is exp(N |Re w|)
-        # times the max of |f| over |x| <= N^(1/p).
+        # times the max of |f| over |x| <= N^(1/p): no node of a dense
+        # grid beats it, and the nearest node, within half a spacing d of
+        # the peak, falls short by |f''| (d/2)^2 / 2 <= 2.5 d^2 (f''/f = -20
+        # at the off-centre peak).
         ladder = (1, 2, 10, 100)
+        reach = default_grid(P12).half_width
         for pair in (off_centre_pair(), solve(1, 2)[0]):
-            coords, mags = pair.f.coords(0), np.abs(pair.f.values)
             for row in growth_table(pair, P12, 0, ladder):
-                peak = np.max(mags[np.abs(coords) <= row.N])
-                want = row.N * abs(pair.w.real) + np.log(peak)
-                assert row.log_sup == pytest.approx(want, rel=1e-14)
+                box = min(row.N, reach)
+                nodes = np.linspace(-box, box, 200001)
+                want = row.N * abs(pair.w.real) + np.log(np.max(np.abs(pair.f(nodes))))
+                short = 2.5 * (nodes[1] - nodes[0]) ** 2
+                assert want - 1e-13 <= row.log_sup <= want + short + 1e-13
         # Past N = 1 the box reaches the off-centre peak, f = 1 at |x| = 1.5.
         rows = growth_table(off_centre_pair(), P12, 0, ladder)
-        assert [r.log_sup for r in rows[1:]] == pytest.approx([2.0, 10.0, 100.0], abs=1e-9)
+        assert [r.log_sup for r in rows[1:]] == pytest.approx([2.0, 10.0, 100.0], abs=1e-14)
+
+    @pytest.mark.parametrize("pq", [(1, 2), (1, 3)])
+    def test_ground_state_peak_is_f_at_the_origin(self, solve, pq):
+        # The ground states peak at the origin, so the box max is f(0)
+        # itself, to the bit, and the last term of s*(N) vanishes.
+        params = OperatorParams(*pq)
+        pair = solve(*pq)[0]
+        log_f0 = math.log(abs(float(pair.f(0.0))))
+        for row in growth_table(pair, params, 0, (10**2, 10**3, 10**4, 10**5, 10**6)):
+            assert row.log_sup == row.N * abs(pair.w.real) + log_f0
 
     def test_ladder_converges_from_above(self, solve):
         # The two calibration rows coincide by construction; past them
@@ -519,7 +542,8 @@ class TestExponentEstimate:
     @pytest.mark.parametrize("pq", PAIRS)
     def test_excited_modes_miss_by_less_than_a_hundredth(self, solve, pq):
         # The basis is exact only for k = 0 profiles peaking at the origin;
-        # on the other modes of these pairs the left-out term costs up to 8.1e-3.
+        # on the other modes of these pairs the left-out term costs up to
+        # 8.1e-3, on the fourth mode of (1, 3).
         params = OperatorParams(*pq)
         for pair in solve(*pq):
             s0 = estimate_optimal_exponent(pair, params)
@@ -554,17 +578,11 @@ class TestExponentEstimate:
 
     def test_normalization_invariance(self, solve):
         pair = solve(2, 3)[0]
-        scaled = dataclasses.replace(pair, f=SampledFunction(
-            pair.f.origin,
-            pair.f.spacing,
-            -2.35 * np.asarray(pair.f.values),
-            support_radius=pair.f.support_radius,
-        ))
-        # Rescaling rounds every stored sample once and the second
-        # difference amplifies that by 1/h^2, so the sampled residual is
-        # invariant to eps/h^2 absolute, not to relative precision.
-        # Measured shift 5e-14 against a 2.2e-10 floor.
-        floor = np.finfo(float).eps / pair.f.spacing[0] ** 2
+        scaled = dataclasses.replace(pair, f=HermiteSeries(pair.f.scale, -2.35 * pair.f.values))
+        # Rescaling rounds every coefficient once, and the second
+        # difference of the samples amplifies that by 1/h^2, so the sampled
+        # residual is invariant to eps/h^2 absolute, not to relative precision.
+        floor = np.finfo(float).eps / default_grid(P23).refined().spacing ** 2
         assert abs(residual_norm(scaled, P23) - residual_norm(pair, P23)) <= floor
         assert estimate_optimal_exponent(scaled, P23) == pytest.approx(
             estimate_optimal_exponent(pair, P23), abs=1e-9

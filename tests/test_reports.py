@@ -5,8 +5,9 @@ import pytest
 
 from gevreylab import (
     Eigenpair,
+    GridSpec,
     GrowthRow,
-    SampledFunction,
+    HermiteSeries,
     emit_report,
     fbi_field,
     sample,
@@ -73,27 +74,25 @@ def test_field_csv_keeps_complex_base_label(tmp_path):
 
 
 def test_eigenpair_csv_parses_back(tmp_path):
-    x = np.linspace(-1.0, 1.0, 11)
-    f = SampledFunction((x[0],), (x[1] - x[0],), np.exp(-x * x))
-    pair = Eigenpair(z=1.0, w=1.0 + 0j, f=f, residual=0.0, basis_size=0, basis_change=0.0)
+    # e^(-x^2/2) = pi^(1/4) psi_0, sampled on a staggered grid.
+    f = HermiteSeries(1.0, np.array([np.pi**0.25]))
+    pair = Eigenpair(z=1.0, w=1.0 + 0j, f=f, residual=0.0, basis_size=1, basis_change=0.0)
+    grid = GridSpec(1.0, 0.1)
     out = tmp_path / "pair.csv"
-    eigenpair_to_csv(pair, out)
+    eigenpair_to_csv(pair, grid, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "x,re,im"
     parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-    # Round trip against the pair's own coordinates: origin + i*spacing
-    # is what gets written, and repr-formatting must preserve it bit for
-    # bit (linspace can disagree with that sum in the last ulp).
-    assert np.array_equal(parsed[:, 0], f.coords(0))
-    assert np.array_equal(parsed[:, 1], f.values)
+    # repr-formatting must preserve the nodes and the values bit for bit.
+    assert np.array_equal(parsed[:, 0], grid.nodes())
+    assert np.array_equal(parsed[:, 1], f(grid.nodes()))
     assert np.all(parsed[:, 2] == 0.0)
 
 
 def test_eigenpair_summary_fields():
     from gevreylab import OperatorParams
 
-    x = np.linspace(-1.0, 1.0, 11)
-    f = SampledFunction((x[0],), (x[1] - x[0],), np.exp(-x * x))
+    f = HermiteSeries(1.0, np.array([0.0, 1.0]))
     pair = Eigenpair(z=3.0, w=np.sqrt(3.0) + 0j, f=f, residual=1e-13, basis_size=80,
                      basis_change=4e-16)
     got = eigenpair_summary(pair, OperatorParams(1, 2))
