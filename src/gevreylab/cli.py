@@ -313,19 +313,16 @@ def _cmd_counterexample(config: RunConfig, out: Path) -> int:
     pair = found[0]
     residuals = {f"{lam:g}": verify_kernel(pair, lam, params)
                  for lam in (10.0, 100.0)}
-    k = select_k(pair)
-    rows = growth_table(pair, params, k, config.n_ladder)
+    rows = growth_table(pair, params, config.n_ladder)
     growth_to_csv(rows, out / "growth.csv")
-    s0 = estimate_optimal_exponent(
-        pair, params, config.n_ladder, expected=params.optimal_order
-    )
+    s0 = estimate_optimal_exponent(rows, expected=params.optimal_order)
     write_json(
         {
             "pipeline": _PIPELINES["counterexample"].description,
             "p": params.p,
             "q": params.q,
             "z": pair.z,
-            "probe_order": k,
+            "probe_order": select_k(pair),
             "kernel_residuals": residuals,
             "s0_estimate": s0,
             "expected": params.optimal_order,
@@ -410,7 +407,7 @@ def _cmd_demo(config: RunConfig, out: Path) -> int:
             rows.append([p, q, target, math.nan, math.nan])
             lines.append(f"{p:>3} {q:>3} {target:>8.4f} {'n/a':>10} {'n/a':>10}")
             continue
-        s0 = estimate_optimal_exponent(found[0], params, config.n_ladder)
+        s0 = estimate_optimal_exponent(growth_table(found[0], params, config.n_ladder))
         rows.append([p, q, target, s0, abs(s0 - target)])
         lines.append(
             f"{p:>3} {q:>3} {target:>8.4f} {s0:>10.4f} {abs(s0 - target):>10.2e}"

@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,8 +169,8 @@ class Eigenpair:
 
 @dataclass(frozen=True)
 class GrowthRow:
-    """One rung of the log-space derivative-growth ladder, at lam = N^(q/p);
-    the probe order k is the caller's argument to growth_table."""
+    """One rung of the log-space derivative-growth ladder, at lam = N^(q/p),
+    probed at the order k that growth_table takes from select_k."""
 
     N: int
     lam: float
@@ -633,17 +633,19 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     Path (i), returned: the family is separable, so applying the full
     operator reduces exactly to lam^(2/q) times the profile equation's
     residual, the pair's ``residual``.
-    Path (ii), asserted: direct second differences of F_lam on a 41^3
-    cube and on its 81^3 refinement must shrink like h^2 toward the
-    path (i) value; failure raises ConsistencyError.
+    Path (ii), asserted: direct second differences of F_lam on one 81^3
+    cube, and on the 41^3 cube of its every other node at twice the
+    spacing, must shrink like h^2 toward the path (i) value; failure
+    raises ConsistencyError.  linspace(-a, a, 41) is bit for bit every
+    other node of linspace(-a, a, 81), so the coarse check reads the
+    samples of a direct 41^3 build (its spacing may differ in the last bit).
 
     The coarse t2 spacing is min(0.05, 1/ceil(4 lam)), at least 25
     samples per period of exp(i lam t2), so the t2 window shrinks with
-    lam; both cubes share it, so refinement halves every spacing.  Its
-    extent does not matter: the second difference of exp(i lam t2) is
-    exp(i lam t2) times a constant, so on the interior L_h F_lam =
-    exp(i lam t2) R(x, t1) and ||L_h F_lam|| / ||F_lam|| depends on the
-    t2 axis only through its spacing.
+    lam.  Its extent does not matter: the second difference of
+    exp(i lam t2) is exp(i lam t2) times a constant, so on the interior
+    L_h F_lam = exp(i lam t2) R(x, t1) and ||L_h F_lam|| / ||F_lam||
+    depends on the t2 axis only through its spacing.
     """
     path_i = lam ** (2.0 / params.q) * pair.residual
 
@@ -652,15 +654,16 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     scale = lam ** (1.0 / params.q)
     x_half = min(1.0, 0.98 * default_grid(params).half_width / scale)
     t2_half = min(1.0, 20.0 / math.ceil(4.0 * lam))
+    box = ((-x_half, x_half, 81), (-1.0, 1.0, 81), (-t2_half, t2_half, 81))
+    F = build_counterexample(pair, lam, params, box)
 
-    def path_ii(n: int) -> float:
-        box = ((-x_half, x_half, n), (-1.0, 1.0, n), (-t2_half, t2_half, n))
-        F = build_counterexample(pair, lam, params, box)
-        interior = F.values[1:-1, 1:-1, 1:-1]
-        return np.linalg.norm(apply_L(F, params).values) / np.linalg.norm(interior)
+    def path_ii(u: SampledFunction) -> float:
+        interior = u.values[1:-1, 1:-1, 1:-1]
+        return np.linalg.norm(apply_L(u, params).values) / np.linalg.norm(interior)
 
-    coarse = path_ii(41)
-    fine = path_ii(81)
+    fine = path_ii(F)
+    coarse = path_ii(SampledFunction(F.origin, tuple(2.0 * h for h in F.spacing),
+                                     F.values[::2, ::2, ::2]))
     if fine > 0.35 * coarse + 2.0 * path_i + 1e-12:
         raise ConsistencyError(
             f"3d finite differences do not converge to the separable "
@@ -696,13 +699,10 @@ def _extrema(f: HermiteSeries, reach: float) -> tuple[np.ndarray, np.ndarray]:
     return x, np.abs(f(x))
 
 
-def growth_table(
-    pair: Eigenpair,
-    params: OperatorParams,
-    k: int,
-    N_ladder,
-) -> list[GrowthRow]:
-    """Log-space growth ladder rows at lam = N^(q/p).
+def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[GrowthRow]:
+    """Log-space growth ladder rows at lam = N^(q/p), probed at the order
+    k = select_k(pair), which raises DegenerateOriginError when neither
+    f(0) nor f'(0) can serve.
 
     Everything is analytic in log space, so N up to 1e6 costs nothing:
     the derivative at the origin is the series' own, and the sup of
@@ -718,21 +718,14 @@ def growth_table(
     ValueError.  The pin absorbs the N |Re w| term, linear in N, exactly
     into log B0, so s* and the extrapolated s0 do not depend on w.
     """
-    if k not in (0, 1):
-        raise ValueError("probe order k must be 0 or 1")
     Ns = sorted(int(N) for N in N_ladder)
     if len(Ns) < 2 or Ns[0] < 1:
         raise ValueError("need at least two ladder values with N >= 1")
     repeated = sorted({a for a, b in zip(Ns, Ns[1:]) if a == b})
     if repeated:
         raise ValueError(f"growth ladder orders must be distinct; repeated: {repeated}")
-    dk0 = abs(float(pair.f(0.0, k)))
-    if dk0 < 1e-12:
-        raise DegenerateOriginError(
-            f"derivative of order {k} vanishes at the origin; "
-            "pick k by parity (select_k)"
-        )
-    log_dk0 = math.log(dk0)
+    k = select_k(pair)
+    log_dk0 = math.log(abs(float(pair.f(0.0, k))))
     reach = default_grid(params).half_width
     xs, mags = _extrema(pair.f, reach)
     boxes = np.minimum(np.array(Ns, dtype=float) ** (1.0 / params.p), reach)
@@ -776,31 +769,27 @@ _S0_TOL = 0.02
 
 
 def estimate_optimal_exponent(
-    pair: Eigenpair,
-    params: OperatorParams,
-    N_ladder=(10**2, 10**3, 10**4, 10**5, 10**6),
-    *,
-    expected: float | None = None,
+    rows: Sequence[GrowthRow], *, expected: float | None = None
 ) -> float:
-    """Extrapolated growth exponent: the limit of s*(N) as N -> infinity.
+    """Extrapolated growth exponent of a growth_table ladder: the limit of
+    s*(N) as N -> infinity.
 
-    Fits s* by least squares on the basis {log N / log(N+1), 1/log(N+1)}
-    and returns the first coefficient.  The model is exact only for k = 0
-    profiles whose |f| peaks at the origin (see the module docstring),
-    where s0 reproduces q/p to rounding.  An odd mode, or an even one
-    peaking off the origin, leaves a term of order log N / N outside it:
-    on the default ladder the excited modes of the four default pairs
-    miss q/p by up to 8.1e-3 (the fourth mode of (1, 3)).  A ladder of fewer than three distinct orders
-    (two rows fit exactly, so the model goes unchecked) or a fit with rms
-    above 0.02 raises InconclusiveError; if ``expected`` is supplied,
-    disagreement beyond 0.02 raises ConsistencyError (used by the CLI to
-    self-check against theory).
+    Fits the rows' s* by least squares on the basis {log N / log(N+1),
+    1/log(N+1)} and returns the first coefficient.  The model is exact
+    only for k = 0 profiles whose |f| peaks at the origin (see the module
+    docstring), where s0 reproduces q/p to rounding.  An odd mode, or an
+    even one peaking off the origin, leaves a term of order log N / N
+    outside it: on the default ladder the excited modes of the four
+    default pairs miss q/p by up to 8.1e-3 (the fourth mode of (1, 3)).
+    Rows of fewer than three distinct orders (two rows fit exactly, so
+    the model goes unchecked) or a fit with rms above 0.02 raise
+    InconclusiveError; if ``expected`` is supplied, disagreement beyond
+    0.02 raises ConsistencyError (used by the CLI to self-check against
+    theory).
     """
-    if len({int(N) for N in N_ladder}) < 3:
+    if len({r.N for r in rows}) < 3:
         raise InconclusiveError("the growth ladder needs at least three distinct "
                                 "orders; a two-term fit passes through two rows exactly")
-    k = select_k(pair)
-    rows = growth_table(pair, params, k, N_ladder)
     design = np.array([[math.log(r.N), 1.0] for r in rows])
     design /= np.array([[math.log(r.N + 1.0)] for r in rows])
     ys = np.array([r.s_star for r in rows])

@@ -227,14 +227,22 @@ def htau_norm(
     return _weighted_norms(squares, x, h, _rungs("taus", taus), params, _rungs("rhos", rhos))
 
 
-def _second_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _second_difference(
+    values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Centered second difference along one axis, at that axis's interior
-    nodes (the result is two shorter along ``axis``)."""
+    nodes (the result is two shorter along ``axis``), written into
+    ``out`` when it is given.  Every operation rounds as in
+    (lo - 2 mid + hi) / h^2, so the two forms agree bit for bit."""
     lo = [slice(None)] * values.ndim
     hi = [slice(None)] * values.ndim
     mid = [slice(None)] * values.ndim
     lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
-    return (values[tuple(lo)] - 2.0 * values[tuple(mid)] + values[tuple(hi)]) / h**2
+    out = np.multiply(values[tuple(mid)], 2.0, out=out)
+    np.subtract(values[tuple(lo)], out, out=out)
+    out += values[tuple(hi)]
+    out /= h**2
+    return out
 
 
 def apply_L(u: SampledFunction, params: OperatorParams) -> SampledFunction:
@@ -255,8 +263,12 @@ def apply_L(u: SampledFunction, params: OperatorParams) -> SampledFunction:
     xp = (x ** (2 * (params.p - 1)))[inner, None, None]
     xq = (x ** (2 * (params.q - 1)))[inner, None, None]
     out = _second_difference(vals[:, inner, inner], 0, u.spacing[0])
-    out += xp * _second_difference(vals[inner, :, inner], 1, u.spacing[1])
-    out += xq * _second_difference(vals[inner, inner, :], 2, u.spacing[2])
+    scratch = _second_difference(vals[inner, :, inner], 1, u.spacing[1])
+    scratch *= xp
+    out += scratch
+    _second_difference(vals[inner, inner, :], 2, u.spacing[2], out=scratch)
+    scratch *= xq
+    out += scratch
     origin = tuple(o + s for o, s in zip(u.origin, u.spacing))
     return SampledFunction(origin, u.spacing, out)
 

@@ -19,6 +19,8 @@ from .operators import OperatorParams
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells; same text as the branch below
+        return repr(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -37,8 +39,7 @@ def emit_report(rows: Iterable[Sequence], schema: Sequence[str], path) -> None:
     with open(path, "w", newline="") as buf:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(list(schema))
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_json(data: Mapping, path) -> None:
@@ -59,7 +60,7 @@ def eigenpair_to_csv(pair: Eigenpair, grid: GridSpec, path) -> None:
     """Profile samples on the nodes of ``grid``: x, re f, im f."""
     x = grid.nodes()
     vals = np.asarray(pair.f(x), dtype=complex)
-    rows = [[xi, v.real, v.imag] for xi, v in zip(x, vals)]
+    rows = zip(x.tolist(), vals.real.tolist(), vals.imag.tolist())
     emit_report(rows, ["x", "re", "im"], path)
 
 

@@ -24,6 +24,9 @@ from gevreylab import (
 settings.register_profile("lab", deadline=None, max_examples=50)
 settings.load_profile("lab")
 
+#: The CLI's default growth ladder (--n-ladder), N = 10^2 .. 10^6.
+LADDER = (10**2, 10**3, 10**4, 10**5, 10**6)
+
 #: Wall-clock seconds of the first solve per (p, q), for budget checks.
 SOLVE_SECONDS: dict[tuple[int, int], float] = {}
 

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from conftest import SOLVE_SECONDS
+from conftest import LADDER, SOLVE_SECONDS
 from gevreylab import (
     DualFrequency,
     Eigenpair,
@@ -33,6 +33,7 @@ from gevreylab import (
     estimate_order_fbi,
     fbi,
     fit_stretched_exponential,
+    growth_table,
     inversion_profile,
     jacobian_alpha,
     reference_eigenvalues,
@@ -57,7 +58,7 @@ def test_criterion_01_threshold_exponent_recovery(solve):
     for p, q in PAIRS:
         pair = solve(p, q)[0]
         t0 = time.perf_counter()
-        est = estimate_optimal_exponent(pair, OperatorParams(p, q))
+        est = estimate_optimal_exponent(growth_table(pair, OperatorParams(p, q), LADDER))
         took = SOLVE_SECONDS[(p, q)] + time.perf_counter() - t0
         ok &= abs(est - q / p) <= 0.02 and took < 60.0
         details.append(f"({p},{q})->{est:.5f} want {q / p:.5f} [{took:.1f}s]")
@@ -211,7 +212,8 @@ def test_criterion_08_structural_invariants(solve, bump_of):
     # refined spacing; the exponent estimate cancels the scale in log
     # space and is far tighter.
     d_res = abs(residual_norm(scaled, p23) - residual_norm(pair, p23))
-    d_est = abs(estimate_optimal_exponent(scaled, p23) - estimate_optimal_exponent(pair, p23))
+    d_est = abs(estimate_optimal_exponent(growth_table(scaled, p23, LADDER))
+                - estimate_optimal_exponent(growth_table(pair, p23, LADDER)))
     h = default_grid(p23).refined().spacing
     if d_res > np.finfo(float).eps / h**2 or d_est > 1e-9:
         fails.append(f"normalization d_res {d_res:.1e} d_est {d_est:.1e}")

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import gevreylab.cli
+import gevreylab.eigen
 from gevreylab import OperatorParams, default_grid
 from gevreylab.cli import _PIPELINES, build_parser, config_from_args, main
 
@@ -337,6 +339,26 @@ class TestCounterexample:
         lines = (out / "growth.csv").read_text().splitlines()
         assert lines[0] == "N,lambda,log_lhs,log_sup,s_star"
         assert len(lines) == 6
+
+    def test_one_ladder_and_one_cube_per_lambda(self, tmp_path, monkeypatch):
+        # growth.csv and s0 come from the same ladder, and the kernel check
+        # builds a single cube per lam.
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append((name, args[1] if name == "cube" else None))
+                return fn(*args)
+            return wrapper
+
+        ladder = counting("ladder", gevreylab.eigen.growth_table)
+        monkeypatch.setattr(gevreylab.cli, "growth_table", ladder)
+        monkeypatch.setattr(gevreylab.eigen, "growth_table", ladder)
+        monkeypatch.setattr(gevreylab.eigen, "build_counterexample",
+                            counting("cube", gevreylab.eigen.build_counterexample))
+        code, _ = run(tmp_path, "counterexample", "--p", "1", "--q", "2")
+        assert code == 0
+        assert calls == [("cube", 10.0), ("cube", 100.0), ("ladder", None)]
 
     def test_reruns_byte_identical(self, tmp_path):
         code1, out1 = run(tmp_path / "a", "counterexample", "--p", "2", "--q", "3")

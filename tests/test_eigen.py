@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from conftest import LADDER
 from gevreylab import (
     ConsistencyError,
     DegenerateOriginError,
@@ -22,6 +23,8 @@ from gevreylab import (
     InconclusiveError,
     OperatorParams,
     ResampleError,
+    SampledFunction,
+    apply_L,
     build_counterexample,
     default_grid,
     estimate_optimal_exponent,
@@ -449,37 +452,66 @@ class TestKernelIdentity:
         boxes = []
 
         def recording(pair, lam, params, box):
-            boxes.append(box)
+            boxes.append((lam, box))
             return build_counterexample(pair, lam, params, box)
 
         monkeypatch.setattr(gevreylab.eigen, "build_counterexample", recording)
-        verify_kernel(solve(1, 2)[0], 100.0, P12)
-        assert [[n for _, _, n in box] for box in boxes] == [[41] * 3, [81] * 3]
+        for lam in (10.0, 100.0):
+            verify_kernel(solve(1, 2)[0], lam, P12)
+        assert [(lam, [n for _, _, n in box]) for lam, box in boxes] == [
+            (10.0, [81] * 3), (100.0, [81] * 3)
+        ]
+
+    @pytest.mark.parametrize("pq", PAIRS)
+    def test_coarse_check_is_the_direct_coarse_cube(self, solve, monkeypatch, pq):
+        # The coarse check reads every other node of the 81^3 cube at twice
+        # its spacing; a direct 41^3 build on the same box must give the
+        # same samples, grid and path-(ii) ratio, bit for bit.
+        params = OperatorParams(*pq)
+        pair = solve(*pq)[0]
+        cubes = []
+
+        def recording(pair, lam, params, box):
+            F = build_counterexample(pair, lam, params, box)
+            cubes.append((lam, box, F))
+            return F
+
+        def ratio(u):
+            return np.linalg.norm(apply_L(u, params).values) / np.linalg.norm(
+                u.values[1:-1, 1:-1, 1:-1]
+            )
+
+        monkeypatch.setattr(gevreylab.eigen, "build_counterexample", recording)
+        for lam in (1.0, 4.0, 10.0, 37.3, 100.0):
+            verify_kernel(pair, lam, params)
+        for lam, box, fine in cubes:
+            direct = build_counterexample(pair, lam, params, [(lo, hi, 41) for lo, hi, _ in box])
+            view = SampledFunction(
+                fine.origin, tuple(2.0 * h for h in fine.spacing), fine.values[::2, ::2, ::2]
+            )
+            assert np.array_equal(view.values, direct.values), lam
+            assert view.origin == direct.origin, lam
+            assert view.spacing == direct.spacing, lam
+            assert ratio(view) == ratio(direct), lam
 
 
 class TestGrowthLadder:
     def test_smallest_ladder_is_finite(self, solve):
-        rows = growth_table(solve(1, 2)[0], P12, 0, (1, 10))
+        rows = growth_table(solve(1, 2)[0], P12, (1, 10))
         assert all(np.isfinite(r.s_star) for r in rows)
         assert rows[0].N == 1
 
     def test_ladder_validation(self, solve):
         pair = solve(1, 2)[0]
         with pytest.raises(ValueError, match="at least two"):
-            growth_table(pair, P12, 0, (100,))
+            growth_table(pair, P12, (100,))
         with pytest.raises(ValueError, match="at least two"):
-            growth_table(pair, P12, 0, (0, 10))
+            growth_table(pair, P12, (0, 10))
         with pytest.raises(ValueError, match=r"distinct; repeated: \[2\]"):
-            growth_table(pair, P12, 0, (2, 2, 3, 4))
-        with pytest.raises(ValueError, match="0 or 1"):
-            growth_table(pair, P12, 2, (10, 100))
-
-    def test_even_profile_rejects_odd_probe(self, solve):
-        with pytest.raises(DegenerateOriginError):
-            growth_table(solve(1, 2)[0], P12, 1, (10, 100))
+            growth_table(pair, P12, (2, 2, 3, 4))
 
     def test_row_fields_consistent(self, solve):
-        rows = growth_table(solve(1, 2)[0], P12, 0, (10, 100, 1000))
+        rows = growth_table(solve(1, 2)[0], P12, (10, 100, 1000))
         assert [r.N for r in rows] == [10, 100, 1000]
         for r in rows:
             assert r.lam == pytest.approx(float(r.N) ** 2.0, rel=1e-12)
@@ -494,14 +526,14 @@ class TestGrowthLadder:
         ladder = (1, 2, 10, 100)
         reach = default_grid(P12).half_width
         for pair in (off_centre_pair(), solve(1, 2)[0]):
-            for row in growth_table(pair, P12, 0, ladder):
+            for row in growth_table(pair, P12, ladder):
                 box = min(row.N, reach)
                 nodes = np.linspace(-box, box, 200001)
                 want = row.N * abs(pair.w.real) + np.log(np.max(np.abs(pair.f(nodes))))
                 short = 2.5 * (nodes[1] - nodes[0]) ** 2
                 assert want - 1e-13 <= row.log_sup <= want + short + 1e-13
         # Past N = 1 the box reaches the off-centre peak, f = 1 at |x| = 1.5.
-        rows = growth_table(off_centre_pair(), P12, 0, ladder)
+        rows = growth_table(off_centre_pair(), P12, ladder)
         assert [r.log_sup for r in rows[1:]] == pytest.approx([2.0, 10.0, 100.0], abs=1e-14)
 
     @pytest.mark.parametrize("pq", [(1, 2), (1, 3)])
@@ -511,18 +543,17 @@ class TestGrowthLadder:
         params = OperatorParams(*pq)
         pair = solve(*pq)[0]
         log_f0 = math.log(abs(float(pair.f(0.0))))
-        for row in growth_table(pair, params, 0, (10**2, 10**3, 10**4, 10**5, 10**6)):
+        for row in growth_table(pair, params, LADDER):
             assert row.log_sup == row.N * abs(pair.w.real) + log_f0
 
     def test_ladder_converges_from_above(self, solve):
         # The two calibration rows coincide by construction; past them
         # the distance to the limit shrinks monotonically.
-        ladder = (10**2, 10**3, 10**4, 10**5, 10**6)
         for pair, params, s_limit in (
             (solve(1, 2)[0], P12, 2.0),
             (solve(2, 3)[0], P23, 1.5),
         ):
-            rows = growth_table(pair, params, select_k(pair), ladder)
+            rows = growth_table(pair, params, LADDER)
             stars = [r.s_star for r in rows]
             assert stars[0] == pytest.approx(stars[1], abs=1e-12)
             gaps = [abs(s - s_limit) for s in stars[1:]]
@@ -532,12 +563,10 @@ class TestGrowthLadder:
 
 class TestExponentEstimate:
     def test_frozen_intercepts(self, solve):
-        assert estimate_optimal_exponent(solve(1, 2)[0], P12) == pytest.approx(
-            1.999999999822193, abs=1e-6
-        )
-        assert estimate_optimal_exponent(solve(2, 3)[0], P23) == pytest.approx(
-            1.499999999999999, abs=1e-6
-        )
+        s12 = estimate_optimal_exponent(growth_table(solve(1, 2)[0], P12, LADDER))
+        s23 = estimate_optimal_exponent(growth_table(solve(2, 3)[0], P23, LADDER))
+        assert s12 == pytest.approx(1.999999999822193, abs=1e-6)
+        assert s23 == pytest.approx(1.499999999999999, abs=1e-6)
 
     @pytest.mark.parametrize("pq", PAIRS)
     def test_excited_modes_miss_by_less_than_a_hundredth(self, solve, pq):
@@ -546,22 +575,23 @@ class TestExponentEstimate:
         # 8.1e-3, on the fourth mode of (1, 3).
         params = OperatorParams(*pq)
         for pair in solve(*pq):
-            s0 = estimate_optimal_exponent(pair, params)
+            s0 = estimate_optimal_exponent(growth_table(pair, params, LADDER))
             assert abs(s0 - params.optimal_order) <= 0.01
 
     def test_intercept_does_not_depend_on_w(self, solve):
         # The two-row B0 pin absorbs the N |Re w| term of log sup exactly.
         pair = solve(2, 3)[0]
-        s0 = estimate_optimal_exponent(pair, P23)
+        s0 = estimate_optimal_exponent(growth_table(pair, P23, LADDER))
         for w in (5.0, 0.1):
             moved = dataclasses.replace(pair, w=complex(w))
-            assert estimate_optimal_exponent(moved, P23) == pytest.approx(s0, rel=1e-14)
+            got = estimate_optimal_exponent(growth_table(moved, P23, LADDER))
+            assert got == pytest.approx(s0, rel=1e-14)
 
     def test_expectation_cross_check(self, solve):
-        pair = solve(1, 2)[0]
+        rows = growth_table(solve(1, 2)[0], P12, LADDER)
         with pytest.raises(ConsistencyError, match="disagrees"):
-            estimate_optimal_exponent(pair, P12, expected=1.0)
-        got = estimate_optimal_exponent(pair, P12, expected=2.0)
+            estimate_optimal_exponent(rows, expected=1.0)
+        got = estimate_optimal_exponent(rows, expected=2.0)
         assert abs(got - 2.0) <= 0.02
 
     def test_zero_residual_budget_is_inconclusive(self):
@@ -569,12 +599,12 @@ class TestExponentEstimate:
         # |x| = 1.5, so on N = 1, 2, 3 the rows leave the model by rms
         # 0.349, above the 0.02 budget.
         with pytest.raises(InconclusiveError, match="not linear"):
-            estimate_optimal_exponent(off_centre_pair(), P12, (1, 2, 3))
+            estimate_optimal_exponent(growth_table(off_centre_pair(), P12, (1, 2, 3)))
 
     def test_two_order_ladder_is_inconclusive(self, solve):
         # A two-term fit passes through two rows exactly, so the model goes unchecked.
         with pytest.raises(InconclusiveError, match="three distinct"):
-            estimate_optimal_exponent(solve(1, 2)[0], P12, (1, 2, 2))
+            estimate_optimal_exponent(growth_table(solve(1, 2)[0], P12, (1, 2)))
 
     def test_normalization_invariance(self, solve):
         pair = solve(2, 3)[0]
@@ -584,6 +614,7 @@ class TestExponentEstimate:
         # residual is invariant to eps/h^2 absolute, not to relative precision.
         floor = np.finfo(float).eps / default_grid(P23).refined().spacing ** 2
         assert abs(residual_norm(scaled, P23) - residual_norm(pair, P23)) <= floor
-        assert estimate_optimal_exponent(scaled, P23) == pytest.approx(
-            estimate_optimal_exponent(pair, P23), abs=1e-9
+        got = estimate_optimal_exponent(growth_table(scaled, P23, LADDER))
+        assert got == pytest.approx(
+            estimate_optimal_exponent(growth_table(pair, P23, LADDER)), abs=1e-9
         )

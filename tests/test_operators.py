@@ -188,30 +188,34 @@ class TestFullOperator:
     @pytest.mark.parametrize("params", [P12, P23, OperatorParams(3, 4)])
     def test_equals_the_padded_difference_sum(self, params):
         # Reference: each axis differenced into its own NaN-padded copy of
-        # the box, summed as d_x + x^(2(p-1)) d_t1 + x^(2(q-1)) d_t2.
+        # the box, summed as d_x + x^(2(p-1)) d_t1 + x^(2(q-1)) d_t2.  The
+        # in-place accumulation must round exactly as this does, on real
+        # and complex cubes alike, and keep their dtype.
         rng = np.random.default_rng(7)
         shape = (9, 8, 11)
-        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u = SampledFunction((-1.0, -0.5, -2.0), (0.25, 0.125, 0.4), vals)
+        real = rng.standard_normal(shape)
+        for vals in (real, real + 1j * rng.standard_normal(shape)):
+            u = SampledFunction((-1.0, -0.5, -2.0), (0.25, 0.125, 0.4), vals)
 
-        def padded(axis):
-            out = np.full_like(vals, np.nan)
-            lo, mid, hi = ([slice(None)] * 3 for _ in range(3))
-            lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
-            out[tuple(mid)] = (
-                vals[tuple(lo)] - 2.0 * vals[tuple(mid)] + vals[tuple(hi)]
-            ) / u.spacing[axis] ** 2
-            return out
+            def padded(axis):
+                out = np.full_like(vals, np.nan)
+                lo, mid, hi = ([slice(None)] * 3 for _ in range(3))
+                lo[axis], mid[axis], hi[axis] = slice(0, -2), slice(1, -1), slice(2, None)
+                out[tuple(mid)] = (
+                    vals[tuple(lo)] - 2.0 * vals[tuple(mid)] + vals[tuple(hi)]
+                ) / u.spacing[axis] ** 2
+                return out
 
-        x = u.coords(0)[:, None, None]
-        want = padded(0)
-        want += x ** (2 * (params.p - 1)) * padded(1)
-        want += x ** (2 * (params.q - 1)) * padded(2)
-        got = apply_L(u, params)
-        assert got.values.shape == (7, 6, 9)
-        assert got.origin == (-0.75, -0.375, -1.6)
-        assert got.spacing == u.spacing
-        assert np.array_equal(got.values, want[1:-1, 1:-1, 1:-1])
+            x = u.coords(0)[:, None, None]
+            want = padded(0)
+            want += x ** (2 * (params.p - 1)) * padded(1)
+            want += x ** (2 * (params.q - 1)) * padded(2)
+            got = apply_L(u, params)
+            assert got.values.shape == (7, 6, 9)
+            assert got.origin == (-0.75, -0.375, -1.6)
+            assert got.spacing == u.spacing
+            assert got.values.dtype == vals.dtype
+            assert np.array_equal(got.values, want[1:-1, 1:-1, 1:-1])
 
     def test_requires_enough_points(self):
         u = SampledFunction((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), np.ones((4, 8, 8)))

@@ -38,6 +38,15 @@ def test_value_formatting_distinguishes_types(tmp_path):
     assert out.read_text() == "i,f,s\n3,3.0,x\n"
 
 
+def test_numpy_and_python_numbers_write_the_same_bytes(tmp_path):
+    values = [-0.0, 5e-324, 1e308, 0.1 + 0.2, -2.5e-17]
+    a, b = tmp_path / "py.csv", tmp_path / "np.csv"
+    emit_report([[7, *values]], ["n", *"abcde"], a)
+    emit_report([[np.int64(7), *map(np.float64, values)]], ["n", *"abcde"], b)
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_text().splitlines()[1] == "7,-0.0,5e-324,1e+308,0.30000000000000004,-2.5e-17"
+
+
 def test_growth_schema_echoes_row_fields(tmp_path):
     rows = [
         GrowthRow(N=10, lam=100.0, log_lhs=1.5, log_sup=0.25, s_star=2.0),
