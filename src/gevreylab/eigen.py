@@ -50,6 +50,8 @@ estimated by Bohr-Sommerfeld quantization (a closed-form Beta-function
 action).  An independent oracle, reference_eigenvalues, solves the same
 pencil by staggered finite differences at two spacings, for
 cross-validation, also in numpy (_pencil_solve); no pipeline calls it.
+The (p, 2p) pairs have closed forms, z = (4j + 2)p - 1 (even) or + 1 (odd
+modes); for p <= 5 the solver meets z to 4.4e-15, profiles to 6.2e-15.
 
 For p = q no Schwartz solution exists (the equation collapses to a
 constant-coefficient one) and the solver correctly returns an empty
@@ -542,12 +544,13 @@ def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
     by Sturm counts) on the staggered nodes of default_grid at its
     spacing h and at h/2, and (4 z_(h/2) - z_h) / 3 cancels the O(h^2)
     error of each.  It shares no discretization with
-    solve_nonlinear_eigen's Hermite-Galerkin solve.  Its own error,
-    against the closed form 1, 3, 5 of (1, 2), is 1.5e-14, 4.5e-14 and
-    1.1e-13 relative; on (1, 3), (2, 3) and (3, 4) it agrees with the
-    solver to 1.0e-13 or better on the ground state and 6.6e-13 on the
-    third mode.  (With scipy's eigsh in place of _pencil_solve the (1, 2)
-    error read 5.3e-12: eigsh's rounding, not O(h^4) truncation.)
+    solve_nonlinear_eigen's Hermite-Galerkin solve.  Against the closed
+    forms of the (p, 2p) pairs (module docstring) its error is 1.1e-13
+    relative at p = 1, growing with p to 3.0e-10 at p = 7; on (1, 3),
+    (2, 3) and (3, 4) it agrees with the solver to 1.0e-13 or better on
+    the ground state and 6.6e-13 on the third mode.  (With scipy's eigsh
+    in place of _pencil_solve the (1, 2) error read 5.3e-12: eigsh's
+    rounding, not O(h^4) truncation.)
     """
     if params.p == params.q:
         raise ValueError(f"no discrete spectrum exists for p = q = {params.q}")

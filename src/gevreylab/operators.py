@@ -34,10 +34,13 @@ the scaling check two (cuts, probes) arrays and the weight check one sup
 per magnitude; an empty stack or ladder raises ValueError.  A probe
 stack is a sequence of 1d samples on one grid, such as probe_family
 returns, held as one (probes, nodes) array.  Work that depends on the
-grid only is formed once and broadcast over the probes, work that
-depends on the probes only once for every tau, rho or cut, and every
-quadrature sums over the contiguous node axis, so each entry equals
-that probe checked alone at that tau, rho or cut.
+grid only is formed once and broadcast over the probes, and work that
+depends on the probes only once for every tau, rho or cut.  A weighted
+norm is one np.einsum contraction per derivative order over the node
+axis, for every (rho, tau) at once, and the scaling check sums with
+np.sum over that axis.  Neither calls BLAS, so each entry is reduced in
+one order whatever the thread count or the size of the stack or ladder,
+and equals that probe checked alone at that tau, rho or cut.
 
 Convention: x^0 is 1 everywhere including x = 0, so p = 1 terms are
 constants, never 0^0 artifacts.
@@ -91,7 +94,9 @@ class OperatorParams:
 
 @dataclass(frozen=True)
 class DualFrequency:
-    """Dual frequencies (tau1, tau2) of (t1, t2), which freeze L into A_tau."""
+    """Dual frequencies (tau1, tau2) of (t1, t2), which freeze L into A_tau.
+    The components may be broadcastable arrays, one tau per entry, as
+    weight_w reads them; ``magnitude`` takes scalar components only."""
 
     tau1: float
     tau2: float
@@ -113,7 +118,7 @@ def _cutoff(x: np.ndarray) -> np.ndarray:
 
 
 def weight_w(x, tau: DualFrequency, params: OperatorParams) -> np.ndarray:
-    """Anisotropic weight w(x, tau); vectorizes over x."""
+    """Anisotropic weight w(x, tau); broadcasts x against tau's components."""
     x = np.asarray(x, dtype=float)
     # numpy squares overflow to inf where Python floats would raise.
     t1sq, t2sq = np.square(tau.tau1), np.square(tau.tau2)
@@ -155,7 +160,8 @@ def _probe_stack(
 
 
 def _squared_derivatives(values: np.ndarray, h: float, k: int) -> list[np.ndarray]:
-    """|f^(j)|^2 for j = 0..k of every row of ``values`` (probes, nodes).
+    """|f^(j)|^2 for j = 0..k of ``values``, differentiated along its last
+    (node) axis.
 
     They depend on the probes only, so a sweep over tau forms them once.
     """
@@ -174,27 +180,23 @@ def _weighted_norms(
     rhos: Sequence[float],
 ) -> np.ndarray:
     """htau_norm of order k = len(squares) - 1 of every probe, from its
-    squared derivatives ``squares`` (j = 0..k, each (probes, nodes)) on
-    the nodes x, as one (rhos, taus, probes) array.
+    squared derivatives ``squares`` (j = 0..k, each (taus, probes, nodes),
+    or (1, probes, nodes) when they do not depend on tau) on the nodes x,
+    as one (rhos, taus, probes) array.
 
-    Each tau's weighted total sum_j |f^(j)|^2 w^(2(k-1-j)) is formed once
-    for every rho; only the density exp(rho |tau|^(p/q) v) and the sum
-    run per rho.  The weight and the density depend on the grid only, so
-    they are formed on x and broadcast over the probes; each sum runs
-    over the contiguous last axis.
+    The density exp(rho |tau|^(p/q) v), (rhos, taus, nodes), and the
+    weight w^2, (taus, nodes), are formed once, and each order j is one
+    np.einsum contraction of |f^(j)|^2 with density * w^(2(k-1-j)) over
+    the node axis.  einsum without ``optimize`` calls no BLAS, so each
+    entry is reduced in one order whatever the thread count and the size
+    of the stack or ladders.
     """
     k = len(squares) - 1
-    cutoff = _cutoff(x)
-    out = np.empty((len(rhos), len(taus), len(squares[0])))
-    for i, tau in enumerate(taus):
-        w2 = weight_w(x, tau, params) ** 2
-        total = np.zeros(squares[0].shape)
-        for j, sq in enumerate(squares):
-            total += sq * np.power(w2, k - 1 - j)
-        for r, rho in enumerate(rhos):
-            env = np.exp(rho * tau.magnitude**params.exponent_ratio * cutoff)
-            out[r, i] = np.sum(total * env, axis=-1) * h
-    return out
+    scale = np.array([tau.magnitude**params.exponent_ratio for tau in taus])
+    env = np.exp(np.multiply.outer(rhos, scale)[..., None] * _cutoff(x))
+    w2 = np.array([weight_w(x, tau, params) for tau in taus]) ** 2
+    return h * sum(np.einsum("tpn,rtn->rtp", sq, env * w2 ** (k - 1 - j))
+                   for j, sq in enumerate(squares))
 
 
 def htau_norm(
@@ -218,12 +220,13 @@ def htau_norm(
 
     One norm per (rho, tau, probe), as a (rhos, taus, probes) array.  The
     derivatives depend on the probes only, so they are formed once, and
-    each tau's weighted sum of them once for every rho.
+    each order is one np.einsum contraction over the node axis for every
+    rho and tau, with no BLAS (_weighted_norms).
     """
     if k not in (0, 1, 2):
         raise ValueError("norm order k must be 0, 1, or 2")
     values, x, h = _probe_stack(probes)
-    squares = _squared_derivatives(values, h, k)
+    squares = _squared_derivatives(values[None], h, k)
     return _weighted_norms(squares, x, h, _rungs("taus", taus), params, _rungs("rhos", rhos))
 
 
@@ -234,6 +237,8 @@ def _second_difference(
     nodes (the result is two shorter along ``axis``), written into
     ``out`` when it is given.  Every operation rounds as in
     (lo - 2 mid + hi) / h^2, so the two forms agree bit for bit."""
+    if values.shape[axis] < 6:
+        raise ValueError("grid too small: need at least 6 points per axis")
     lo = [slice(None)] * values.ndim
     hi = [slice(None)] * values.ndim
     mid = [slice(None)] * values.ndim
@@ -255,8 +260,6 @@ def apply_L(u: SampledFunction, params: OperatorParams) -> SampledFunction:
     """
     if u.ndim != 3:
         raise ValueError("the operator acts on 3d samples (x, t1, t2)")
-    if any(n < 6 for n in u.values.shape):
-        raise ValueError("grid too small: need at least 6 points per axis")
     x = u.coords(0)
     vals = np.asarray(u.values)
     inner = slice(1, -1)
@@ -273,19 +276,6 @@ def apply_L(u: SampledFunction, params: OperatorParams) -> SampledFunction:
     return SampledFunction(origin, u.spacing, out)
 
 
-def _frozen_images(
-    values: np.ndarray, x: np.ndarray, h: float, taus: Sequence[DualFrequency],
-    params: OperatorParams,
-) -> list[np.ndarray]:
-    """A_tau applied to every row of ``values`` (probes, nodes), at the
-    interior nodes x[1:-1], for each tau of ``taus``; the second
-    difference depends on the probes only and is taken once."""
-    if values.shape[-1] < 6:
-        raise ValueError("grid too small: need at least 6 points")
-    curvature = _second_difference(values, -1, h)
-    return [curvature - _potential(x[1:-1], tau, params) * values[:, 1:-1] for tau in taus]
-
-
 def apply_A_tau(
     f: SampledFunction, tau: DualFrequency, params: OperatorParams
 ) -> SampledFunction:
@@ -296,8 +286,9 @@ def apply_A_tau(
     ``.values[1:-1]`` for the interior, as the acceptance gate does.
     """
     values, x, h = _probe_stack([f])
+    image = _second_difference(values, -1, h) - _potential(x[1:-1], tau, params) * values[:, 1:-1]
     out = np.full_like(f.values, np.nan)
-    out[1:-1] = _frozen_images(values, x, h, [tau], params)[0][0]
+    out[1:-1] = image[0]
     return SampledFunction(f.origin, f.spacing, out)
 
 
@@ -308,20 +299,17 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
     the 4001-node grid on [-3, 3] is wide enough that every probe is
     negligible at the ends.  All probes share that grid, so the family
     is a probe stack: apriori_norms and check_scaling_inequality take it
-    whole and return one value per probe.
+    whole and return one value per probe.  Each probe holds a row view
+    of one broadcast exp over (probes, nodes).
     """
     count, half_width, n = 100, 3.0, 4001
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.5, 0.5, size=count)
     widths = rng.uniform(0.05, 0.5, size=count)
     x = np.linspace(-half_width, half_width, n)
-    out = []
-    for c, s in zip(centers, widths):
-        vals = np.exp(-((x - c) ** 2) / (2.0 * s**2))
-        out.append(
-            SampledFunction((x[0],), (x[1] - x[0],), vals, support_radius=half_width)
-        )
-    return out
+    values = np.exp(-((x - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
+    return [SampledFunction((x[0],), (x[1] - x[0],), row, support_radius=half_width)
+            for row in values]
 
 
 def apriori_norms(
@@ -336,7 +324,8 @@ def apriori_norms(
 
     A_tau f is measured on the interior nodes only: its one-cell
     boundary layer, which apply_A_tau leaves NaN, is sliced off.  The
-    A_tau images, like the derivatives, are formed once for every rho.
+    second difference is taken once for every tau, and the images, one
+    (probes, nodes) array per tau, once for every rho.
     A norm on either side that leaves the float range, at any rho of the
     ladder, raises InconclusiveError, and a vanishing image norm, which
     leaves the ratio undefined, raises ValueError.
@@ -345,14 +334,13 @@ def apriori_norms(
     values, x, h = _probe_stack(probes)
     # The guard below reports an overflow; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        images = _frozen_images(values, x, h, taus, params)
+        curvature = _second_difference(values, -1, h)
+        potentials = np.array([_potential(x[1:-1], tau, params) for tau in taus])
+        images = curvature - potentials[:, None] * values[:, 1:-1]
         # The image's grid starts at x[1] and is laid out as SampledFunction
         # lays out its nodes, which can differ from x[1:-1] in the last bit.
         x_image = x[1] + h * np.arange(len(x) - 2)
-        den = np.concatenate([
-            _weighted_norms([np.abs(image) ** 2], x_image, h, [t], params, rhos)
-            for t, image in zip(taus, images)
-        ], axis=1)
+        den = _weighted_norms([np.abs(images) ** 2], x_image, h, taus, params, rhos)
         num = htau_norm(probes, 2, taus, params, rhos)
     if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
         raise InconclusiveError("a weighted norm of the a-priori estimate is not finite: "
@@ -385,31 +373,28 @@ def check_weight_inequality(params: OperatorParams, magnitudes: Sequence[float])
     tau magnitude of the ladder.
 
     Sampled at 401 points x in the unit cutoff region [-1, 1] and 16 tau
-    directions on a quarter circle (w is even in each component).
-    Uniform boundedness over |tau| >= 1 is the pointwise weight
-    inequality the norms depend on.  A weight that leaves the float
-    range raises InconclusiveError.
+    directions on a quarter circle (w is even in each component), the
+    directions as one DualFrequency of (16, 1) components, so each
+    magnitude takes one weight_w call.  Uniform boundedness over
+    |tau| >= 1 is the pointwise weight inequality the norms depend on.
+    A weight that leaves the float range raises InconclusiveError.
     """
     x = np.linspace(-1.0, 1.0, 401)
     # x^0 == 1 by convention, including at x = 0.
     numerator_x = np.abs(x) ** (params.p - 1) + np.abs(x) ** (params.q - 1)
-    angles = np.linspace(0.0, np.pi / 2.0, 16)
+    angles = np.linspace(0.0, np.pi / 2.0, 16)[:, None]
     sups = []
     for mag in _rungs("magnitudes", magnitudes):
         if mag < 1.0:
             raise ValueError("weight inequality is asserted for |tau| >= 1")
-        sup = 0.0
-        for theta in angles:
-            tau = DualFrequency(mag * np.cos(theta), mag * np.sin(theta))
-            # The guard below reports an overflow; numpy need not warn of it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = weight_w(x, tau, params)
-            if not np.all(np.isfinite(w)):
-                raise InconclusiveError(f"the weight w(x, tau) leaves the float range "
-                                        f"at |tau| = {mag:g}")
-            ratio = mag**params.exponent_ratio * numerator_x / w
-            sup = max(sup, float(ratio.max()))
-        sups.append(sup)
+        # The guard below reports an overflow; numpy need not warn of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = weight_w(x, DualFrequency(mag * np.cos(angles), mag * np.sin(angles)), params)
+        if not np.all(np.isfinite(w)):
+            raise InconclusiveError(f"the weight w(x, tau) leaves the float range "
+                                    f"at |tau| = {mag:g}")
+        ratio = mag**params.exponent_ratio * numerator_x / w
+        sups.append(float(ratio.max()))
     return np.array(sups)
 
 

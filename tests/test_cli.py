@@ -3,8 +3,10 @@
 import argparse
 import importlib.util
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -397,6 +399,21 @@ class TestInequalities:
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("inconclusive:")
         assert not out.exists()
+
+    def test_reports_are_identical_across_blas_thread_counts(self, tmp_path):
+        # The weighted norms are einsum contractions, which call no BLAS,
+        # so the reports must not depend on the BLAS thread count.
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.cli.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "gevreylab.cli", "inequalities", "--p", "2",
+                            "--q", "3", "--out", str(out)], env=env, capture_output=True,
+                           check=True)
+            reports.append({name: (out / name).read_bytes() for name in (
+                "apriori.csv", "weight.csv", "scaling.csv", "inequalities.json")})
+        assert reports[0] == reports[1]
 
 
 class TestDemo:

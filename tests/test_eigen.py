@@ -253,6 +253,27 @@ class TestSolve:
         got = [pair.z for pair in solve(1, 2)]
         assert np.all(np.abs(np.array(got) - [1.0, 3.0, 5.0, 7.0]) <= 1e-13)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_solver_is_exact_on_the_p_2p_family(self, solve, p):
+        # f(x) = g(x^p) turns the (p, 2p) equation into a radial harmonic
+        # oscillator in dimension 2 - 1/p: z = (4j + 2) p - 1 for even
+        # modes and (4j + 2) p + 1 for odd ones.  Measured: <= 4.4e-15
+        # relative; (6, 12) and (7, 14) do not settle yet.
+        want = np.array([2 * p - 1, 2 * p + 1, 6 * p - 1, 6 * p + 1], dtype=float)
+        got = np.array([pair.z for pair in solve(p, 2 * p)])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_profiles_match_the_p_2p_closed_form(self, solve, p):
+        # Ground exp(-x^(2p)/(2p)), first odd mode x exp(-x^(2p)/(2p)).
+        # Measured: <= 6.2e-15 max abs on the default window.
+        half_width = default_grid(OperatorParams(p, 2 * p)).half_width
+        x = np.linspace(-half_width, half_width, 2001)
+        ground = np.exp(-x ** (2 * p) / (2 * p))
+        even, odd = (pair.f for pair in solve(p, 2 * p)[:2])
+        assert np.max(np.abs(even(x) / even(0.0) - ground)) <= 1e-13
+        assert np.max(np.abs(odd(x) / odd(0.0, 1) - x * ground)) <= 1e-13
+
     def test_unsettled_basis_is_inconclusive(self):
         # At (12, 13) z agrees to 3e-15 between 305 and 381 functions, but
         # the residuals still read 0.16.  At (1, 30) the stiffness loses
@@ -272,6 +293,14 @@ class TestSolve:
         # measured 1.5e-14, 4.5e-14 and 1.1e-13 relative.
         want = np.array([1.0, 3.0, 5.0])
         assert np.all(np.abs(reference_eigenvalues(P12) - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7])
+    def test_oracle_matches_the_p_2p_closed_form(self, p):
+        # z = 2p - 1, 2p + 1, 6p - 1.  Measured: 1.1e-13 relative at p = 1,
+        # growing with p to 3.0e-10 at p = 7.
+        want = np.array([2 * p - 1, 2 * p + 1, 6 * p - 1], dtype=float)
+        got = reference_eigenvalues(OperatorParams(p, 2 * p), count=3)
+        assert np.all(np.abs(got - want) <= 1e-9 * want)
 
     @pytest.mark.parametrize("pq", [(1, 2), (2, 3)])
     def test_sturm_count_matches_the_dense_pencil(self, pq):

@@ -20,10 +20,31 @@ from gevreylab import (
     probe_family,
     weight_w,
 )
+from gevreylab.operators import _cutoff
 
 P11 = OperatorParams(1, 1)
 P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
+
+#: A sum of n = 4001 non-negative terms in another order moves by at most
+#: about n eps relative.
+LOOP_RTOL = 1e-12
+
+
+def loop_norms(squares, x, h, taus, params, rhos):
+    """The weighted norms as a loop over tau and rho, one np.sum over the
+    nodes each, with ``squares(tau)`` the squared derivatives (j = 0..k,
+    each (probes, nodes)) at tau: the reference for the sweep's one
+    contraction per order."""
+    out = np.empty((len(rhos), len(taus), len(squares(taus[0])[0])))
+    for i, tau in enumerate(taus):
+        w2 = weight_w(x, tau, params) ** 2
+        sq = squares(tau)
+        total = sum(s * w2 ** (len(sq) - 2 - j) for j, s in enumerate(sq))
+        for r, rho in enumerate(rhos):
+            env = np.exp(rho * tau.magnitude**params.exponent_ratio * _cutoff(x))
+            out[r, i] = np.sum(total * env, axis=-1) * h
+    return out
 
 
 def gauss(n: int = 4001, half: float = 8.0) -> SampledFunction:
@@ -147,6 +168,32 @@ class TestWeightedNorms:
         u = SampledFunction((0.0, 0.0), (0.1, 0.1), vals)
         with pytest.raises(ValueError, match="1d"):
             htau_norm([u], 0, [DualFrequency(1.0, 0.0)], P12)
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (3, 4)])
+    def test_contraction_matches_the_loop(self, p, q):
+        params = OperatorParams(p, q)
+        probes = probe_family()
+        values = np.stack([g.values for g in probes])
+        x, h = probes[0].coords(0), probes[0].spacing[0]
+        taus = [DualFrequency(0.0, mag) for mag in (1.0, 10.0, 100.0, 1000.0, 10000.0)]
+        rhos = (0.0, 0.05, -0.05)
+        derivs = [values]
+        for _ in range(2):
+            derivs.append(np.gradient(derivs[-1], h, axis=-1, edge_order=2))
+        for k in (0, 1, 2):
+            squares = [d**2 for d in derivs[:k + 1]]
+            want = loop_norms(lambda tau: squares, x, h, taus, params, rhos)
+            got = htau_norm(probes, k, taus, params, rhos)
+            np.testing.assert_allclose(got, want, rtol=LOOP_RTOL, atol=0.0)
+        num, den = apriori_norms(probes, taus, params, rhos)
+        np.testing.assert_allclose(num, want, rtol=LOOP_RTOL, atol=0.0)
+
+        def images(tau):
+            return [np.array([apply_A_tau(g, tau, params).values[1:-1] for g in probes]) ** 2]
+
+        x_image = SampledFunction((x[1],), (h,), x[1:-1]).coords(0)
+        want = loop_norms(images, x_image, h, taus, params, rhos)
+        np.testing.assert_allclose(den, want, rtol=LOOP_RTOL, atol=0.0)
 
     def test_refinement_converges_to_frozen_value(self):
         # Gaussian data, tau = (0, 100), order-2 norm: grid refinement
