@@ -10,7 +10,7 @@ x^(2(p-1))) generate, for every lam >= 1, the exact kernel element
 
     F_lam(x, t1, t2) = exp(i lam t2) exp(lam^(p/q) w t1) f(lam^(1/q) x),
 
-with w a fixed square root of z.  Differentiating F_lam N times in t2
+with w = sqrt(z), real since z > 0.  Differentiating F_lam N times in t2
 at the origin grows like lam^N while sup |F_lam| on a fixed box grows
 only like exp(C lam^(p/q)); setting lam = N^(q/p) and comparing against
 the derivative bound C^(N+1) N^(sN) of an order-s function forces
@@ -21,8 +21,8 @@ s >= q/p.  The per-row exponent
 converges to q/p like 1/log N.  (log(N+1) rather than log N keeps the
 N = 1 row finite.)  Both logs are closed forms in N: with k the probe
 order, log lhs = (N + k/q)(q/p) log N + log |f^(k)(0)| and log sup =
-N |Re w| + log max |f|, the max over |x| <= N^(1/p).  Hence, with
-c = -|Re w| - log B0,
+N w + log max |f|, the max over |x| <= N^(1/p).  Hence, with
+c = -w - log B0,
 
     s*(N) = (q/p) log N / log(N+1) + c / log(N+1)
             + [(k/p) log N + log(|f^(k)(0)| / max |f|)] / (N log(N+1)).
@@ -153,19 +153,17 @@ class HermiteSeries:
 class Eigenpair:
     """Solution (z, f) of the profile equation with solver diagnostics.
 
-    ``w`` is the principal square root of z; ``f`` the profile's Hermite
-    series, of unit L^2 norm and signed so that f^(k)(0) > 0 for the
+    z > 0, so the kernel family's w is the real sqrt(z); ``f`` the
+    profile's Hermite series, of unit L^2 norm (its length is the basis
+    size of the final solve) and signed so that f^(k)(0) > 0 for the
     probe order k of select_k; ``residual`` the relative equation
-    residual of its coefficients (see _galerkin_lowest); ``basis_size``
-    the number of Hermite functions of the final solve, and
+    residual of its coefficients (see _galerkin_lowest), and
     ``basis_change`` the relative change of z from the solve before it.
     """
 
     z: float
-    w: complex
     f: HermiteSeries
     residual: float
-    basis_size: int
     basis_change: float
 
 
@@ -189,20 +187,15 @@ _AGMON_DECAY = 40.0
 _DEFAULT_SPACING = 2e-3
 
 
-def _modes_requested(count: int) -> int:
-    """Modes whose turning points size the default window and the Hermite
-    scale, a margin above the ``count`` pairs kept."""
-    return max(count + 4, 8)
-
-
 def _turning_point_q(params: OperatorParams, count: int) -> float:
     """x_t^q, with x_t the turning point of the highest mode that sizes
-    the window for ``count`` pairs, from Bohr-Sommerfeld quantization
-    (see default_grid); p < q."""
+    the window and the Hermite scale for ``count`` pairs, mode
+    max(count + 4, 8) - 1, a margin above the pairs kept, from
+    Bohr-Sommerfeld quantization (see default_grid); p < q."""
     c = 2 * (params.q - params.p)
     a = params.p / c
     beta = math.exp(math.lgamma(a) + math.lgamma(1.5) - math.lgamma(a + 1.5))
-    top = _modes_requested(count) - 1
+    top = max(count + 4, 8) - 1
     return (top + 0.5) * math.pi * c / (2.0 * beta)
 
 
@@ -213,7 +206,7 @@ def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
     Write a = 2(q-1), b = 2(p-1) and c = a - b.  A mode of eigenvalue z
     turns at x_t = z^(1/c) and decays past it like exp(-A(x)) with the
     Agmon distance A(x) = int_(x_t)^x sqrt(y^a - z y^b) dy.  The highest
-    mode that sizes the window for ``count`` pairs, n = _modes_requested
+    mode that sizes the window for ``count`` pairs, n = max(count + 4, 8)
     - 1, is placed by Bohr-Sommerfeld quantization
 
         2 int_0^(x_t) sqrt(z y^b - y^a) dy = (n + 1/2) pi,
@@ -222,13 +215,11 @@ def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
     u = y / x_t the distance is x_t^q int_1^U u^(b/2) sqrt(u^c - 1) du,
     and the half-width is x_t U for the smallest U at which that reaches
     40.  Bernoulli's inequality bounds the integrand below by
-    sqrt(c (u - 1)), which brackets U for a fixed-node sum.
-
-    For p = q there is no Schwartz solution (the solver returns early);
-    a fixed window documents the empty search honestly.
+    sqrt(c (u - 1)), which brackets U for a fixed-node sum.  p = q has
+    no discrete spectrum and raises ValueError.
     """
     if params.p == params.q:
-        return GridSpec(30.0, _DEFAULT_SPACING)
+        raise ValueError(f"no discrete spectrum exists for p = q = {params.q}")
     c = 2 * (params.q - params.p)
     turn_q = _turning_point_q(params, count)
     target = _AGMON_DECAY / turn_q
@@ -307,7 +298,6 @@ class _Galerkin(NamedTuple):
     coef: np.ndarray | None
     residual: np.ndarray | None
     last: np.ndarray  # z of the solve before, in a smaller basis
-    n: int
     scale: float
 
 
@@ -315,7 +305,8 @@ def _galerkin_settled(params: OperatorParams, count: int, vectors: bool = False)
     """The Galerkin solve at n = 64, 80, 100, ... (x 1.25) functions,
     stopped once two consecutive solves agree on every z to 1e-12
     relative and, with ``vectors``, every residual is below 1e-10; no
-    settling by n = 400 raises InconclusiveError.  numpy only.
+    settling by n = 500 (the last rung is 476) raises InconclusiveError.
+    numpy only.
 
     z settles first, its error being the square of the coefficients'.
     Eigenvalues alone take the scale 0.15 x_t, with x_t the turning
@@ -324,25 +315,29 @@ def _galerkin_settled(params: OperatorParams, count: int, vectors: bool = False)
     faster than any Hermite function's Gaussian once q > 2, and at
     0.15 x_t (6, 8) still has a residual of 4e-6 at n = 381, where at
     0.1 x_t every pair with q <= 8 settles by n = 381.  The default pairs
-    stop at n = 244 (1, 2), 195 (1, 3), 125 (2, 3) and 100 (3, 4).
+    stop at n = 244 (1, 2), 195 (1, 3), 125 (2, 3) and 100 (3, 4); of
+    the 120 pairs with q <= 16, 54 settle, the first failure at (8, 9).
 
-    Eigenvalues alone stay a separate path for cost: in fresh processes
-    on a shared 2-core box the (1, 3) ground state took 2.3-4.6 ms
-    without vectors and 33-149 ms with them, nearly all in the first
-    np.linalg.eigh.  scaling_constant takes it for every order m >= 3.
+    Eigenvalues alone stay a separate path because they settle sooner
+    and reach further at the coarser scale: in fresh processes on a
+    shared 2-core box scaling_constant's (1, m) ground state settles at
+    n = 80 in 2-3 ms for m = 3 and 4, where the vectors path needs
+    n = 195 and 156 and 17-30 ms, and it settles up to m = 17, the
+    vectors path only up to m = 14.  At n = 80 the inequalities reports
+    are the same bytes under one and two BLAS threads.
     """
     turn = _turning_point_q(params, count) ** (1.0 / params.q)
     scale = (0.1 if vectors else 0.15) * turn
     n, last = 64, None
-    while n <= 400:
+    while n <= 500:
         z, coef, residual = _galerkin_lowest(params, count, n, scale, vectors)
         if (last is not None and np.all(np.abs(z - last) <= 1e-12 * np.abs(z))
                 and (residual is None or np.all(residual <= 1e-10))):
-            return _Galerkin(z, coef, residual, last, n, scale)
+            return _Galerkin(z, coef, residual, last, scale)
         n, last = int(round(1.25 * n)), z
     raise InconclusiveError(
         f"the ({params.p}, {params.q}) Hermite-Galerkin solve did not settle "
-        f"within 400 functions"
+        f"within 500 functions"
     )
 
 
@@ -377,8 +372,7 @@ def solve_nonlinear_eigen(params: OperatorParams, count: int = 4) -> list[Eigenp
         f = HermiteSeries(sol.scale, sol.coef[:, k])
         if _origin_value(f)[1] < 0.0:
             f = HermiteSeries(sol.scale, -sol.coef[:, k])
-        pairs.append(Eigenpair(z=float(z), w=complex(np.sqrt(complex(z))), f=f,
-                               residual=float(sol.residual[k]), basis_size=sol.n,
+        pairs.append(Eigenpair(z=float(z), f=f, residual=float(sol.residual[k]),
                                basis_change=float(abs(z - sol.last[k]) / abs(z))))
     return pairs
 
@@ -477,10 +471,11 @@ def _pencil_solve(params: OperatorParams, grid: GridSpec, k: int):
     which never forms the diagonal 2 / h^2 + x^(2(q-1)): on the default
     grids the quotient f^T S f with that diagonal rounds to 9e-11
     relative, and the Ritz values 1/theta to 3e-12.
-    Sturm counts certify the result: at the midpoint between the j-th
-    and (j+1)-th z exactly j + 1 eigenvalues must lie below, for j < k,
-    so a mode the start vector missed raises InconclusiveError, as does
-    an iteration that does not converge.
+    One Sturm count certifies the result: exactly k eigenvalues must lie
+    below the midpoint of the k-th and (k+1)-th z.  The k + 1 Ritz values
+    are converged and distinct, so then the first k are the k lowest; a
+    mode the start vector missed raises InconclusiveError, as does an
+    iteration that does not converge.
     """
     x = grid.nodes()
     h = grid.spacing
@@ -525,14 +520,13 @@ def _pencil_solve(params: OperatorParams, grid: GridSpec, k: int):
     sq, step = vecs**2, np.diff(vecs, axis=0)
     energy = (np.einsum("ik,ik->k", step, step) + sq[0] + sq[-1]) / h**2
     vals = (energy + np.einsum("i,ik", pot, sq)) / np.einsum("i,ik", mass, sq)
-    for mode in range(k):
-        sigma = 0.5 * (vals[mode] + vals[mode + 1])
-        below = _sturm_count(diag, mass, off, sigma)
-        if below != mode + 1:
-            raise InconclusiveError(
-                f"the ({params.p}, {params.q}) difference pencil on {n} nodes has "
-                f"{below} eigenvalues below {sigma:.12g}, where Lanczos found {mode + 1}"
-            )
+    sigma = 0.5 * (vals[k - 1] + vals[k])
+    below = _sturm_count(diag, mass, off, sigma)
+    if below != k:
+        raise InconclusiveError(
+            f"the ({params.p}, {params.q}) difference pencil on {n} nodes has "
+            f"{below} eigenvalues below {sigma:.12g}, where Lanczos found {k}"
+        )
     return vals[:k], vecs[:, :k]
 
 
@@ -541,7 +535,7 @@ def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
     finite-difference pencil, extrapolated to zero spacing.
 
     The pencil is solved by _pencil_solve (shift-invert Lanczos, checked
-    by Sturm counts) on the staggered nodes of default_grid at its
+    by a Sturm count) on the staggered nodes of default_grid at its
     spacing h and at h/2, and (4 z_(h/2) - z_h) / 3 cancels the O(h^2)
     error of each.  It shares no discretization with
     solve_nonlinear_eigen's Hermite-Galerkin solve.  Against the closed
@@ -550,10 +544,9 @@ def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
     (2, 3) and (3, 4) it agrees with the solver to 1.0e-13 or better on
     the ground state and 6.6e-13 on the third mode.  (With scipy's eigsh
     in place of _pencil_solve the (1, 2) error read 5.3e-12: eigsh's
-    rounding, not O(h^4) truncation.)
+    rounding, not O(h^4) truncation.)  p = q raises ValueError (see
+    default_grid).
     """
-    if params.p == params.q:
-        raise ValueError(f"no discrete spectrum exists for p = q = {params.q}")
     grid = default_grid(params, count=count)
     coarse = _pencil_solve(params, grid, count)[0]
     fine = _pencil_solve(params, grid.refined(), count)[0]
@@ -620,7 +613,7 @@ def build_counterexample(
     t1 = np.linspace(t1lo, t1hi, n1)
     t2 = np.linspace(t2lo, t2hi, n2)
     fx = pair.f(scale * xs).astype(complex)
-    g1 = np.exp(lam**params.exponent_ratio * pair.w * t1)
+    g1 = np.exp(lam**params.exponent_ratio * math.sqrt(pair.z) * t1)
     g2 = np.exp(1j * lam * t2)
     values = fx[:, None, None] * g1[None, :, None] * g2[None, None, :]
     return SampledFunction(
@@ -710,15 +703,15 @@ def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[Grow
     Everything is analytic in log space, so N up to 1e6 costs nothing:
     the derivative at the origin is the series' own, and the sup of
     |F_lam| on [-1, 1]^3 comes from its definition.  The t2 phase has
-    modulus 1 and the t1 factor peaks at exp(lam^(p/q) |Re w|), so
-    log sup = N |Re w| + log max |f| over |x| <= lam^(1/q) = N^(1/p),
+    modulus 1 and the t1 factor peaks at exp(lam^(p/q) w), so
+    log sup = N w + log max |f| over |x| <= lam^(1/q) = N^(1/p),
     capped at the default window, past which f is below e^-40 of its
     peak.  That max is the largest |f| at the box ends and at the
     extrema inside (_extrema).  The nuisance constant B0 is pinned by
     solving the two lowest rows exactly, mirroring how a derivative
     bound's constants would be fitted before testing growth against
     them; a repeated order would make that solve singular, so it raises
-    ValueError.  The pin absorbs the N |Re w| term, linear in N, exactly
+    ValueError.  The pin absorbs the N w term, linear in N, exactly
     into log B0, so s* and the extrapolated s0 do not depend on w.
     """
     Ns = sorted(int(N) for N in N_ladder)
@@ -733,14 +726,13 @@ def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[Grow
     xs, mags = _extrema(pair.f, reach)
     boxes = np.minimum(np.array(Ns, dtype=float) ** (1.0 / params.p), reach)
     ends = np.max(np.abs(pair.f(np.stack((-boxes, boxes)))), axis=0)
-    rw = abs(pair.w.real)
     ratio = params.q / params.p
 
     raw = []
     for N, box, end in zip(Ns, boxes, ends):
         log_lhs = (N + k / params.q) * (ratio * math.log(N)) + log_dk0
         peak = float(np.max(mags[np.abs(xs) <= box], initial=end))
-        log_sup = N * rw + math.log(peak)
+        log_sup = N * math.sqrt(pair.z) + math.log(peak)
         raw.append((N, log_lhs, log_sup))
 
     # Two-row exact solve for (log B0, s): lhs - sup = N log B0 + s N log(N+1).

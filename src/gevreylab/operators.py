@@ -300,14 +300,18 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
     negligible at the ends.  All probes share that grid, so the family
     is a probe stack: apriori_norms and check_scaling_inequality take it
     whole and return one value per probe.  Each probe holds a row view
-    of one broadcast exp over (probes, nodes).
+    of one (probes, nodes) buffer, filled in place with no temporaries.
     """
     count, half_width, n = 100, 3.0, 4001
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.5, 0.5, size=count)
     widths = rng.uniform(0.05, 0.5, size=count)
     x = np.linspace(-half_width, half_width, n)
-    values = np.exp(-((x - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
+    values = np.subtract(x, centers[:, None])
+    np.square(values, out=values)
+    np.negative(values, out=values)
+    np.divide(values, 2.0 * widths[:, None] ** 2, out=values)
+    np.exp(values, out=values)
     return [SampledFunction((x[0],), (x[1] - x[0],), row, support_radius=half_width)
             for row in values]
 

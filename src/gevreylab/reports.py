@@ -70,7 +70,7 @@ def eigenpair_summary(pair: Eigenpair, params: OperatorParams) -> dict:
         "q": params.q,
         "z": pair.z,
         "residual": pair.residual,
-        "basis_size": pair.basis_size,
+        "basis_size": len(pair.f.values),
         "basis_change": pair.basis_change,
     }
 

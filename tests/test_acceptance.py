@@ -201,10 +201,8 @@ def test_criterion_08_structural_invariants(solve, bump_of):
     pair = solve(2, 3)[0]
     scaled = Eigenpair(
         z=pair.z,
-        w=pair.w,
         f=HermiteSeries(pair.f.scale, -2.35 * pair.f.values),
         residual=pair.residual,
-        basis_size=pair.basis_size,
         basis_change=pair.basis_change,
     )
     # The rescaling rounds every coefficient, which perturbs the sampled

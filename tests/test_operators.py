@@ -443,6 +443,18 @@ class TestAprioriEstimate:
         with pytest.raises(InconclusiveError, match="not finite"):
             apriori_norms([big], [tau], P12)
 
+    def test_probes_are_the_broadcast_gaussians_to_the_byte(self):
+        # The in-place build rounds each step as the one broadcast
+        # expression does: subtract, square, negate, divide, exp.
+        x = np.linspace(-3.0, 3.0, 4001)
+        for seed in (42, 30):
+            rng = np.random.default_rng(seed)
+            centers = rng.uniform(-0.5, 0.5, size=100)
+            widths = rng.uniform(0.05, 0.5, size=100)
+            want = np.exp(-((x - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
+            got = np.stack([g.values for g in probe_family(seed)])
+            assert got.tobytes() == want.tobytes(), seed
+
     def test_stack_needs_one_grid(self):
         g = probe_family()[0]
         with pytest.raises(ValueError, match="one grid"):

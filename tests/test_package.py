@@ -82,11 +82,12 @@ def test_cli_import_loads_no_scipy():
 #: the derivative stencils, the Hermite-Galerkin solve, which gives the
 #: eigen, counterexample and demo profiles and the scaling constant of an
 #: order m >= 3, and the eigenvalue oracle's finite-difference pencil
-#: solve (Lanczos on a cyclic-reduction solve, Sturm counts) are numpy
+#: solve (Lanczos on a cyclic-reduction solve, a Sturm count) are numpy
 #: only.  The Beta value of the default grid comes from the standard
-#: library, and profile values off the nodes from a numpy cubic, so no
-#: run loads special or interpolate.  The splitting ladder and the oracle
-#: are the library call chains of the splitting and oracle benchmark jobs.
+#: library, and profile values anywhere from their numpy Hermite series,
+#: so no run loads special or interpolate.  The splitting ladder and the
+#: oracle are the library call chains of the splitting and oracle
+#: benchmark jobs.
 _SCIPY_BY_RUN = {
     "transform --order 2": set(),
     "classify --order 2": set(),

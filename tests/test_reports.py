@@ -85,7 +85,7 @@ def test_field_csv_keeps_complex_base_label(tmp_path):
 def test_eigenpair_csv_parses_back(tmp_path):
     # e^(-x^2/2) = pi^(1/4) psi_0, sampled on a staggered grid.
     f = HermiteSeries(1.0, np.array([np.pi**0.25]))
-    pair = Eigenpair(z=1.0, w=1.0 + 0j, f=f, residual=0.0, basis_size=1, basis_change=0.0)
+    pair = Eigenpair(z=1.0, f=f, residual=0.0, basis_change=0.0)
     grid = GridSpec(1.0, 0.1)
     out = tmp_path / "pair.csv"
     eigenpair_to_csv(pair, grid, out)
@@ -101,9 +101,9 @@ def test_eigenpair_csv_parses_back(tmp_path):
 def test_eigenpair_summary_fields():
     from gevreylab import OperatorParams
 
-    f = HermiteSeries(1.0, np.array([0.0, 1.0]))
-    pair = Eigenpair(z=3.0, w=np.sqrt(3.0) + 0j, f=f, residual=1e-13, basis_size=80,
-                     basis_change=4e-16)
+    # psi_1 in a basis of 80 functions: basis_size is the series length.
+    f = HermiteSeries(1.0, np.eye(80)[1])
+    pair = Eigenpair(z=3.0, f=f, residual=1e-13, basis_change=4e-16)
     got = eigenpair_summary(pair, OperatorParams(1, 2))
     assert got == {
         "p": 1,
