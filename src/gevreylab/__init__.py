@@ -14,7 +14,6 @@ sweeps, and deterministic CSV/JSON reporting.
 """
 
 from .eigen import (
-    DegenerateOriginError,
     Eigenpair,
     GridSpec,
     GrowthRow,
@@ -77,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConsistencyError",
     "Decomposition",
-    "DegenerateOriginError",
     "DualFrequency",
     "Eigenpair",
     "FbiField",

@@ -40,16 +40,18 @@ numerical evidence is z, the oracle agreement and the kernel residuals.
 Discretization: the profile equation is the generalized symmetric
 pencil (-D^2 + x^(2(q-1))) f = z x^(2(p-1)) f, solved in numpy by a
 Hermite-function Galerkin method (Boyd, Chebyshev and Fourier Spectral
-Methods, ch. 17; see _galerkin_lowest).  The flipped solve is
-variational, so it has no spurious modes to filter.  Each profile is
-kept as its series (HermiteSeries), which gives f and its derivatives
-exactly at any x.  The readers take them inside the default window, the
-Agmon distance at which the highest mode that sizes the window has
-decayed by e^-40 past its turning point, with that mode's eigenvalue
-estimated by Bohr-Sommerfeld quantization (a closed-form Beta-function
-action).  An independent oracle, reference_eigenvalues, solves the same
-pencil by staggered finite differences at two spacings, for
-cross-validation, also in numpy (_pencil_solve); no pipeline calls it.
+Methods, ch. 17; see _galerkin_lowest), even and odd functions apart
+since the equation commutes with x -> -x; a profile's parity is its
+probe order k (select_k).  The flipped solve is variational, so it has
+no spurious modes to filter.  Each profile is kept as its series
+(HermiteSeries), which gives f and its derivatives exactly at any x.
+The readers take them inside the default window, the Agmon distance at
+which the highest mode that sizes the window has decayed by e^-40 past
+its turning point, with that mode's eigenvalue estimated by
+Bohr-Sommerfeld quantization (a closed-form Beta-function action).  An
+independent oracle, reference_eigenvalues, solves the same pencil by
+staggered finite differences at two spacings, for cross-validation,
+also in numpy (_pencil_solve); no pipeline calls it.
 The (p, 2p) pairs have closed forms, z = (4j + 2)p - 1 (even) or + 1 (odd
 modes); for p <= 5 the solver meets z to 4.4e-15, profiles to 6.2e-15.
 
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -75,10 +77,6 @@ from .sampling import SampledFunction
 
 class ResampleError(ValueError):
     """Requested evaluation lies past the default window of the profiles."""
-
-
-class DegenerateOriginError(ValueError):
-    """Both |f(0)| and |f'(0)| vanish; the growth probe needs parity analysis."""
 
 
 @dataclass(frozen=True)
@@ -155,8 +153,8 @@ class Eigenpair:
 
     z > 0, so the kernel family's w is the real sqrt(z); ``f`` the
     profile's Hermite series, of unit L^2 norm (its length is the basis
-    size of the final solve) and signed so that f^(k)(0) > 0 for the
-    probe order k of select_k; ``residual`` the relative equation
+    size of the final solve) and signed so that f^(k)(0) > 0, k =
+    select_k(pair) its parity; ``residual`` the relative equation
     residual of its coefficients (see _galerkin_lowest), and
     ``basis_change`` the relative change of z from the solve before it.
     """
@@ -170,7 +168,7 @@ class Eigenpair:
 @dataclass(frozen=True)
 class GrowthRow:
     """One rung of the log-space derivative-growth ladder, at lam = N^(q/p),
-    probed at the order k that growth_table takes from select_k."""
+    probed at f^(k)(0) with k = select_k(pair), the profile's parity."""
 
     N: int
     lam: float
@@ -240,14 +238,19 @@ def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float,
     (diag(2k + 1) - Y^2) / scale^2, and the pencil is S = that +
     scale^(2(q-1)) Y^(2(q-1)) against M = scale^(2(p-1)) Y^(2(p-1)),
     formed in n + 2q functions, where every column below n is exact.
-    The n x n pencil is solved flipped: with S = L L^T, the largest
-    mu = 1/z of L^-1 M L^-T.  (For p > 1 M is nearly singular, and a
-    Cholesky of M instead loses accuracy as n grows or fails outright.)
-    An eigenvector u maps back to c = L^-T u, scaled to unit norm, the
-    profile's L^2 norm.  The residual ||(-S + z M) c|| over all n + 2q
-    rows vanishes in the first n to rounding; the rows past n hold the
-    coupling of c's last entries to the functions left out.  A power of
-    Y that leaves the float range raises InconclusiveError before any
+    psi_k has the parity of k and even powers of Y keep it, so S and M
+    are block-diagonal, and the even (k = 0, 2, ...) and odd functions
+    are two pencils of about n / 2, a quarter of the dense work of one.
+    Each is solved flipped: with S = L L^T, the largest mu = 1/z of
+    L^-1 M L^-T.  (For p > 1 M is nearly singular, and a Cholesky of M
+    instead loses accuracy as n grows or fails outright.)  An
+    eigenvector u maps back to c = L^-T u, scaled to unit norm, the
+    profile's L^2 norm, and exactly zero on the other parity, where
+    select_k reads it.  The two blocks' modes merge by z in a stable
+    sort.  The residual ||(-S + z M) c|| over its block's n / 2 + q rows
+    vanishes in the first n / 2 to rounding; the rest hold the coupling
+    of c's last entries to the functions left out.  A power of Y that
+    leaves the float range raises InconclusiveError before any
     factorization: a larger basis only holds larger entries.
     """
     p, q = params.p, params.q
@@ -273,22 +276,30 @@ def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float,
     kinetic = (np.diag(2.0 * np.arange(big) + 1.0) - powers[2]) / scale**2
     stiff = (kinetic + scale ** (2 * (q - 1)) * powers[2 * (q - 1)])[:, :n]
     mass = scale ** (2 * (p - 1)) * powers[2 * (p - 1)][:, :n]
-    try:
-        chol = np.linalg.cholesky(stiff[:n])
-    except np.linalg.LinAlgError:
-        raise InconclusiveError(
-            f"the ({p}, {q}) Hermite-Galerkin stiffness matrix lost definiteness "
-            f"in rounding at {n} functions"
-        ) from None
-    flipped = np.linalg.solve(chol, np.linalg.solve(chol, mass[:n]).T)
-    if not vectors:
-        return 1.0 / np.linalg.eigvalsh(flipped)[::-1][:count], None, None
-    mu, u = np.linalg.eigh(flipped)
-    z = 1.0 / mu[::-1][:count]
-    coef = np.linalg.solve(chol.T, u[:, ::-1][:, :count])
-    coef /= np.linalg.norm(coef, axis=0)
-    residual = np.linalg.norm(z * (mass @ coef) - stiff @ coef, axis=0)
-    return z, coef, residual
+    z, coef, residual = [], np.zeros((n, 2 * count)), []
+    for par in (0, 1):
+        try:
+            chol = np.linalg.cholesky(stiff[par:n:2, par::2])
+        except np.linalg.LinAlgError:
+            raise InconclusiveError(
+                f"the ({p}, {q}) Hermite-Galerkin stiffness matrix lost definiteness "
+                f"in rounding at {n} functions"
+            ) from None
+        flipped = np.linalg.solve(chol, np.linalg.solve(chol, mass[par:n:2, par::2]).T)
+        if not vectors:
+            z.extend(1.0 / np.linalg.eigvalsh(flipped)[::-1][:count])
+            continue
+        mu, u = np.linalg.eigh(flipped)
+        block_z = 1.0 / mu[::-1][:count]
+        block = np.linalg.solve(chol.T, u[:, ::-1][:, :count])
+        block /= np.linalg.norm(block, axis=0)
+        residual.extend(np.linalg.norm(block_z * (mass[par::2, par::2] @ block)
+                                       - stiff[par::2, par::2] @ block, axis=0))
+        z.extend(block_z)
+        coef[par::2, par * count:(par + 1) * count] = block
+    order = np.argsort(z, kind="stable")[:count]
+    z = np.array(z)[order]
+    return (z, coef[:, order], np.array(residual)[order]) if vectors else (z, None, None)
 
 
 class _Galerkin(NamedTuple):
@@ -316,7 +327,7 @@ def _galerkin_settled(params: OperatorParams, count: int, vectors: bool = False)
     0.15 x_t (6, 8) still has a residual of 4e-6 at n = 381, where at
     0.1 x_t every pair with q <= 8 settles by n = 381.  The default pairs
     stop at n = 244 (1, 2), 195 (1, 3), 125 (2, 3) and 100 (3, 4); of
-    the 120 pairs with q <= 16, 54 settle, the first failure at (8, 9).
+    the 120 pairs with q <= 16, 55 settle, the first failure at (8, 10).
 
     Eigenvalues alone stay a separate path because they settle sooner
     and reach further at the coarser scale: in fresh processes on a
@@ -361,19 +372,20 @@ def solve_nonlinear_eigen(params: OperatorParams, count: int = 4) -> list[Eigenp
 
     z, the Hermite coefficients and their residuals come from
     _galerkin_settled.  Each profile is its unit-norm series, signed so
-    that f^(k)(0) > 0 for the probe order k of select_k.  p = q returns
-    an empty list.
+    that f^(k)(0) > 0 with k = select_k(pair), its parity.  p = q
+    returns an empty list.
     """
     if params.p == params.q:  # -f'' = (z - 1) x^(2(q-1)) f decays for no z
         return []
     sol = _galerkin_settled(params, count, vectors=True)
     pairs = []
-    for k, z in enumerate(sol.z):
-        f = HermiteSeries(sol.scale, sol.coef[:, k])
-        if _origin_value(f)[1] < 0.0:
-            f = HermiteSeries(sol.scale, -sol.coef[:, k])
-        pairs.append(Eigenpair(z=float(z), f=f, residual=float(sol.residual[k]),
-                               basis_change=float(abs(z - sol.last[k]) / abs(z))))
+    for j, z in enumerate(sol.z):
+        pair = Eigenpair(z=float(z), f=HermiteSeries(sol.scale, sol.coef[:, j]),
+                         residual=float(sol.residual[j]),
+                         basis_change=float(abs(z - sol.last[j]) / abs(z)))
+        if pair.f(0.0, select_k(pair)) < 0.0:
+            pair = replace(pair, f=HermiteSeries(sol.scale, -sol.coef[:, j]))
+        pairs.append(pair)
     return pairs
 
 
@@ -568,23 +580,13 @@ def residual_norm(pair: Eigenpair, params: OperatorParams) -> float:
     return float(np.linalg.norm(r) / np.linalg.norm(vals))
 
 
-def _origin_value(f: HermiteSeries) -> tuple[int, float]:
-    """(k, f^(k)(0)) for the larger in modulus of f(0) and f'(0), f(0) on a tie."""
-    f0, f1 = f._rows(0.0, (0, 1))
-    return (0, f0) if abs(f0) >= abs(f1) else (1, f1)
-
-
 def select_k(pair: Eigenpair) -> int:
-    """Deterministic probe order: 0 or 1, whichever derivative of the
-    profile at the origin is larger; both vanishing means the profile
-    has higher-order symmetry and a different eigenpair should be used."""
-    k, value = _origin_value(pair.f)
-    if abs(value) < 1e-12:
-        raise DegenerateOriginError(
-            "profile and its first derivative both vanish at the origin; "
-            "pick an eigenpair of different parity"
-        )
-    return k
+    """Probe order from the profile's parity: 1 when every even-index
+    Hermite coefficient is zero (an odd profile), 0 otherwise.  x = 0 is
+    a regular point of the profile equation, so an even eigenfunction
+    has f(0) != 0 and an odd one f'(0) != 0; the parity blocks of
+    _galerkin_lowest leave the other parity's coefficients exactly 0."""
+    return int(not np.any(pair.f.values[0::2]))
 
 
 def build_counterexample(
@@ -697,8 +699,7 @@ def _extrema(f: HermiteSeries, reach: float) -> tuple[np.ndarray, np.ndarray]:
 
 def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[GrowthRow]:
     """Log-space growth ladder rows at lam = N^(q/p), probed at the order
-    k = select_k(pair), which raises DegenerateOriginError when neither
-    f(0) nor f'(0) can serve.
+    k = select_k(pair), the profile's parity.
 
     Everything is analytic in log space, so N up to 1e6 costs nothing:
     the derivative at the origin is the series' own, and the sup of

@@ -27,6 +27,20 @@ def run(tmp_path, *argv):
     return code, out
 
 
+def reports_under_blas_threads(tmp_path, *argv):
+    """Every report of one pipeline run in a fresh process, as {name: bytes},
+    under one BLAS thread and then under two."""
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "gevreylab.cli", *argv, "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        reports.append({path.name: path.read_bytes() for path in out.iterdir()})
+    return reports
+
+
 class TestUsageErrors:
     def test_empty_command_exits_64(self):
         with pytest.raises(SystemExit) as err:
@@ -369,6 +383,16 @@ class TestCounterexample:
         for name in ("counterexample.json", "growth.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    @pytest.mark.parametrize("argv", [("eigen", "--p", "1", "--q", "2"),
+                                      ("counterexample", "--p", "1", "--q", "3")])
+    def test_solve_reports_are_identical_across_blas_thread_counts(self, tmp_path, argv):
+        # The (1, 2) and (1, 3) pencils settle at 244 and 195 functions and
+        # are solved as parity blocks of at most 122, whose dense solves
+        # round the same under one and two BLAS threads.
+        one, two = reports_under_blas_threads(tmp_path, *argv)
+        assert len(one) == 2
+        assert one == two
+
 
 class TestInequalities:
     def test_sweep_reports_bounded_spreads(self, tmp_path):
@@ -403,17 +427,9 @@ class TestInequalities:
     def test_reports_are_identical_across_blas_thread_counts(self, tmp_path):
         # The weighted norms are einsum contractions, which call no BLAS,
         # so the reports must not depend on the BLAS thread count.
-        reports = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.cli.__file__).parents[1]),
-                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            subprocess.run([sys.executable, "-m", "gevreylab.cli", "inequalities", "--p", "2",
-                            "--q", "3", "--out", str(out)], env=env, capture_output=True,
-                           check=True)
-            reports.append({name: (out / name).read_bytes() for name in (
-                "apriori.csv", "weight.csv", "scaling.csv", "inequalities.json")})
-        assert reports[0] == reports[1]
+        one, two = reports_under_blas_threads(tmp_path, "inequalities", "--p", "2", "--q", "3")
+        assert set(one) == {"apriori.csv", "weight.csv", "scaling.csv", "inequalities.json"}
+        assert one == two
 
 
 class TestDemo:
