@@ -51,7 +51,8 @@ its turning point, with that mode's eigenvalue estimated by
 Bohr-Sommerfeld quantization (a closed-form Beta-function action).  An
 independent oracle, reference_eigenvalues, solves the same pencil by
 staggered finite differences at two spacings, for cross-validation,
-also in numpy (_pencil_solve); no pipeline calls it.
+also in numpy (_pencil_solve); the inequality sweeps take the (1, m)
+ground energy of their scaling constant from it (scaling_constant).
 The (p, 2p) pairs have closed forms, z = (4j + 2)p - 1 (even) or + 1 (odd
 modes); for p <= 5 the solver meets z to 4.4e-15, profiles to 6.2e-15.
 
@@ -66,7 +67,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -228,11 +229,10 @@ def default_grid(params: OperatorParams, *, count: int = 4) -> GridSpec:
     return GridSpec(float(turn_q ** (1.0 / params.q) * reach), _DEFAULT_SPACING)
 
 
-def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float,
-                     vectors: bool = False):
+def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float):
     """Lowest ``count`` z of the profile pencil in the first n Hermite
     functions psi_k(x / scale) / sqrt(scale), as (z, coefficients,
-    residuals); the last two are None unless ``vectors``.
+    residuals).
 
     In this basis x / scale is the tridiagonal Y, -d^2/dx^2 is
     (diag(2k + 1) - Y^2) / scale^2, and the pencil is S = that +
@@ -286,9 +286,6 @@ def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float,
                 f"in rounding at {n} functions"
             ) from None
         flipped = np.linalg.solve(chol, np.linalg.solve(chol, mass[par:n:2, par::2]).T)
-        if not vectors:
-            z.extend(1.0 / np.linalg.eigvalsh(flipped)[::-1][:count])
-            continue
         mu, u = np.linalg.eigh(flipped)
         block_z = 1.0 / mu[::-1][:count]
         block = np.linalg.solve(chol.T, u[:, ::-1][:, :count])
@@ -298,58 +295,7 @@ def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float,
         z.extend(block_z)
         coef[par::2, par * count:(par + 1) * count] = block
     order = np.argsort(z, kind="stable")[:count]
-    z = np.array(z)[order]
-    return (z, coef[:, order], np.array(residual)[order]) if vectors else (z, None, None)
-
-
-class _Galerkin(NamedTuple):
-    """A settled Hermite-Galerkin solve (see _galerkin_settled)."""
-
-    z: np.ndarray
-    coef: np.ndarray | None
-    residual: np.ndarray | None
-    last: np.ndarray  # z of the solve before, in a smaller basis
-    scale: float
-
-
-def _galerkin_settled(params: OperatorParams, count: int, vectors: bool = False) -> _Galerkin:
-    """The Galerkin solve at n = 64, 80, 100, ... (x 1.25) functions,
-    stopped once two consecutive solves agree on every z to 1e-12
-    relative and, with ``vectors``, every residual is below 1e-10; no
-    settling by n = 500 (the last rung is 476) raises InconclusiveError.
-    numpy only.
-
-    z settles first, its error being the square of the coefficients'.
-    Eigenvalues alone take the scale 0.15 x_t, with x_t the turning
-    point that default_grid estimates, and the default pairs stop at
-    n = 80.  Profiles take 0.1 x_t: their tails fall like exp(-x^q / q),
-    faster than any Hermite function's Gaussian once q > 2, and at
-    0.15 x_t (6, 8) still has a residual of 4e-6 at n = 381, where at
-    0.1 x_t every pair with q <= 8 settles by n = 381.  The default pairs
-    stop at n = 244 (1, 2), 195 (1, 3), 125 (2, 3) and 100 (3, 4); of
-    the 120 pairs with q <= 16, 55 settle, the first failure at (8, 10).
-
-    Eigenvalues alone stay a separate path because they settle sooner
-    and reach further at the coarser scale: in fresh processes on a
-    shared 2-core box scaling_constant's (1, m) ground state settles at
-    n = 80 in 2-3 ms for m = 3 and 4, where the vectors path needs
-    n = 195 and 156 and 17-30 ms, and it settles up to m = 17, the
-    vectors path only up to m = 14.  At n = 80 the inequalities reports
-    are the same bytes under one and two BLAS threads.
-    """
-    turn = _turning_point_q(params, count) ** (1.0 / params.q)
-    scale = (0.1 if vectors else 0.15) * turn
-    n, last = 64, None
-    while n <= 500:
-        z, coef, residual = _galerkin_lowest(params, count, n, scale, vectors)
-        if (last is not None and np.all(np.abs(z - last) <= 1e-12 * np.abs(z))
-                and (residual is None or np.all(residual <= 1e-10))):
-            return _Galerkin(z, coef, residual, last, scale)
-        n, last = int(round(1.25 * n)), z
-    raise InconclusiveError(
-        f"the ({params.p}, {params.q}) Hermite-Galerkin solve did not settle "
-        f"within 500 functions"
-    )
+    return np.array(z)[order], coef[:, order], np.array(residual)[order]
 
 
 def _hermite_sum(y: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -370,21 +316,44 @@ def _hermite_sum(y: np.ndarray, coef: np.ndarray) -> np.ndarray:
 def solve_nonlinear_eigen(params: OperatorParams, count: int = 4) -> list[Eigenpair]:
     """The ``count`` lowest eigenpairs of the profile equation, by z.
 
-    z, the Hermite coefficients and their residuals come from
-    _galerkin_settled.  Each profile is its unit-norm series, signed so
-    that f^(k)(0) > 0 with k = select_k(pair), its parity.  p = q
-    returns an empty list.
+    _galerkin_lowest solves at n = 64, 80, 100, ... (x 1.25) Hermite
+    functions of scale 0.1 x_t, x_t the turning point that default_grid
+    estimates, until two consecutive solves agree on every z to 1e-12
+    relative and every residual is below 1e-10; no settling by n = 500
+    (the last rung is 476) raises InconclusiveError.  z settles first,
+    its error being the square of the coefficients'.  The tails fall
+    like exp(-x^q / q), faster than any Hermite function's Gaussian once
+    q > 2, hence the narrow scale: at 0.15 x_t (6, 8) still has a
+    residual of 4e-6 at n = 381.  The default pairs stop at n = 244
+    (1, 2), 195 (1, 3), 125 (2, 3) and 100 (3, 4); of the 120 pairs
+    with q <= 16, 55 settle, the first failure at (8, 10).
+
+    Each profile is its unit-norm series, signed so that f^(k)(0) > 0
+    with k = select_k(pair), its parity, and ``basis_change`` compares
+    its z with the solve before.  p = q returns an empty list.
     """
     if params.p == params.q:  # -f'' = (z - 1) x^(2(q-1)) f decays for no z
         return []
-    sol = _galerkin_settled(params, count, vectors=True)
+    scale = 0.1 * _turning_point_q(params, count) ** (1.0 / params.q)
+    n, last = 64, None
+    while n <= 500:
+        z, coef, residual = _galerkin_lowest(params, count, n, scale)
+        if (last is not None and np.all(np.abs(z - last) <= 1e-12 * np.abs(z))
+                and np.all(residual <= 1e-10)):
+            break
+        n, last = int(round(1.25 * n)), z
+    else:
+        raise InconclusiveError(
+            f"the ({params.p}, {params.q}) Hermite-Galerkin solve did not settle "
+            f"within 500 functions"
+        )
     pairs = []
-    for j, z in enumerate(sol.z):
-        pair = Eigenpair(z=float(z), f=HermiteSeries(sol.scale, sol.coef[:, j]),
-                         residual=float(sol.residual[j]),
-                         basis_change=float(abs(z - sol.last[j]) / abs(z)))
+    for j, zj in enumerate(z):
+        pair = Eigenpair(z=float(zj), f=HermiteSeries(scale, coef[:, j]),
+                         residual=float(residual[j]),
+                         basis_change=float(abs(zj - last[j]) / abs(zj)))
         if pair.f(0.0, select_k(pair)) < 0.0:
-            pair = replace(pair, f=HermiteSeries(sol.scale, -sol.coef[:, j]))
+            pair = replace(pair, f=HermiteSeries(scale, -coef[:, j]))
         pairs.append(pair)
     return pairs
 
@@ -556,7 +525,9 @@ def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
     (2, 3) and (3, 4) it agrees with the solver to 1.0e-13 or better on
     the ground state and 6.6e-13 on the third mode.  (With scipy's eigsh
     in place of _pencil_solve the (1, 2) error read 5.3e-12: eigsh's
-    rounding, not O(h^4) truncation.)  p = q raises ValueError (see
+    rounding, not O(h^4) truncation.)  Its (1, m) ground state is
+    scaling_constant's, returned for every m tried from 3 to 400 in
+    7-24 ms each on a 2-core box.  p = q raises ValueError (see
     default_grid).
     """
     grid = default_grid(params, count=count)

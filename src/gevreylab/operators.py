@@ -64,8 +64,9 @@ class ConsistencyError(RuntimeError):
 class InconclusiveError(RuntimeError):
     """The numerics ran but resolved nothing: no stable exponent intercept,
     a Hermite-Galerkin solve that did not settle or whose matrices left
-    the float range, or a weight, weighted norm or inequality side that
-    left the float range."""
+    the float range, a difference pencil whose Lanczos iteration did not
+    converge or whose Sturm count disagrees, or a weight, weighted norm
+    or inequality side that left the float range."""
 
 
 @dataclass(frozen=True)
@@ -419,15 +420,15 @@ def scaling_constant(m: int) -> float:
     term only ever helps and the sharp constant is discretely safe.
 
     The ground energy is exactly 1 for m = 1 (constant potential) and
-    m = 2 (harmonic); higher m takes it from the Hermite-Galerkin solve
-    of the (1, m) profile pencil that the eigen solver uses, eigenvalues
-    only and settled on z alone (eigen._galerkin_settled).
+    m = 2 (harmonic); higher m takes it from the (1, m) profile pencil's
+    finite-difference oracle, eigen.reference_eigenvalues, certified by
+    a Sturm count.
     """
     if m < 1:
         raise ValueError("scaling order m must be a positive integer")
-    from .eigen import _galerkin_settled  # eigen imports this module
+    from .eigen import reference_eigenvalues  # eigen imports this module
 
-    ground = 1.0 if m <= 2 else _galerkin_settled(OperatorParams(1, m), 1).z[0]
+    ground = 1.0 if m <= 2 else reference_eigenvalues(OperatorParams(1, m), 1)[0]
     sharp = 1.0 / float(ground)
     return sharp if m == 1 else 1.001 * sharp
 

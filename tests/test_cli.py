@@ -424,10 +424,15 @@ class TestInequalities:
         assert len(err) == 1 and err[0].startswith("inconclusive:")
         assert not out.exists()
 
-    def test_reports_are_identical_across_blas_thread_counts(self, tmp_path):
+    @pytest.mark.parametrize("p,q", [(2, 3), (1, 18)])
+    def test_reports_are_identical_across_blas_thread_counts(self, tmp_path, p, q):
         # The weighted norms are einsum contractions, which call no BLAS,
-        # so the reports must not depend on the BLAS thread count.
-        one, two = reports_under_blas_threads(tmp_path, "inequalities", "--p", "2", "--q", "3")
+        # and the scaling constants come from the difference oracle, whose
+        # reductions are einsum too, so the reports must not depend on the
+        # BLAS thread count.  (1, 18) is past the reach of the Hermite
+        # solve.
+        one, two = reports_under_blas_threads(tmp_path, "inequalities",
+                                              "--p", str(p), "--q", str(q))
         assert set(one) == {"apriori.csv", "weight.csv", "scaling.csv", "inequalities.json"}
         assert one == two
 

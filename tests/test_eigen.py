@@ -30,7 +30,6 @@ from gevreylab import (
     growth_table,
     reference_eigenvalues,
     residual_norm,
-    scaling_constant,
     select_k,
     solve_nonlinear_eigen,
     verify_kernel,
@@ -270,14 +269,19 @@ class TestSolve:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_profiles_match_the_p_2p_closed_form(self, solve, p):
-        # Ground exp(-x^(2p)/(2p)), first odd mode x exp(-x^(2p)/(2p)).
-        # Measured: <= 6.2e-15 max abs on the default window.
+        # Even modes exp(-x^(2p)/(2p)) L_j^(-1/(2p))(t), odd ones
+        # x exp(-x^(2p)/(2p)) L_j^(1/(2p))(t), t = x^(2p)/p, for j = 0, 1,
+        # with L_0 = 1 and L_1^(a)(t) = 1 + a - t; each normalized by
+        # f(0) or f'(0).  Measured: <= 4.0e-14 max abs on the default
+        # window, largest on p = 2's second odd mode.
         half_width = default_grid(OperatorParams(p, 2 * p)).half_width
         x = np.linspace(-half_width, half_width, 2001)
-        ground = np.exp(-x ** (2 * p) / (2 * p))
-        even, odd = (pair.f for pair in solve(p, 2 * p)[:2])
-        assert np.max(np.abs(even(x) / even(0.0) - ground)) <= 1e-13
-        assert np.max(np.abs(odd(x) / odd(0.0, 1) - x * ground)) <= 1e-13
+        ground, t = np.exp(-x ** (2 * p) / (2 * p)), x ** (2 * p) / p
+        even, odd = 1.0 - 1.0 / (2 * p), 1.0 + 1.0 / (2 * p)  # L_1^(-+1/(2p))(0)
+        want = (ground, x * ground, ground * (even - t) / even, x * ground * (odd - t) / odd)
+        for j, (pair, form) in enumerate(zip(solve(p, 2 * p), want)):
+            f = pair.f
+            assert np.max(np.abs(f(x) / f(0.0, j % 2) - form)) <= 1e-13, j
 
     def test_pairs_that_need_476_functions_meet_the_acceptance_bounds(self):
         # These pairs settle only on the last rung below the 500 cap.
@@ -386,7 +390,7 @@ class TestSolve:
         # of 64 functions; a larger basis only holds larger entries.  No
         # overflow warning, no factorization, no further basis.
         with pytest.raises(InconclusiveError, match=r"\(1, 400\) .* float range at Y\^192 in 64"):
-            scaling_constant(400)
+            solve_nonlinear_eigen(OperatorParams(1, 400))
 
 
 class TestSelectK:

