@@ -185,22 +185,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(args.command, **given)
 
 
-def _default_gamma(order: float) -> float:
-    return min(1.0, 1.0 / order)
-
-
-def _probe_point(order: float) -> float:
+def _bump_setup(config: RunConfig):
+    """Order, window exponent (default 1/order, at most 1), bump and probe
+    point of the transform and classify pipelines."""
+    order = config.order
+    gamma = config.gamma if config.gamma is not None else min(1.0, 1.0 / order)
     # The support edge carries the order-s flatness signature; order-1
     # bumps are hard truncations of an analytic profile, so the center
     # is the right probe there.
-    return 0.0 if order == 1.0 else 1.0
+    return order, gamma, make_gevrey_bump(order), 0.0 if order == 1.0 else 1.0
 
 
 def _cmd_transform(config: RunConfig, out: Path) -> int:
-    order = config.order
-    gamma = config.gamma if config.gamma is not None else _default_gamma(order)
-    u = make_gevrey_bump(order)
-    x0 = _probe_point(order)
+    order, gamma, u, x0 = _bump_setup(config)
     freqs = np.asarray(config.freq_ladder, dtype=float)
     field = fbi_field(u, x0, freqs, gamma)
     field_to_csv(field, out / "field.csv")
@@ -225,10 +222,7 @@ def _cmd_transform(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_classify(config: RunConfig, out: Path) -> int:
-    order = config.order
-    gamma = config.gamma if config.gamma is not None else _default_gamma(order)
-    u = make_gevrey_bump(order)
-    x0 = _probe_point(order)
+    order, gamma, u, x0 = _bump_setup(config)
     by_decay = estimate_order_fbi(u, x0, gamma, config.freq_ladder)
     try:
         est = estimate_order_derivatives(u, x0)
@@ -336,18 +330,24 @@ def _cmd_counterexample(config: RunConfig, out: Path) -> int:
     return 0
 
 
+def _worst_probes(num_rows, den_rows):
+    """Per row, (num, den) of the first probe that attains the max num / den."""
+    for nums, dens in zip(num_rows, den_rows):
+        best = int(np.argmax(nums / dens))
+        yield float(nums[best]), float(dens[best])
+
+
 def _cmd_inequalities(config: RunConfig, out: Path) -> int:
     params = OperatorParams(config.p, config.q)
     probes = probe_family(seed=config.seed)
 
-    apriori_rows = []
     taus = [DualFrequency(0.0, float(mag)) for mag in config.tau_ladder]
     rhos = (0.0, 0.05, -0.05)
-    for rho, num_rows, den_rows in zip(rhos, *apriori_norms(probes, taus, params, rhos)):
-        for tau, nums, dens in zip(taus, num_rows, den_rows):
-            best = int(np.argmax(nums / dens))  # the first probe that attains the max
-            num, den = float(nums[best]), float(dens[best])
-            apriori_rows.append([rho, tau.tau1, tau.tau2, num / den, num, den])
+    apriori_rows = [
+        [rho, tau.tau1, tau.tau2, num / den, num, den]
+        for rho, *sides in zip(rhos, *apriori_norms(probes, taus, params, rhos))
+        for tau, (num, den) in zip(taus, _worst_probes(*sides))
+    ]
     emit_report(
         apriori_rows,
         ["rho", "tau1", "tau2", "max_ratio", "h2_norm", "image_norm"],
@@ -358,38 +358,34 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
     weight_rows = [[mag, float(sup)] for mag, sup in zip(config.tau_ladder, sups)]
     emit_report(weight_rows, ["tau", "sup_ratio"], out / "weight.csv")
 
-    scaling_rows = []
-    for m in sorted({params.p, params.q}):
-        sides = check_scaling_inequality(probes, config.tau_ladder, m)
-        for lam, lhs_row, rhs_row in zip(config.tau_ladder, *sides):
-            worst = int(np.argmax(lhs_row / rhs_row))  # as in the a-priori sweep
-            lhs, rhs = float(lhs_row[worst]), float(rhs_row[worst])
-            scaling_rows.append([m, lam, lhs, rhs, lhs / rhs])
+    orders = sorted({params.p, params.q})
+    scaling_rows = [
+        [m, lam, lhs, rhs, lhs / rhs]
+        for m in orders
+        for lam, (lhs, rhs) in zip(config.tau_ladder, _worst_probes(
+            *check_scaling_inequality(probes, config.tau_ladder, m)))
+    ]
     emit_report(scaling_rows, ["m", "lam", "lhs", "rhs", "ratio"],
                 out / "scaling.csv")
 
     flat = [row[3] for row in apriori_rows if row[0] == 0.0]
     weight_sups = [row[1] for row in weight_rows]
-    write_json(
-        {
-            "pipeline": _PIPELINES["inequalities"].description,
-            "p": params.p,
-            "q": params.q,
-            "apriori_spread": max(flat) / min(flat),
-            "weight_sup": max(weight_sups),
-            "weight_spread": max(weight_sups) / min(weight_sups),
-            "scaling_constants": {
-                str(m): scaling_constant(m) for m in sorted({params.p, params.q})
-            },
-            "scaling_max_ratio": max(row[4] for row in scaling_rows),
-        },
-        out / "inequalities.json",
-    )
+    summary = {
+        "pipeline": _PIPELINES["inequalities"].description,
+        "p": params.p,
+        "q": params.q,
+        "apriori_spread": max(flat) / min(flat),
+        "weight_sup": max(weight_sups),
+        "weight_spread": max(weight_sups) / min(weight_sups),
+        "scaling_constants": {str(m): scaling_constant(m) for m in orders},
+        "scaling_max_ratio": max(row[4] for row in scaling_rows),
+    }
+    write_json(summary, out / "inequalities.json")
     print(
-        f"apriori spread x{max(flat) / min(flat):.2f}, "
-        f"weight sup {max(weight_sups):.4f} "
-        f"(spread x{max(weight_sups) / min(weight_sups):.2f}), "
-        f"scaling max lhs/rhs {max(r[4] for r in scaling_rows):.4f}"
+        f"apriori spread x{summary['apriori_spread']:.2f}, "
+        f"weight sup {summary['weight_sup']:.4f} "
+        f"(spread x{summary['weight_spread']:.2f}), "
+        f"scaling max lhs/rhs {summary['scaling_max_ratio']:.4f}"
     )
     print(f"wrote {out / 'apriori.csv'}, {out / 'weight.csv'}, "
           f"{out / 'scaling.csv'}, {out / 'inequalities.json'}")

@@ -41,6 +41,12 @@ axis it is a direct discrete convolution, kept direct because the high
 part u - low must be accurate to its own size, far below sup |u|.  The
 tube lines Im z = const > 0 feed only the tube bound, so they share one
 FFT of u and cost one kernel transform each.
+
+Every entry point holds its input to one contract: a window exponent g
+in [0, 1], 1d samples that decay at the grid boundary (``fbi`` can skip
+that check), and a top frequency the grid resolves with eight samples per
+period.  Breaking it raises ValueError; a top frequency beyond the grid
+raises its subclass GridTooCoarseError, a NaN one plain ValueError.
 """
 
 from __future__ import annotations
@@ -92,53 +98,37 @@ def jacobian_alpha(x, xi, gamma: float) -> complex:
     return 1.0 + 1j * gamma * float(bracket(xi)) ** (gamma - 2.0) * (x * xi)
 
 
-def _require_resolved(u: SampledFunction, top: float) -> None:
-    """Raise GridTooCoarseError when frequency ``top`` outruns the sampling."""
+def _gate(u: SampledFunction, gamma: float, top: float, *, support: bool = True) -> float:
+    """The input contract of every entry point; returns gamma as a float."""
+    gamma = _check_gamma(gamma)
+    if u.ndim != 1:
+        raise ValueError("the transform layer is implemented for 1d samples")
+    if support and not u.is_compactly_supported():
+        raise ValueError(
+            "samples do not decay at the grid boundary; the quadrature "
+            "would truncate essential mass"
+        )
+    if np.isnan(top):
+        raise ValueError(f"frequency must be a number, got {top}")
     limit = 2.0 * np.pi / (_SAMPLES_PER_PERIOD * u.spacing[0])
     if top > limit:
         raise GridTooCoarseError(
             f"frequency {top:.6g} exceeds the grid limit {limit:.6g}; "
             "refine the sample spacing"
         )
-
-
-def _require_supported(u: SampledFunction) -> None:
-    if not u.is_compactly_supported():
-        raise ValueError(
-            "samples do not decay at the grid boundary; the quadrature "
-            "would truncate essential mass"
-        )
+    return gamma
 
 
 def fbi(u: SampledFunction, z, xi, gamma: float, *, check_support: bool = True) -> complex:
     """Transform of ``u`` at one base point and one frequency.
 
     This pointwise sum is the reference that ``fbi_field`` is tested
-    against.
-
-    Parameters
-    ----------
-    u : SampledFunction
-        One dimensional samples, decaying at the grid boundary.
-    z : complex
-        Base point; may be complex (evaluation on a tube).
-    xi : float
-        Real frequency.
-    gamma : float
-        Window exponent in [0, 1].
-
-    Raises
-    ------
-    GridTooCoarseError
-        If xi oscillates faster than the grid sampling supports.
+    against.  The base point ``z`` may be complex (evaluation on a tube),
+    the frequency ``xi`` is real, and ``check_support=False`` skips the
+    boundary-decay check of the input contract.
     """
-    gamma = _check_gamma(gamma)
-    if u.ndim != 1:
-        raise ValueError("the transform is implemented for 1d samples")
     z, xi = _scalar(z, complex), _scalar(xi, float)
-    _require_resolved(u, abs(xi))
-    if check_support:
-        _require_supported(u)
+    gamma = _gate(u, gamma, abs(xi), support=check_support)
     br = float(bracket(xi))
     off = z - u.coords(0)
     dot = off * xi  # (z - x') xi, reused inside alpha
@@ -194,16 +184,11 @@ def fbi_field(
     gamma : float
         Window exponent in [0, 1].
     """
-    gamma = _check_gamma(gamma)
-    if u.ndim != 1:
-        raise ValueError("the transform field is implemented for 1d samples")
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or np.any(freqs <= 0):
         raise ValueError("frequency ladder must be a 1d array of positive reals")
-    _require_supported(u)
-
+    gamma = _gate(u, gamma, freqs.max(initial=0.0))
     z = _scalar(base_point, complex)
-    _require_resolved(u, freqs.max(initial=0.0))
     values = np.empty(len(freqs), dtype=complex)
     for start in range(0, len(freqs), 64):  # 64 frequencies per broadcast
         values[start:start + 64] = _field_1d(u, z, freqs[start:start + 64], gamma)
@@ -238,18 +223,15 @@ def inversion_profile(
     As the radius grows this converges to u(x) wherever u is smooth; the
     truncation error is the classifier's notion of high-frequency
     content.  Any positive radii work; a radius <= 0 raises ValueError,
-    and so do samples that do not decay at the grid boundary.
+    and an empty ladder gives shape (0, len(xs)).
     """
-    gamma = _check_gamma(gamma)
-    if u.ndim != 1:
-        raise ValueError("truncated inversion is implemented for 1d samples")
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ValueError("inversion radius must be positive")
-    _require_supported(u)
-    _require_resolved(u, radii.max())
+    gamma = _gate(u, gamma, radii.max(initial=0.0))
     zs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    return np.array([_lowpass_at(u, zs, r, gamma) for r in radii])
+    rows = [_lowpass_at(u, zs, r, gamma) for r in radii]
+    return np.array(rows, dtype=complex).reshape(len(radii), len(zs))
 
 
 def _lowpass_rows(u: SampledFunction, lam: float, gamma: float, heights) -> np.ndarray:
@@ -261,15 +243,7 @@ def _lowpass_rows(u: SampledFunction, lam: float, gamma: float, heights) -> np.n
     tube bound and share one FFT of u.  Its length, a power of two
     >= 2n - 1, is enough: the full convolution has 3n - 2 entries, and
     what wraps around lands outside the n kept ones [n - 1, 2n - 1).
-    This is also the argument check of ``decompose``.
     """
-    gamma = _check_gamma(gamma)
-    if u.ndim != 1:
-        raise ValueError("frequency splitting is implemented for 1d samples")
-    if lam <= 0:
-        raise ValueError("frequency cut must be positive")
-    _require_supported(u)
-    _require_resolved(u, lam)
     x = u.coords(0)
     h = u.spacing[0]
     n = len(x)
@@ -322,13 +296,13 @@ def decompose(
     ``tube_height``, which must be positive; the split u = low + high is
     exact on the real axis by construction, so only the real-axis row
     enters ``high``.  That row is a direct sum; the four lines above it
-    share one FFT of u.  Samples that do not decay at the grid boundary
-    raise ValueError, and a cut the grid cannot resolve GridTooCoarseError.
+    share one FFT of u.  The cut ``lam`` must be at least 1.
     """
     if lam < 1.0:
         raise ValueError("frequency cut must be at least 1")
     if not tube_height > 0.0:
         raise ValueError("tube height must be positive")
+    gamma = _gate(u, gamma, lam)
     heights = np.linspace(0.0, tube_height, 5)
     rows = _lowpass_rows(u, lam, gamma, heights)
     low = SampledFunction(

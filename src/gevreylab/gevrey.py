@@ -89,8 +89,8 @@ def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
     The n samples lie on [-3/2, 3/2], so quadratures see the function
     decay inside the grid.
     """
-    if s < 1.0:
-        raise ValueError("Gevrey order must be at least 1")
+    if not 1.0 <= s < math.inf:
+        raise ValueError(f"Gevrey order must be finite and at least 1, got {s}")
     x = np.linspace(-1.5, 1.5, n)
     vals = np.zeros(n)
     if s == 1.0:
@@ -232,12 +232,8 @@ def prune_decay_floor(freqs, mags):
     """
     freqs = np.asarray(freqs, dtype=float)
     mags = np.asarray(mags, dtype=float)
-    cut = mags.max() * _DECAY_FLOOR
-    keep = len(mags)
-    for i, m in enumerate(mags):
-        if m <= cut:
-            keep = i
-            break
+    cut = mags.max(initial=-np.inf) * _DECAY_FLOOR
+    keep = next((i for i, m in enumerate(mags) if m <= cut), len(mags))
     return freqs[:keep], mags[:keep]
 
 
@@ -311,43 +307,32 @@ def _fd_table(npts: int) -> tuple[tuple[float, ...], ...]:
 _STRIDES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 
 
-def _stencil_sup(values: np.ndarray, h: float, order: int, stride: int,
-                 center_mask: np.ndarray):
-    """Sup over the masked centers of the stride-dilated stencil estimate
-    of f^(order), with its roundoff floor.  Returns None when the stencil
-    does not fit or no stencil center survives the mask."""
-    npts = order + 9 if (order + 9) % 2 == 1 else order + 10
-    reach = (npts - 1) * stride
-    if reach >= len(values):
-        return None
-    w = fd_weights(order, npts)
-    heff = h * stride
-    length = len(values) - reach
-    acc = np.zeros(length)
-    for j in range(npts):
-        acc += w[j] * values[j * stride : j * stride + length]
-    # acc[i] is the stencil starting at sample i; its center sits at
-    # sample i + stride * (npts - 1) / 2.
-    centers = np.arange(length) + stride * (npts - 1) // 2
-    keep = center_mask[centers]
-    if not np.any(keep):
-        return None
-    acc = acc[keep]
-    sup = float(np.max(np.abs(acc))) / heff**order
-    floor = 64.0 * np.finfo(float).eps * float(np.max(np.abs(values)))
-    floor *= float(np.sum(np.abs(w))) / heff**order
-    return sup, floor
-
-
 def _reliable_sup(values: np.ndarray, h: float, order: int, center_mask: np.ndarray):
     """Sup of |f^(order)| at the smallest stride m that agrees with 2m
     within 10 percent, both above four times their roundoff floor; 0.0
-    when every stride sits below that floor, None when no pair agrees."""
+    when every stride sits below that floor, None when no pair agrees.
+
+    At stride m the sup runs over the masked centers of the m-dilated
+    stencil, and the floor is 64 eps max|u| * sum|w| / (h m)^order; a
+    stride counts only when its stencil fits and keeps a center."""
+    npts = order + 9 if (order + 9) % 2 == 1 else order + 10
+    w = fd_weights(order, npts)
+    floor = 64.0 * np.finfo(float).eps * float(np.max(np.abs(values)))
+    weight = float(np.sum(np.abs(w)))
     per_stride = {}
     for m in _STRIDES:
-        got = _stencil_sup(values, h, order, m, center_mask)
-        if got is not None:
-            per_stride[m] = got
+        length = len(values) - (npts - 1) * m
+        if length <= 0:
+            break
+        acc = np.zeros(length)
+        for j in range(npts):
+            acc += w[j] * values[j * m : j * m + length]
+        # acc[i] is the stencil starting at sample i; its center sits at
+        # sample i + m * (npts - 1) / 2.
+        keep = center_mask[np.arange(length) + m * (npts - 1) // 2]
+        if np.any(keep):
+            scale = (h * m) ** order
+            per_stride[m] = (float(np.max(np.abs(acc[keep]))) / scale, floor * (weight / scale))
     if not per_stride:
         return None
     if all(s <= 4.0 * f for s, f in per_stride.values()):

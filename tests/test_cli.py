@@ -41,6 +41,19 @@ def reports_under_blas_threads(tmp_path, *argv):
     return reports
 
 
+@pytest.mark.parametrize("argv, names", [
+    (("transform", "--order", "3"), {"field.csv", "transform.json"}),
+    (("classify", "--order", "2"), {"classify.json"}),
+    (("demo",), {"demo.csv"}),
+], ids=["transform", "classify", "demo"])
+def test_bump_and_demo_reports_match_across_blas_threads(tmp_path, argv, names):
+    # The README promises these reports the same bytes under one and two
+    # BLAS threads; demo runs its four default pairs.
+    one, two = reports_under_blas_threads(tmp_path, *argv)
+    assert set(one) == names
+    assert one == two
+
+
 class TestUsageErrors:
     def test_empty_command_exits_64(self):
         with pytest.raises(SystemExit) as err:

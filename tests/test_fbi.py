@@ -1,15 +1,19 @@
 """Windowed transform: density factor, quadrature, inversion, splitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gevreylab import (
+    FitRejectedError,
     GridTooCoarseError,
     SampledFunction,
     bracket,
     decompose,
+    estimate_order_fbi,
     fbi,
     fbi_field,
     fit_stretched_exponential,
@@ -84,6 +88,40 @@ def smooth_gaussian():
     return sample(
         lambda x: np.exp(-(x**2) / 2.0), [(-7.0, 7.0, 4096)], support_radius=7.0
     )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda u: fbi(u, 0.0, NAN, 0.5), (ValueError, "nan")),
+        (lambda u: fbi(u, 0.0, INF, 0.5), (GridTooCoarseError, "grid limit")),
+        (lambda u: fbi_field(u, 0.0, [16.0, NAN], 0.5), (ValueError, "nan")),
+        (lambda u: inversion_profile(u, [0.0], 0.5, [NAN]), (ValueError, "nan")),
+        (lambda u: decompose(u, NAN, 0.5, 0.1), (ValueError, "nan")),
+        (lambda u: inversion_profile(u, [0.0, 0.5], 0.5, []).shape, (0, 2)),
+        (lambda u: estimate_order_fbi(u, 1.0, 0.5, []), (FitRejectedError, "got 0")),
+        (lambda u: make_gevrey_bump(NAN), (ValueError, "at least 1")),
+        (lambda u: make_gevrey_bump(INF), (ValueError, "at least 1")),
+    ],
+    ids=["fbi-nan", "fbi-inf", "field-nan", "inversion-nan", "decompose-nan",
+         "inversion-empty", "estimate-empty", "bump-nan", "bump-inf"],
+)
+def test_non_finite_and_empty_inputs(bump2, call, expected):
+    # A NaN frequency is a plain ValueError and an infinite one is too
+    # fine for the grid; neither reaches numpy.  An empty ladder is an
+    # empty result, which the fit then rejects.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not isinstance(expected[0], type):  # a result shape
+            assert call(bump2) == expected
+            return
+        error, fragment = expected
+        with pytest.raises(error, match=fragment) as err:
+            call(bump2)
+    assert type(err.value) is error
 
 
 class TestTransform:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gevreylab.gevrey
 from gevreylab import (
     FitRejectedError,
     OrderTooHighError,
@@ -356,6 +357,20 @@ class TestDerivativeEstimator:
     def test_max_order_range(self, bump_of):
         with pytest.raises(ValueError, match="max_order"):
             estimate_order_derivatives(bump_of(2.0), 0.0, max_order=20)
+
+    def test_one_stencil_per_order(self, bump_of, monkeypatch):
+        # Each order forms its weights once; only the dilated sum runs
+        # per stride.
+        orders = []
+
+        def counting(order, npts):
+            orders.append(order)
+            return fd_weights(order, npts)
+
+        monkeypatch.setattr(gevreylab.gevrey, "fd_weights", counting)
+        est = estimate_order_derivatives(bump_of(2.0), 1.0, max_order=12)
+        assert orders == list(range(1, 13))
+        assert abs(est.order - 2.0) <= 0.3
 
     def test_two_estimators_agree_on_bump_family(self, bump_of):
         # Orders 1, 1.5, 2; at order 3 the derivative route needs a

@@ -30,10 +30,10 @@ def test_all_lists_exactly_the_public_imports():
 
 def _referenced_names(path: Path) -> set[str]:
     """Names a module loads, reads as attributes, or imports; a def or
-    class statement is a definition, not a reference."""
+    class statement, or an assignment, is a definition, not a reference."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -51,6 +51,28 @@ def test_every_export_has_a_reader():
                 ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
     read = set().union(*(_referenced_names(p) for p in readers))
     assert [name for name in gevreylab.__all__ if name not in read] == []
+
+
+def _private_definitions(path: Path) -> set[str]:
+    """Module-level private names a module defines, dunders aside."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_has_a_reader():
+    # A helper that nothing in the package reads any more is dead code,
+    # even when a test still imports it.
+    modules = sorted(Path(gevreylab.__file__).parent.glob("*.py"))
+    read = set().union(*(_referenced_names(p) for p in modules))
+    unread = [(p.name, name) for p in modules for name in sorted(_private_definitions(p))
+              if name not in read]
+    assert unread == []
 
 
 def test_no_module_imports_scipy():
