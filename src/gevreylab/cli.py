@@ -9,9 +9,10 @@ exactly the keys its pipeline reads, as flags; flags are the only input.
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
 order out of range, non-linear growth ladder, an eigen solve for p < q
 that does not settle or whose matrices leave the float range, a tau
-ladder whose weighted norms leave the float range), 1 other failures, 64 usage errors (among them a flag the
-pipeline does not read, a non-finite value, and an n-ladder that is not
-strictly increasing or has fewer than three orders).
+ladder whose weighted norms leave the float range), 1 other failures, 64
+usage errors (among them a flag the pipeline does not read, a non-finite
+value, and an n-ladder that is not strictly increasing or has fewer than
+three orders).  A run that fails writes no report.
 """
 
 from __future__ import annotations
@@ -53,15 +54,7 @@ from .operators import (
     probe_family,
     scaling_constant,
 )
-from .reports import (
-    eigenpair_summary,
-    eigenpair_to_csv,
-    emit_report,
-    field_to_csv,
-    grid_summary,
-    growth_to_csv,
-    write_json,
-)
+from .reports import emit_report, write_json
 
 USAGE_EXIT = 64
 INCONCLUSIVE_EXIT = 2
@@ -196,50 +189,44 @@ def _bump_setup(config: RunConfig):
     return order, gamma, make_gevrey_bump(order), 0.0 if order == 1.0 else 1.0
 
 
-def _cmd_transform(config: RunConfig, out: Path) -> int:
+def _cmd_transform(config: RunConfig) -> dict:
     order, gamma, u, x0 = _bump_setup(config)
     freqs = np.asarray(config.freq_ladder, dtype=float)
     field = fbi_field(u, x0, freqs, gamma)
-    field_to_csv(field, out / "field.csv")
     kept_f, kept_m = prune_decay_floor(freqs, field.magnitudes())
     fit = fit_stretched_exponential(kept_f, kept_m)
-    write_json(
-        {
-            "pipeline": _PIPELINES["transform"].description,
-            "order": order,
-            "gamma": gamma,
-            "base_point": x0,
-            "fit": dataclasses.asdict(fit),
-        },
-        out / "transform.json",
-    )
     print(
         f"fitted decay exponent r = {fit.r:.4f} (delta = {fit.delta:.4g}) "
         f"from {fit.n_points} ladder points"
     )
-    print(f"wrote {out / 'field.csv'}, {out / 'transform.json'}")
-    return 0
+    return {
+        "field.csv": (["base", "xi", "re", "im", "abs"],
+                      [[x0, xi, val.real, val.imag, abs(val)]
+                       for xi, val in zip(field.freqs, field.values)]),
+        "transform.json": {"order": order, "gamma": gamma, "base_point": x0,
+                           "fit": dataclasses.asdict(fit)},
+    }
 
 
-def _cmd_classify(config: RunConfig, out: Path) -> int:
+def _cmd_classify(config: RunConfig) -> dict:
     order, gamma, u, x0 = _bump_setup(config)
     by_decay = estimate_order_fbi(u, x0, gamma, config.freq_ladder)
     try:
         est = estimate_order_derivatives(u, x0)
-        by_derivatives = {
-            "order": est.order,
-            "degenerate": est.degenerate,
-            "n_points": est.n_points,
-        }
+        by_derivatives = {"order": est.order, "degenerate": est.degenerate,
+                          "n_points": est.n_points}
         deriv_text = f"{est.order:.3f} (derivative growth)"
     except OrderTooHighError as exc:
         # The decay estimate stands on its own; losing the cross-check
         # to stencil noise is worth reporting, not failing over.
         by_derivatives = {"error": str(exc)}
         deriv_text = "unavailable (derivative growth: noise floor)"
-    write_json(
-        {
-            "pipeline": _PIPELINES["classify"].description,
+    print(
+        f"order estimates: {by_decay.order:.3f} (transform decay), "
+        f"{deriv_text}; target {order:g}"
+    )
+    return {
+        "classify.json": {
             "target_order": order,
             "gamma": gamma,
             "base_point": x0,
@@ -250,69 +237,67 @@ def _cmd_classify(config: RunConfig, out: Path) -> int:
             },
             "derivative_estimate": by_derivatives,
         },
-        out / "classify.json",
-    )
-    print(
-        f"order estimates: {by_decay.order:.3f} (transform decay), "
-        f"{deriv_text}; target {order:g}"
-    )
-    print(f"wrote {out / 'classify.json'}")
-    return 0
+    }
 
 
-def _profiles(config: RunConfig, out: Path, command: str):
-    """Eigenpairs for (p, q), after reporting an empty p = q search."""
+def _profiles(config: RunConfig, command: str):
+    """Eigenpairs for (p, q), and the report of an empty (p = q) search."""
     params = OperatorParams(config.p, config.q)
     found = solve_nonlinear_eigen(params)
     if not found:
-        write_json(
-            {
-                "pipeline": _PIPELINES[command].description,
-                "p": params.p,
-                "q": params.q,
-                "count": 0,
-                "note": "no stable decaying profiles at these parameters",
-            },
-            out / f"{command}.json",
-        )
         print(f"no admissible eigenpairs for p={params.p}, q={params.q}")
-    return params, found
+    return params, found, {f"{command}.json": {
+        "p": params.p,
+        "q": params.q,
+        "count": 0,
+        "note": "no stable decaying profiles at these parameters",
+    }}
 
 
-def _cmd_eigen(config: RunConfig, out: Path) -> int:
-    params, found = _profiles(config, out, "eigen")
+def _cmd_eigen(config: RunConfig) -> dict:
+    params, found, empty = _profiles(config, "eigen")
     if not found:
-        return 0
+        return empty
     pair = found[0]
     grid = default_grid(params)
-    eigenpair_to_csv(pair, grid.refined(), out / "eigenpair.csv")
-    summary = eigenpair_summary(pair, params)
-    summary["pipeline"] = _PIPELINES["eigen"].description
-    summary["count"] = len(found)
-    summary["all_z"] = [p.z for p in found]
-    summary["all_residual"] = [p.residual for p in found]
-    summary["all_basis_change"] = [p.basis_change for p in found]
-    summary["grid"] = grid_summary(grid)
-    write_json(summary, out / "eigen.json")
+    # The ground profile's series on the nodes at half the grid's spacing.
+    x = grid.refined().nodes()
     print(f"z = {pair.z:.9f}, residual {pair.residual:.2e}, "
           f"{len(found)} pair(s) kept")
-    print(f"wrote {out / 'eigenpair.csv'}, {out / 'eigen.json'}")
-    return 0
+    return {
+        "eigenpair.csv": (["x", "re", "im"],
+                          [[xi, fi, 0.0] for xi, fi in zip(x.tolist(), pair.f(x).tolist())]),
+        "eigen.json": {
+            "p": params.p,
+            "q": params.q,
+            "z": pair.z,
+            "residual": pair.residual,
+            "basis_size": len(pair.f.values),
+            "basis_change": pair.basis_change,
+            "count": len(found),
+            "all_z": [p.z for p in found],
+            "all_residual": [p.residual for p in found],
+            "all_basis_change": [p.basis_change for p in found],
+            "grid": {"half_width": grid.half_width, "spacing": grid.spacing,
+                     "fine_nodes": len(x)},
+        },
+    }
 
 
-def _cmd_counterexample(config: RunConfig, out: Path) -> int:
-    params, found = _profiles(config, out, "counterexample")
+def _cmd_counterexample(config: RunConfig) -> dict:
+    params, found, empty = _profiles(config, "counterexample")
     if not found:
-        return 0
+        return empty
     pair = found[0]
-    residuals = {f"{lam:g}": verify_kernel(pair, lam, params)
-                 for lam in (10.0, 100.0)}
+    residuals = {f"{lam:g}": verify_kernel(pair, lam, params) for lam in (10.0, 100.0)}
     rows = growth_table(pair, params, config.n_ladder)
-    growth_to_csv(rows, out / "growth.csv")
     s0 = estimate_optimal_exponent(rows, expected=params.optimal_order)
-    write_json(
-        {
-            "pipeline": _PIPELINES["counterexample"].description,
+    print(f"s0 = {s0:.4f} against q/p = {params.optimal_order:.4f} "
+          f"(|delta| = {abs(s0 - params.optimal_order):.2e})")
+    return {
+        "growth.csv": (["N", "lambda", "log_lhs", "log_sup", "s_star"],
+                       [[r.N, r.lam, r.log_lhs, r.log_sup, r.s_star] for r in rows]),
+        "counterexample.json": {
             "p": params.p,
             "q": params.q,
             "z": pair.z,
@@ -322,12 +307,7 @@ def _cmd_counterexample(config: RunConfig, out: Path) -> int:
             "expected": params.optimal_order,
             "abs_delta": abs(s0 - params.optimal_order),
         },
-        out / "counterexample.json",
-    )
-    print(f"s0 = {s0:.4f} against q/p = {params.optimal_order:.4f} "
-          f"(|delta| = {abs(s0 - params.optimal_order):.2e})")
-    print(f"wrote {out / 'growth.csv'}, {out / 'counterexample.json'}")
-    return 0
+    }
 
 
 def _worst_probes(num_rows, den_rows):
@@ -337,7 +317,7 @@ def _worst_probes(num_rows, den_rows):
         yield float(nums[best]), float(dens[best])
 
 
-def _cmd_inequalities(config: RunConfig, out: Path) -> int:
+def _cmd_inequalities(config: RunConfig) -> dict:
     params = OperatorParams(config.p, config.q)
     probes = probe_family(seed=config.seed)
 
@@ -348,15 +328,9 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
         for rho, *sides in zip(rhos, *apriori_norms(probes, taus, params, rhos))
         for tau, (num, den) in zip(taus, _worst_probes(*sides))
     ]
-    emit_report(
-        apriori_rows,
-        ["rho", "tau1", "tau2", "max_ratio", "h2_norm", "image_norm"],
-        out / "apriori.csv",
-    )
 
-    sups = check_weight_inequality(params, config.tau_ladder)
-    weight_rows = [[mag, float(sup)] for mag, sup in zip(config.tau_ladder, sups)]
-    emit_report(weight_rows, ["tau", "sup_ratio"], out / "weight.csv")
+    sups = check_weight_inequality(params, config.tau_ladder).tolist()
+    weight_rows = [[mag, sup] for mag, sup in zip(config.tau_ladder, sups)]
 
     orders = sorted({params.p, params.q})
     scaling_rows = [
@@ -365,34 +339,33 @@ def _cmd_inequalities(config: RunConfig, out: Path) -> int:
         for lam, (lhs, rhs) in zip(config.tau_ladder, _worst_probes(
             *check_scaling_inequality(probes, config.tau_ladder, m)))
     ]
-    emit_report(scaling_rows, ["m", "lam", "lhs", "rhs", "ratio"],
-                out / "scaling.csv")
 
     flat = [row[3] for row in apriori_rows if row[0] == 0.0]
-    weight_sups = [row[1] for row in weight_rows]
     summary = {
-        "pipeline": _PIPELINES["inequalities"].description,
         "p": params.p,
         "q": params.q,
         "apriori_spread": max(flat) / min(flat),
-        "weight_sup": max(weight_sups),
-        "weight_spread": max(weight_sups) / min(weight_sups),
+        "weight_sup": max(sups),
+        "weight_spread": max(sups) / min(sups),
         "scaling_constants": {str(m): scaling_constant(m) for m in orders},
         "scaling_max_ratio": max(row[4] for row in scaling_rows),
     }
-    write_json(summary, out / "inequalities.json")
     print(
         f"apriori spread x{summary['apriori_spread']:.2f}, "
         f"weight sup {summary['weight_sup']:.4f} "
         f"(spread x{summary['weight_spread']:.2f}), "
         f"scaling max lhs/rhs {summary['scaling_max_ratio']:.4f}"
     )
-    print(f"wrote {out / 'apriori.csv'}, {out / 'weight.csv'}, "
-          f"{out / 'scaling.csv'}, {out / 'inequalities.json'}")
-    return 0
+    return {
+        "apriori.csv": (["rho", "tau1", "tau2", "max_ratio", "h2_norm", "image_norm"],
+                        apriori_rows),
+        "weight.csv": (["tau", "sup_ratio"], weight_rows),
+        "scaling.csv": (["m", "lam", "lhs", "rhs", "ratio"], scaling_rows),
+        "inequalities.json": summary,
+    }
 
 
-def _cmd_demo(config: RunConfig, out: Path) -> int:
+def _cmd_demo(config: RunConfig) -> dict:
     rows = []
     lines = [f"{'p':>3} {'q':>3} {'q/p':>8} {'s0':>10} {'|delta|':>10}"]
     for p, q in config.pairs:
@@ -408,15 +381,14 @@ def _cmd_demo(config: RunConfig, out: Path) -> int:
         lines.append(
             f"{p:>3} {q:>3} {target:>8.4f} {s0:>10.4f} {abs(s0 - target):>10.2e}"
         )
-    emit_report(rows, ["p", "q", "q_over_p", "s0_estimate", "abs_delta"],
-                out / "demo.csv")
     print("\n".join(lines))
-    print(f"wrote {out / 'demo.csv'}")
-    return 0
+    return {"demo.csv": (["p", "q", "q_over_p", "s0_estimate", "abs_delta"], rows)}
 
 
 class _Pipeline(NamedTuple):
-    run: Callable[[RunConfig, Path], int]
+    # Computes everything and prints its summary; returns its reports as
+    # {file name: (schema, rows) of a CSV, or the dict of a JSON}.
+    run: Callable[[RunConfig], dict]
     help: str
     # Embedded in every JSON report so a report file is self-describing
     # about what produced it.
@@ -506,21 +478,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(config: RunConfig) -> int:
-    """Run the configured pipeline, writing reports under config.out.
+    """Run the configured pipeline, then write its reports under config.out.
 
-    A directory this call creates is removed again if the pipeline fails
-    before writing into it.
+    Nothing is written, and no directory made, unless the pipeline's
+    numerics have all succeeded.
     """
+    pipeline = _PIPELINES[config.command]
+    reports = pipeline.run(config)
     out = Path(config.out)
-    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        return _PIPELINES[config.command].run(config, out)
-    except BaseException:
-        for d in created:
-            if not any(d.iterdir()):
-                d.rmdir()
-        raise
+    for name, report in reports.items():
+        if isinstance(report, dict):
+            write_json({**report, "pipeline": pipeline.description}, out / name)
+        else:
+            schema, rows = report
+            emit_report(rows, schema, out / name)
+    print("wrote " + ", ".join(str(out / name) for name in reports))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -46,7 +46,8 @@ Every entry point holds its input to one contract: a window exponent g
 in [0, 1], 1d samples that decay at the grid boundary (``fbi`` can skip
 that check), and a top frequency the grid resolves with eight samples per
 period.  Breaking it raises ValueError; a top frequency beyond the grid
-raises its subclass GridTooCoarseError, a NaN one plain ValueError.
+raises its subclass GridTooCoarseError, a NaN one plain ValueError, as
+do a NaN inversion point and an infinite tube height.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ def inversion_profile(
         raise ValueError("inversion radius must be positive")
     gamma = _gate(u, gamma, radii.max(initial=0.0))
     zs = np.atleast_1d(np.asarray(xs, dtype=complex))
+    if not np.all(np.isfinite(zs)):
+        raise ValueError(f"inversion points must be finite, got {xs}")
     rows = [_lowpass_at(u, zs, r, gamma) for r in radii]
     return np.array(rows, dtype=complex).reshape(len(radii), len(zs))
 
@@ -293,15 +296,15 @@ def decompose(
     """Split samples into low and high frequency parts at cut ``lam``.
 
     The low part is evaluated on five lines Im z = const from 0 up to
-    ``tube_height``, which must be positive; the split u = low + high is
+    ``tube_height``, which must be positive and finite; the split u = low + high is
     exact on the real axis by construction, so only the real-axis row
     enters ``high``.  That row is a direct sum; the four lines above it
     share one FFT of u.  The cut ``lam`` must be at least 1.
     """
     if lam < 1.0:
         raise ValueError("frequency cut must be at least 1")
-    if not tube_height > 0.0:
-        raise ValueError("tube height must be positive")
+    if not 0.0 < tube_height < np.inf:
+        raise ValueError(f"tube height must be positive and finite, got {tube_height}")
     gamma = _gate(u, gamma, lam)
     heights = np.linspace(0.0, tube_height, 5)
     rows = _lowpass_rows(u, lam, gamma, heights)

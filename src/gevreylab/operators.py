@@ -31,7 +31,9 @@ whose tau-uniformity is the quantitative content of the theory:
 Every check is a sweep: probe stacks and ladders in, one entry per rung
 out.  The norms and the a-priori check give (rhos, taus, probes) arrays,
 the scaling check two (cuts, probes) arrays and the weight check one sup
-per magnitude; an empty stack or ladder raises ValueError.  A probe
+per magnitude; an empty stack or ladder, or a NaN rung, raises
+ValueError, while a finite rung whose numbers overflow is inconclusive
+(InconclusiveError).  A probe
 stack is a sequence of 1d samples on one grid, such as probe_family
 returns, held as one (probes, nodes) array.  Work that depends on the
 grid only is formed once and broadcast over the probes, and work that
@@ -183,7 +185,7 @@ def _weighted_norms(
     """htau_norm of order k = len(squares) - 1 of every probe, from its
     squared derivatives ``squares`` (j = 0..k, each (taus, probes, nodes),
     or (1, probes, nodes) when they do not depend on tau) on the nodes x,
-    as one (rhos, taus, probes) array.
+    as one (rhos, taus, probes) array.  A NaN tau or rho raises ValueError.
 
     The density exp(rho |tau|^(p/q) v), (rhos, taus, nodes), and the
     weight w^2, (taus, nodes), are formed once, and each order j is one
@@ -192,6 +194,8 @@ def _weighted_norms(
     entry is reduced in one order whatever the thread count and the size
     of the stack or ladders.
     """
+    if np.isnan([(tau.tau1, tau.tau2) for tau in taus]).any() or np.isnan(rhos).any():
+        raise ValueError("the tau and rho ladders must hold numbers, not nan")
     k = len(squares) - 1
     scale = np.array([tau.magnitude**params.exponent_ratio for tau in taus])
     env = np.exp(np.multiply.outer(rhos, scale)[..., None] * _cutoff(x))
@@ -286,11 +290,19 @@ def apply_A_tau(
     (no centered difference exists there), so callers slice
     ``.values[1:-1]`` for the interior, as the acceptance gate does.
     """
-    values, x, h = _probe_stack([f])
-    image = _second_difference(values, -1, h) - _potential(x[1:-1], tau, params) * values[:, 1:-1]
     out = np.full_like(f.values, np.nan)
-    out[1:-1] = image[0]
+    out[1:-1] = _images(*_probe_stack([f]), [tau], params)[0, 0]
     return SampledFunction(f.origin, f.spacing, out)
+
+
+def _images(values: np.ndarray, x: np.ndarray, h: float,
+            taus: Sequence[DualFrequency], params: OperatorParams) -> np.ndarray:
+    """A_tau of a probe stack's values on the interior nodes x[1:-1], as
+    one (taus, probes, nodes - 2) array; the second difference is taken
+    once for every tau."""
+    curvature = _second_difference(values, -1, h)
+    potentials = np.array([_potential(x[1:-1], tau, params) for tau in taus])
+    return curvature - potentials[:, None] * values[:, 1:-1]
 
 
 def probe_family(seed: int = 42) -> list[SampledFunction]:
@@ -339,9 +351,7 @@ def apriori_norms(
     values, x, h = _probe_stack(probes)
     # The guard below reports an overflow; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        curvature = _second_difference(values, -1, h)
-        potentials = np.array([_potential(x[1:-1], tau, params) for tau in taus])
-        images = curvature - potentials[:, None] * values[:, 1:-1]
+        images = _images(values, x, h, taus, params)
         # The image's grid starts at x[1] and is laid out as SampledFunction
         # lays out its nodes, which can differ from x[1:-1] in the last bit.
         x_image = x[1] + h * np.arange(len(x) - 2)
@@ -390,8 +400,8 @@ def check_weight_inequality(params: OperatorParams, magnitudes: Sequence[float])
     angles = np.linspace(0.0, np.pi / 2.0, 16)[:, None]
     sups = []
     for mag in _rungs("magnitudes", magnitudes):
-        if mag < 1.0:
-            raise ValueError("weight inequality is asserted for |tau| >= 1")
+        if not mag >= 1.0:  # nan too
+            raise ValueError(f"weight inequality is asserted for |tau| >= 1, got {mag}")
         # The guard below reports an overflow; numpy need not warn of it.
         with np.errstate(over="ignore", invalid="ignore"):
             w = weight_w(x, DualFrequency(mag * np.cos(angles), mag * np.sin(angles)), params)
@@ -448,8 +458,8 @@ def check_scaling_inequality(
     the float range raises InconclusiveError.
     """
     cuts = np.array(_rungs("cuts", cuts), dtype=float)
-    if cuts.min() <= 0:
-        raise ValueError("scaling parameter must be positive")
+    if not cuts.min() > 0:  # nan too
+        raise ValueError(f"scaling parameter must be positive, got {cuts.min()}")
     values, x, h = _probe_stack(probes)
     # ||f||^2, ||f'||^2 and int x^(2(m-1)) |f|^2 of each probe.
     density, slope = _squared_derivatives(values, h, 1)

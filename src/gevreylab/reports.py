@@ -13,10 +13,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .eigen import Eigenpair, GridSpec, GrowthRow
-from .fbi import FbiField
-from .operators import OperatorParams
-
 
 def _fmt(value) -> str:
     if type(value) is float:  # most cells; same text as the branch below
@@ -46,48 +42,3 @@ def write_json(data: Mapping, path) -> None:
     with open(path, "w") as buf:
         json.dump(data, buf, indent=2, sort_keys=True)
         buf.write("\n")
-
-
-def field_to_csv(field: FbiField, path) -> None:
-    """Transform field rows: base point, frequency, re, im, abs."""
-    base = field.base_point
-    label = repr(base.real) if base.imag == 0.0 else repr(base)
-    rows = [[label, xi, val.real, val.imag, abs(val)] for xi, val in zip(field.freqs, field.values)]
-    emit_report(rows, ["base", "xi", "re", "im", "abs"], path)
-
-
-def eigenpair_to_csv(pair: Eigenpair, grid: GridSpec, path) -> None:
-    """Profile samples on the nodes of ``grid``: x, re f, im f."""
-    x = grid.nodes()
-    vals = np.asarray(pair.f(x), dtype=complex)
-    rows = zip(x.tolist(), vals.real.tolist(), vals.imag.tolist())
-    emit_report(rows, ["x", "re", "im"], path)
-
-
-def eigenpair_summary(pair: Eigenpair, params: OperatorParams) -> dict:
-    return {
-        "p": params.p,
-        "q": params.q,
-        "z": pair.z,
-        "residual": pair.residual,
-        "basis_size": len(pair.f.values),
-        "basis_change": pair.basis_change,
-    }
-
-
-def grid_summary(grid: GridSpec) -> dict:
-    """The grid of eigenpair.csv; the samples sit at half its spacing
-    (fine_nodes)."""
-    return {
-        "half_width": grid.half_width,
-        "spacing": grid.spacing,
-        "fine_nodes": grid.refined().size,
-    }
-
-
-def growth_to_csv(rows: Iterable[GrowthRow], path) -> None:
-    emit_report(
-        [[r.N, r.lam, r.log_lhs, r.log_sup, r.s_star] for r in rows],
-        ["N", "lambda", "log_lhs", "log_sup", "s_star"],
-        path,
-    )

@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gevreylab.cli
@@ -25,6 +26,25 @@ def run(tmp_path, *argv):
     out = tmp_path / "out"
     code = main([*argv, "--out", str(out)])
     return code, out
+
+
+def recording(monkeypatch, name):
+    """Results of every call the CLI makes to its function ``name``."""
+    results = []
+    original = getattr(gevreylab.cli, name)
+
+    def record(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(gevreylab.cli, name, record)
+    return results
+
+
+def csv_cells(path):
+    """Header and rows of a report CSV, each cell as text."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return header, rows
 
 
 def reports_under_blas_threads(tmp_path, *argv):
@@ -181,16 +201,20 @@ class TestUsageErrors:
         [
             ("classify", "--freq-ladder", "1e6,2e6"),
             ("transform", "--freq-ladder", "1e6"),
+            ("transform", "--freq-ladder", "16,32,64"),
         ],
     )
     def test_usage_error_in_the_pipeline_leaves_no_directory(self, tmp_path, argv):
+        # The three-point ladder is well formed and the transform runs, but
+        # the fit is inconclusive; a run that fails writes nothing either.
+        code = 2 if argv[-1] == "16,32,64" else 64
         nested = tmp_path / "a" / "b"
-        assert main([*argv, "--out", str(nested)]) == 64
+        assert main([*argv, "--out", str(nested)]) == code
         assert not (tmp_path / "a").exists()
-        # A directory that existed before the run stays.
+        # A directory that existed before the run stays, and stays empty.
         nested.mkdir(parents=True)
-        assert main([*argv, "--out", str(nested)]) == 64
-        assert nested.is_dir()
+        assert main([*argv, "--out", str(nested)]) == code
+        assert list(nested.iterdir()) == []
 
 
 class TestParser:
@@ -263,6 +287,16 @@ class TestTransform:
         assert report["base_point"] == 1.0
         assert report["fit"]["r"] == pytest.approx(0.4415, abs=2e-3)
 
+    def test_field_csv_abs_is_the_modulus(self, tmp_path):
+        code, out = run(tmp_path, "transform")
+        assert code == 0
+        header, rows = csv_cells(out / "field.csv")
+        assert header == ["base", "xi", "re", "im", "abs"]
+        for row in rows:
+            base, xi, re_, im, mag = map(float, row)
+            assert base == 1.0
+            assert mag == np.hypot(re_, im)
+
     def test_gamma_flag_honored(self, tmp_path):
         code, out = run(tmp_path, "transform", "--gamma", "1.0")
         assert code == 0
@@ -331,6 +365,26 @@ class TestEigen:
         assert lines[0] == "x,re,im"
         assert len(lines) == 1 + 21240
 
+    def test_eigenpair_csv_samples_the_ground_series(self, tmp_path, monkeypatch):
+        solves = recording(monkeypatch, "solve_nonlinear_eigen")
+        code, out = run(tmp_path, "eigen", "--p", "1", "--q", "2")
+        assert code == 0
+        header, rows = csv_cells(out / "eigenpair.csv")
+        assert header == ["x", "re", "im"]
+        parsed = np.array(rows, dtype=float)
+        # repr-formatting must preserve the nodes and the values bit for bit.
+        x = default_grid(OperatorParams(1, 2)).refined().nodes()
+        assert np.array_equal(parsed[:, 0], x)
+        assert np.array_equal(parsed[:, 1], solves[0][0].f(x))
+        assert np.all(parsed[:, 2] == 0.0)
+
+    def test_basis_size_is_the_series_length(self, tmp_path, monkeypatch):
+        solves = recording(monkeypatch, "solve_nonlinear_eigen")
+        code, out = run(tmp_path, "eigen", "--p", "2", "--q", "3")
+        assert code == 0
+        report = json.loads((out / "eigen.json").read_text())
+        assert report["basis_size"] == len(solves[0][0].f.values)
+
     def test_report_records_every_kept_mode(self, tmp_path):
         code, out = run(tmp_path, "eigen", "--p", "2", "--q", "3")
         assert code == 0
@@ -368,6 +422,15 @@ class TestCounterexample:
         lines = (out / "growth.csv").read_text().splitlines()
         assert lines[0] == "N,lambda,log_lhs,log_sup,s_star"
         assert len(lines) == 6
+
+    def test_growth_csv_parses_back_to_the_ladder(self, tmp_path, monkeypatch):
+        tables = recording(monkeypatch, "growth_table")
+        code, out = run(tmp_path, "counterexample", "--p", "2", "--q", "3")
+        assert code == 0
+        header, rows = csv_cells(out / "growth.csv")
+        assert header == ["N", "lambda", "log_lhs", "log_sup", "s_star"]
+        parsed = [(int(n), *map(float, rest)) for n, *rest in rows]
+        assert parsed == [(r.N, r.lam, r.log_lhs, r.log_sup, r.s_star) for r in tables[0]]
 
     def test_one_ladder_and_one_cube_per_lambda(self, tmp_path, monkeypatch):
         # growth.csv and s0 come from the same ladder, and the kernel check

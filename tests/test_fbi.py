@@ -101,17 +101,20 @@ NAN, INF = float("nan"), float("inf")
         (lambda u: fbi_field(u, 0.0, [16.0, NAN], 0.5), (ValueError, "nan")),
         (lambda u: inversion_profile(u, [0.0], 0.5, [NAN]), (ValueError, "nan")),
         (lambda u: decompose(u, NAN, 0.5, 0.1), (ValueError, "nan")),
+        (lambda u: decompose(u, 20.0, 0.5, INF), (ValueError, "tube height")),
+        (lambda u: inversion_profile(u, [NAN], 0.5, [10.0]), (ValueError, "nan")),
         (lambda u: inversion_profile(u, [0.0, 0.5], 0.5, []).shape, (0, 2)),
         (lambda u: estimate_order_fbi(u, 1.0, 0.5, []), (FitRejectedError, "got 0")),
         (lambda u: make_gevrey_bump(NAN), (ValueError, "at least 1")),
         (lambda u: make_gevrey_bump(INF), (ValueError, "at least 1")),
     ],
     ids=["fbi-nan", "fbi-inf", "field-nan", "inversion-nan", "decompose-nan",
-         "inversion-empty", "estimate-empty", "bump-nan", "bump-inf"],
+         "decompose-tube-inf", "inversion-point-nan", "inversion-empty", "estimate-empty", "bump-nan", "bump-inf"],
 )
 def test_non_finite_and_empty_inputs(bump2, call, expected):
     # A NaN frequency is a plain ValueError and an infinite one is too
-    # fine for the grid; neither reaches numpy.  An empty ladder is an
+    # fine for the grid; neither reaches numpy, nor does an infinite tube
+    # height or a NaN evaluation point.  An empty ladder is an
     # empty result, which the fit then rejects.
     with warnings.catch_warnings():
         warnings.simplefilter("error")

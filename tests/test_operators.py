@@ -1,5 +1,7 @@
 """Weighted norms, the frozen 1d operator, and the uniform inequalities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -607,6 +609,22 @@ class TestSweepConvention:
                 sweep(args["probes"], args["taus"], P12, args["rhos"])
         with pytest.raises(ValueError, match=f"{name} is empty"):
             htau_norm(args["probes"], 2, args["taus"], P12, args["rhos"])
+
+    @pytest.mark.parametrize("call", [
+        lambda g: htau_norm([g], 2, [DualFrequency(0.0, float("nan"))], P12),
+        lambda g: htau_norm([g], 2, [DualFrequency(0.0, 10.0)], P12, [float("nan")]),
+        lambda g: apriori_norms([g], [DualFrequency(float("nan"), 10.0)], P12),
+        lambda g: apriori_norms([g], [DualFrequency(0.0, 10.0)], P12, [0.0, float("nan")]),
+        lambda g: check_weight_inequality(P12, [10.0, float("nan")]),
+        lambda g: check_scaling_inequality([g], [1.0, float("nan")], 2),
+    ], ids=["htau-tau", "htau-rho", "apriori-tau", "apriori-rho", "weight", "scaling"])
+    def test_nan_rung_is_a_value_error(self, call):
+        # A NaN rung is a bad input, not a side that left the float range
+        # (InconclusiveError), nor a norm that reads NaN; numpy never sees it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nan"):
+                call(gauss(101))
 
     def test_empty_cuts_probes_or_magnitudes_are_named(self):
         with pytest.raises(ValueError, match="cuts is empty"):

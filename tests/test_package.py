@@ -92,6 +92,19 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def test_reports_import_no_package_module():
+    # The byte writers know files, not numerics: the pipelines hand them
+    # rows and dicts, so reports.py imports nothing of the package.
+    path = Path(gevreylab.__file__).parent / "reports.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "gevreylab"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "gevreylab"):
+            found.append("." * node.level + (node.module or ""))
+    assert found == []
+
+
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(gevreylab.__file__).parents[1]))
     code = "import sys, gevreylab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
