@@ -13,6 +13,8 @@ Supporting machinery covers weighted energy norms, a priori inequality
 sweeps, and deterministic CSV/JSON reporting.
 """
 
+from types import ModuleType as _ModuleType
+
 from .eigen import (
     Eigenpair,
     GridSpec,
@@ -73,55 +75,7 @@ from .sampling import SampledFunction, sample
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConsistencyError",
-    "Decomposition",
-    "DualFrequency",
-    "Eigenpair",
-    "FbiField",
-    "FitRejectedError",
-    "FitResult",
-    "GevreyOrder",
-    "GridSpec",
-    "GridTooCoarseError",
-    "GrowthRow",
-    "HermiteSeries",
-    "InconclusiveError",
-    "OperatorParams",
-    "OrderTooHighError",
-    "ResampleError",
-    "SampledFunction",
-    "apply_A_tau",
-    "apply_L",
-    "apriori_norms",
-    "bracket",
-    "build_counterexample",
-    "check_apriori",
-    "check_scaling_inequality",
-    "check_weight_inequality",
-    "decompose",
-    "default_grid",
-    "emit_report",
-    "estimate_optimal_exponent",
-    "estimate_order_derivatives",
-    "estimate_order_fbi",
-    "fbi",
-    "fbi_field",
-    "fd_weights",
-    "fit_stretched_exponential",
-    "growth_table",
-    "htau_norm",
-    "inversion_profile",
-    "jacobian_alpha",
-    "make_gevrey_bump",
-    "probe_family",
-    "prune_decay_floor",
-    "reference_eigenvalues",
-    "residual_norm",
-    "sample",
-    "scaling_constant",
-    "select_k",
-    "solve_nonlinear_eigen",
-    "verify_kernel",
-    "weight_w",
-]
+# The imports above declare the public API; the submodules they bind as
+# a side effect are not part of it.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -73,7 +73,7 @@ import numpy as np
 
 from .operators import (ConsistencyError, InconclusiveError, OperatorParams,
                         _second_difference, apply_L)
-from .sampling import SampledFunction
+from .sampling import SampledFunction, sample
 
 
 class ResampleError(ValueError):
@@ -132,6 +132,8 @@ class HermiteSeries:
         the recurrence.  Each derivative maps the coefficients exactly,
         one entry longer, by psi_k' = sqrt(k/2) psi_(k-1) - sqrt((k+1)/2)
         psi_(k+1)."""
+        if min(orders) < 0:
+            raise ValueError(f"derivative orders must be non-negative, got {min(orders)}")
         series = [np.asarray(self.values, dtype=float)]
         while len(series) <= max(orders):
             coef = series[-1]
@@ -191,6 +193,8 @@ def _turning_point_q(params: OperatorParams, count: int) -> float:
     the window and the Hermite scale for ``count`` pairs, mode
     max(count + 4, 8) - 1, a margin above the pairs kept, from
     Bohr-Sommerfeld quantization (see default_grid); p < q."""
+    if count < 1:
+        raise ValueError(f"need at least one eigenpair, got count = {count}")
     c = 2 * (params.q - params.p)
     a = params.p / c
     beta = math.exp(math.lgamma(a) + math.lgamma(1.5) - math.lgamma(a + 1.5))
@@ -560,6 +564,11 @@ def select_k(pair: Eigenpair) -> int:
     return int(not np.any(pair.f.values[0::2]))
 
 
+def _check_lam(lam: float) -> None:
+    if not 1.0 <= lam < math.inf:
+        raise ValueError(f"the family is defined for finite lam >= 1, got {lam}")
+
+
 def build_counterexample(
     pair: Eigenpair,
     lam: float,
@@ -572,28 +581,18 @@ def build_counterexample(
     The profile's series is evaluated at the dilated x coordinates, which
     must lie in the default window |x| <= X of default_grid(params).
     """
-    if lam < 1.0:
-        raise ValueError("the family is defined for lam >= 1")
-    (xlo, xhi, nx), (t1lo, t1hi, n1), (t2lo, t2hi, n2) = box
+    _check_lam(lam)
     scale = lam ** (1.0 / params.q)
     reach = default_grid(params).half_width
+    (xlo, xhi, _), *_ = box
     if scale * xlo < -reach or scale * xhi > reach:
         raise ResampleError(
             f"dilated box [{scale * xlo:g}, {scale * xhi:g}] leaves the profile "
             f"window |x| <= {reach:g}"
         )
-    xs = np.linspace(xlo, xhi, nx)
-    t1 = np.linspace(t1lo, t1hi, n1)
-    t2 = np.linspace(t2lo, t2hi, n2)
-    fx = pair.f(scale * xs).astype(complex)
-    g1 = np.exp(lam**params.exponent_ratio * math.sqrt(pair.z) * t1)
-    g2 = np.exp(1j * lam * t2)
-    values = fx[:, None, None] * g1[None, :, None] * g2[None, None, :]
-    return SampledFunction(
-        origin=(xs[0], t1[0], t2[0]),
-        spacing=(xs[1] - xs[0], t1[1] - t1[0], t2[1] - t2[0]),
-        values=values,
-    )
+    rate = lam**params.exponent_ratio * math.sqrt(pair.z)
+    return sample(lambda x, t1, t2: pair.f(scale * x).astype(complex)
+                  * np.exp(rate * t1) * np.exp(1j * lam * t2), box)
 
 
 def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
@@ -616,6 +615,7 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     L_h F_lam = exp(i lam t2) R(x, t1) and ||L_h F_lam|| / ||F_lam||
     depends on the t2 axis only through its spacing.
     """
+    _check_lam(lam)
     path_i = lam ** (2.0 / params.q) * pair.residual
 
     # The dilated x extent stays inside the profile window, past which
@@ -686,9 +686,10 @@ def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[Grow
     ValueError.  The pin absorbs the N w term, linear in N, exactly
     into log B0, so s* and the extrapolated s0 do not depend on w.
     """
-    Ns = sorted(int(N) for N in N_ladder)
-    if len(Ns) < 2 or Ns[0] < 1:
-        raise ValueError("need at least two ladder values with N >= 1")
+    Ns = sorted(N_ladder)
+    if len(Ns) < 2 or Ns[0] < 1 or not all(float(N).is_integer() for N in Ns):
+        raise ValueError("need at least two ladder values with N >= 1, all integers")
+    Ns = [int(N) for N in Ns]
     repeated = sorted({a for a, b in zip(Ns, Ns[1:]) if a == b})
     if repeated:
         raise ValueError(f"growth ladder orders must be distinct; repeated: {repeated}")
@@ -754,6 +755,8 @@ def estimate_optimal_exponent(
     0.02 raises ConsistencyError (used by the CLI to self-check against
     theory).
     """
+    if expected is not None and not math.isfinite(expected):
+        raise ValueError(f"the expected exponent must be finite, got {expected}")
     if len({r.N for r in rows}) < 3:
         raise InconclusiveError("the growth ladder needs at least three distinct "
                                 "orders; a two-term fit passes through two rows exactly")

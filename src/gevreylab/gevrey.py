@@ -91,6 +91,8 @@ def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
     """
     if not 1.0 <= s < math.inf:
         raise ValueError(f"Gevrey order must be finite and at least 1, got {s}")
+    if n < 2:
+        raise ValueError(f"need at least two samples, got n = {n}")
     x = np.linspace(-1.5, 1.5, n)
     vals = np.zeros(n)
     if s == 1.0:
@@ -267,11 +269,11 @@ def fd_weights(order: int, npts: int) -> np.ndarray:
     The weights are derivatives of the Lagrange basis polynomials,
     computed in integer arithmetic, so the only floating error in a
     stencil application is the final rounding of the weights.  ``npts``
-    must be odd and exceed ``order``.  One table per width gives every
+    must be odd and exceed ``order`` >= 0.  One table per width gives every
     order on that width and is cached; each call returns a fresh array.
     """
-    if npts % 2 != 1 or npts <= order:
-        raise ValueError("need an odd stencil wider than the derivative order")
+    if npts % 2 != 1 or not 0 <= order < npts:
+        raise ValueError("need an order >= 0 and an odd stencil wider than it")
     return np.array(_fd_table(npts)[order])
 
 

@@ -434,8 +434,8 @@ def scaling_constant(m: int) -> float:
     finite-difference oracle, eigen.reference_eigenvalues, certified by
     a Sturm count.
     """
-    if m < 1:
-        raise ValueError("scaling order m must be a positive integer")
+    if m < 1 or not float(m).is_integer():
+        raise ValueError(f"scaling order m must be a positive integer, got {m}")
     from .eigen import reference_eigenvalues  # eigen imports this module
 
     ground = 1.0 if m <= 2 else reference_eigenvalues(OperatorParams(1, m), 1)[0]

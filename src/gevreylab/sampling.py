@@ -52,8 +52,10 @@ class SampledFunction:
             raise ValueError("origin/spacing length must match values.ndim")
         if values.ndim not in (1, 2, 3):
             raise ValueError("only 1, 2, or 3 dimensional grids are supported")
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError("grid spacing must be positive")
+        if not all(0 < s < np.inf for s in self.spacing):
+            raise ValueError("grid spacing must be positive and finite")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("grid origin must be finite")
         if any(n < 2 for n in values.shape):
             raise ValueError("need at least two samples per axis")
 
@@ -68,8 +70,8 @@ class SampledFunction:
 
     def rescaled(self, factor: float) -> "SampledFunction":
         """Samples of x -> f(factor * x): same values, grid shrunk by factor."""
-        if factor <= 0:
-            raise ValueError("rescale factor must be positive")
+        if not 0 < factor < np.inf:
+            raise ValueError("rescale factor must be positive and finite")
         return replace(
             self,
             origin=tuple(o / factor for o in self.origin),
@@ -101,8 +103,9 @@ def sample(
 ) -> SampledFunction:
     """Sample a callable on the closed box described by (lo, hi, n) triples.
 
-    ``fn`` receives one broadcastable coordinate array per axis and must
-    vectorize over them.
+    ``fn`` receives one coordinate array per axis, shaped to broadcast
+    against the others ((n, 1, 1), (1, n, 1), (1, 1, n) in 3-D), and must
+    vectorize over them; what it returns is broadcast to the box.
     """
     origin, spacing, coord1d = [], [], []
     for lo, hi, n in axes:
@@ -111,8 +114,10 @@ def sample(
         origin.append(float(lo))
         spacing.append((hi - lo) / (n - 1))
         coord1d.append(np.linspace(lo, hi, n))
-    grids = np.meshgrid(*coord1d, indexing="ij") if len(axes) > 1 else [coord1d[0]]
-    values = np.asarray(fn(*grids))
+    values = np.asarray(fn(*np.meshgrid(*coord1d, indexing="ij", sparse=True)))
+    shape = tuple(len(c) for c in coord1d)
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape).copy()
     return SampledFunction(
         origin=tuple(origin),
         spacing=tuple(spacing),

@@ -1,0 +1,70 @@
+"""Out-of-range arguments of the public calls raise ValueError.
+
+A NaN slips past a check written as ``x <= 0``, and a negative order
+indexes from the end of a table, so each row here once returned a wrong
+value, or failed inside numpy or the math module."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from conftest import LADDER
+from gevreylab import (
+    Eigenpair,
+    HermiteSeries,
+    OperatorParams,
+    SampledFunction,
+    build_counterexample,
+    estimate_optimal_exponent,
+    fd_weights,
+    growth_table,
+    make_gevrey_bump,
+    reference_eigenvalues,
+    scaling_constant,
+    solve_nonlinear_eigen,
+    verify_kernel,
+)
+
+NAN, INF = float("nan"), float("inf")
+P12, P13 = OperatorParams(1, 2), OperatorParams(1, 3)
+#: The closed-form (1, 2) ground state e^(-x^2/2) = pi^(1/4) psi_0, z = 1.
+PAIR = Eigenpair(z=1.0, f=HermiteSeries(1.0, np.array([np.pi**0.25])), residual=0.0,
+                 basis_change=0.0)
+BOX = ((-1.0, 1.0, 41),) * 3
+LINE = np.zeros(4)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: build_counterexample(PAIR, NAN, P12, BOX), ">= 1"),
+        (lambda: build_counterexample(PAIR, INF, P12, BOX), ">= 1"),
+        (lambda: verify_kernel(PAIR, NAN, P12), ">= 1"),
+        (lambda: verify_kernel(PAIR, INF, P12), ">= 1"),
+        (lambda: solve_nonlinear_eigen(P13, count=0), "at least one"),
+        (lambda: solve_nonlinear_eigen(P13, count=-1), "at least one"),
+        (lambda: reference_eigenvalues(P13, count=0), "at least one"),
+        (lambda: fd_weights(-1, 5), "order >= 0"),
+        (lambda: fd_weights(-2, 5), "order >= 0"),
+        (lambda: PAIR.f(np.zeros(3), -1), "non-negative"),
+        (lambda: growth_table(PAIR, P12, [100.7, 1000, 10000]), "integers"),
+        (lambda: scaling_constant(1.5), "positive integer"),
+        (lambda: make_gevrey_bump(2.0, n=1), "two samples"),
+        (lambda: SampledFunction((0.0,), (NAN,), LINE), "spacing"),
+        (lambda: SampledFunction((INF,), (1.0,), LINE), "origin"),
+        (lambda: SampledFunction((0.0,), (1.0,), LINE).rescaled(NAN), "rescale factor"),
+        (lambda: estimate_optimal_exponent(growth_table(PAIR, P12, LADDER), expected=NAN),
+         "finite"),
+    ],
+    ids=["cube-lam-nan", "cube-lam-inf", "kernel-lam-nan", "kernel-lam-inf",
+         "solve-count-0", "solve-count-negative", "oracle-count-0", "stencil-order-1",
+         "stencil-order-2", "profile-deriv-negative", "ladder-fraction",
+         "scaling-fraction", "bump-one-sample", "spacing-nan", "origin-inf",
+         "rescale-nan", "expected-nan"],
+)
+def test_out_of_range_arguments(call, fragment):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=fragment):
+            call()

@@ -468,6 +468,30 @@ class TestFamily:
         inside = build_counterexample(pair, lam, P12, ((lo / 7.0, hi / 7.0, 41),) + BOX[1:])
         assert np.all(np.isfinite(inside.values))
 
+    @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
+    def test_cube_is_the_outer_product_of_its_factors(self, solve, monkeypatch, p, q):
+        # On verify_kernel's own boxes the cube is, bit for bit, the
+        # product f(lam^(1/q) x) exp(lam^(p/q) w t1) exp(i lam t2) of its
+        # three 1-d factors, multiplied in that order.
+        params, pair = OperatorParams(p, q), solve(p, q)[0]
+        built = []
+
+        def recording(*args):
+            built.append((args[1], args[3], build_counterexample(*args)))
+            return built[-1][2]
+
+        monkeypatch.setattr(gevreylab.eigen, "build_counterexample", recording)
+        for lam in (10.0, 100.0):
+            verify_kernel(pair, lam, params)
+        assert [lam for lam, _, _ in built] == [10.0, 100.0]
+        for lam, box, F in built:
+            x, t1, t2 = (np.linspace(*axis) for axis in box)
+            fx = pair.f(lam ** (1.0 / q) * x).astype(complex)
+            g1 = np.exp(lam ** (p / q) * math.sqrt(pair.z) * t1)
+            g2 = np.exp(1j * lam * t2)
+            want = fx[:, None, None] * g1[None, :, None] * g2[None, None, :]
+            assert F.values.tobytes() == want.tobytes()
+
 
 class TestKernelIdentity:
     def test_separable_reduction_is_exact(self, solve):

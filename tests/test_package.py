@@ -22,10 +22,11 @@ def test_all_lists_exactly_the_public_imports():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    # __all__ is derived from the namespace, so it must hold the public
+    # imports and nothing else: no module, no standard-library name.
     exported = gevreylab.__all__
-    assert len(set(exported)) == len(exported)
+    assert exported == sorted({name for name in imported if not name.startswith("_")})
     assert [name for name in exported if not hasattr(gevreylab, name)] == []
-    assert {name for name in imported if not name.startswith("_")} <= set(exported)
 
 
 def _referenced_names(path: Path) -> set[str]:

@@ -61,3 +61,19 @@ def test_sample_matches_direct_evaluation():
     assert f.values[2, 4] == pytest.approx(1.0 + 20.0)
     assert f.spacing == (0.5, 0.5)
 
+
+
+def test_sample_passes_broadcastable_coordinates():
+    # fn sees one sparse coordinate array per axis, and what it returns
+    # is broadcast to the box, so an fn that ignores an axis fills it.
+    seen = []
+
+    def fn(x, t1, t2):
+        seen.extend(a.shape for a in (x, t1, t2))
+        return x * t2
+
+    f = sample(fn, [(0.0, 1.0, 3), (0.0, 1.0, 4), (0.0, 2.0, 5)])
+    assert seen == [(3, 1, 1), (1, 4, 1), (1, 1, 5)]
+    assert f.values.shape == (3, 4, 5)
+    want = f.coords(0)[:, None, None] * f.coords(2)[None, None, :]
+    assert np.array_equal(f.values, np.broadcast_to(want, (3, 4, 5)))
