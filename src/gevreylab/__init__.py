@@ -65,7 +65,6 @@ from .operators import (
     check_apriori,
     check_scaling_inequality,
     check_weight_inequality,
-    htau_norm,
     probe_family,
     scaling_constant,
     weight_w,

@@ -527,11 +527,9 @@ def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
     forms of the (p, 2p) pairs (module docstring) its error is 1.1e-13
     relative at p = 1, growing with p to 3.0e-10 at p = 7; on (1, 3),
     (2, 3) and (3, 4) it agrees with the solver to 1.0e-13 or better on
-    the ground state and 6.6e-13 on the third mode.  (With scipy's eigsh
-    in place of _pencil_solve the (1, 2) error read 5.3e-12: eigsh's
-    rounding, not O(h^4) truncation.)  Its (1, m) ground state is
-    scaling_constant's, returned for every m tried from 3 to 400 in
-    7-24 ms each on a 2-core box.  p = q raises ValueError (see
+    the ground state and 6.6e-13 on the third mode.  Its (1, m) ground
+    state is scaling_constant's, returned for every m tried from 3 to 400
+    in 7-24 ms each on a 2-core box.  p = q raises ValueError (see
     default_grid).
     """
     grid = default_grid(params, count=count)

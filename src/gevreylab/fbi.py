@@ -104,6 +104,8 @@ def _gate(u: SampledFunction, gamma: float, top: float, *, support: bool = True)
     gamma = _check_gamma(gamma)
     if u.ndim != 1:
         raise ValueError("the transform layer is implemented for 1d samples")
+    if not np.all(np.isfinite(u.values)):
+        raise ValueError("non-finite samples: the transform needs finite values")
     if support and not u.is_compactly_supported():
         raise ValueError(
             "samples do not decay at the grid boundary; the quadrature "

@@ -378,6 +378,8 @@ def estimate_order_derivatives(
         raise ValueError("max_order must lie in [1, 14]; higher orders drown in noise")
     orders = list(range(1, max_order + 1))
     values = np.asarray(u.values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite samples: the derivative estimator needs finite values")
     h = u.spacing[0]
     center_mask = np.abs(u.coords(0) - float(x0)) <= 0.5
     if not np.any(center_mask):

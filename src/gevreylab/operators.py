@@ -17,8 +17,9 @@ anisotropic weight
     w(x, tau)^2 = (tau1^2)^(1/p) + tau1^2 x^(2(p-1))
                 + (tau2^2)^(1/q) + tau2^2 x^(2(q-1)),
 
-the weighted Sobolev norms built from it, and three numerical checks
-whose tau-uniformity is the quantitative content of the theory:
+the weighted Sobolev norms of the a-priori estimate built from it, and
+three numerical checks whose tau-uniformity is the quantitative content
+of the theory:
 
 * check_apriori: the full weighted second-order norm of f is controlled
   by the weighted norm of A_tau f, with a constant uniform in tau
@@ -29,17 +30,18 @@ whose tau-uniformity is the quantitative content of the theory:
   + lam^2 int x^(2(m-1)) |f|^2) with C calibrated once at lam = 1.
 
 Every check is a sweep: probe stacks and ladders in, one entry per rung
-out.  The norms and the a-priori check give (rhos, taus, probes) arrays,
+out.  apriori_norms and check_apriori give (rhos, taus, probes) arrays,
 the scaling check two (cuts, probes) arrays and the weight check one sup
 per magnitude; an empty stack or ladder, or a NaN rung, raises
 ValueError, while a finite rung whose numbers overflow is inconclusive
-(InconclusiveError).  A probe
-stack is a sequence of 1d samples on one grid, such as probe_family
-returns, held as one (probes, nodes) array.  Work that depends on the
-grid only is formed once and broadcast over the probes, and work that
-depends on the probes only once for every tau, rho or cut.  A weighted
-norm is one np.einsum contraction per derivative order over the node
-axis, for every (rho, tau) at once, and the scaling check sums with
+(InconclusiveError).  A probe stack is a sequence of 1d samples on one
+grid, such as probe_family returns, held as one (probes, nodes) array.
+Work that depends on the grid only is formed once and broadcast over the
+probes, and work that depends on the probes only once for every tau, rho
+or cut.  A weighted norm is one np.einsum contraction per derivative
+order over the node axis, for every (rho, tau) at once on the side of
+f, whose squares do not depend on tau, and for every rho at once, one
+tau at a time, on the side of A_tau f; the scaling check sums with
 np.sum over that axis.  Neither calls BLAS, so each entry is reduced in
 one order whatever the thread count or the size of the stack or ladder,
 and equals that probe checked alone at that tau, rho or cut.
@@ -174,18 +176,13 @@ def _squared_derivatives(values: np.ndarray, h: float, k: int) -> list[np.ndarra
     return [np.abs(d) ** 2 for d in derivs]
 
 
-def _weighted_norms(
-    squares: list[np.ndarray],
-    x: np.ndarray,
-    h: float,
-    taus: Sequence[DualFrequency],
-    params: OperatorParams,
-    rhos: Sequence[float],
-) -> np.ndarray:
-    """htau_norm of order k = len(squares) - 1 of every probe, from its
-    squared derivatives ``squares`` (j = 0..k, each (taus, probes, nodes),
-    or (1, probes, nodes) when they do not depend on tau) on the nodes x,
-    as one (rhos, taus, probes) array.  A NaN tau or rho raises ValueError.
+def _weighted_norms(squares: list[np.ndarray], x: np.ndarray, h: float,
+                    taus: Sequence[DualFrequency], params: OperatorParams,
+                    rhos: Sequence[float]) -> np.ndarray:
+    """Weighted norm of order k = len(squares) - 1 (apriori_norms defines
+    it) of every probe, from its squared derivatives ``squares`` (j =
+    0..k, each (1, probes, nodes), shared by every tau) on the nodes x, as
+    one (rhos, taus, probes) array.  A NaN tau or rho raises ValueError.
 
     The density exp(rho |tau|^(p/q) v), (rhos, taus, nodes), and the
     weight w^2, (taus, nodes), are formed once, and each order j is one
@@ -202,37 +199,6 @@ def _weighted_norms(
     w2 = np.array([weight_w(x, tau, params) for tau in taus]) ** 2
     return h * sum(np.einsum("tpn,rtn->rtp", sq, env * w2 ** (k - 1 - j))
                    for j, sq in enumerate(squares))
-
-
-def htau_norm(
-    probes: Sequence[SampledFunction],
-    k: int,
-    taus: Sequence[DualFrequency],
-    params: OperatorParams,
-    rhos: Sequence[float] = (0.0,),
-) -> np.ndarray:
-    """Squared weighted Sobolev norm of order k in {0, 1, 2}.
-
-    The k-th norm sums |f^(j)|^2 w^(2(k-1-j)) for j = 0..k against the
-    density exp(rho |tau|^(p/q) v(x)) dx, where the cutoff v is 0 on
-    |x| <= 1/4, 1 on |x| >= 1 and a quintic smoothstep in between.  The
-    top derivative is always measured against w^(-2) and each derivative
-    trades for one power of w:
-
-        k=0:  |f|^2 w^(-2)
-        k=1:  |f'|^2 w^(-2) + |f|^2
-        k=2:  |f''|^2 w^(-2) + |f'|^2 + |f|^2 w^2
-
-    One norm per (rho, tau, probe), as a (rhos, taus, probes) array.  The
-    derivatives depend on the probes only, so they are formed once, and
-    each order is one np.einsum contraction over the node axis for every
-    rho and tau, with no BLAS (_weighted_norms).
-    """
-    if k not in (0, 1, 2):
-        raise ValueError("norm order k must be 0, 1, or 2")
-    values, x, h = _probe_stack(probes)
-    squares = _squared_derivatives(values[None], h, k)
-    return _weighted_norms(squares, x, h, _rungs("taus", taus), params, _rungs("rhos", rhos))
 
 
 def _second_difference(
@@ -290,19 +256,11 @@ def apply_A_tau(
     (no centered difference exists there), so callers slice
     ``.values[1:-1]`` for the interior, as the acceptance gate does.
     """
-    out = np.full_like(f.values, np.nan)
-    out[1:-1] = _images(*_probe_stack([f]), [tau], params)[0, 0]
+    (values,), x, h = _probe_stack([f])
+    out = np.full_like(values, np.nan)
+    out[1:-1] = _second_difference(values, -1, h)
+    out[1:-1] -= _potential(x[1:-1], tau, params) * values[1:-1]
     return SampledFunction(f.origin, f.spacing, out)
-
-
-def _images(values: np.ndarray, x: np.ndarray, h: float,
-            taus: Sequence[DualFrequency], params: OperatorParams) -> np.ndarray:
-    """A_tau of a probe stack's values on the interior nodes x[1:-1], as
-    one (taus, probes, nodes - 2) array; the second difference is taken
-    once for every tau."""
-    curvature = _second_difference(values, -1, h)
-    potentials = np.array([_potential(x[1:-1], tau, params) for tau in taus])
-    return curvature - potentials[:, None] * values[:, 1:-1]
 
 
 def probe_family(seed: int = 42) -> list[SampledFunction]:
@@ -336,27 +294,42 @@ def apriori_norms(
     rhos: Sequence[float] = (0.0,),
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two sides of the a-priori estimate: (||f||_(2,tau)^2,
-    ||A_tau f||_(0,tau)^2), both squared norms as htau_norm forms them
-    and both (rhos, taus, probes) arrays.
+    ||A_tau f||_(0,tau)^2), squared weighted norms, both (rhos, taus,
+    probes) arrays.
 
-    A_tau f is measured on the interior nodes only: its one-cell
-    boundary layer, which apply_A_tau leaves NaN, is sliced off.  The
-    second difference is taken once for every tau, and the images, one
-    (probes, nodes) array per tau, once for every rho.
-    A norm on either side that leaves the float range, at any rho of the
-    ladder, raises InconclusiveError, and a vanishing image norm, which
-    leaves the ratio undefined, raises ValueError.
+    The weighted norm of order k sums |f^(j)|^2 w^(2(k-1-j)) for j = 0..k
+    against the density exp(rho |tau|^(p/q) v(x)) dx, where the cutoff v
+    is 0 on |x| <= 1/4, 1 on |x| >= 1 and a quintic smoothstep in
+    between.  The top derivative is measured against w^(-2) and each
+    lower one trades for one power of w:
+
+        k=0:  |f|^2 w^(-2)
+        k=2:  |f''|^2 w^(-2) + |f'|^2 + |f|^2 w^2
+
+    The probes' derivatives and second difference are formed once.
+    A_tau f is measured on the interior nodes only (apply_A_tau leaves
+    its one-cell boundary layer NaN), one tau at a time in one reused
+    (probes, nodes - 2) buffer, for every rho at once.  A norm on either
+    side that leaves the float range, at any rho of the ladder, raises
+    InconclusiveError, and a vanishing image norm, which leaves the
+    ratio undefined, raises ValueError.
     """
     taus, rhos = _rungs("taus", taus), _rungs("rhos", rhos)
     values, x, h = _probe_stack(probes)
+    # The image's grid starts at x[1] and is laid out as SampledFunction
+    # lays out its nodes, which can differ from x[1:-1] in the last bit.
+    x_image = x[1] + h * np.arange(len(x) - 2)
     # The guard below reports an overflow; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        images = _images(values, x, h, taus, params)
-        # The image's grid starts at x[1] and is laid out as SampledFunction
-        # lays out its nodes, which can differ from x[1:-1] in the last bit.
-        x_image = x[1] + h * np.arange(len(x) - 2)
-        den = _weighted_norms([np.abs(images) ** 2], x_image, h, taus, params, rhos)
-        num = htau_norm(probes, 2, taus, params, rhos)
+        stack = values[None]
+        num = _weighted_norms(_squared_derivatives(stack, h, 2), x, h, taus, params, rhos)
+        curvature = _second_difference(stack, -1, h)
+        image = np.empty_like(curvature)
+        den = np.empty_like(num)
+        for i, tau in enumerate(taus):
+            np.multiply(_potential(x[1:-1], tau, params), values[:, 1:-1], out=image)
+            np.subtract(curvature, image, out=image)
+            den[:, [i]] = _weighted_norms([np.abs(image) ** 2], x_image, h, [tau], params, rhos)
     if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
         raise InconclusiveError("a weighted norm of the a-priori estimate is not finite: "
                                 "it leaves the float range on this tau and rho ladder")
@@ -436,6 +409,7 @@ def scaling_constant(m: int) -> float:
     """
     if m < 1 or not float(m).is_integer():
         raise ValueError(f"scaling order m must be a positive integer, got {m}")
+    m = int(m)
     from .eigen import reference_eigenvalues  # eigen imports this module
 
     ground = 1.0 if m <= 2 else reference_eigenvalues(OperatorParams(1, m), 1)[0]

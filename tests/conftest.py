@@ -16,6 +16,7 @@ from hypothesis import settings
 
 from gevreylab import (
     OperatorParams,
+    SampledFunction,
     make_gevrey_bump,
     probe_family,
     solve_nonlinear_eigen,
@@ -26,6 +27,13 @@ settings.load_profile("lab")
 
 #: The CLI's default growth ladder (--n-ladder), N = 10^2 .. 10^6.
 LADDER = (10**2, 10**3, 10**4, 10**5, 10**6)
+
+def with_sample(u: SampledFunction, value: float, at: int = 2000) -> SampledFunction:
+    """``u`` with its sample ``at`` set to ``value``."""
+    values = np.array(u.values)
+    values[at] = value
+    return SampledFunction(u.origin, u.spacing, values, support_radius=u.support_radius)
+
 
 #: Wall-clock seconds of the first solve per (p, q), for budget checks.
 SOLVE_SECONDS: dict[tuple[int, int], float] = {}

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import LADDER
+from conftest import LADDER, with_sample
 from gevreylab import (
     Eigenpair,
     HermiteSeries,
@@ -17,6 +17,7 @@ from gevreylab import (
     SampledFunction,
     build_counterexample,
     estimate_optimal_exponent,
+    estimate_order_derivatives,
     fd_weights,
     growth_table,
     make_gevrey_bump,
@@ -56,12 +57,14 @@ LINE = np.zeros(4)
         (lambda: SampledFunction((0.0,), (1.0,), LINE).rescaled(NAN), "rescale factor"),
         (lambda: estimate_optimal_exponent(growth_table(PAIR, P12, LADDER), expected=NAN),
          "finite"),
+        (lambda: estimate_order_derivatives(with_sample(make_gevrey_bump(2.0), NAN), 1.0),
+         "non-finite samples"),
     ],
     ids=["cube-lam-nan", "cube-lam-inf", "kernel-lam-nan", "kernel-lam-inf",
          "solve-count-0", "solve-count-negative", "oracle-count-0", "stencil-order-1",
          "stencil-order-2", "profile-deriv-negative", "ladder-fraction",
          "scaling-fraction", "bump-one-sample", "spacing-nan", "origin-inf",
-         "rescale-nan", "expected-nan"],
+         "rescale-nan", "expected-nan", "derivatives-sample-nan"],
 )
 def test_out_of_range_arguments(call, fragment):
     with warnings.catch_warnings():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_sample
 from gevreylab import (
     FitRejectedError,
     GridTooCoarseError,
@@ -107,15 +108,25 @@ NAN, INF = float("nan"), float("inf")
         (lambda u: estimate_order_fbi(u, 1.0, 0.5, []), (FitRejectedError, "got 0")),
         (lambda u: make_gevrey_bump(NAN), (ValueError, "at least 1")),
         (lambda u: make_gevrey_bump(INF), (ValueError, "at least 1")),
+        (lambda u: fbi(with_sample(u, NAN), 0.0, 10.0, 0.5, check_support=False),
+         (ValueError, "non-finite samples")),
+        (lambda u: fbi_field(with_sample(u, NAN), 0.0, [16.0], 0.5),
+         (ValueError, "non-finite samples")),
+        (lambda u: inversion_profile(with_sample(u, INF), [0.0], 0.5, [10.0]),
+         (ValueError, "non-finite samples")),
+        (lambda u: decompose(with_sample(u, NAN), 20.0, 0.5, 0.1),
+         (ValueError, "non-finite samples")),
     ],
     ids=["fbi-nan", "fbi-inf", "field-nan", "inversion-nan", "decompose-nan",
-         "decompose-tube-inf", "inversion-point-nan", "inversion-empty", "estimate-empty", "bump-nan", "bump-inf"],
+         "decompose-tube-inf", "inversion-point-nan", "inversion-empty", "estimate-empty", "bump-nan", "bump-inf",
+         "fbi-sample-nan", "field-sample-nan", "inversion-sample-inf", "decompose-sample-nan"],
 )
 def test_non_finite_and_empty_inputs(bump2, call, expected):
     # A NaN frequency is a plain ValueError and an infinite one is too
     # fine for the grid; neither reaches numpy, nor does an infinite tube
     # height or a NaN evaluation point.  An empty ladder is an
-    # empty result, which the fit then rejects.
+    # empty result, which the fit then rejects.  A non-finite sample is
+    # named as such, not read as samples that fail to decay.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if not isinstance(expected[0], type):  # a result shape

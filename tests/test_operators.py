@@ -18,12 +18,11 @@ from gevreylab import (
     check_apriori,
     check_scaling_inequality,
     check_weight_inequality,
-    htau_norm,
     probe_family,
     solve_nonlinear_eigen,
     weight_w,
 )
-from gevreylab.operators import _cutoff
+from gevreylab.operators import _cutoff, _squared_derivatives, _weighted_norms
 
 P11 = OperatorParams(1, 1)
 P12 = OperatorParams(1, 2)
@@ -48,6 +47,14 @@ def loop_norms(squares, x, h, taus, params, rhos):
             env = np.exp(rho * tau.magnitude**params.exponent_ratio * _cutoff(x))
             out[r, i] = np.sum(total * env, axis=-1) * h
     return out
+
+
+def weighted_norms(probes, k, taus, params, rhos=(0.0,)):
+    """The weighted norm of order k of a probe stack, (rhos, taus, probes),
+    as apriori_norms forms its sides from its private helpers."""
+    values = np.stack([g.values for g in probes])
+    x, h = probes[0].coords(0), probes[0].spacing[0]
+    return _weighted_norms(_squared_derivatives(values[None], h, k), x, h, taus, params, rhos)
 
 
 def gauss(n: int = 4001, half: float = 8.0) -> SampledFunction:
@@ -86,7 +93,7 @@ class TestWeightConfig:
         x = np.linspace(-3.0, 3.0, 601)
         tau, rho = DualFrequency(0.0, 4.0), 0.5  # rho |tau|^(1/2) = 1
         nodes = [SampledFunction((x[0],), (x[1] - x[0],), node) for node in np.eye(len(x))]
-        norms = htau_norm(nodes, 0, [tau], P12, (rho, 0.0))[:, 0]
+        norms = weighted_norms(nodes, 0, [tau], P12, (rho, 0.0))[:, 0]
         v = np.log(norms[0] / norms[1])
         assert np.all(v[np.abs(x) <= 0.25] == 0.0)
         assert np.allclose(v[np.abs(x) >= 1.0], 1.0, rtol=0.0, atol=1e-12)
@@ -151,8 +158,8 @@ class TestWeightedNorms:
         x = np.linspace(-2.0, 2.0, 101)
         z = SampledFunction((x[0],), (x[1] - x[0],), np.zeros(101))
         tau = DualFrequency(1.0, 2.0)
-        for k in (0, 1, 2):
-            assert htau_norm([z], k, [tau], P12)[0, 0, 0] == 0.0
+        for k in (0, 2):
+            assert weighted_norms([z], k, [tau], P12)[0, 0, 0] == 0.0
 
     def test_isotropic_base_norm_closed_form(self):
         # p = q = 1 puts w^2 = 2 |tau|^2 everywhere, so the order-0 norm
@@ -160,17 +167,13 @@ class TestWeightedNorms:
         f = gauss(2001, 6.0)
         tau = DualFrequency(3.0, -1.0)
         want = np.sum(f.values**2) * f.spacing[0] / (2.0 * tau.magnitude**2)
-        assert htau_norm([f], 0, [tau], P11)[0, 0, 0] == pytest.approx(want, rel=1e-12)
-
-    def test_norm_order_validated(self):
-        with pytest.raises(ValueError, match="0, 1, or 2"):
-            htau_norm([gauss(101)], 3, [DualFrequency(1.0, 0.0)], P12)
+        assert weighted_norms([f], 0, [tau], P11)[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_requires_1d(self):
         vals = np.ones((8, 8))
         u = SampledFunction((0.0, 0.0), (0.1, 0.1), vals)
         with pytest.raises(ValueError, match="1d"):
-            htau_norm([u], 0, [DualFrequency(1.0, 0.0)], P12)
+            apriori_norms([u], [DualFrequency(1.0, 0.0)], P12)
 
     @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 3), (3, 4)])
     def test_contraction_matches_the_loop(self, p, q):
@@ -183,10 +186,10 @@ class TestWeightedNorms:
         derivs = [values]
         for _ in range(2):
             derivs.append(np.gradient(derivs[-1], h, axis=-1, edge_order=2))
-        for k in (0, 1, 2):
+        for k in (0, 2):
             squares = [d**2 for d in derivs[:k + 1]]
             want = loop_norms(lambda tau: squares, x, h, taus, params, rhos)
-            got = htau_norm(probes, k, taus, params, rhos)
+            got = weighted_norms(probes, k, taus, params, rhos)
             np.testing.assert_allclose(got, want, rtol=LOOP_RTOL, atol=0.0)
         num, den = apriori_norms(probes, taus, params, rhos)
         np.testing.assert_allclose(num, want, rtol=LOOP_RTOL, atol=0.0)
@@ -199,10 +202,11 @@ class TestWeightedNorms:
         np.testing.assert_allclose(den, want, rtol=LOOP_RTOL, atol=0.0)
 
     def test_refinement_converges_to_frozen_value(self):
-        # Gaussian data, tau = (0, 100), order-2 norm: grid refinement
-        # moves the quadrature by under 1e-8 relative per doubling.
+        # Gaussian data, tau = (0, 100), the order-2 side of the a-priori
+        # estimate: grid refinement moves the quadrature by under 1e-8
+        # relative per doubling.
         tau = DualFrequency(0.0, 100.0)
-        vals = [htau_norm([gauss(n)], 2, [tau], P12)[0, 0, 0] for n in (2001, 4001, 8001)]
+        vals = [apriori_norms([gauss(n)], [tau], P12)[0][0, 0, 0] for n in (2001, 4001, 8001)]
         assert vals[2] == pytest.approx(9040.40347, abs=1e-4)
         for a, b in zip(vals, vals[1:]):
             assert abs(b - a) / b < 1e-8
@@ -361,9 +365,23 @@ class TestAprioriEstimate:
         num, den = apriori_norms([g], [tau], P12, [0.05])
         image = apply_A_tau(g, tau, P12)
         interior = SampledFunction((g.coords(0)[1],), g.spacing, image.values[1:-1])
-        assert np.array_equal(num, htau_norm([g], 2, [tau], P12, [0.05]))
-        assert np.array_equal(den, htau_norm([interior], 0, [tau], P12, [0.05]))
+        assert np.array_equal(num, weighted_norms([g], 2, [tau], P12, [0.05]))
+        assert np.array_equal(den, weighted_norms([interior], 0, [tau], P12, [0.05]))
         assert np.array_equal(check_apriori([g], [tau], P12, [0.05]), num / den)
+
+    def test_complex_probes_are_measured_by_their_modulus(self):
+        # A unit phase changes neither side: both square |f^(j)| and
+        # |A_tau f|.  Squaring the complex image itself would give this
+        # probe at tau = (0, 10) a denominator of real part 10.58, not 12.81.
+        g = probe_family()[0]
+        turned = SampledFunction(g.origin, g.spacing, g.values * np.exp(0.3j))
+        taus = [DualFrequency(0.0, 10.0), DualFrequency(2.0, 100.0)]
+        want = apriori_norms([g], taus, P12, (0.0, 0.05))
+        got = apriori_norms([turned], taus, P12, (0.0, 0.05))
+        assert want[1][0, 0, 0] == pytest.approx(12.81, abs=5e-3)
+        for side, one in zip(got, want):
+            assert side.dtype == float
+            np.testing.assert_allclose(side, one, rtol=1e-13, atol=0.0)
 
     def test_zero_image_rejected(self):
         x = np.linspace(-2.0, 2.0, 101)
@@ -405,11 +423,10 @@ class TestAprioriEstimate:
         probes = probe_family()
         taus = [DualFrequency(0.0, mag) for mag in (1.0, 100.0, 10000.0)]
         rhos = (0.0, 0.05, -0.05)
-        norms = htau_norm(probes, 2, taus, params, rhos)
+        norms = weighted_norms(probes, 2, taus, params, rhos)
         sides = apriori_norms(probes, taus, params, rhos)
         assert norms.shape == sides[0].shape == sides[1].shape == (3, 3, 100)
         assert np.array_equal(sides[0], norms)
-        assert htau_norm(probes, 1, taus[:1], params, rhos).shape == (3, 1, 100)
         for r, rho in enumerate(rhos):
             one = apriori_norms(probes, taus, params, [rho])
             assert np.array_equal(sides[0][r:r + 1], one[0])
@@ -442,7 +459,7 @@ class TestAprioriEstimate:
         big = SampledFunction(g.origin, g.spacing, scale * g.values)
         interior = apply_A_tau(big, tau, P12).values[1:-1]
         image = SampledFunction((g.coords(0)[1],), g.spacing, interior)
-        assert np.all(np.isfinite(htau_norm([image], 0, [tau], P12)))
+        assert np.all(np.isfinite(weighted_norms([image], 0, [tau], P12)))
         with pytest.raises(InconclusiveError, match="not finite"):
             apriori_norms([big], [tau], P12)
 
@@ -506,6 +523,22 @@ class TestScalingInequality:
             scaling_constant(0)
         with pytest.raises(ValueError, match="positive"):
             check_scaling_inequality([gauss(101)], [-1.0], 2)
+
+    def test_integer_valued_orders_are_the_integer_order(self):
+        # An order that passes the integer check is read as that int.  The
+        # cache is cleared before each call: 3.0 and np.int64(3) hash as 3,
+        # so a warm cache would answer without reaching the oracle.
+        from gevreylab.operators import scaling_constant
+
+        want = scaling_constant(3)
+        probes = probe_family()[:5]
+        lhs, rhs = check_scaling_inequality(probes, [1.0, 10.0], 3)
+        for m in (3.0, np.int64(3)):
+            scaling_constant.cache_clear()
+            assert scaling_constant(m) == want
+            scaling_constant.cache_clear()
+            got = check_scaling_inequality(probes, [1.0, 10.0], m)
+            assert np.array_equal(got[0], lhs) and np.array_equal(got[1], rhs)
 
     def test_quartic_constant_matches_the_literature_ground_energy(self):
         # Lowest eigenvalue of -d^2/dy^2 + y^4: 1.06036209048418 (Hioe
@@ -586,11 +619,9 @@ class TestSweepConvention:
         # read as the stack or ladder of one: each raises instead.
         g, tau = gauss(101), DualFrequency(0.0, 10.0)
         calls = [
-            lambda: htau_norm(g, 0, [tau], P12),
-            lambda: htau_norm([g], 0, tau, P12),
-            lambda: htau_norm([g], 0, [tau], P12, 0.05),
             lambda: apriori_norms(g, [tau], P12),
             lambda: apriori_norms([g], tau, P12),
+            lambda: apriori_norms([g], [tau], P12, 0.05),
             lambda: check_apriori([g], [tau], P12, 0.05),
             lambda: check_scaling_inequality(g, [1.0], 2),
             lambda: check_scaling_inequality([g], 1.0, 2),
@@ -607,17 +638,16 @@ class TestSweepConvention:
         for sweep in (apriori_norms, check_apriori):
             with pytest.raises(ValueError, match=f"{name} is empty"):
                 sweep(args["probes"], args["taus"], P12, args["rhos"])
-        with pytest.raises(ValueError, match=f"{name} is empty"):
-            htau_norm(args["probes"], 2, args["taus"], P12, args["rhos"])
 
     @pytest.mark.parametrize("call", [
-        lambda g: htau_norm([g], 2, [DualFrequency(0.0, float("nan"))], P12),
-        lambda g: htau_norm([g], 2, [DualFrequency(0.0, 10.0)], P12, [float("nan")]),
+        lambda g: apriori_norms([g], [DualFrequency(0.0, float("nan"))], P12),
+        lambda g: apriori_norms([g], [DualFrequency(0.0, 10.0)], P12, [float("nan")]),
         lambda g: apriori_norms([g], [DualFrequency(float("nan"), 10.0)], P12),
         lambda g: apriori_norms([g], [DualFrequency(0.0, 10.0)], P12, [0.0, float("nan")]),
         lambda g: check_weight_inequality(P12, [10.0, float("nan")]),
         lambda g: check_scaling_inequality([g], [1.0, float("nan")], 2),
-    ], ids=["htau-tau", "htau-rho", "apriori-tau", "apriori-rho", "weight", "scaling"])
+    ], ids=["apriori-tau2", "apriori-lone-rho", "apriori-tau", "apriori-rho", "weight",
+            "scaling"])
     def test_nan_rung_is_a_value_error(self, call):
         # A NaN rung is a bad input, not a side that left the float range
         # (InconclusiveError), nor a norm that reads NaN; numpy never sees it.

@@ -114,28 +114,23 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-#: What each run may load of scipy, by subpackage.  The transform fit,
-#: the derivative stencils, the Hermite-Galerkin solve, which gives the
-#: eigen, counterexample and demo profiles and the scaling constant of an
-#: order m >= 3, and the eigenvalue oracle's finite-difference pencil
-#: solve (Lanczos on a cyclic-reduction solve, a Sturm count) are numpy
-#: only.  The Beta value of the default grid comes from the standard
-#: library, and profile values anywhere from their numpy Hermite series,
-#: so no run loads special or interpolate.  The splitting ladder and the
-#: oracle are the library call chains of the splitting and oracle
-#: benchmark jobs.
-_SCIPY_BY_RUN = {
-    "transform --order 2": set(),
-    "classify --order 2": set(),
-    "inequalities --p 1 --q 2": set(),
-    "inequalities --p 1 --q 3": set(),
-    "inequalities --p 3 --q 4": set(),
-    "eigen --p 2 --q 3": set(),
-    "counterexample --p 1 --q 2": set(),
-    "demo --pairs 2,3": set(),
-    "splitting ladder": set(),
-    "oracle 2,3": set(),
-}
+#: Runs that load no scipy: the transform fit, the derivative stencils,
+#: the Hermite-Galerkin solve, the finite-difference oracle, the default
+#: grid's Beta value and the profile values are numpy or standard library
+#: only.  The splitting ladder and the oracle are the library call chains
+#: of the splitting and oracle benchmark jobs.
+_RUNS = (
+    "transform --order 2",
+    "classify --order 2",
+    "inequalities --p 1 --q 2",
+    "inequalities --p 1 --q 3",
+    "inequalities --p 3 --q 4",
+    "eigen --p 2 --q 3",
+    "counterexample --p 1 --q 2",
+    "demo --pairs 2,3",
+    "splitting ladder",
+    "oracle 2,3",
+)
 
 _SPLITTING = """
 import numpy as np
@@ -152,7 +147,7 @@ _LIBRARY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", list(_SCIPY_BY_RUN),
+@pytest.mark.parametrize("run", _RUNS,
                          ids=lambda run: "-".join(w for w in run.split() if w[0] != "-"))
 def test_runs_load_only_the_scipy_they_use(run, tmp_path):
     if run in _LIBRARY_RUNS:
@@ -170,4 +165,4 @@ print(sorted(n for n in names if not n.startswith('_')
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     loaded = set(ast.literal_eval(out.stdout.strip().splitlines()[-1]))
-    assert loaded <= _SCIPY_BY_RUN[run]
+    assert loaded == set()
