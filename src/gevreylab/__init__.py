@@ -62,7 +62,6 @@ from .operators import (
     apply_A_tau,
     apply_L,
     apriori_norms,
-    check_apriori,
     check_scaling_inequality,
     check_weight_inequality,
     probe_family,

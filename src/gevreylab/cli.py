@@ -3,8 +3,10 @@
 Two tables declare the command line.  ``_PIPELINES`` holds one row per
 subcommand: its handler, its help line, the description embedded in its
 JSON reports, and every key it reads.  ``_FLAGS`` holds one row per
-key: the parser of its value and its help line.  A subcommand takes
-exactly the keys its pipeline reads, as flags; flags are the only input.
+key: the parser of its value, its help line and its default.  A
+subcommand takes exactly the keys its pipeline reads, as flags; flags
+are the only input.  The pipeline reads them from the parsed namespace,
+which holds every key's default unless a flag overrides it.
 
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
 order out of range, non-linear growth ladder, an eigen solve for p < q
@@ -34,15 +36,13 @@ from .eigen import (
     solve_nonlinear_eigen,
     verify_kernel,
 )
-from .fbi import GridTooCoarseError, fbi_field
+from .fbi import GridTooCoarseError
 from .gevrey import (
     FitRejectedError,
     OrderTooHighError,
     estimate_order_derivatives,
     estimate_order_fbi,
-    fit_stretched_exponential,
     make_gevrey_bump,
-    prune_decay_floor,
 )
 from .operators import (
     DualFrequency,
@@ -58,11 +58,6 @@ from .reports import emit_report, write_json
 
 USAGE_EXIT = 64
 INCONCLUSIVE_EXIT = 2
-
-_DEFAULT_FREQS = tuple(float(x) for x in np.geomspace(16.0, 1024.0, 24))
-_DEFAULT_TAUS = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-_DEFAULT_NS = (100, 1000, 10000, 100000, 1000000)
-_DEFAULT_PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
 
 
 class UsageError(ValueError):
@@ -105,80 +100,59 @@ def _pair(text: str) -> tuple[int, int]:
 class _Flag(NamedTuple):
     parse: Callable[[str], object]
     help: str
-    nargs: str | None = None  # "+": one or more words, collected in a tuple
+    default: object
+    nargs: str | None = None  # "+": one or more words, collected in a list
 
 
-#: Keyed by RunConfig field; the flag spells "_" as "-".
+#: Keyed by the attribute a pipeline reads; the flag spells "_" as "-".
 _FLAGS = {
-    "p": _Flag(int, "lower exponent parameter (default 1)"),
-    "q": _Flag(int, "upper exponent parameter (default 2)"),
-    "gamma": _Flag(float, "window exponent in [0, 1] (default 1/order)"),
-    "order": _Flag(float, "Gevrey order of the generated bump (default 2)"),
-    "tau_ladder": _Flag(_floats_csv, "dual-frequency magnitudes T1,T2,..., each >= 1"),
-    "freq_ladder": _Flag(_floats_csv, "transform frequency ladder F1,F2,..."),
-    "n_ladder": _Flag(_ints_csv, "growth ladder orders N1<N2<..., three or more"),
-    "seed": _Flag(int, "probe-family seed (default 42)"),
-    "pairs": _Flag(_pair, "pairs P,Q (default 1,2 1,3 2,3 3,4)", "+"),
-    "out": _Flag(str, "output directory (default .)"),
+    "p": _Flag(int, "lower exponent parameter (default 1)", 1),
+    "q": _Flag(int, "upper exponent parameter (default 2)", 2),
+    "gamma": _Flag(float, "window exponent in [0, 1] (default 1/order)", None),
+    "order": _Flag(float, "Gevrey order of the generated bump (default 2)", 2.0),
+    "tau_ladder": _Flag(_floats_csv, "dual-frequency magnitudes T1,T2,..., each >= 1",
+                        (1.0, 10.0, 100.0, 1000.0, 10000.0)),
+    "freq_ladder": _Flag(_floats_csv, "transform frequency ladder F1,F2,...",
+                         tuple(float(x) for x in np.geomspace(16.0, 1024.0, 24))),
+    "n_ladder": _Flag(_ints_csv, "growth ladder orders N1<N2<..., three or more",
+                      (100, 1000, 10000, 100000, 1000000)),
+    "seed": _Flag(int, "probe-family seed (default 42)", 42),
+    "pairs": _Flag(_pair, "pairs P,Q (default 1,2 1,3 2,3 3,4)",
+                   ((1, 2), (1, 3), (2, 3), (3, 4)), "+"),
+    "out": _Flag(str, "output directory (default .)", "."),
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters for one CLI invocation."""
-
-    command: str
-    p: int = 1
-    q: int = 2
-    gamma: float | None = None
-    order: float = 2.0
-    tau_ladder: tuple[float, ...] = _DEFAULT_TAUS
-    freq_ladder: tuple[float, ...] = _DEFAULT_FREQS
-    n_ladder: tuple[int, ...] = _DEFAULT_NS
-    out: str = "."
-    seed: int = 42
-    pairs: tuple[tuple[int, int], ...] = _DEFAULT_PAIRS
-
-    def __post_init__(self):
-        numbers = (self.gamma, self.order, *self.tau_ladder, *self.freq_ladder)
-        if not all(v is None or math.isfinite(v) for v in numbers):
-            raise UsageError("every number must be finite, not inf or nan")
-        if not (1 <= self.p <= self.q):
-            raise UsageError("need integers 1 <= p <= q")
-        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
-            raise UsageError("gamma must lie in [0, 1]")
-        if self.order < 1.0:
-            raise UsageError("Gevrey order must be >= 1")
-        for name, ladder in (
-            ("freq-ladder", self.freq_ladder),
-            ("n-ladder", self.n_ladder),
-        ):
-            if any(v <= 0 for v in ladder):
-                raise UsageError(f"{name} entries must be positive")
-            if any(b <= a for a, b in zip(ladder, ladder[1:])):
-                raise UsageError(f"{name} must be strictly increasing")
-        if any(v < 1 for v in self.tau_ladder):  # the estimates need |tau| >= 1
-            raise UsageError("tau-ladder entries must be >= 1")
-        # Two rows pin the nuisance constants; a third tests the line.
-        if len(self.n_ladder) < 3:
-            raise UsageError("n-ladder needs at least three orders")
-        if any(not (1 <= a <= b) for a, b in self.pairs):
-            raise UsageError("each pair must satisfy 1 <= p <= q")
-        if self.seed < 0:
-            raise UsageError("seed must be non-negative")
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed flags, defaults filled in, once they hold values every
+    pipeline can run with; UsageError otherwise."""
+    numbers = (args.gamma, args.order, *args.tau_ladder, *args.freq_ladder)
+    if not all(v is None or math.isfinite(v) for v in numbers):
+        raise UsageError("every number must be finite, not inf or nan")
+    if not (1 <= args.p <= args.q):
+        raise UsageError("need integers 1 <= p <= q")
+    if args.gamma is not None and not 0.0 <= args.gamma <= 1.0:
+        raise UsageError("gamma must lie in [0, 1]")
+    if args.order < 1.0:
+        raise UsageError("Gevrey order must be >= 1")
+    for name, ladder in (("freq-ladder", args.freq_ladder), ("n-ladder", args.n_ladder)):
+        if any(v <= 0 for v in ladder):
+            raise UsageError(f"{name} entries must be positive")
+        if any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise UsageError(f"{name} must be strictly increasing")
+    if any(v < 1 for v in args.tau_ladder):  # the estimates need |tau| >= 1
+        raise UsageError("tau-ladder entries must be >= 1")
+    # Two rows pin the nuisance constants; a third tests the line.
+    if len(args.n_ladder) < 3:
+        raise UsageError("n-ladder needs at least three orders")
+    if any(not (1 <= a <= b) for a, b in args.pairs):
+        raise UsageError("each pair must satisfy 1 <= p <= q")
+    if args.seed < 0:
+        raise UsageError("seed must be non-negative")
+    return args
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The defaults, overridden by the flags that were given."""
-    given = {}
-    for key in _PIPELINES[args.command].flags:
-        value = getattr(args, key)
-        if value is not None:
-            given[key] = tuple(value) if _FLAGS[key].nargs else value
-    return RunConfig(args.command, **given)
-
-
-def _bump_setup(config: RunConfig):
+def _bump_setup(config: argparse.Namespace):
     """Order, window exponent (default 1/order, at most 1), bump and probe
     point of the transform and classify pipelines."""
     order = config.order
@@ -189,12 +163,10 @@ def _bump_setup(config: RunConfig):
     return order, gamma, make_gevrey_bump(order), 0.0 if order == 1.0 else 1.0
 
 
-def _cmd_transform(config: RunConfig) -> dict:
+def _cmd_transform(config: argparse.Namespace) -> dict:
     order, gamma, u, x0 = _bump_setup(config)
-    freqs = np.asarray(config.freq_ladder, dtype=float)
-    field = fbi_field(u, x0, freqs, gamma)
-    kept_f, kept_m = prune_decay_floor(freqs, field.magnitudes())
-    fit = fit_stretched_exponential(kept_f, kept_m)
+    est = estimate_order_fbi(u, x0, gamma, config.freq_ladder)
+    fit = est.fit
     print(
         f"fitted decay exponent r = {fit.r:.4f} (delta = {fit.delta:.4g}) "
         f"from {fit.n_points} ladder points"
@@ -202,13 +174,13 @@ def _cmd_transform(config: RunConfig) -> dict:
     return {
         "field.csv": (["base", "xi", "re", "im", "abs"],
                       [[x0, xi, val.real, val.imag, abs(val)]
-                       for xi, val in zip(field.freqs, field.values)]),
+                       for xi, val in zip(est.field.freqs, est.field.values)]),
         "transform.json": {"order": order, "gamma": gamma, "base_point": x0,
                            "fit": dataclasses.asdict(fit)},
     }
 
 
-def _cmd_classify(config: RunConfig) -> dict:
+def _cmd_classify(config: argparse.Namespace) -> dict:
     order, gamma, u, x0 = _bump_setup(config)
     by_decay = estimate_order_fbi(u, x0, gamma, config.freq_ladder)
     try:
@@ -240,7 +212,7 @@ def _cmd_classify(config: RunConfig) -> dict:
     }
 
 
-def _profiles(config: RunConfig, command: str):
+def _profiles(config: argparse.Namespace, command: str):
     """Eigenpairs for (p, q), and the report of an empty (p = q) search."""
     params = OperatorParams(config.p, config.q)
     found = solve_nonlinear_eigen(params)
@@ -254,7 +226,7 @@ def _profiles(config: RunConfig, command: str):
     }}
 
 
-def _cmd_eigen(config: RunConfig) -> dict:
+def _cmd_eigen(config: argparse.Namespace) -> dict:
     params, found, empty = _profiles(config, "eigen")
     if not found:
         return empty
@@ -284,7 +256,7 @@ def _cmd_eigen(config: RunConfig) -> dict:
     }
 
 
-def _cmd_counterexample(config: RunConfig) -> dict:
+def _cmd_counterexample(config: argparse.Namespace) -> dict:
     params, found, empty = _profiles(config, "counterexample")
     if not found:
         return empty
@@ -317,7 +289,7 @@ def _worst_probes(num_rows, den_rows):
         yield float(nums[best]), float(dens[best])
 
 
-def _cmd_inequalities(config: RunConfig) -> dict:
+def _cmd_inequalities(config: argparse.Namespace) -> dict:
     params = OperatorParams(config.p, config.q)
     probes = probe_family(seed=config.seed)
 
@@ -365,7 +337,7 @@ def _cmd_inequalities(config: RunConfig) -> dict:
     }
 
 
-def _cmd_demo(config: RunConfig) -> dict:
+def _cmd_demo(config: argparse.Namespace) -> dict:
     rows = []
     lines = [f"{'p':>3} {'q':>3} {'q/p':>8} {'s0':>10} {'|delta|':>10}"]
     for p, q in config.pairs:
@@ -388,7 +360,7 @@ def _cmd_demo(config: RunConfig) -> dict:
 class _Pipeline(NamedTuple):
     # Computes everything and prints its summary; returns its reports as
     # {file name: (schema, rows) of a CSV, or the dict of a JSON}.
-    run: Callable[[RunConfig], dict]
+    run: Callable[[argparse.Namespace], dict]
     help: str
     # Embedded in every JSON report so a report file is self-describing
     # about what produced it.
@@ -469,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(command, help=pipeline.help, allow_abbrev=False,
                              description=pipeline.description)
         # main reports a usage error found after parsing with this usage line.
-        cmd.set_defaults(subparser=cmd)
+        cmd.set_defaults(subparser=cmd, **{key: flag.default for key, flag in _FLAGS.items()})
         for key in pipeline.flags:
             flag = _FLAGS[key]
             cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=flag.parse,
@@ -477,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(config: RunConfig) -> int:
+def dispatch(config: argparse.Namespace) -> int:
     """Run the configured pipeline, then write its reports under config.out.
 
     Nothing is written, and no directory made, unless the pipeline's

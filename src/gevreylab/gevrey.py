@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbi import fbi_field
+from .fbi import FbiField, fbi_field
 from .sampling import SampledFunction
 
 #: Relative uptick tolerated before a ladder counts as non-monotone.
@@ -66,14 +66,20 @@ class FitResult:
 
 @dataclass(frozen=True)
 class GevreyOrder:
-    """Estimated Gevrey order with the evidence that produced it: the
-    transform-decay fit (estimate_order_fbi only) or the count of reliable
-    derivative orders, and whether the top orders vanish identically."""
+    """Estimated Gevrey order with the evidence that produced it.
+
+    estimate_order_fbi fills ``fit``, the stretched-exponential fit, and
+    ``field``, the transform values it was fitted to, and counts the
+    ladder points the fit kept; estimate_order_derivatives counts the
+    reliable derivative orders and says whether the top ones vanish
+    identically (``degenerate``).
+    """
 
     order: float
     fit: FitResult | None = None
     n_points: int = 0
     degenerate: bool = False
+    field: FbiField | None = None
 
 
 def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
@@ -248,19 +254,16 @@ def estimate_order_fbi(
     """Gevrey order from transform decay along a frequency ladder.
 
     Fits |F u(base_point, xi)| to C exp(-delta xi^r) after discarding the
-    roundoff tail and reports order 1/r.  The window exponent must
+    roundoff tail and reports order 1/r, with the fit and the field it
+    was fitted to.  The window exponent must
     satisfy gamma >= 1/s for order-s decay to be visible; at smaller
     gamma the window itself caps the decay.
     """
     freqs = np.asarray(freqs, dtype=float)
-    mags = fbi_field(u, base_point, freqs, gamma).magnitudes()
-    kept_x, kept_y = prune_decay_floor(freqs, mags)
+    field = fbi_field(u, base_point, freqs, gamma)
+    kept_x, kept_y = prune_decay_floor(freqs, field.magnitudes())
     fit = fit_stretched_exponential(kept_x, kept_y)
-    return GevreyOrder(
-        order=1.0 / fit.r,
-        fit=fit,
-        n_points=fit.n_points,
-    )
+    return GevreyOrder(order=1.0 / fit.r, fit=fit, n_points=fit.n_points, field=field)
 
 
 def fd_weights(order: int, npts: int) -> np.ndarray:

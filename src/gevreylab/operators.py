@@ -21,19 +21,19 @@ the weighted Sobolev norms of the a-priori estimate built from it, and
 three numerical checks whose tau-uniformity is the quantitative content
 of the theory:
 
-* check_apriori: the full weighted second-order norm of f is controlled
-  by the weighted norm of A_tau f, with a constant uniform in tau
-  (apriori_norms gives the two sides of that ratio);
+* apriori_norms: the two sides of the a-priori estimate, whose ratio,
+  the full weighted second-order norm of f over the weighted norm of
+  A_tau f, is bounded uniformly in tau for small rho;
 * check_weight_inequality: |tau|^(p/q) (|x|^(p-1) + |x|^(q-1)) <= C w
   on the unit cutoff region, uniformly over |tau| >= 1;
 * check_scaling_inequality: lam^(2/m) ||f||^2 <= C(||f'||^2
   + lam^2 int x^(2(m-1)) |f|^2) with C calibrated once at lam = 1.
 
 Every check is a sweep: probe stacks and ladders in, one entry per rung
-out.  apriori_norms and check_apriori give (rhos, taus, probes) arrays,
-the scaling check two (cuts, probes) arrays and the weight check one sup
-per magnitude; an empty stack or ladder, or a NaN rung, raises
-ValueError, while a finite rung whose numbers overflow is inconclusive
+out.  apriori_norms gives two (rhos, taus, probes) arrays, the scaling
+check two (cuts, probes) arrays and the weight check one sup per
+magnitude; an empty stack or ladder, or a NaN rung, raises ValueError,
+while a finite rung whose numbers overflow is inconclusive
 (InconclusiveError).  A probe stack is a sequence of 1d samples on one
 grid, such as probe_family returns, held as one (probes, nodes) array.
 Work that depends on the grid only is formed once and broadcast over the
@@ -336,24 +336,6 @@ def apriori_norms(
     if np.any(den == 0.0):
         raise ValueError("A_tau f vanishes; the a-priori ratio is undefined")
     return num, den
-
-
-def check_apriori(
-    probes: Sequence[SampledFunction],
-    taus: Sequence[DualFrequency],
-    params: OperatorParams,
-    rhos: Sequence[float] = (0.0,),
-) -> np.ndarray:
-    """Ratio ||f||_(2,tau)^2 / ||A_tau f||_(0,tau)^2 of apriori_norms,
-    one per (rho, tau, probe), which raises for norms it cannot divide.
-
-    The a-priori estimate says this ratio is bounded uniformly in tau
-    for small rho, the exponent of the norms' weight exp(rho |tau|^(p/q)
-    v(x)); the acceptance gate sweeps it over a probe family and a tau
-    ladder and watches the spread.
-    """
-    num, den = apriori_norms(probes, taus, params, rhos)
-    return num / den
 
 
 def check_weight_inequality(params: OperatorParams, magnitudes: Sequence[float]) -> np.ndarray:
