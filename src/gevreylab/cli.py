@@ -10,11 +10,13 @@ which holds every key's default unless a flag overrides it.
 
 Exit codes: 0 success, 2 inconclusive numerics (rejected fit, derivative
 order out of range, non-linear growth ladder, an eigen solve for p < q
-that does not settle or whose matrices leave the float range, a tau
-ladder whose weighted norms leave the float range), 1 other failures, 64
-usage errors (among them a flag the pipeline does not read, a non-finite
-value, and an n-ladder that is not strictly increasing or has fewer than
-three orders).  A run that fails writes no report.
+that does not settle or whose matrices leave the float range, a q too
+large for the Hermite basis, an n-ladder whose lam = N^(q/p) leaves the
+float range, a tau ladder whose weighted norms leave the float range),
+1 other failures, 64 usage errors (among them a flag the pipeline does
+not read, a non-finite value, and an n-ladder that is not strictly
+increasing or has fewer than three orders).  A run that fails writes no
+report.
 """
 
 from __future__ import annotations

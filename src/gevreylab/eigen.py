@@ -255,9 +255,17 @@ def _galerkin_lowest(params: OperatorParams, count: int, n: int, scale: float):
     vanishes in the first n / 2 to rounding; the rest hold the coupling
     of c's last entries to the functions left out.  A power of Y that
     leaves the float range raises InconclusiveError before any
-    factorization: a larger basis only holds larger entries.
+    factorization: a larger basis only holds larger entries.  The path
+    that bounces between the last two functions gives the bound
+    (Y^(2(q-1)))[-1, -1] >= ((n + 2q - 1) / 2)^(q-1), so a q whose bound
+    already leaves the float range raises before any matrix is formed.
     """
     p, q = params.p, params.q
+    digits = (q - 1) * math.log10((n + 2 * q - 1) / 2.0)
+    if digits > math.log10(sys.float_info.max):
+        raise InconclusiveError(
+            f"the ({p}, {q}) Hermite-Galerkin position powers leave the float range: "
+            f"Y^{2 * q - 2} in {n} functions >= 1e{int(digits)}")
     # Powers of Y (off-diagonal sqrt(k / 2)) by banded shifts, keeping
     # only those the pencil reads, so memory does not grow with q.
     big = n + 2 * q
@@ -682,12 +690,17 @@ def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[Grow
     bound's constants would be fitted before testing growth against
     them; a repeated order would make that solve singular, so it raises
     ValueError.  The pin absorbs the N w term, linear in N, exactly
-    into log B0, so s* and the extrapolated s0 do not depend on w.
+    into log B0, so s* and the extrapolated s0 do not depend on w.  A
+    lam beyond the float range raises InconclusiveError, found in log space.
     """
     Ns = sorted(N_ladder)
-    if len(Ns) < 2 or Ns[0] < 1 or not all(float(N).is_integer() for N in Ns):
+    if len(Ns) < 2 or Ns[0] < 1 or not all(N % 1 == 0 for N in Ns):  # no float(N)
         raise ValueError("need at least two ladder values with N >= 1, all integers")
     Ns = [int(N) for N in Ns]
+    ratio = params.q / params.p
+    digits = ratio * math.log10(Ns[-1])
+    if digits > math.log10(sys.float_info.max):
+        raise InconclusiveError(f"lam = N^(q/p) = 1e{int(digits)} leaves the float range")
     repeated = sorted({a for a, b in zip(Ns, Ns[1:]) if a == b})
     if repeated:
         raise ValueError(f"growth ladder orders must be distinct; repeated: {repeated}")
@@ -697,7 +710,6 @@ def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[Grow
     xs, mags = _extrema(pair.f, reach)
     boxes = np.minimum(np.array(Ns, dtype=float) ** (1.0 / params.p), reach)
     ends = np.max(np.abs(pair.f(np.stack((-boxes, boxes)))), axis=0)
-    ratio = params.q / params.p
 
     raw = []
     for N, box, end in zip(Ns, boxes, ends):

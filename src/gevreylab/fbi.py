@@ -44,10 +44,12 @@ FFT of u and cost one kernel transform each.
 
 Every entry point holds its input to one contract: a window exponent g
 in [0, 1], 1d samples that decay at the grid boundary (``fbi`` can skip
-that check), and a top frequency the grid resolves with eight samples per
-period.  Breaking it raises ValueError; a top frequency beyond the grid
-raises its subclass GridTooCoarseError, a NaN one plain ValueError, as
-do a NaN inversion point and an infinite tube height.
+that check), finite evaluation points (the base point of ``fbi`` and
+``fbi_field``, the points of ``inversion_profile``), and a top frequency
+the grid resolves with eight samples per period.  Breaking it raises
+ValueError; a top frequency beyond the grid raises its subclass
+GridTooCoarseError, a NaN one plain ValueError, as does an infinite
+tube height.
 """
 
 from __future__ import annotations
@@ -88,6 +90,11 @@ def _scalar(value, dtype) -> complex | float:
     return dtype(arr.item())
 
 
+def _alpha(dot, br, gamma: float):
+    """The density alpha_g from dot = (z - x') xi and br = <xi>."""
+    return 1.0 + 1j * gamma * br ** (gamma - 2.0) * dot
+
+
 def jacobian_alpha(x, xi, gamma: float) -> complex:
     """Holomorphic density alpha_g(x, xi) = 1 + i g <xi>^(g-2) x xi.
 
@@ -96,11 +103,11 @@ def jacobian_alpha(x, xi, gamma: float) -> complex:
     """
     gamma = _check_gamma(gamma)
     x, xi = _scalar(x, complex), _scalar(xi, float)
-    return 1.0 + 1j * gamma * float(bracket(xi)) ** (gamma - 2.0) * (x * xi)
+    return _alpha(x * xi, float(bracket(xi)), gamma)
 
 
-def _gate(u: SampledFunction, gamma: float, top: float, *, support: bool = True) -> float:
-    """The input contract of every entry point; returns gamma as a float."""
+def _gate(u: SampledFunction, gamma: float, top: float, points=(), *, support=True) -> float:
+    """The input contract of an entry point evaluating at ``points``; returns gamma."""
     gamma = _check_gamma(gamma)
     if u.ndim != 1:
         raise ValueError("the transform layer is implemented for 1d samples")
@@ -111,6 +118,8 @@ def _gate(u: SampledFunction, gamma: float, top: float, *, support: bool = True)
             "samples do not decay at the grid boundary; the quadrature "
             "would truncate essential mass"
         )
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"evaluation points must be finite, got {points}")
     if np.isnan(top):
         raise ValueError(f"frequency must be a number, got {top}")
     limit = 2.0 * np.pi / (_SAMPLES_PER_PERIOD * u.spacing[0])
@@ -131,12 +140,12 @@ def fbi(u: SampledFunction, z, xi, gamma: float, *, check_support: bool = True) 
     boundary-decay check of the input contract.
     """
     z, xi = _scalar(z, complex), _scalar(xi, float)
-    gamma = _gate(u, gamma, abs(xi), support=check_support)
+    gamma = _gate(u, gamma, abs(xi), z, support=check_support)
     br = float(bracket(xi))
     off = z - u.coords(0)
     dot = off * xi  # (z - x') xi, reused inside alpha
     integrand = u.values * np.exp(1j * dot - br**gamma * off * off)
-    integrand = integrand * (1.0 + 1j * gamma * br ** (gamma - 2.0) * dot)
+    integrand = integrand * _alpha(dot, br, gamma)
     return complex(np.sum(integrand) * u.spacing[0])
 
 
@@ -152,8 +161,7 @@ def _field_1d(u: SampledFunction, z: complex, xis: np.ndarray, gamma: float) -> 
     off = z - x[None, :]                                # (1, n)
     dot = off * xis[:, None]
     expo = 1j * dot - br**gamma * off * off
-    alpha = 1.0 + 1j * gamma * br ** (gamma - 2.0) * dot
-    vals = np.einsum("kn,n->k", np.exp(expo) * alpha, u.values)
+    vals = np.einsum("kn,n->k", np.exp(expo) * _alpha(dot, br, gamma), u.values)
     return vals * u.spacing[0]
 
 
@@ -190,8 +198,8 @@ def fbi_field(
     freqs = np.asarray(freqs, dtype=float)
     if freqs.ndim != 1 or np.any(freqs <= 0):
         raise ValueError("frequency ladder must be a 1d array of positive reals")
-    gamma = _gate(u, gamma, freqs.max(initial=0.0))
     z = _scalar(base_point, complex)
+    gamma = _gate(u, gamma, freqs.max(initial=0.0), z)
     values = np.empty(len(freqs), dtype=complex)
     for start in range(0, len(freqs), 64):  # 64 frequencies per broadcast
         values[start:start + 64] = _field_1d(u, z, freqs[start:start + 64], gamma)
@@ -231,10 +239,8 @@ def inversion_profile(
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise ValueError("inversion radius must be positive")
-    gamma = _gate(u, gamma, radii.max(initial=0.0))
     zs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    if not np.all(np.isfinite(zs)):
-        raise ValueError(f"inversion points must be finite, got {xs}")
+    gamma = _gate(u, gamma, radii.max(initial=0.0), zs)
     rows = [_lowpass_at(u, zs, r, gamma) for r in radii]
     return np.array(rows, dtype=complex).reshape(len(radii), len(zs))
 

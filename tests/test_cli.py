@@ -459,6 +459,17 @@ class TestCounterexample:
         for name in ("counterexample.json", "growth.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    @pytest.mark.parametrize("command", ["counterexample", "demo"])
+    @pytest.mark.parametrize("top", ["1" + "0" * 200, "1" + "0" * 400])
+    def test_lambda_beyond_float_range_is_inconclusive(self, tmp_path, capfd, command, top):
+        # At (1, 2) N = 10^200 gives lam = N^2 = 10^400; N = 10^400 is
+        # itself past the float range, so no float of N may come first.
+        code, out = run(tmp_path, command, "--n-ladder", f"100,1000,{top}")
+        assert code == 2
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("inconclusive: lam = N^(q/p)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [("eigen", "--p", "1", "--q", "2"),
                                       ("counterexample", "--p", "1", "--q", "3")])
     def test_solve_reports_are_identical_across_blas_thread_counts(self, tmp_path, argv):

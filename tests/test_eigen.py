@@ -386,11 +386,23 @@ class TestSolve:
         assert peak < 20e6
 
     def test_overflowing_powers_are_inconclusive(self):
-        # At (1, 400) the powers of Y overflow at Y^192 in the first basis
+        # At (1, 120) the powers of Y overflow at Y^224 in the first basis
         # of 64 functions; a larger basis only holds larger entries.  No
         # overflow warning, no factorization, no further basis.
-        with pytest.raises(InconclusiveError, match=r"\(1, 400\) .* float range at Y\^192 in 64"):
-            solve_nonlinear_eigen(OperatorParams(1, 400))
+        with pytest.raises(InconclusiveError, match=r"\(1, 120\) .* float range at Y\^224 in 64"):
+            solve_nonlinear_eigen(OperatorParams(1, 120))
+
+    @pytest.mark.parametrize("q", [140, 400, 2000])
+    def test_a_q_the_basis_cannot_hold_raises_before_allocating(self, monkeypatch, q):
+        # ((64 + 2q - 1) / 2)^(q - 1) bounds an entry of Y^(2(q-1)) from
+        # below and first leaves the float range at q = 140, so no matrix
+        # is formed; (1, 2000) used to build 4064 x 4064 powers first.
+        def eye(*args, **kwargs):
+            raise AssertionError("a matrix was formed")
+
+        monkeypatch.setattr(np, "eye", eye)
+        with pytest.raises(InconclusiveError, match=rf"\(1, {q}\) .* float range: Y\^{2 * (q - 1)} in 64"):
+            solve_nonlinear_eigen(OperatorParams(1, q))
 
 
 class TestSelectK:

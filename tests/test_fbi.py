@@ -116,17 +116,28 @@ NAN, INF = float("nan"), float("inf")
          (ValueError, "non-finite samples")),
         (lambda u: decompose(with_sample(u, NAN), 20.0, 0.5, 0.1),
          (ValueError, "non-finite samples")),
+        (lambda u: fbi(u, NAN, 16.0, 0.5), (ValueError, "points must be finite")),
+        (lambda u: fbi(u, 1.0 + 1j * INF, 16.0, 0.5), (ValueError, "points must be finite")),
+        (lambda u: fbi_field(u, NAN, [16.0, 32.0], 0.5), (ValueError, "points must be finite")),
+        (lambda u: fbi_field(u, [INF], [16.0], 0.5), (ValueError, "points must be finite")),
+        (lambda u: estimate_order_fbi(u, NAN, 0.5, [16.0, 32.0]),
+         (ValueError, "points must be finite")),
+        (lambda u: inversion_profile(u, [0.0, INF], 0.5, [10.0]),
+         (ValueError, "points must be finite")),
     ],
     ids=["fbi-nan", "fbi-inf", "field-nan", "inversion-nan", "decompose-nan",
          "decompose-tube-inf", "inversion-point-nan", "inversion-empty", "estimate-empty", "bump-nan", "bump-inf",
-         "fbi-sample-nan", "field-sample-nan", "inversion-sample-inf", "decompose-sample-nan"],
+         "fbi-sample-nan", "field-sample-nan", "inversion-sample-inf", "decompose-sample-nan",
+         "fbi-point-nan", "fbi-point-inf", "field-point-nan", "field-point-inf",
+         "estimate-point-nan", "inversion-point-inf"],
 )
 def test_non_finite_and_empty_inputs(bump2, call, expected):
     # A NaN frequency is a plain ValueError and an infinite one is too
     # fine for the grid; neither reaches numpy, nor does an infinite tube
-    # height or a NaN evaluation point.  An empty ladder is an
-    # empty result, which the fit then rejects.  A non-finite sample is
-    # named as such, not read as samples that fail to decay.
+    # height or a non-finite evaluation point of any entry point.  An
+    # empty ladder is an empty result, which the fit then rejects.  A
+    # non-finite sample is named as such, not read as samples that fail
+    # to decay.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if not isinstance(expected[0], type):  # a result shape
