@@ -694,7 +694,7 @@ def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[Grow
     lam beyond the float range raises InconclusiveError, found in log space.
     """
     Ns = sorted(N_ladder)
-    if len(Ns) < 2 or Ns[0] < 1 or not all(N % 1 == 0 for N in Ns):  # no float(N)
+    if len(Ns) < 2 or Ns[0] < 1 or not all(N % 1 == 0 for N in Ns):  # float(N) can overflow
         raise ValueError("need at least two ladder values with N >= 1, all integers")
     Ns = [int(N) for N in Ns]
     ratio = params.q / params.p

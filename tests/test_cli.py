@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, the flags each pipeline takes, report determinism."""
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 
 import gevreylab.cli
 import gevreylab.eigen
+import gevreylab.gevrey
 from gevreylab import OperatorParams, default_grid
 from gevreylab.cli import _PIPELINES, build_parser, config_from_args, main
 
@@ -303,6 +305,23 @@ class TestTransform:
         report = json.loads((out / "transform.json").read_text())
         assert report["gamma"] == 1.0
         assert report["fit"]["r"] == pytest.approx(0.4736, abs=2e-3)
+
+    def test_reports_are_the_order_estimate_from_one_field(self, tmp_path, monkeypatch):
+        # The decay-fit recipe has one owner, estimate_order_fbi; the
+        # pipeline writes the field and the fit it returns.
+        fields = []
+        field = gevreylab.gevrey.fbi_field
+        monkeypatch.setattr(gevreylab.gevrey, "fbi_field",
+                            lambda *args: fields.append(field(*args)) or fields[-1])
+        estimates = recording(monkeypatch, "estimate_order_fbi")
+        code, out = run(tmp_path, "transform", "--order", "3")
+        assert code == 0
+        assert len(fields) == len(estimates) == 1 and estimates[0].field is fields[0]
+        _, rows = csv_cells(out / "field.csv")
+        assert [[float(v) for v in row[1:4]] for row in rows] == [
+            [xi, val.real, val.imag] for xi, val in zip(fields[0].freqs, fields[0].values)]
+        report = json.loads((out / "transform.json").read_text())
+        assert report["fit"] == dataclasses.asdict(estimates[0].fit)
 
     def test_short_ladder_is_inconclusive(self, tmp_path):
         code, _ = run(tmp_path, "transform", "--freq-ladder", "16,32,64")

@@ -16,6 +16,7 @@ the root of a checkout, and says why in CHANGES.md:
 from __future__ import annotations
 
 import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,10 @@ RUNS = {
 
 def stack() -> str:
     """The numpy version and the BLAS it was built against."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 only prints its build configuration
+        blas = {"name": "unknown", "version": ""}
     return f"numpy {np.__version__}\nblas {blas['name']} {blas['version']}\n"
 
 
@@ -92,8 +96,6 @@ def test_reports_match_the_golden_bytes(run, tmp_path):
 
 def regenerate() -> None:
     """Rewrite the golden set from the code in this checkout."""
-    import tempfile
-
     for run, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
             kept = reports(argv, Path(tmp) / "out")
