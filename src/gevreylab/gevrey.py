@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class GevreyOrder:
     fit: FitResult | None = None
     n_points: int = 0
     degenerate: bool = False
-    field: FbiField | None = None
+    field: FbiField | None = field(default=None, compare=False)  # arrays: no eq or hash
 
 
 def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
@@ -260,10 +260,10 @@ def estimate_order_fbi(
     gamma the window itself caps the decay.
     """
     freqs = np.asarray(freqs, dtype=float)
-    field = fbi_field(u, base_point, freqs, gamma)
-    kept_x, kept_y = prune_decay_floor(freqs, field.magnitudes())
+    transform = fbi_field(u, base_point, freqs, gamma)
+    kept_x, kept_y = prune_decay_floor(freqs, transform.magnitudes())
     fit = fit_stretched_exponential(kept_x, kept_y)
-    return GevreyOrder(order=1.0 / fit.r, fit=fit, n_points=fit.n_points, field=field)
+    return GevreyOrder(order=1.0 / fit.r, fit=fit, n_points=fit.n_points, field=transform)
 
 
 def fd_weights(order: int, npts: int) -> np.ndarray:

@@ -246,6 +246,9 @@ class TestTransformEstimator:
         assert est.order == pytest.approx(1.0 / est.fit.r)
         assert est.n_points == est.fit.n_points
         assert not est.degenerate
+        # The fitted field rides along without taking part in eq or hash.
+        again = estimate_order_fbi(bump_of(s), probe_point(s), gamma, LADDER)
+        assert again == est and hash(again) == hash(est) and again.field is not est.field
 
     def test_matched_window_recovers_exponent(self, bump_of):
         for s in (1.0, 1.5, 2.0, 3.0):
