@@ -310,9 +310,13 @@ class TestTransform:
         # The decay-fit recipe has one owner, estimate_order_fbi; the
         # pipeline writes the field and the fit it returns.
         fields = []
-        field = gevreylab.gevrey.fbi_field
-        monkeypatch.setattr(gevreylab.gevrey, "fbi_field",
-                            lambda *args: fields.append(field(*args)) or fields[-1])
+        fbi_field = gevreylab.gevrey.fbi_field
+
+        def counting(*args):
+            fields.append(fbi_field(*args))
+            return fields[-1]
+
+        monkeypatch.setattr(gevreylab.gevrey, "fbi_field", counting)
         estimates = recording(monkeypatch, "estimate_order_fbi")
         code, out = run(tmp_path, "transform", "--order", "3")
         assert code == 0

@@ -396,7 +396,7 @@ class TestSolve:
     def test_a_q_the_basis_cannot_hold_raises_before_allocating(self, monkeypatch, q):
         # ((64 + 2q - 1) / 2)^(q - 1) bounds an entry of Y^(2(q-1)) from
         # below and first leaves the float range at q = 140, so no matrix
-        # is formed; (1, 2000) used to build 4064 x 4064 powers first.
+        # is formed, not even the 4064 x 4064 powers that (1, 2000) needs.
         def eye(*args, **kwargs):
             raise AssertionError("a matrix was formed")
 
