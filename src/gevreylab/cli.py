@@ -168,15 +168,17 @@ def _bump_setup(config: argparse.Namespace):
 def _cmd_transform(config: argparse.Namespace) -> dict:
     order, gamma, u, x0 = _bump_setup(config)
     est = estimate_order_fbi(u, x0, gamma, config.freq_ladder)
-    fit = est.fit
+    fit, field = est.fit, est.field
     print(
         f"fitted decay exponent r = {fit.r:.4f} (delta = {fit.delta:.4g}) "
         f"from {fit.n_points} ladder points"
     )
     return {
+        # Python numbers, so csv writes each as repr; abs is hypot(re, im),
+        # which np.abs of the whole array can miss in the last bit.
         "field.csv": (["base", "xi", "re", "im", "abs"],
                       [[x0, xi, val.real, val.imag, abs(val)]
-                       for xi, val in zip(est.field.freqs, est.field.values)]),
+                       for xi, val in zip(field.freqs.tolist(), field.values.tolist())]),
         "transform.json": {"order": order, "gamma": gamma, "base_point": x0,
                            "fit": dataclasses.asdict(fit)},
     }

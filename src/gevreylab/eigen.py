@@ -607,19 +607,21 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     Path (i), returned: the family is separable, so applying the full
     operator reduces exactly to lam^(2/q) times the profile equation's
     residual, the pair's ``residual``.
-    Path (ii), asserted: direct second differences of F_lam on one 81^3
-    cube, and on the 41^3 cube of its every other node at twice the
-    spacing, must shrink like h^2 toward the path (i) value; failure
-    raises ConsistencyError.  linspace(-a, a, 41) is bit for bit every
-    other node of linspace(-a, a, 81), so the coarse check reads the
-    samples of a direct 41^3 build (its spacing may differ in the last bit).
+    Path (ii), asserted: direct second differences of F_lam on one
+    81 x 11 x 11 box, and on the 41 x 6 x 6 box of its every other node
+    at twice the spacing, must shrink like h^2 toward the path (i)
+    value; failure raises ConsistencyError.  linspace(-a, a, (n + 1) // 2)
+    is bit for bit every other node of linspace(-a, a, n), so the coarse
+    check reads the samples of a direct build (its spacing may differ in
+    the last bit).
 
-    The coarse t2 spacing is min(0.05, 1/ceil(4 lam)), at least 25
-    samples per period of exp(i lam t2), so the t2 window shrinks with
-    lam.  Its extent does not matter: the second difference of
-    exp(i lam t2) is exp(i lam t2) times a constant, so on the interior
-    L_h F_lam = exp(i lam t2) R(x, t1) and ||L_h F_lam|| / ||F_lam||
-    depends on the t2 axis only through its spacing.
+    The coarse spacings are 0.05 in t1 and min(0.05, 1/ceil(4 lam)) in
+    t2, at least 25 samples per period of exp(i lam t2).  t1 and t2 enter
+    only through their spacings: the second difference of exp(k t1) is
+    exp(k t1) (2 cosh(k h) - 2) / h^2 and that of exp(i lam t2) is
+    exp(i lam t2) (2 cos(lam h) - 2) / h^2, so on the interior
+    L_h F_lam = exp(k t1) exp(i lam t2) R_h(x), and the ratio
+    ||L_h F_lam|| / ||F_lam|| is that of any box with these spacings.
     """
     _check_lam(lam)
     path_i = lam ** (2.0 / params.q) * pair.residual
@@ -628,8 +630,8 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     # the profile is below e^-40 of its peak.
     scale = lam ** (1.0 / params.q)
     x_half = min(1.0, 0.98 * default_grid(params).half_width / scale)
-    t2_half = min(1.0, 20.0 / math.ceil(4.0 * lam))
-    box = ((-x_half, x_half, 81), (-1.0, 1.0, 81), (-t2_half, t2_half, 81))
+    t2_half = min(0.125, 2.5 / math.ceil(4.0 * lam))
+    box = ((-x_half, x_half, 81), (-0.125, 0.125, 11), (-t2_half, t2_half, 11))
     F = build_counterexample(pair, lam, params, box)
 
     def path_ii(u: SampledFunction) -> float:

@@ -165,9 +165,12 @@ def _field_1d(u: SampledFunction, z: complex, xis: np.ndarray, gamma: float) -> 
     return vals * u.spacing[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FbiField:
-    """Transform values F u(base_point, xi) along a frequency ladder."""
+    """Transform values F u(base_point, xi) along a frequency ladder.
+
+    Fields hold arrays, so they compare and hash by identity.
+    """
 
     base_point: complex
     freqs: np.ndarray

@@ -79,7 +79,7 @@ class GevreyOrder:
     fit: FitResult | None = None
     n_points: int = 0
     degenerate: bool = False
-    field: FbiField | None = field(default=None, compare=False)  # arrays: no eq or hash
+    field: FbiField | None = field(default=None, compare=False)  # evidence: not in eq or hash
 
 
 def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:

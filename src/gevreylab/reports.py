@@ -1,8 +1,9 @@
 """Deterministic CSV and JSON report emitters.
 
-Every writer here is a pure function of its inputs: fixed column order,
-repr-formatted floats (shortest round-trip form), LF line endings, and
-sorted JSON keys, so identical inputs produce byte-identical files.
+Fixed column order, LF line endings and sorted JSON keys, so identical
+inputs give byte-identical files.  ``csv`` formats each cell with ``str``,
+so the pipelines hand it Python numbers: ``str`` of an int or a float is
+its ``repr``, for a float the shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -10,18 +11,6 @@ from __future__ import annotations
 import csv
 import json
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
-
-
-def _fmt(value) -> str:
-    if type(value) is float:  # most cells; same text as the branch below
-        return repr(value)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
 
 
 def emit_report(rows: Iterable[Sequence], schema: Sequence[str], path) -> None:
@@ -35,7 +24,7 @@ def emit_report(rows: Iterable[Sequence], schema: Sequence[str], path) -> None:
     with open(path, "w", newline="") as buf:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(list(schema))
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def write_json(data: Mapping, path) -> None:

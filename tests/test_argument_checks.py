@@ -19,9 +19,11 @@ from gevreylab import (
     estimate_optimal_exponent,
     estimate_order_derivatives,
     fd_weights,
+    fit_stretched_exponential,
     growth_table,
     make_gevrey_bump,
     reference_eigenvalues,
+    sample,
     scaling_constant,
     solve_nonlinear_eigen,
     verify_kernel,
@@ -59,12 +61,21 @@ LINE = np.zeros(4)
          "finite"),
         (lambda: estimate_order_derivatives(with_sample(make_gevrey_bump(2.0), NAN), 1.0),
          "non-finite samples"),
+        (lambda: estimate_order_derivatives(SampledFunction((0.0, 0.0), (0.1, 0.1),
+                                                            np.zeros((8, 8))), 0.0),
+         "1d samples"),
+        (lambda: fit_stretched_exponential([1.0, 2.0, 3.0], [1.0, 0.5]), "matching 1d"),
+        # Decays only at the last point, so the tail half holds one point.
+        (lambda: fit_stretched_exponential(np.arange(1.0, 7.0), [1.0] * 5 + [1e-3]),
+         "no usable decay tail"),
+        (lambda: sample(lambda x: x, [(1.0, 1.0, 5)]), "hi > lo"),
     ],
     ids=["cube-lam-nan", "cube-lam-inf", "kernel-lam-nan", "kernel-lam-inf",
          "solve-count-0", "solve-count-negative", "oracle-count-0", "stencil-order-1",
          "stencil-order-2", "profile-deriv-negative", "ladder-fraction",
          "scaling-fraction", "bump-one-sample", "spacing-nan", "origin-inf",
-         "rescale-nan", "expected-nan", "derivatives-sample-nan"],
+         "rescale-nan", "expected-nan", "derivatives-sample-nan", "derivatives-2d",
+         "fit-shapes", "fit-no-tail", "sample-empty-axis"],
 )
 def test_out_of_range_arguments(call, fragment):
     with warnings.catch_warnings():

@@ -18,7 +18,7 @@ import pytest
 import gevreylab.cli
 import gevreylab.eigen
 import gevreylab.gevrey
-from gevreylab import OperatorParams, default_grid
+from gevreylab import OperatorParams, default_grid, emit_report
 from gevreylab.cli import _PIPELINES, build_parser, config_from_args, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +74,26 @@ def test_bump_and_demo_reports_match_across_blas_threads(tmp_path, argv, names):
     one, two = reports_under_blas_threads(tmp_path, *argv)
     assert set(one) == names
     assert one == two
+
+
+def test_pipelines_hand_the_csv_writer_python_numbers(tmp_path, monkeypatch):
+    # csv writes each cell with str, which is repr for an int or a Python
+    # float but follows numpy's print options for a numpy scalar.
+    written = {}
+
+    def checked(rows, schema, path):
+        rows = list(rows)
+        written[Path(path).name] = {type(cell) for row in rows for cell in row}
+        emit_report(rows, schema, path)
+
+    monkeypatch.setattr(gevreylab.cli, "emit_report", checked)
+    for command in _PIPELINES:
+        assert run(tmp_path / command, command)[0] == 0, command
+    assert sorted(written) == ["apriori.csv", "demo.csv", "eigenpair.csv", "field.csv",
+                               "growth.csv", "scaling.csv", "weight.csv"]
+    assert {name: kinds - {int, float} for name, kinds in written.items()} == {
+        name: set() for name in written
+    }
 
 
 class TestUsageErrors:
@@ -143,6 +163,8 @@ class TestUsageErrors:
             (("transform", "--freq-ladder", "a,b"), "expected comma-separated numbers"),
             (("demo", "--n-ladder", "10,x"), "expected comma-separated integers"),
             (("demo", "--pairs", "1,2,3"), "expected a pair like 1,2"),
+            (("demo", "--pairs", "a,b"), "expected a pair of integers"),
+            (("transform", "--freq-ladder", ","), "ladder must not be empty"),
         ],
     )
     def test_malformed_value_names_the_expected_format(self, capsys, argv, message):
@@ -168,6 +190,7 @@ class TestUsageErrors:
             ("classify", "--freq-ladder", "16,32,32,64,128,256,512"),
             ("counterexample", "--p", "1", "--q", "2", "--n-ladder", "1,2"),
             ("counterexample", "--p", "1", "--q", "2", "--n-ladder", "2,2,3,4"),
+            ("counterexample", "--n-ladder", "0,10,100"),
         ],
     )
     def test_invalid_ladder_returns_64(self, tmp_path, argv):
@@ -204,6 +227,7 @@ class TestUsageErrors:
             ("classify", "--freq-ladder", "1e6,2e6"),
             ("transform", "--freq-ladder", "1e6"),
             ("transform", "--freq-ladder", "16,32,64"),
+            ("demo", "--pairs", "3,2"),
         ],
     )
     def test_usage_error_in_the_pipeline_leaves_no_directory(self, tmp_path, argv):
@@ -298,6 +322,14 @@ class TestTransform:
             base, xi, re_, im, mag = map(float, row)
             assert base == 1.0
             assert mag == np.hypot(re_, im)
+
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["transform", "--out", str(taken)]) == 1
+        assert "File exists" in capsys.readouterr().err
+        assert taken.read_text() == ""
+        assert sorted(tmp_path.iterdir()) == [taken]
 
     def test_gamma_flag_honored(self, tmp_path):
         code, out = run(tmp_path, "transform", "--gamma", "1.0")
@@ -431,6 +463,13 @@ class TestEigen:
 
 
 class TestCounterexample:
+    def test_equal_exponents_reports_empty_search(self, tmp_path):
+        code, out = run(tmp_path, "counterexample", "--p", "2", "--q", "2")
+        assert code == 0
+        report = json.loads((out / "counterexample.json").read_text())
+        assert report["count"] == 0
+        assert [path.name for path in out.iterdir()] == ["counterexample.json"]
+
     def test_full_pipeline(self, tmp_path):
         code, out = run(tmp_path, "counterexample", "--p", "2", "--q", "3")
         assert code == 0

@@ -41,9 +41,30 @@ P12 = OperatorParams(1, 2)
 P23 = OperatorParams(2, 3)
 P34 = OperatorParams(3, 4)
 PAIRS = ((1, 2), (1, 3), (2, 3), (3, 4))
-#: 41 points per axis on [-1, 1]^3: the size of verify_kernel's coarse cube,
-#: whose t2 window shrinks with lam above 5.
+#: 41 points per axis on [-1, 1]^3, the x size of verify_kernel's coarse box.
 BOX = ((-1.0, 1.0, 41),) * 3
+
+
+def record_cubes(monkeypatch) -> list:
+    """(lam, box, cube) of every cube verify_kernel builds from here on."""
+    cubes = []
+
+    def recording(pair, lam, params, box):
+        cubes.append((lam, box, build_counterexample(pair, lam, params, box)))
+        return cubes[-1][2]
+
+    monkeypatch.setattr(gevreylab.eigen, "build_counterexample", recording)
+    return cubes
+
+
+def every_other_node(u: SampledFunction) -> SampledFunction:
+    """The coarse grid verify_kernel reads: every other node at twice the spacing."""
+    return SampledFunction(u.origin, tuple(2.0 * h for h in u.spacing), u.values[::2, ::2, ::2])
+
+
+def path_ii_ratio(u: SampledFunction, params: OperatorParams) -> float:
+    """||L_h u|| / ||u|| on the interior: verify_kernel's path (ii)."""
+    return np.linalg.norm(apply_L(u, params).values) / np.linalg.norm(u.values[1:-1, 1:-1, 1:-1])
 
 
 def series_pair(values, z: float = 1.0, scale: float = 1.0) -> Eigenpair:
@@ -360,6 +381,15 @@ class TestSolve:
         with pytest.raises(InconclusiveError, match="4 eigenvalues below .* Lanczos found 3"):
             _pencil_solve(P12, GridSpec(8.0, 0.05), 3)
 
+    def test_lanczos_that_does_not_converge_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(gevreylab.eigen, "_LANCZOS_STEPS", 2)
+        with pytest.raises(InconclusiveError, match="did not converge within 2 Lanczos steps"):
+            _pencil_solve(P12, GridSpec(8.0, 0.05), 3)
+
+    def test_sturm_count_reads_a_zero_pivot_as_negative(self):
+        # sigma = 2 is the eigenvalue of the 1 x 1 pencil (2, 1) itself.
+        assert _sturm_count(np.array([2.0]), np.array([1.0]), 0.0, 2.0) == 1
+
     def test_oracle_report_is_identical_across_processes(self):
         # The oracle benchmark job's report, written in two fresh processes.
         code = ("import json, gevreylab as gl\n"
@@ -486,13 +516,7 @@ class TestFamily:
         # product f(lam^(1/q) x) exp(lam^(p/q) w t1) exp(i lam t2) of its
         # three 1-d factors, multiplied in that order.
         params, pair = OperatorParams(p, q), solve(p, q)[0]
-        built = []
-
-        def recording(*args):
-            built.append((args[1], args[3], build_counterexample(*args)))
-            return built[-1][2]
-
-        monkeypatch.setattr(gevreylab.eigen, "build_counterexample", recording)
+        built = record_cubes(monkeypatch)
         for lam in (10.0, 100.0):
             verify_kernel(pair, lam, params)
         assert [lam for lam, _, _ in built] == [10.0, 100.0]
@@ -533,50 +557,54 @@ class TestKernelIdentity:
             verify_kernel(pair, lam, P12)
 
     def test_check_boxes_are_small_cubes_at_large_lambda(self, solve, monkeypatch):
-        boxes = []
-
-        def recording(pair, lam, params, box):
-            boxes.append((lam, box))
-            return build_counterexample(pair, lam, params, box)
-
-        monkeypatch.setattr(gevreylab.eigen, "build_counterexample", recording)
+        cubes = record_cubes(monkeypatch)
         for lam in (10.0, 100.0):
             verify_kernel(solve(1, 2)[0], lam, P12)
-        assert [(lam, [n for _, _, n in box]) for lam, box in boxes] == [
-            (10.0, [81] * 3), (100.0, [81] * 3)
+        assert [(lam, [n for _, _, n in box]) for lam, box, _ in cubes] == [
+            (10.0, [81, 11, 11]), (100.0, [81, 11, 11])
         ]
 
     @pytest.mark.parametrize("pq", PAIRS)
-    def test_coarse_check_is_the_direct_coarse_cube(self, solve, monkeypatch, pq):
-        # The coarse check reads every other node of the 81^3 cube at twice
-        # its spacing; a direct 41^3 build on the same box must give the
-        # same samples, grid and path-(ii) ratio, bit for bit.
+    def test_check_box_reads_the_ratio_of_the_full_cube(self, solve, monkeypatch, pq):
+        # The t1 and t2 factors pass through the second differences as
+        # constants, so the path-(ii) ratios on the 81 x 11 x 11 box and on
+        # the 81^3 cube of the same spacings, eight times its t1 and t2
+        # extents, agree to rounding; measured <= 1.9e-10 relative.
         params = OperatorParams(*pq)
         pair = solve(*pq)[0]
-        cubes = []
-
-        def recording(pair, lam, params, box):
-            F = build_counterexample(pair, lam, params, box)
-            cubes.append((lam, box, F))
-            return F
-
-        def ratio(u):
-            return np.linalg.norm(apply_L(u, params).values) / np.linalg.norm(
-                u.values[1:-1, 1:-1, 1:-1]
+        cubes = record_cubes(monkeypatch)
+        for lam in (1.0, 10.0, 100.0):
+            verify_kernel(pair, lam, params)
+        for lam, box, small in cubes:
+            x_axis, _, (_, t2_half, _) = box
+            full = build_counterexample(
+                pair, lam, params, (x_axis, (-1.0, 1.0, 81), (-8 * t2_half, 8 * t2_half, 81))
             )
+            for a, b in ((small, full), (every_other_node(small), every_other_node(full))):
+                assert path_ii_ratio(a, params) == pytest.approx(
+                    path_ii_ratio(b, params), rel=1e-9, abs=0.0
+                ), lam
 
-        monkeypatch.setattr(gevreylab.eigen, "build_counterexample", recording)
+    @pytest.mark.parametrize("pq", PAIRS)
+    def test_coarse_check_is_the_direct_coarse_cube(self, solve, monkeypatch, pq):
+        # The coarse check reads every other node of the fine box at twice
+        # its spacing; a direct build of (n + 1) // 2 nodes per axis on the
+        # same box must give the same samples, grid and path-(ii) ratio,
+        # bit for bit.
+        params = OperatorParams(*pq)
+        pair = solve(*pq)[0]
+        cubes = record_cubes(monkeypatch)
         for lam in (1.0, 4.0, 10.0, 37.3, 100.0):
             verify_kernel(pair, lam, params)
         for lam, box, fine in cubes:
-            direct = build_counterexample(pair, lam, params, [(lo, hi, 41) for lo, hi, _ in box])
-            view = SampledFunction(
-                fine.origin, tuple(2.0 * h for h in fine.spacing), fine.values[::2, ::2, ::2]
+            direct = build_counterexample(
+                pair, lam, params, [(lo, hi, (n + 1) // 2) for lo, hi, n in box]
             )
+            view = every_other_node(fine)
             assert np.array_equal(view.values, direct.values), lam
             assert view.origin == direct.origin, lam
             assert view.spacing == direct.spacing, lam
-            assert ratio(view) == ratio(direct), lam
+            assert path_ii_ratio(view, params) == path_ii_ratio(direct, params), lam
 
 
 class TestGrowthLadder:

@@ -241,6 +241,12 @@ class TestField:
         assert field.base_point == 0.25
         assert abs(field.values[0] - direct) <= 1e-12 * max(1.0, abs(direct))
 
+    def test_fields_compare_and_hash_by_identity(self, bump2):
+        a = fbi_field(bump2, 1.0, [16.0, 32.0], 0.5)
+        b = fbi_field(bump2, 1.0, [16.0, 32.0], 0.5)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
     def test_bump_decays_along_ray(self, bump2):
         freqs = 2.0 ** np.arange(0, 11)
         mags = fbi_field(bump2, 0.0, freqs, 1.0).magnitudes()

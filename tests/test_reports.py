@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gevreylab import emit_report
 from gevreylab.reports import write_json
@@ -24,13 +26,19 @@ def test_value_formatting_distinguishes_types(tmp_path):
     assert out.read_text() == "i,f,s\n3,3.0,x\n"
 
 
-def test_numpy_and_python_numbers_write_the_same_bytes(tmp_path):
-    values = [-0.0, 5e-324, 1e308, 0.1 + 0.2, -2.5e-17]
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(), min_size=1, max_size=8))
+@example([-0.0, 5e-324, 1e308, 0.1 + 0.2, -2.5e-17])
+@example([float("nan"), float("inf"), -float("inf"), 0.0, -5e-324, 2.2250738585072009e-308])
+def test_numpy_and_python_numbers_write_the_same_bytes(tmp_path, values):
+    # csv writes a cell with str: repr for a Python float, numpy's own
+    # formatting, under its default print options, for a numpy float.
+    schema = ["n", *(f"v{j}" for j in range(len(values)))]
     a, b = tmp_path / "py.csv", tmp_path / "np.csv"
-    emit_report([[7, *values]], ["n", *"abcde"], a)
-    emit_report([[np.int64(7), *map(np.float64, values)]], ["n", *"abcde"], b)
+    emit_report([[7, *values]], schema, a)
+    emit_report([[np.int64(7), *map(np.float64, values)]], schema, b)
     assert a.read_bytes() == b.read_bytes()
-    assert a.read_text().splitlines()[1] == "7,-0.0,5e-324,1e+308,0.30000000000000004,-2.5e-17"
+    assert a.read_text().splitlines()[1] == ",".join(["7", *map(repr, values)])
 
 
 def test_json_is_sorted_and_newline_terminated(tmp_path):
