@@ -20,7 +20,6 @@ from .eigen import (
     GridSpec,
     GrowthRow,
     HermiteSeries,
-    ResampleError,
     build_counterexample,
     default_grid,
     estimate_optimal_exponent,

@@ -174,11 +174,11 @@ def _cmd_transform(config: argparse.Namespace) -> dict:
         f"from {fit.n_points} ladder points"
     )
     return {
-        # Python numbers, so csv writes each as repr; abs is hypot(re, im),
-        # which np.abs of the whole array can miss in the last bit.
+        # Python numbers, so csv writes each as repr; abs is the fitted magnitude.
         "field.csv": (["base", "xi", "re", "im", "abs"],
-                      [[x0, xi, val.real, val.imag, abs(val)]
-                       for xi, val in zip(field.freqs.tolist(), field.values.tolist())]),
+                      [[x0, xi, val.real, val.imag, mag] for xi, val, mag in zip(
+                          field.freqs.tolist(), field.values.tolist(),
+                          field.magnitudes().tolist())]),
         "transform.json": {"order": order, "gamma": gamma, "base_point": x0,
                            "fit": dataclasses.asdict(fit)},
     }

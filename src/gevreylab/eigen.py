@@ -76,10 +76,6 @@ from .operators import (ConsistencyError, InconclusiveError, OperatorParams,
 from .sampling import SampledFunction, sample
 
 
-class ResampleError(ValueError):
-    """Requested evaluation lies past the default window of the profiles."""
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Staggered grid on [-half_width, half_width] with the given spacing."""
@@ -110,18 +106,23 @@ class GridSpec:
         return GridSpec(self.half_width, self.spacing / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermiteSeries:
     """A profile as its Hermite series: f(x) = sum_k values[k]
     psi_k(x / scale) / sqrt(scale), with psi_k the orthonormal Hermite
     functions (see _hermite_sum), so f has the L^2 norm of ``values``.
 
     ``values`` holds the series in coefficient space, as
-    SampledFunction.values holds a function at its nodes.
+    SampledFunction.values holds a function at its nodes.  Series hold
+    arrays, so they compare and hash by identity.
     """
 
     scale: float
     values: np.ndarray
+
+    def __post_init__(self):
+        if not 0 < self.scale < math.inf:  # nan too
+            raise ValueError(f"the series scale must be positive and finite, got {self.scale}")
 
     def __call__(self, x, deriv: int = 0) -> np.ndarray:
         """f (deriv 0) or its derivative of order ``deriv`` at ``x``."""
@@ -330,15 +331,16 @@ def solve_nonlinear_eigen(params: OperatorParams, count: int = 4) -> list[Eigenp
 
     _galerkin_lowest solves at n = 64, 80, 100, ... (x 1.25) Hermite
     functions of scale 0.1 x_t, x_t the turning point that default_grid
-    estimates, until two consecutive solves agree on every z to 1e-12
-    relative and every residual is below 1e-10; no settling by n = 500
-    (the last rung is 476) raises InconclusiveError.  z settles first,
-    its error being the square of the coefficients'.  The tails fall
-    like exp(-x^q / q), faster than any Hermite function's Gaussian once
-    q > 2, hence the narrow scale: at 0.15 x_t (6, 8) still has a
-    residual of 4e-6 at n = 381.  The default pairs stop at n = 244
-    (1, 2), 195 (1, 3), 125 (2, 3) and 100 (3, 4); of the 120 pairs
-    with q <= 16, 55 settle, the first failure at (8, 10).
+    estimates, from the first rung whose parity blocks hold ``count``
+    functions each (n // 2 >= count), until two consecutive solves agree
+    on every z to 1e-12 relative and every residual is below 1e-10; no
+    settling by n = 500 (the last rung is 476) raises InconclusiveError.
+    z settles first, its error being the square of the coefficients'.
+    The tails fall like exp(-x^q / q), faster than any Hermite
+    function's Gaussian once q > 2, hence the narrow scale: at 0.15 x_t
+    (6, 8) still has a residual of 4e-6 at n = 381.  The default pairs
+    stop at n = 244 (1, 2), 195 (1, 3), 125 (2, 3) and 100 (3, 4); of
+    the 120 pairs with q <= 16, 55 settle, the first failure at (8, 10).
 
     Each profile is its unit-norm series, signed so that f^(k)(0) > 0
     with k = select_k(pair), its parity, and ``basis_change`` compares
@@ -348,6 +350,8 @@ def solve_nonlinear_eigen(params: OperatorParams, count: int = 4) -> list[Eigenp
         return []
     scale = 0.1 * _turning_point_q(params, count) ** (1.0 / params.q)
     n, last = 64, None
+    while n // 2 < count:  # each parity block must hold count functions
+        n = int(round(1.25 * n))
     while n <= 500:
         z, coef, residual = _galerkin_lowest(params, count, n, scale)
         if (last is not None and np.all(np.abs(z - last) <= 1e-12 * np.abs(z))
@@ -592,7 +596,7 @@ def build_counterexample(
     reach = default_grid(params).half_width
     (xlo, xhi, _), *_ = box
     if scale * xlo < -reach or scale * xhi > reach:
-        raise ResampleError(
+        raise ValueError(
             f"dilated box [{scale * xlo:g}, {scale * xhi:g}] leaves the profile "
             f"window |x| <= {reach:g}"
         )

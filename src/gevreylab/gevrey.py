@@ -97,8 +97,8 @@ def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
     """
     if not 1.0 <= s < math.inf:
         raise ValueError(f"Gevrey order must be finite and at least 1, got {s}")
-    if n < 2:
-        raise ValueError(f"need at least two samples, got n = {n}")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"need an integer count of at least two samples, got n = {n!r}")
     x = np.linspace(-1.5, 1.5, n)
     vals = np.zeros(n)
     if s == 1.0:

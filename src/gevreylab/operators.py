@@ -316,9 +316,6 @@ def apriori_norms(
     """
     taus, rhos = _rungs("taus", taus), _rungs("rhos", rhos)
     values, x, h = _probe_stack(probes)
-    # The image's grid starts at x[1] and is laid out as SampledFunction
-    # lays out its nodes, which can differ from x[1:-1] in the last bit.
-    x_image = x[1] + h * np.arange(len(x) - 2)
     # The guard below reports an overflow; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
         stack = values[None]
@@ -329,7 +326,7 @@ def apriori_norms(
         for i, tau in enumerate(taus):
             np.multiply(_potential(x[1:-1], tau, params), values[:, 1:-1], out=image)
             np.subtract(curvature, image, out=image)
-            den[:, [i]] = _weighted_norms([np.abs(image) ** 2], x_image, h, [tau], params, rhos)
+            den[:, [i]] = _weighted_norms([np.abs(image) ** 2], x[1:-1], h, [tau], params, rhos)
     if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
         raise InconclusiveError("a weighted norm of the a-priori estimate is not finite: "
                                 "it leaves the float range on this tau and rho ladder")

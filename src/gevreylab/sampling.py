@@ -20,9 +20,11 @@ import numpy as np
 _SUPPORT_REL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Function samples on a uniform grid in one to three dimensions.
+
+    Samples hold arrays, so they compare and hash by identity.
 
     Parameters
     ----------
@@ -109,8 +111,8 @@ def sample(
     """
     origin, spacing, coord1d = [], [], []
     for lo, hi, n in axes:
-        if n < 2 or not hi > lo:
-            raise ValueError("each axis needs hi > lo and n >= 2")
+        if not isinstance(n, (int, np.integer)) or n < 2 or not hi > lo:
+            raise ValueError(f"each axis needs hi > lo and an integer n >= 2, got {(lo, hi, n)}")
         origin.append(float(lo))
         spacing.append((hi - lo) / (n - 1))
         coord1d.append(np.linspace(lo, hi, n))

@@ -69,16 +69,27 @@ LINE = np.zeros(4)
         (lambda: fit_stretched_exponential(np.arange(1.0, 7.0), [1.0] * 5 + [1e-3]),
          "no usable decay tail"),
         (lambda: sample(lambda x: x, [(1.0, 1.0, 5)]), "hi > lo"),
+        (lambda: HermiteSeries(0.0, [1.0])(0.5), "scale"),
+        (lambda: HermiteSeries(-1.0, [1.0])(0.5), "scale"),
+        (lambda: HermiteSeries(NAN, [1.0])(0.5), "scale"),
+        (lambda: sample(lambda x: x, [(0.0, 1.0, 2.5)]), "integer"),
+        (lambda: make_gevrey_bump(2.0, n=2.5), "integer"),
     ],
     ids=["cube-lam-nan", "cube-lam-inf", "kernel-lam-nan", "kernel-lam-inf",
          "solve-count-0", "solve-count-negative", "oracle-count-0", "stencil-order-1",
          "stencil-order-2", "profile-deriv-negative", "ladder-fraction",
          "scaling-fraction", "bump-one-sample", "spacing-nan", "origin-inf",
          "rescale-nan", "expected-nan", "derivatives-sample-nan", "derivatives-2d",
-         "fit-shapes", "fit-no-tail", "sample-empty-axis"],
+         "fit-shapes", "fit-no-tail", "sample-empty-axis", "series-scale-0",
+         "series-scale-negative", "series-scale-nan", "sample-fraction", "bump-fraction"],
 )
 def test_out_of_range_arguments(call, fragment):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=fragment):
             call()
+
+
+def test_numpy_integer_counts_are_counts():
+    assert sample(lambda x: x, [(0.0, 1.0, np.int64(3))]).values.tolist() == [0.0, 0.5, 1.0]
+    assert make_gevrey_bump(2.0, n=np.int32(8)).values.shape == (8,)

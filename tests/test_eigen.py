@@ -21,7 +21,6 @@ from gevreylab import (
     HermiteSeries,
     InconclusiveError,
     OperatorParams,
-    ResampleError,
     SampledFunction,
     apply_L,
     build_counterexample,
@@ -170,6 +169,27 @@ class TestSolve:
         assert len(pairs) == 4
         assert np.allclose([p.z for p in pairs], [1.0, 3.0, 5.0, 7.0], atol=1e-5)
         assert abs(pairs[0].z - 1.0) <= 1e-6
+
+    def test_more_pairs_than_the_first_basis_holds(self):
+        # 64 functions hold 32 per parity block, so 40 pairs start the
+        # basis ladder at 80; the (1, 2) pairs are z_k = 2k + 1.
+        pairs = solve_nonlinear_eigen(P12, count=40)
+        z = np.array([pair.z for pair in pairs])
+        odd = 2.0 * np.arange(40) + 1.0
+        assert np.max(np.abs(z - odd) / odd) <= 1e-13
+
+    def test_samples_series_and_pairs_compare_by_identity(self, solve):
+        # Samples and series hold arrays, so == and hash go by identity;
+        # a pair compares and hashes through its series.
+        line = SampledFunction((0.0,), (1.0,), np.zeros(4))
+        twin = SampledFunction((0.0,), (1.0,), np.zeros(4))
+        assert line == line and line != twin and hash(line) == hash(line)
+        series = HermiteSeries(1.0, np.array([1.0]))
+        assert series == series and series != HermiteSeries(1.0, np.array([1.0]))
+        assert hash(series) == hash(series)
+        first, second = solve(1, 2)[:2]
+        assert first != second and dataclasses.replace(first) == first
+        assert hash(dataclasses.replace(first)) == hash(first)
 
     def test_settling_enforced(self, solve):
         for pair in solve(1, 2) + solve(2, 3):
@@ -495,7 +515,7 @@ class TestFamily:
 
     def test_dilation_beyond_grid_rejected(self, solve):
         # lam^(1/q) = 1000 dilation against a window of half-width 10.6.
-        with pytest.raises(ResampleError):
+        with pytest.raises(ValueError, match="leaves the profile window"):
             build_counterexample(solve(1, 2)[0], 1e6, P12, BOX)
 
     @pytest.mark.parametrize("lo,hi", [(-4.0, 6.0), (-6.0, 4.0)])
@@ -505,7 +525,7 @@ class TestFamily:
         reach = default_grid(P12).half_width
         pair = hermite_ground_pair()
         lam = reach**2
-        with pytest.raises(ResampleError):
+        with pytest.raises(ValueError, match="leaves the profile window"):
             build_counterexample(pair, lam, P12, ((lo / 5.0, hi / 5.0, 41),) + BOX[1:])
         inside = build_counterexample(pair, lam, P12, ((lo / 7.0, hi / 7.0, 41),) + BOX[1:])
         assert np.all(np.isfinite(inside.values))

@@ -5,7 +5,8 @@ from ``eigenpair.csv`` (hundreds of KB), which is kept as its SHA-256 in
 ``eigenpair.csv.sha256``.  ``tests/golden/STACK.txt`` names the numpy and
 BLAS the files were made with; on another stack a mismatch is a finding
 to report, not a case to skip.  The runs go through ``cli.main`` in this
-process.
+process.  Every summary number of a golden run is, bit for bit, what its
+own rows give.
 
 A change that moves a report byte on purpose regenerates the set, from
 the root of a checkout, and says why in CHANGES.md:
@@ -15,13 +16,17 @@ the root of a checkout, and says why in CHANGES.md:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gevreylab import (GrowthRow, estimate_optimal_exponent, fit_stretched_exponential,
+                       prune_decay_floor)
 from gevreylab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -92,6 +97,46 @@ def test_reports_match_the_golden_bytes(run, tmp_path):
         f"reports of {' '.join(RUNS[run])} moved\n" + "\n".join(diffs)
         + f"\ngolden stack:\n{(GOLDEN / 'STACK.txt').read_text()}this stack:\n{stack()}"
     )
+
+
+def golden_csv(run: str, name: str) -> dict[str, list]:
+    """The columns of one golden CSV, each cell parsed as a number."""
+    header, *rows = (line.split(",") for line in (GOLDEN / run / name).read_text().splitlines())
+    return {key: [float(row[i]) for row in rows] for i, key in enumerate(header)}
+
+
+def golden_json(run: str, name: str) -> dict:
+    return json.loads((GOLDEN / run / name).read_text())
+
+
+def test_every_summary_is_recomputed_from_its_rows():
+    # Each summary number is, bit for bit, what its own report rows give.
+    for run in ("transform", "transform-order-3"):
+        field = golden_csv(run, "field.csv")
+        fit = fit_stretched_exponential(*prune_decay_floor(field["xi"], field["abs"]))
+        assert golden_json(run, "transform.json")["fit"] == dataclasses.asdict(fit), run
+    for run in ("counterexample", "counterexample-p1-q3"):
+        growth = golden_csv(run, "growth.csv")
+        rows = [GrowthRow(int(n), *rest) for n, *rest in zip(*growth.values())]
+        report = golden_json(run, "counterexample.json")
+        assert report["s0_estimate"] == estimate_optimal_exponent(rows), run
+        assert report["abs_delta"] == abs(report["s0_estimate"] - report["expected"]), run
+    for run in ("inequalities", "inequalities-p3-q4-seed30"):
+        apriori = golden_csv(run, "apriori.csv")
+        sups = golden_csv(run, "weight.csv")["sup_ratio"]
+        scaling = golden_csv(run, "scaling.csv")
+        flat = [r for rho, r in zip(apriori["rho"], apriori["max_ratio"]) if rho == 0.0]
+        report = golden_json(run, "inequalities.json")
+        assert report["apriori_spread"] == max(flat) / min(flat), run
+        assert report["weight_sup"] == max(sups), run
+        assert report["weight_spread"] == max(sups) / min(sups), run
+        assert report["scaling_max_ratio"] == max(scaling["ratio"]), run
+        assert apriori["max_ratio"] == [a / b for a, b in zip(apriori["h2_norm"],
+                                                              apriori["image_norm"])], run
+        assert scaling["ratio"] == [a / b for a, b in zip(scaling["lhs"], scaling["rhs"])], run
+    demo = golden_csv("demo", "demo.csv")
+    assert demo["abs_delta"] == [abs(s0 - t) for s0, t in zip(demo["s0_estimate"],
+                                                              demo["q_over_p"])]
 
 
 def regenerate() -> None:
