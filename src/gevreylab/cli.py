@@ -31,7 +31,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .eigen import (
-    default_grid,
     estimate_optimal_exponent,
     growth_table,
     select_k,
@@ -235,9 +234,8 @@ def _cmd_eigen(config: argparse.Namespace) -> dict:
     if not found:
         return empty
     pair = found[0]
-    grid = default_grid(params)
-    # The ground profile's series on the nodes at half the grid's spacing.
-    x = grid.refined().nodes()
+    # The ground profile's series on the nodes at half its window's spacing.
+    x = pair.grid.refined().nodes()
     print(f"z = {pair.z:.9f}, residual {pair.residual:.2e}, "
           f"{len(found)} pair(s) kept")
     return {
@@ -254,7 +252,7 @@ def _cmd_eigen(config: argparse.Namespace) -> dict:
             "all_z": [p.z for p in found],
             "all_residual": [p.residual for p in found],
             "all_basis_change": [p.basis_change for p in found],
-            "grid": {"half_width": grid.half_width, "spacing": grid.spacing,
+            "grid": {"half_width": pair.grid.half_width, "spacing": pair.grid.spacing,
                      "fine_nodes": len(x)},
         },
     }
@@ -265,8 +263,8 @@ def _cmd_counterexample(config: argparse.Namespace) -> dict:
     if not found:
         return empty
     pair = found[0]
-    residuals = {f"{lam:g}": verify_kernel(pair, lam, params) for lam in (10.0, 100.0)}
-    rows = growth_table(pair, params, config.n_ladder)
+    residuals = {f"{lam:g}": verify_kernel(pair, lam) for lam in (10.0, 100.0)}
+    rows = growth_table(pair, config.n_ladder)
     s0 = estimate_optimal_exponent(rows, expected=params.optimal_order)
     print(f"s0 = {s0:.4f} against q/p = {params.optimal_order:.4f} "
           f"(|delta| = {abs(s0 - params.optimal_order):.2e})")
@@ -352,7 +350,7 @@ def _cmd_demo(config: argparse.Namespace) -> dict:
             rows.append([p, q, target, math.nan, math.nan])
             lines.append(f"{p:>3} {q:>3} {target:>8.4f} {'n/a':>10} {'n/a':>10}")
             continue
-        s0 = estimate_optimal_exponent(growth_table(found[0], params, config.n_ladder))
+        s0 = estimate_optimal_exponent(growth_table(found[0], config.n_ladder))
         rows.append([p, q, target, s0, abs(s0 - target)])
         lines.append(
             f"{p:>3} {q:>3} {target:>8.4f} {s0:>10.4f} {abs(s0 - target):>10.2e}"

@@ -45,10 +45,11 @@ since the equation commutes with x -> -x; a profile's parity is its
 probe order k (select_k).  The flipped solve is variational, so it has
 no spurious modes to filter.  Each profile is kept as its series
 (HermiteSeries), which gives f and its derivatives exactly at any x.
-The readers take them inside the default window, the Agmon distance at
-which the highest mode that sizes the window has decayed by e^-40 past
-its turning point, with that mode's eigenvalue estimated by
-Bohr-Sommerfeld quantization (a closed-form Beta-function action).  An
+Each pair carries its operator and its window, where the readers take
+f: the Agmon distance at which the highest mode that sizes the window
+for the solve's count has decayed by e^-40 past its turning point, with
+that mode's eigenvalue estimated by Bohr-Sommerfeld quantization (a
+closed-form Beta-function action).  An
 independent oracle, reference_eigenvalues, solves the same pencil by
 staggered finite differences at two spacings, for cross-validation,
 also in numpy (_pencil_solve); the inequality sweeps take the (1, m)
@@ -161,12 +162,16 @@ class Eigenpair:
     select_k(pair) its parity; ``residual`` the relative equation
     residual of its coefficients (see _galerkin_lowest), and
     ``basis_change`` the relative change of z from the solve before it.
+    ``params`` is the operator solved and ``grid`` the pair's window,
+    default_grid for the solve's count, where the readers take f.
     """
 
     z: float
     f: HermiteSeries
     residual: float
     basis_change: float
+    params: OperatorParams
+    grid: GridSpec
 
 
 @dataclass(frozen=True)
@@ -193,9 +198,10 @@ def _turning_point_q(params: OperatorParams, count: int) -> float:
     """x_t^q, with x_t the turning point of the highest mode that sizes
     the window and the Hermite scale for ``count`` pairs, mode
     max(count + 4, 8) - 1, a margin above the pairs kept, from
-    Bohr-Sommerfeld quantization (see default_grid); p < q."""
-    if count < 1:
-        raise ValueError(f"need at least one eigenpair, got count = {count}")
+    Bohr-Sommerfeld quantization (see default_grid); p < q.  ``count``
+    must be an integer >= 1, a numpy integer too."""
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"need an integer count of at least one eigenpair, got count = {count!r}")
     c = 2 * (params.q - params.p)
     a = params.p / c
     beta = math.exp(math.lgamma(a) + math.lgamma(1.5) - math.lgamma(a + 1.5))
@@ -349,6 +355,7 @@ def solve_nonlinear_eigen(params: OperatorParams, count: int = 4) -> list[Eigenp
     if params.p == params.q:  # -f'' = (z - 1) x^(2(q-1)) f decays for no z
         return []
     scale = 0.1 * _turning_point_q(params, count) ** (1.0 / params.q)
+    grid = default_grid(params, count=count)
     n, last = 64, None
     while n // 2 < count:  # each parity block must hold count functions
         n = int(round(1.25 * n))
@@ -367,7 +374,8 @@ def solve_nonlinear_eigen(params: OperatorParams, count: int = 4) -> list[Eigenp
     for j, zj in enumerate(z):
         pair = Eigenpair(z=float(zj), f=HermiteSeries(scale, coef[:, j]),
                          residual=float(residual[j]),
-                         basis_change=float(abs(zj - last[j]) / abs(zj)))
+                         basis_change=float(abs(zj - last[j]) / abs(zj)),
+                         params=params, grid=grid)
         if pair.f(0.0, select_k(pair)) < 0.0:
             pair = replace(pair, f=HermiteSeries(scale, -coef[:, j]))
         pairs.append(pair)
@@ -550,13 +558,13 @@ def reference_eigenvalues(params: OperatorParams, count: int = 3) -> np.ndarray:
     return (4.0 * fine - coarse) / 3.0
 
 
-def residual_norm(pair: Eigenpair, params: OperatorParams) -> float:
+def residual_norm(pair: Eigenpair) -> float:
     """Relative equation residual of the profile sampled on the nodes of
-    default_grid(params).refined(), where eigenpair.csv samples it, by
-    centered second differences on the interior nodes: for a smooth
-    profile the O(h^2) truncation of the difference, independent of the
-    series' own residual."""
-    grid = default_grid(params).refined()
+    pair.grid.refined(), where eigenpair.csv samples it, by centered
+    second differences on the interior nodes: for a smooth profile the
+    O(h^2) truncation of the difference, independent of the series' own
+    residual."""
+    params, grid = pair.params, pair.grid.refined()
     x = grid.nodes()
     vals = pair.f(x)
     d2 = _second_difference(vals, 0, grid.spacing)
@@ -579,21 +587,17 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"the family is defined for finite lam >= 1, got {lam}")
 
 
-def build_counterexample(
-    pair: Eigenpair,
-    lam: float,
-    params: OperatorParams,
-    box,
-) -> SampledFunction:
+def build_counterexample(pair: Eigenpair, lam: float, box) -> SampledFunction:
     """Kernel element exp(i lam t2) exp(lam^(p/q) w t1) f(lam^(1/q) x) on a box.
 
     Axes are (x, t1, t2); each axis of the caller's ``box`` is (lo, hi, n).
     The profile's series is evaluated at the dilated x coordinates, which
-    must lie in the default window |x| <= X of default_grid(params).
+    must lie in the pair's window |x| <= pair.grid.half_width.
     """
     _check_lam(lam)
+    params = pair.params
     scale = lam ** (1.0 / params.q)
-    reach = default_grid(params).half_width
+    reach = pair.grid.half_width
     (xlo, xhi, _), *_ = box
     if scale * xlo < -reach or scale * xhi > reach:
         raise ValueError(
@@ -605,8 +609,8 @@ def build_counterexample(
                   * np.exp(rate * t1) * np.exp(1j * lam * t2), box)
 
 
-def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
-    """Relative residual of the kernel identity for F_lam.
+def verify_kernel(pair: Eigenpair, lam: float) -> float:
+    """Relative residual of the kernel identity for F_lam in the pair's window.
 
     Path (i), returned: the family is separable, so applying the full
     operator reduces exactly to lam^(2/q) times the profile equation's
@@ -628,15 +632,16 @@ def verify_kernel(pair: Eigenpair, lam: float, params: OperatorParams) -> float:
     ||L_h F_lam|| / ||F_lam|| is that of any box with these spacings.
     """
     _check_lam(lam)
+    params = pair.params
     path_i = lam ** (2.0 / params.q) * pair.residual
 
-    # The dilated x extent stays inside the profile window, past which
+    # The dilated x extent stays inside the pair's window, past which
     # the profile is below e^-40 of its peak.
     scale = lam ** (1.0 / params.q)
-    x_half = min(1.0, 0.98 * default_grid(params).half_width / scale)
+    x_half = min(1.0, 0.98 * pair.grid.half_width / scale)
     t2_half = min(0.125, 2.5 / math.ceil(4.0 * lam))
     box = ((-x_half, x_half, 81), (-0.125, 0.125, 11), (-t2_half, t2_half, 11))
-    F = build_counterexample(pair, lam, params, box)
+    F = build_counterexample(pair, lam, box)
 
     def path_ii(u: SampledFunction) -> float:
         interior = u.values[1:-1, 1:-1, 1:-1]
@@ -680,7 +685,7 @@ def _extrema(f: HermiteSeries, reach: float) -> tuple[np.ndarray, np.ndarray]:
     return x, np.abs(f(x))
 
 
-def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[GrowthRow]:
+def growth_table(pair: Eigenpair, N_ladder) -> list[GrowthRow]:
     """Log-space growth ladder rows at lam = N^(q/p), probed at the order
     k = select_k(pair), the profile's parity.
 
@@ -689,7 +694,7 @@ def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[Grow
     |F_lam| on [-1, 1]^3 comes from its definition.  The t2 phase has
     modulus 1 and the t1 factor peaks at exp(lam^(p/q) w), so
     log sup = N w + log max |f| over |x| <= lam^(1/q) = N^(1/p),
-    capped at the default window, past which f is below e^-40 of its
+    capped at the pair's window, past which f is below e^-40 of its
     peak.  That max is the largest |f| at the box ends and at the
     extrema inside (_extrema).  The nuisance constant B0 is pinned by
     solving the two lowest rows exactly, mirroring how a derivative
@@ -703,6 +708,7 @@ def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[Grow
     if len(Ns) < 2 or Ns[0] < 1 or not all(N % 1 == 0 for N in Ns):  # float(N) can overflow
         raise ValueError("need at least two ladder values with N >= 1, all integers")
     Ns = [int(N) for N in Ns]
+    params = pair.params
     ratio = params.q / params.p
     digits = ratio * math.log10(Ns[-1])
     if digits > math.log10(sys.float_info.max):
@@ -712,7 +718,7 @@ def growth_table(pair: Eigenpair, params: OperatorParams, N_ladder) -> list[Grow
         raise ValueError(f"growth ladder orders must be distinct; repeated: {repeated}")
     k = select_k(pair)
     log_dk0 = math.log(abs(float(pair.f(0.0, k))))
-    reach = default_grid(params).half_width
+    reach = pair.grid.half_width
     xs, mags = _extrema(pair.f, reach)
     boxes = np.minimum(np.array(Ns, dtype=float) ** (1.0 / params.p), reach)
     ends = np.max(np.abs(pair.f(np.stack((-boxes, boxes)))), axis=0)

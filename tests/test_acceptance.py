@@ -12,6 +12,7 @@ enforced in ``conftest.pytest_sessionfinish``.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -19,7 +20,6 @@ import numpy as np
 from conftest import LADDER, SOLVE_SECONDS
 from gevreylab import (
     DualFrequency,
-    Eigenpair,
     HermiteSeries,
     OperatorParams,
     SampledFunction,
@@ -58,7 +58,7 @@ def test_criterion_01_threshold_exponent_recovery(solve):
     for p, q in PAIRS:
         pair = solve(p, q)[0]
         t0 = time.perf_counter()
-        est = estimate_optimal_exponent(growth_table(pair, OperatorParams(p, q), LADDER))
+        est = estimate_optimal_exponent(growth_table(pair, LADDER))
         took = SOLVE_SECONDS[(p, q)] + time.perf_counter() - t0
         ok &= abs(est - q / p) <= 0.02 and took < 60.0
         details.append(f"({p},{q})->{est:.5f} want {q / p:.5f} [{took:.1f}s]")
@@ -86,10 +86,7 @@ def test_criterion_03_exact_kernel_family(solve):
     # to 1e-4 relative at both moderate and large frequency, with the
     # finite-difference cross-check enabled.
     pair = solve(1, 2)[0]
-    res = {
-        lam: verify_kernel(pair, lam, OperatorParams(1, 2))
-        for lam in (10.0, 100.0)
-    }
+    res = {lam: verify_kernel(pair, lam) for lam in (10.0, 100.0)}
     ok = all(r <= 1e-4 for r in res.values())
     _report(3, ok, "; ".join(f"lam={lam:g} residual {r:.2e}" for lam, r in res.items()))
 
@@ -200,19 +197,14 @@ def test_criterion_08_structural_invariants(solve, bump_of):
 
     p23 = OperatorParams(2, 3)
     pair = solve(2, 3)[0]
-    scaled = Eigenpair(
-        z=pair.z,
-        f=HermiteSeries(pair.f.scale, -2.35 * pair.f.values),
-        residual=pair.residual,
-        basis_change=pair.basis_change,
-    )
+    scaled = dataclasses.replace(pair, f=HermiteSeries(pair.f.scale, -2.35 * pair.f.values))
     # The rescaling rounds every coefficient, which perturbs the sampled
     # second-difference residual by up to eps/h^2 absolute, h the default
     # refined spacing; the exponent estimate cancels the scale in log
     # space and is far tighter.
-    d_res = abs(residual_norm(scaled, p23) - residual_norm(pair, p23))
-    d_est = abs(estimate_optimal_exponent(growth_table(scaled, p23, LADDER))
-                - estimate_optimal_exponent(growth_table(pair, p23, LADDER)))
+    d_res = abs(residual_norm(scaled) - residual_norm(pair))
+    d_est = abs(estimate_optimal_exponent(growth_table(scaled, LADDER))
+                - estimate_optimal_exponent(growth_table(pair, LADDER)))
     h = default_grid(p23).refined().spacing
     if d_res > np.finfo(float).eps / h**2 or d_est > 1e-9:
         fails.append(f"normalization d_res {d_res:.1e} d_est {d_est:.1e}")

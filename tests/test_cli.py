@@ -18,7 +18,7 @@ import pytest
 import gevreylab.cli
 import gevreylab.eigen
 import gevreylab.gevrey
-from gevreylab import OperatorParams, default_grid, emit_report
+from gevreylab import emit_report
 from gevreylab.cli import _PIPELINES, build_parser, config_from_args, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -408,13 +408,14 @@ class TestEigen:
         ).read_bytes()
         assert (out1 / "eigen.json").read_bytes() == (out2 / "eigen.json").read_bytes()
 
-    def test_report_records_the_solved_grid(self, tmp_path):
+    def test_report_records_the_solved_grid(self, tmp_path, monkeypatch):
         # eigenpair.csv samples the ground profile's series on the
-        # default grid's refinement, which eigen.json records.
+        # refinement of its pair's window, which eigen.json records.
+        solves = recording(monkeypatch, "solve_nonlinear_eigen")
         code, out = run(tmp_path, "eigen", "--p", "1", "--q", "2")
         assert code == 0
         report = json.loads((out / "eigen.json").read_text())
-        grid = default_grid(OperatorParams(1, 2))
+        grid = solves[0][0].grid
         assert report["grid"] == {"half_width": grid.half_width, "spacing": 0.002,
                                   "fine_nodes": 21240}
         lines = (out / "eigenpair.csv").read_text().splitlines()
@@ -429,7 +430,7 @@ class TestEigen:
         assert header == ["x", "re", "im"]
         parsed = np.array(rows, dtype=float)
         # repr-formatting must preserve the nodes and the values bit for bit.
-        x = default_grid(OperatorParams(1, 2)).refined().nodes()
+        x = solves[0][0].grid.refined().nodes()
         assert np.array_equal(parsed[:, 0], x)
         assert np.array_equal(parsed[:, 1], solves[0][0].f(x))
         assert np.all(parsed[:, 2] == 0.0)

@@ -48,8 +48,8 @@ def record_cubes(monkeypatch) -> list:
     """(lam, box, cube) of every cube verify_kernel builds from here on."""
     cubes = []
 
-    def recording(pair, lam, params, box):
-        cubes.append((lam, box, build_counterexample(pair, lam, params, box)))
+    def recording(pair, lam, box):
+        cubes.append((lam, box, build_counterexample(pair, lam, box)))
         return cubes[-1][2]
 
     monkeypatch.setattr(gevreylab.eigen, "build_counterexample", recording)
@@ -69,7 +69,8 @@ def path_ii_ratio(u: SampledFunction, params: OperatorParams) -> float:
 def series_pair(values, z: float = 1.0, scale: float = 1.0) -> Eigenpair:
     """A pair whose profile is the Hermite series of ``values`` at ``scale``."""
     f = HermiteSeries(scale, np.asarray(values, dtype=float))
-    return Eigenpair(z=z, f=f, residual=0.0, basis_change=0.0)
+    return Eigenpair(z=z, f=f, residual=0.0, basis_change=0.0, params=P12,
+                     grid=default_grid(P12))
 
 
 def off_centre_pair() -> Eigenpair:
@@ -139,6 +140,15 @@ class TestGrids:
             for pair in pairs:
                 top = np.max(np.abs(pair.f(np.linspace(-reach, reach, 2001))))
                 assert np.max(np.abs(pair.f(np.array([-reach, reach])))) <= 1e-16 * top, (p, q)
+        # Each pair carries the window of its solve's count: the 40 (1, 2)
+        # pairs of count = 40 sit below 1.5e-20 of their peaks at its edge,
+        # 14.80, where the count = 4 window's edge, 10.62, leaves the
+        # z = 79 mode at 4.8e-4.
+        for pair in solve_nonlinear_eigen(P12, count=40):
+            assert pair.grid == default_grid(P12, count=40)
+            reach = pair.grid.half_width
+            top = np.max(np.abs(pair.f(np.linspace(-reach, reach, 2001))))
+            assert np.max(np.abs(pair.f(np.array([-reach, reach])))) <= 1e-16 * top
         with pytest.raises(ValueError, match="p = q = 2"):
             default_grid(OperatorParams(2, 2))
 
@@ -155,12 +165,12 @@ class TestResidual:
         # the default (1, 2) spacing h = 1e-3, leave an O(h^2) truncation
         # term: 0.21 h^2.
         h = default_grid(P12).refined().spacing
-        assert residual_norm(hermite_ground_pair(), P12) <= 0.25 * h**2
+        assert residual_norm(hermite_ground_pair()) <= 0.25 * h**2
 
     def test_perturbed_eigenvalue_detected(self):
         base = hermite_ground_pair()
         off = dataclasses.replace(base, z=1.1)
-        assert residual_norm(off, P12) >= 0.01
+        assert residual_norm(off) >= 0.01
 
 
 class TestSolve:
@@ -324,6 +334,32 @@ class TestSolve:
             f = pair.f
             assert np.max(np.abs(f(x) / f(0.0, j % 2) - form)) <= 1e-13, j
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_eight_modes_match_the_p_2p_closed_form(self, p):
+        # j = 0 .. 3, even and odd, at count = 8 on the pair's window:
+        # z = (4j + 2) p -+ 1 and profiles exp(-x^(2p)/(2p)) L_j^(-a)(t)
+        # and x exp(-x^(2p)/(2p)) L_j^(a)(t), a = 1/(2p), t = x^(2p)/p,
+        # each normalized by f(0) or f'(0).  L_j^(a) comes from its
+        # three-term recurrence.  Measured: profiles <= 3.4e-14 max abs
+        # (p = 2, odd j = 3), z <= 5.9e-15 relative.
+        def laguerre(j, a, t):
+            prev, cur = np.zeros_like(t), np.ones_like(t)
+            for k in range(j):
+                prev, cur = cur, ((2 * k + 1 + a - t) * cur - (k + a) * prev) / (k + 1)
+            return cur
+
+        pairs = solve_nonlinear_eigen(OperatorParams(p, 2 * p), count=8)
+        assert len(pairs) == 8
+        x = np.linspace(-pairs[0].grid.half_width, pairs[0].grid.half_width, 2001)
+        ground, t = np.exp(-x ** (2 * p) / (2 * p)), x ** (2 * p) / p
+        for i, pair in enumerate(pairs):
+            j, odd = divmod(i, 2)
+            a = (1 if odd else -1) / (2 * p)
+            want = (4 * j + 2) * p + (1 if odd else -1)
+            assert abs(pair.z - want) <= 1e-13 * want, (p, i)
+            form = (x if odd else 1.0) * ground * laguerre(j, a, t) / laguerre(j, a, 0.0)
+            assert np.max(np.abs(pair.f(x) / pair.f(0.0, odd) - form)) <= 1e-13, (p, i)
+
     def test_pairs_that_need_476_functions_meet_the_acceptance_bounds(self):
         # These pairs settle only on the last rung below the 500 cap.
         # Measured: oracle gap <= 9.3e-12, kernel residual <= 3.2e-11,
@@ -335,8 +371,8 @@ class TestSolve:
             oracle = reference_eigenvalues(params)[0]
             assert abs(pair.z - oracle) <= 1e-6 * oracle, (p, q)
             for lam in (10.0, 100.0):
-                assert verify_kernel(pair, lam, params) <= 1e-4, (p, q, lam)
-            s0 = estimate_optimal_exponent(growth_table(pair, params, LADDER))
+                assert verify_kernel(pair, lam) <= 1e-4, (p, q, lam)
+            s0 = estimate_optimal_exponent(growth_table(pair, LADDER))
             assert abs(s0 - q / p) <= 0.02, (p, q)
 
     def test_unsettled_basis_is_inconclusive(self):
@@ -483,13 +519,13 @@ class TestSelectK:
 class TestFamily:
     def test_zero_time_slice_is_dilated_profile(self, solve):
         pair = solve(1, 2)[0]
-        F = build_counterexample(pair, 4.0, P12, BOX)
+        F = build_counterexample(pair, 4.0, BOX)
         xs = np.linspace(-1.0, 1.0, 41)
         assert np.array_equal(F.values[:, 20, 20], pair.f(2.0 * xs))
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_zero_time_slice_matches_closed_form(self, odd):
-        F = build_counterexample(closed_form_pair(odd), 4.0, P12, BOX)
+        F = build_counterexample(closed_form_pair(odd), 4.0, BOX)
         u = 2.0 * np.linspace(-1.0, 1.0, 41)
         want = (u if odd else 1.0) * np.exp(-u * u / 2.0)
         assert np.allclose(F.values[:, 20, 20], want, rtol=0, atol=1e-15)
@@ -497,7 +533,7 @@ class TestFamily:
     def test_modulus_grows_along_first_time_axis(self, solve):
         pair = solve(1, 2)[0]
         lam = 4.0
-        F = build_counterexample(pair, lam, P12, BOX)
+        F = build_counterexample(pair, lam, BOX)
         t1 = np.linspace(-1.0, 1.0, 41)
         f0 = abs(F.values[20, 20, 20])
         want = f0 * np.exp(np.sqrt(lam) * math.sqrt(pair.z) * t1)
@@ -505,18 +541,18 @@ class TestFamily:
 
     def test_oscillation_axis_has_unit_modulus_factor(self, solve):
         pair = solve(1, 2)[0]
-        F = build_counterexample(pair, 7.0, P12, BOX)
+        F = build_counterexample(pair, 7.0, BOX)
         mods = np.abs(F.values[:, :, :])
         assert np.allclose(mods, mods[:, :, :1], rtol=1e-12)
 
     def test_small_lambda_rejected(self, solve):
         with pytest.raises(ValueError, match=">= 1"):
-            build_counterexample(solve(1, 2)[0], 0.5, P12, BOX)
+            build_counterexample(solve(1, 2)[0], 0.5, BOX)
 
     def test_dilation_beyond_grid_rejected(self, solve):
         # lam^(1/q) = 1000 dilation against a window of half-width 10.6.
         with pytest.raises(ValueError, match="leaves the profile window"):
-            build_counterexample(solve(1, 2)[0], 1e6, P12, BOX)
+            build_counterexample(solve(1, 2)[0], 1e6, BOX)
 
     @pytest.mark.parametrize("lo,hi", [(-4.0, 6.0), (-6.0, 4.0)])
     def test_dilation_beyond_the_nearer_end_rejected(self, lo, hi):
@@ -526,19 +562,28 @@ class TestFamily:
         pair = hermite_ground_pair()
         lam = reach**2
         with pytest.raises(ValueError, match="leaves the profile window"):
-            build_counterexample(pair, lam, P12, ((lo / 5.0, hi / 5.0, 41),) + BOX[1:])
-        inside = build_counterexample(pair, lam, P12, ((lo / 7.0, hi / 7.0, 41),) + BOX[1:])
+            build_counterexample(pair, lam, ((lo / 5.0, hi / 5.0, 41),) + BOX[1:])
+        inside = build_counterexample(pair, lam, ((lo / 7.0, hi / 7.0, 41),) + BOX[1:])
         assert np.all(np.isfinite(inside.values))
+
+    def test_box_reads_the_pair_window(self):
+        # lam = 4 dilates x in [-6.5, 6.5] to [-13, 13]: past the count = 4
+        # window's 10.62, inside the 14.80 of the count = 40 solve that
+        # the 40th (1, 2) mode carries.
+        pair = solve_nonlinear_eigen(P12, count=40)[39]
+        xs = np.linspace(-6.5, 6.5, 41)
+        F = build_counterexample(pair, 4.0, ((-6.5, 6.5, 41),) + BOX[1:])
+        assert np.array_equal(F.values[:, 20, 20], pair.f(2.0 * xs))
 
     @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
     def test_cube_is_the_outer_product_of_its_factors(self, solve, monkeypatch, p, q):
         # On verify_kernel's own boxes the cube is, bit for bit, the
         # product f(lam^(1/q) x) exp(lam^(p/q) w t1) exp(i lam t2) of its
         # three 1-d factors, multiplied in that order.
-        params, pair = OperatorParams(p, q), solve(p, q)[0]
+        pair = solve(p, q)[0]
         built = record_cubes(monkeypatch)
         for lam in (10.0, 100.0):
-            verify_kernel(pair, lam, params)
+            verify_kernel(pair, lam)
         assert [lam for lam, _, _ in built] == [10.0, 100.0]
         for lam, box, F in built:
             x, t1, t2 = (np.linspace(*axis) for axis in box)
@@ -553,19 +598,19 @@ class TestKernelIdentity:
     def test_separable_reduction_is_exact(self, solve):
         pair = solve(1, 2)[0]
         for lam in (10.0, 100.0):
-            got = verify_kernel(pair, lam, P12)
+            got = verify_kernel(pair, lam)
             assert got == pytest.approx(lam * pair.residual, rel=1e-14)
 
     def test_doubling_scales_by_two_over_q(self, solve):
         pair = solve(1, 2)[0]
-        v1 = verify_kernel(pair, 10.0, P12)
-        v2 = verify_kernel(pair, 20.0, P12)
+        v1 = verify_kernel(pair, 10.0)
+        v2 = verify_kernel(pair, 20.0)
         assert v2 / v1 == pytest.approx(2.0 ** (2.0 / P12.q), rel=1e-12)
 
     def test_residual_stays_small_with_refinement_check(self, solve):
         pair = solve(1, 2)[0]
-        assert verify_kernel(pair, 20.0, P12) <= 1e-6
-        assert verify_kernel(pair, 1.0, P12) <= 1e-6
+        assert verify_kernel(pair, 20.0) <= 1e-6
+        assert verify_kernel(pair, 1.0) <= 1e-6
 
     @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
     def test_wrong_dispersion_fails_the_3d_check(self, lam):
@@ -574,12 +619,12 @@ class TestKernelIdentity:
         # stored profile residual (path i) stays at rounding level.
         pair = dataclasses.replace(hermite_ground_pair(), z=1.1)
         with pytest.raises(ConsistencyError, match="do not converge"):
-            verify_kernel(pair, lam, P12)
+            verify_kernel(pair, lam)
 
     def test_check_boxes_are_small_cubes_at_large_lambda(self, solve, monkeypatch):
         cubes = record_cubes(monkeypatch)
         for lam in (10.0, 100.0):
-            verify_kernel(solve(1, 2)[0], lam, P12)
+            verify_kernel(solve(1, 2)[0], lam)
         assert [(lam, [n for _, _, n in box]) for lam, box, _ in cubes] == [
             (10.0, [81, 11, 11]), (100.0, [81, 11, 11])
         ]
@@ -594,11 +639,11 @@ class TestKernelIdentity:
         pair = solve(*pq)[0]
         cubes = record_cubes(monkeypatch)
         for lam in (1.0, 10.0, 100.0):
-            verify_kernel(pair, lam, params)
+            verify_kernel(pair, lam)
         for lam, box, small in cubes:
             x_axis, _, (_, t2_half, _) = box
             full = build_counterexample(
-                pair, lam, params, (x_axis, (-1.0, 1.0, 81), (-8 * t2_half, 8 * t2_half, 81))
+                pair, lam, (x_axis, (-1.0, 1.0, 81), (-8 * t2_half, 8 * t2_half, 81))
             )
             for a, b in ((small, full), (every_other_node(small), every_other_node(full))):
                 assert path_ii_ratio(a, params) == pytest.approx(
@@ -615,10 +660,10 @@ class TestKernelIdentity:
         pair = solve(*pq)[0]
         cubes = record_cubes(monkeypatch)
         for lam in (1.0, 4.0, 10.0, 37.3, 100.0):
-            verify_kernel(pair, lam, params)
+            verify_kernel(pair, lam)
         for lam, box, fine in cubes:
             direct = build_counterexample(
-                pair, lam, params, [(lo, hi, (n + 1) // 2) for lo, hi, n in box]
+                pair, lam, [(lo, hi, (n + 1) // 2) for lo, hi, n in box]
             )
             view = every_other_node(fine)
             assert np.array_equal(view.values, direct.values), lam
@@ -629,21 +674,21 @@ class TestKernelIdentity:
 
 class TestGrowthLadder:
     def test_smallest_ladder_is_finite(self, solve):
-        rows = growth_table(solve(1, 2)[0], P12, (1, 10))
+        rows = growth_table(solve(1, 2)[0], (1, 10))
         assert all(np.isfinite(r.s_star) for r in rows)
         assert rows[0].N == 1
 
     def test_ladder_validation(self, solve):
         pair = solve(1, 2)[0]
         with pytest.raises(ValueError, match="at least two"):
-            growth_table(pair, P12, (100,))
+            growth_table(pair, (100,))
         with pytest.raises(ValueError, match="at least two"):
-            growth_table(pair, P12, (0, 10))
+            growth_table(pair, (0, 10))
         with pytest.raises(ValueError, match=r"distinct; repeated: \[2\]"):
-            growth_table(pair, P12, (2, 2, 3, 4))
+            growth_table(pair, (2, 2, 3, 4))
 
     def test_row_fields_consistent(self, solve):
-        rows = growth_table(solve(1, 2)[0], P12, (10, 100, 1000))
+        rows = growth_table(solve(1, 2)[0], (10, 100, 1000))
         assert [r.N for r in rows] == [10, 100, 1000]
         for r in rows:
             assert r.lam == pytest.approx(float(r.N) ** 2.0, rel=1e-12)
@@ -658,34 +703,30 @@ class TestGrowthLadder:
         ladder = (1, 2, 10, 100)
         reach = default_grid(P12).half_width
         for pair in (off_centre_pair(), solve(1, 2)[0]):
-            for row in growth_table(pair, P12, ladder):
+            for row in growth_table(pair, ladder):
                 box = min(row.N, reach)
                 nodes = np.linspace(-box, box, 200001)
                 want = row.N * math.sqrt(pair.z) + np.log(np.max(np.abs(pair.f(nodes))))
                 short = 2.5 * (nodes[1] - nodes[0]) ** 2
                 assert want - 1e-13 <= row.log_sup <= want + short + 1e-13
         # Past N = 1 the box reaches the off-centre peak, f = 1 at |x| = 1.5.
-        rows = growth_table(off_centre_pair(), P12, ladder)
+        rows = growth_table(off_centre_pair(), ladder)
         assert [r.log_sup for r in rows[1:]] == pytest.approx([2.0, 10.0, 100.0], abs=1e-14)
 
     @pytest.mark.parametrize("pq", [(1, 2), (1, 3)])
     def test_ground_state_peak_is_f_at_the_origin(self, solve, pq):
         # The ground states peak at the origin, so the box max is f(0)
         # itself, to the bit, and the last term of s*(N) vanishes.
-        params = OperatorParams(*pq)
         pair = solve(*pq)[0]
         log_f0 = math.log(abs(float(pair.f(0.0))))
-        for row in growth_table(pair, params, LADDER):
+        for row in growth_table(pair, LADDER):
             assert row.log_sup == row.N * math.sqrt(pair.z) + log_f0
 
     def test_ladder_converges_from_above(self, solve):
         # The two calibration rows coincide by construction; past them
         # the distance to the limit shrinks monotonically.
-        for pair, params, s_limit in (
-            (solve(1, 2)[0], P12, 2.0),
-            (solve(2, 3)[0], P23, 1.5),
-        ):
-            rows = growth_table(pair, params, LADDER)
+        for pair, s_limit in ((solve(1, 2)[0], 2.0), (solve(2, 3)[0], 1.5)):
+            rows = growth_table(pair, LADDER)
             stars = [r.s_star for r in rows]
             assert stars[0] == pytest.approx(stars[1], abs=1e-12)
             gaps = [abs(s - s_limit) for s in stars[1:]]
@@ -695,8 +736,8 @@ class TestGrowthLadder:
 
 class TestExponentEstimate:
     def test_frozen_intercepts(self, solve):
-        s12 = estimate_optimal_exponent(growth_table(solve(1, 2)[0], P12, LADDER))
-        s23 = estimate_optimal_exponent(growth_table(solve(2, 3)[0], P23, LADDER))
+        s12 = estimate_optimal_exponent(growth_table(solve(1, 2)[0], LADDER))
+        s23 = estimate_optimal_exponent(growth_table(solve(2, 3)[0], LADDER))
         assert s12 == pytest.approx(1.999999999822193, abs=1e-6)
         assert s23 == pytest.approx(1.499999999999999, abs=1e-6)
 
@@ -707,20 +748,20 @@ class TestExponentEstimate:
         # 8.1e-3, on the fourth mode of (1, 3).
         params = OperatorParams(*pq)
         for pair in solve(*pq):
-            s0 = estimate_optimal_exponent(growth_table(pair, params, LADDER))
+            s0 = estimate_optimal_exponent(growth_table(pair, LADDER))
             assert abs(s0 - params.optimal_order) <= 0.01
 
     def test_intercept_does_not_depend_on_w(self, solve):
         # The two-row B0 pin absorbs the N w term of log sup exactly.
         pair = solve(2, 3)[0]
-        s0 = estimate_optimal_exponent(growth_table(pair, P23, LADDER))
+        s0 = estimate_optimal_exponent(growth_table(pair, LADDER))
         for z in (25.0, 0.01):  # w = 5 and 0.1
             moved = dataclasses.replace(pair, z=z)
-            got = estimate_optimal_exponent(growth_table(moved, P23, LADDER))
+            got = estimate_optimal_exponent(growth_table(moved, LADDER))
             assert got == pytest.approx(s0, rel=1e-14)
 
     def test_expectation_cross_check(self, solve):
-        rows = growth_table(solve(1, 2)[0], P12, LADDER)
+        rows = growth_table(solve(1, 2)[0], LADDER)
         with pytest.raises(ConsistencyError, match="disagrees"):
             estimate_optimal_exponent(rows, expected=1.0)
         got = estimate_optimal_exponent(rows, expected=2.0)
@@ -731,12 +772,12 @@ class TestExponentEstimate:
         # |x| = 1.5, so on N = 1, 2, 3 the rows leave the model by rms
         # 0.349, above the 0.02 budget.
         with pytest.raises(InconclusiveError, match="not linear"):
-            estimate_optimal_exponent(growth_table(off_centre_pair(), P12, (1, 2, 3)))
+            estimate_optimal_exponent(growth_table(off_centre_pair(), (1, 2, 3)))
 
     def test_two_order_ladder_is_inconclusive(self, solve):
         # A two-term fit passes through two rows exactly, so the model goes unchecked.
         with pytest.raises(InconclusiveError, match="three distinct"):
-            estimate_optimal_exponent(growth_table(solve(1, 2)[0], P12, (1, 2)))
+            estimate_optimal_exponent(growth_table(solve(1, 2)[0], (1, 2)))
 
     def test_normalization_invariance(self, solve):
         pair = solve(2, 3)[0]
@@ -745,8 +786,8 @@ class TestExponentEstimate:
         # difference of the samples amplifies that by 1/h^2, so the sampled
         # residual is invariant to eps/h^2 absolute, not to relative precision.
         floor = np.finfo(float).eps / default_grid(P23).refined().spacing ** 2
-        assert abs(residual_norm(scaled, P23) - residual_norm(pair, P23)) <= floor
-        got = estimate_optimal_exponent(growth_table(scaled, P23, LADDER))
+        assert abs(residual_norm(scaled) - residual_norm(pair)) <= floor
+        got = estimate_optimal_exponent(growth_table(scaled, LADDER))
         assert got == pytest.approx(
-            estimate_optimal_exponent(growth_table(pair, P23, LADDER)), abs=1e-9
+            estimate_optimal_exponent(growth_table(pair, LADDER)), abs=1e-9
         )

@@ -2,6 +2,7 @@
 and every export has a reader."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gevreylab
+import gevreylab.eigen
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,6 +76,15 @@ def test_every_private_name_has_a_reader():
     unread = [(p.name, name) for p in modules for name in sorted(_private_definitions(p))
               if name not in read]
     assert unread == []
+
+
+def test_no_eigen_function_takes_a_pair_and_its_operator():
+    # An eigenpair carries its operator and its window, so a function
+    # handed both could be handed a pair and an operator that disagree.
+    both = [name for name, fn in inspect.getmembers(gevreylab.eigen, inspect.isfunction)
+            if not name.startswith("_") and fn.__module__ == "gevreylab.eigen"
+            and {"pair", "params"} <= set(inspect.signature(fn).parameters)]
+    assert both == []
 
 
 def test_no_module_imports_scipy():
