@@ -618,10 +618,11 @@ def verify_kernel(pair: Eigenpair, lam: float) -> float:
     Path (ii), asserted: direct second differences of F_lam on one
     81 x 11 x 11 box, and on the 41 x 6 x 6 box of its every other node
     at twice the spacing, must shrink like h^2 toward the path (i)
-    value; failure raises ConsistencyError.  linspace(-a, a, (n + 1) // 2)
-    is bit for bit every other node of linspace(-a, a, n), so the coarse
-    check reads the samples of a direct build (its spacing may differ in
-    the last bit).
+    value; failure raises ConsistencyError.  The coarse box keeps the
+    fine origin at twice the fine spacing h, which is exactly the spacing
+    sample gives (n + 1) // 2 nodes, and its coords origin + (2 h) k are
+    bit for bit the fine coords origin + h (2 k), so the coarse check
+    reads the samples of a direct build, each at its own coords.
 
     The coarse spacings are 0.05 in t1 and min(0.05, 1/ceil(4 lam)) in
     t2, at least 25 samples per period of exp(i lam t2).  t1 and t2 enter

@@ -317,11 +317,11 @@ def decompose(
     if not 0.0 < tube_height < np.inf:
         raise ValueError(f"tube height must be positive and finite, got {tube_height}")
     gamma = _gate(u, gamma, lam)
-    heights = np.linspace(0.0, tube_height, 5)
+    heights = (tube_height / 4) * np.arange(5)
     rows = _lowpass_rows(u, lam, gamma, heights)
     low = SampledFunction(
         origin=(0.0, u.origin[0]),
-        spacing=(float(heights[1] - heights[0]), u.spacing[0]),
+        spacing=(tube_height / 4, u.spacing[0]),
         values=rows,
     )
     high = SampledFunction(u.origin, u.spacing, u.values - rows[0])

@@ -92,15 +92,18 @@ def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
     analytic behavior lives in the interior, since nontrivial analytic
     functions cannot be compactly supported.
 
-    The n samples lie on [-3/2, 3/2], so quadratures see the function
-    decay inside the grid.
+    The n samples lie at coords(0) = -3/2 + h * arange(n), h the first
+    step of linspace(-3/2, 3/2, n), so quadratures see the function decay
+    inside the grid.  At n = 4096, h = 0.00073260073260073, every step of
+    coords(0) is exactly h and the last node is 1.4999999999999893.
     """
     if not 1.0 <= s < math.inf:
         raise ValueError(f"Gevrey order must be finite and at least 1, got {s}")
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"need an integer count of at least two samples, got n = {n!r}")
-    x = np.linspace(-1.5, 1.5, n)
-    vals = np.zeros(n)
+    h = (-1.5 + 3.0 / (n - 1)) + 1.5  # x[1] - x[0] of linspace
+    bump = SampledFunction((-1.5,), (h,), np.zeros(n), support_radius=1.0)
+    x, vals = bump.coords(0), bump.values  # filled in place at its own coords
     if s == 1.0:
         inside = np.abs(x) <= 1.0
         vals[inside] = np.exp(-(x[inside] ** 2) / (2.0 * 0.25**2))
@@ -112,12 +115,7 @@ def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
         # is then the bump's exact flat limit.
         with np.errstate(over="ignore"):
             vals[inside] = np.exp(-((xi_ + 1.0) ** -theta) - (1.0 - xi_) ** -theta)
-    return SampledFunction(
-        origin=(x[0],),
-        spacing=(x[1] - x[0],),
-        values=vals,
-        support_radius=1.0,
-    )
+    return bump
 
 
 def _profile(v: float, lx: np.ndarray, ly: np.ndarray, lymax: float):

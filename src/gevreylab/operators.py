@@ -267,24 +267,30 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
     """Reproducible family of 100 Gaussian probes for constant calibration.
 
     Centers are uniform in [-1/2, 1/2], widths uniform in [0.05, 0.5];
-    the 4001-node grid on [-3, 3] is wide enough that every probe is
-    negligible at the ends.  All probes share that grid, so the family
+    the 4001-node grid from -3 is wide enough that every probe is
+    negligible at the ends.  Its spacing is the first step of
+    linspace(-3, 3, 4001), 0.0015000000000000568; every step of
+    coords(0) is exactly that spacing, and the last node is
+    3.0000000000002274.  All probes share that grid, so the family
     is a probe stack: apriori_norms and check_scaling_inequality take it
     whole and return one value per probe.  Each probe holds a row view
-    of one (probes, nodes) buffer, filled in place with no temporaries.
+    of one (probes, nodes) buffer, filled in place at the probes' coords
+    with no temporaries.
     """
     count, half_width, n = 100, 3.0, 4001
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.5, 0.5, size=count)
     widths = rng.uniform(0.05, 0.5, size=count)
-    x = np.linspace(-half_width, half_width, n)
-    values = np.subtract(x, centers[:, None])
+    h = (-half_width + 2.0 * half_width / (n - 1)) + half_width  # x[1] - x[0] of linspace
+    values = np.empty((count, n))
+    probes = [SampledFunction((-half_width,), (h,), row, support_radius=half_width)
+              for row in values]
+    np.subtract(probes[0].coords(0), centers[:, None], out=values)
     np.square(values, out=values)
     np.negative(values, out=values)
     np.divide(values, 2.0 * widths[:, None] ** 2, out=values)
     np.exp(values, out=values)
-    return [SampledFunction((x[0],), (x[1] - x[0],), row, support_radius=half_width)
-            for row in values]
+    return probes
 
 
 def apriori_norms(

@@ -5,7 +5,10 @@ container: complex or real values on a uniform rectangular grid, described
 by a per-axis origin and spacing.  Keeping the grid implicit (never storing
 coordinate arrays) makes rescaled copies cheap, which the scaling checks
 exploit: f(c*x) on the matching grid is the same value array with spacing
-divided by c.
+divided by c.  ``coords(axis)[i] = origin + spacing * i`` is where sample
+i lies: every builder (``sample``, ``probe_family``, ``make_gevrey_bump``)
+evaluates its function there, bit for bit, so quadratures, stencils and
+kernel offsets that read ``coords`` see the nodes the samples were taken at.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ _SUPPORT_REL_TOL = 1e-8
 class SampledFunction:
     """Function samples on a uniform grid in one to three dimensions.
 
-    Samples hold arrays, so they compare and hash by identity.
+    ``values[i]`` is the function at ``coords(axis)[i]``, for every
+    builder.  Samples hold arrays, so they compare and hash by identity.
 
     Parameters
     ----------
@@ -103,9 +107,11 @@ def sample(
     axes: Sequence[tuple[float, float, int]],
     support_radius: float | None = None,
 ) -> SampledFunction:
-    """Sample a callable on the closed box described by (lo, hi, n) triples.
+    """Sample a callable on the box described by (lo, hi, n) triples.
 
-    ``fn`` receives one coordinate array per axis, shaped to broadcast
+    Each axis has origin lo and spacing (hi - lo) / (n - 1), and ``fn``
+    is evaluated at its ``coords``, whose last node may miss hi by a few
+    ulps.  ``fn`` receives one coordinate array per axis, shaped to broadcast
     against the others ((n, 1, 1), (1, n, 1), (1, 1, n) in 3-D), and must
     vectorize over them; what it returns is broadcast to the box.
     """
@@ -115,7 +121,7 @@ def sample(
             raise ValueError(f"each axis needs hi > lo and an integer n >= 2, got {(lo, hi, n)}")
         origin.append(float(lo))
         spacing.append((hi - lo) / (n - 1))
-        coord1d.append(np.linspace(lo, hi, n))
+        coord1d.append(origin[-1] + spacing[-1] * np.arange(n))
     values = np.asarray(fn(*np.meshgrid(*coord1d, indexing="ij", sparse=True)))
     shape = tuple(len(c) for c in coord1d)
     if values.shape != shape:

@@ -31,11 +31,13 @@ LADDER = tuple(np.geomspace(16.0, 1024.0, 24))
 # before the variable-projection solve replaced it, on the default
 # transform ladders (order s at gamma = min(1, 1/s), as the transform
 # pipeline picks it; classify reads the order-2 one) and on the
-# criterion-6 splitting cuts of the order-2 bump.
+# criterion-6 splitting cuts of the order-2 bump.  The orders 1, 1.5 and
+# 2 were fitted again the same way once the bump was sampled at its own
+# coords, which moved their ladders.
 TRUST_REGION_FITS = {
-    "transform-1": (0.9955137408011301, 0.2612782922797561, 1.0503055195103403),
-    "transform-1.5": (0.6387133899598231, 1.1733597816865162, 0.15492434454481752),
-    "transform-2": (0.4414616187485882, 2.339351130634031, 1.385528551184707),
+    "transform-1": (0.9955146765761437, 0.261277187886663, 1.0502979226549645),
+    "transform-1.5": (0.6387133933104971, 1.1733597612136968, 0.1549243354007577),
+    "transform-2": (0.441461853631457, 2.3393476939893203, 1.385519090502729),
     "transform-3": (0.2482767406234458, 4.397069743879219, 8.869940755122967),
     "splitting": (0.477434725021557, 1.7053237779371955, 0.5265718319926949),
 }

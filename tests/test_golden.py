@@ -140,16 +140,20 @@ def test_every_summary_is_recomputed_from_its_rows():
 
 
 def regenerate() -> None:
-    """Rewrite the golden set from the code in this checkout."""
+    """Rewrite the golden set from the code in this checkout, printing
+    where each rewritten file first differs from what it replaces."""
     for run, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
             kept = reports(argv, Path(tmp) / "out")
         target = GOLDEN / run
         target.mkdir(parents=True, exist_ok=True)
-        for stale in target.iterdir():
-            stale.unlink()
+        old = {path.name: path.read_bytes().decode() for path in target.iterdir()}
+        for stale in old.keys() - kept.keys():
+            (target / stale).unlink()
         for name, text in kept.items():
-            (target / name).write_bytes(text.encode())
+            if old.get(name) != text:
+                print(f"{run}/" + first_difference(name, old.get(name, ""), text))
+                (target / name).write_bytes(text.encode())
     (GOLDEN / "STACK.txt").write_text(stack())
 
 

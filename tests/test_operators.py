@@ -464,13 +464,14 @@ class TestAprioriEstimate:
     def test_probes_are_the_broadcast_gaussians_to_the_byte(self):
         # The in-place build rounds each step as the one broadcast
         # expression does: subtract, square, negate, divide, exp.
-        x = np.linspace(-3.0, 3.0, 4001)
         for seed in (42, 30):
+            probes = probe_family(seed)
+            x = probes[0].coords(0)
             rng = np.random.default_rng(seed)
             centers = rng.uniform(-0.5, 0.5, size=100)
             widths = rng.uniform(0.05, 0.5, size=100)
             want = np.exp(-((x - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
-            got = np.stack([g.values for g in probe_family(seed)])
+            got = np.stack([g.values for g in probes])
             assert got.tobytes() == want.tobytes(), seed
 
     def test_stack_needs_one_grid(self):

@@ -1,9 +1,11 @@
 """Grid container semantics."""
 
+import math
+
 import numpy as np
 import pytest
 
-from gevreylab import SampledFunction, sample
+from gevreylab import SampledFunction, make_gevrey_bump, probe_family, sample
 
 
 def line(vals, origin=0.0, h=0.5, **kw):
@@ -77,3 +79,51 @@ def test_sample_passes_broadcastable_coordinates():
     assert f.values.shape == (3, 4, 5)
     want = f.coords(0)[:, None, None] * f.coords(2)[None, None, :]
     assert np.array_equal(f.values, np.broadcast_to(want, (3, 4, 5)))
+
+
+class TestSamplesLieAtCoords:
+    """``values[i]`` is each builder's own expression at ``coords(axis)[i]``,
+    byte for byte, and the probe and bump grids step by exactly their
+    recorded spacing."""
+
+    @pytest.mark.parametrize("axes", [
+        [(-7.0, 7.0, 4096)],
+        [(-3.0, 3.0, 4001)],
+        # The box verify_kernel builds at lam = 10 for (p, q) = (1, 2):
+        # x half-width min(1, 0.98 * 10.62 / sqrt(10)) = 1, t2 half-width
+        # 2.5 / ceil(4 lam).
+        [(-1.0, 1.0, 81), (-0.125, 0.125, 11), (-0.0625, 0.0625, 11)],
+    ])
+    def test_sample(self, axes):
+        def fn(*xs):
+            return math.prod(np.exp(np.sin(3.0 * x + k)) for k, x in enumerate(xs))
+
+        f = sample(fn, axes)
+        grids = np.meshgrid(*(f.coords(ax) for ax in range(f.ndim)), indexing="ij", sparse=True)
+        assert f.values.tobytes() == fn(*grids).tobytes()
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
+    def test_gevrey_bump(self, s):
+        u = make_gevrey_bump(s)
+        x = u.coords(0)
+        if s == 1.0:
+            want = np.where(np.abs(x) <= 1.0, np.exp(-(x**2) / (2.0 * 0.25**2)), 0.0)
+        else:
+            theta = 1.0 / (s - 1.0)
+            with np.errstate(all="ignore"):
+                inner = np.exp(-((x + 1.0) ** -theta) - (1.0 - x) ** -theta)
+            want = np.where(np.abs(x) < 1.0, inner, 0.0)
+        assert u.values.tobytes() == want.tobytes()
+        assert np.all(np.diff(x) == u.spacing[0])
+        assert x[-1] == 1.4999999999999893
+
+    def test_probe_family(self):
+        probes = probe_family(42)
+        x = probes[0].coords(0)
+        rng = np.random.default_rng(42)
+        centers = rng.uniform(-0.5, 0.5, size=100)
+        widths = rng.uniform(0.05, 0.5, size=100)
+        want = np.exp(-((x - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
+        assert np.stack([g.values for g in probes]).tobytes() == want.tobytes()
+        assert np.all(np.diff(x) == probes[0].spacing[0])
+        assert x[-1] == 3.0000000000002274
