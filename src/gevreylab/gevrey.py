@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fbi import FbiField, fbi_field
-from .sampling import SampledFunction
+from .sampling import SampledFunction, _exact_step_axis
 
 #: Relative uptick tolerated before a ladder counts as non-monotone.
 _MONOTONE_SLACK = 1.05
@@ -101,9 +101,8 @@ def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
         raise ValueError(f"Gevrey order must be finite and at least 1, got {s}")
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"need an integer count of at least two samples, got n = {n!r}")
-    h = (-1.5 + 3.0 / (n - 1)) + 1.5  # x[1] - x[0] of linspace
-    bump = SampledFunction((-1.5,), (h,), np.zeros(n), support_radius=1.0)
-    x, vals = bump.coords(0), bump.values  # filled in place at its own coords
+    h, x = _exact_step_axis(-1.5, 1.5, n)
+    vals = np.zeros(n)
     if s == 1.0:
         inside = np.abs(x) <= 1.0
         vals[inside] = np.exp(-(x[inside] ** 2) / (2.0 * 0.25**2))
@@ -115,7 +114,7 @@ def make_gevrey_bump(s: float, n: int = 4096) -> SampledFunction:
         # is then the bump's exact flat limit.
         with np.errstate(over="ignore"):
             vals[inside] = np.exp(-((xi_ + 1.0) ** -theta) - (1.0 - xi_) ** -theta)
-    return bump
+    return SampledFunction((-1.5,), (h,), vals, support_radius=1.0)
 
 
 def _profile(v: float, lx: np.ndarray, ly: np.ndarray, lymax: float):

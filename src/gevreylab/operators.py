@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampling import SampledFunction
+from .sampling import SampledFunction, _exact_step_axis
 
 
 class ConsistencyError(RuntimeError):
@@ -281,16 +281,14 @@ def probe_family(seed: int = 42) -> list[SampledFunction]:
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.5, 0.5, size=count)
     widths = rng.uniform(0.05, 0.5, size=count)
-    h = (-half_width + 2.0 * half_width / (n - 1)) + half_width  # x[1] - x[0] of linspace
-    values = np.empty((count, n))
-    probes = [SampledFunction((-half_width,), (h,), row, support_radius=half_width)
-              for row in values]
-    np.subtract(probes[0].coords(0), centers[:, None], out=values)
+    h, x = _exact_step_axis(-half_width, half_width, n)
+    values = np.subtract(x, centers[:, None])
     np.square(values, out=values)
     np.negative(values, out=values)
     np.divide(values, 2.0 * widths[:, None] ** 2, out=values)
     np.exp(values, out=values)
-    return probes
+    return [SampledFunction((-half_width,), (h,), row, support_radius=half_width)
+            for row in values]
 
 
 def apriori_norms(

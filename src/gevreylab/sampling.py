@@ -71,8 +71,7 @@ class SampledFunction:
 
     def coords(self, axis: int = 0) -> np.ndarray:
         """Sample coordinates along one axis."""
-        n = self.values.shape[axis]
-        return self.origin[axis] + self.spacing[axis] * np.arange(n)
+        return _nodes(self.origin[axis], self.spacing[axis], self.values.shape[axis])
 
     def rescaled(self, factor: float) -> "SampledFunction":
         """Samples of x -> f(factor * x): same values, grid shrunk by factor."""
@@ -102,6 +101,18 @@ class SampledFunction:
         return shell <= _SUPPORT_REL_TOL * top
 
 
+def _nodes(origin: float, spacing: float, n: int) -> np.ndarray:
+    """origin + spacing * arange(n): the one rule for where samples lie."""
+    return origin + spacing * np.arange(n)
+
+
+def _exact_step_axis(lo: float, hi: float, n: int) -> tuple[float, np.ndarray]:
+    """Spacing h = x[1] - x[0] of linspace(lo, hi, n) and the nodes
+    ``_nodes(lo, h, n)``, where the probe and bump builders sample."""
+    h = (lo + (hi - lo) / (n - 1)) - lo
+    return h, _nodes(lo, h, n)
+
+
 def sample(
     fn: Callable[..., np.ndarray],
     axes: Sequence[tuple[float, float, int]],
@@ -121,7 +132,7 @@ def sample(
             raise ValueError(f"each axis needs hi > lo and an integer n >= 2, got {(lo, hi, n)}")
         origin.append(float(lo))
         spacing.append((hi - lo) / (n - 1))
-        coord1d.append(origin[-1] + spacing[-1] * np.arange(n))
+        coord1d.append(_nodes(origin[-1], spacing[-1], n))
     values = np.asarray(fn(*np.meshgrid(*coord1d, indexing="ij", sparse=True)))
     shape = tuple(len(c) for c in coord1d)
     if values.shape != shape:

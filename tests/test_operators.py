@@ -473,6 +473,8 @@ class TestAprioriEstimate:
             want = np.exp(-((x - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
             got = np.stack([g.values for g in probes])
             assert got.tobytes() == want.tobytes(), seed
+            assert np.all(np.diff(x) == probes[0].spacing[0]), seed
+            assert x[-1] == 3.0000000000002274, seed
 
     def test_stack_needs_one_grid(self):
         g = probe_family()[0]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gevreylab import SampledFunction, make_gevrey_bump, probe_family, sample
+from gevreylab import SampledFunction, make_gevrey_bump, sample
 
 
 def line(vals, origin=0.0, h=0.5, **kw):
@@ -83,8 +83,8 @@ def test_sample_passes_broadcastable_coordinates():
 
 class TestSamplesLieAtCoords:
     """``values[i]`` is each builder's own expression at ``coords(axis)[i]``,
-    byte for byte, and the probe and bump grids step by exactly their
-    recorded spacing."""
+    byte for byte, and the bump grid steps by exactly its recorded
+    spacing (the probes are checked so in test_operators.py)."""
 
     @pytest.mark.parametrize("axes", [
         [(-7.0, 7.0, 4096)],
@@ -116,14 +116,3 @@ class TestSamplesLieAtCoords:
         assert u.values.tobytes() == want.tobytes()
         assert np.all(np.diff(x) == u.spacing[0])
         assert x[-1] == 1.4999999999999893
-
-    def test_probe_family(self):
-        probes = probe_family(42)
-        x = probes[0].coords(0)
-        rng = np.random.default_rng(42)
-        centers = rng.uniform(-0.5, 0.5, size=100)
-        widths = rng.uniform(0.05, 0.5, size=100)
-        want = np.exp(-((x - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
-        assert np.stack([g.values for g in probes]).tobytes() == want.tobytes()
-        assert np.all(np.diff(x) == probes[0].spacing[0])
-        assert x[-1] == 3.0000000000002274
